@@ -219,8 +219,7 @@ def main(argv=None) -> int:
     if Path(wka.__file__).resolve().parent != ROOT / "src" / "wka":
         return fail(f"imported wka from {wka.__file__}, not from this checkout")
 
-    sys.path.insert(0, str(Path(__file__).resolve().parent))
-    from tracer import Tracer
+    from tracer import Tracer  # the script's directory leads sys.path
     from workloads import WORKLOADS, sha256_file
 
     if args.workload not in WORKLOADS:
@@ -228,7 +227,7 @@ def main(argv=None) -> int:
 
     workdir = RESULTS / f"work-{args.workload}-{os.getpid()}"
     workdir.mkdir(parents=True, exist_ok=True)
-    tracer = Tracer(enabled=bool(args.trace))
+    tracer = Tracer()
     workload = WORKLOADS[args.workload](wka, tracer, args.seed, str(workdir))
     try:
         builds = []

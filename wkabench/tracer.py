@@ -34,12 +34,11 @@ class LayerStats:
 class Tracer:
     """Collects spans and per-layer call counts, total and self times.
 
-    A disabled tracer installs nothing, and its :meth:`span` records nothing,
-    so untraced runs execute the package unmodified.
+    Nothing is recorded until ``recording`` is set, and nothing is wrapped
+    until :meth:`install`, so untraced runs execute the package unmodified.
     """
 
-    def __init__(self, enabled: bool):
-        self.enabled = enabled
+    def __init__(self):
         self.recording = False
         self.stats: dict[str, LayerStats] = {}
         self.counters: dict[str, float] = {}
@@ -120,8 +119,6 @@ class Tracer:
         name to ``after(tracer, args, kwargs, result)``, run outside the
         timed interval.
         """
-        if not self.enabled:
-            return
         hooks = hooks or {}
         modules = {
             name: mod

@@ -210,8 +210,26 @@ def main(argv=None) -> int:
     if not (ROOT / "src" / "wka" / "__init__.py").is_file():
         return fail("src/wka not found: run from a checkout of the wka repository")
 
-    sys.dont_write_bytecode = True  # every run compiles the same way
+    if args.workload not in {w["name"] for w in spec["workloads"]}:
+        names = ", ".join(w["name"] for w in spec["workloads"])
+        return fail(f"unknown workload {args.workload!r}: one of {names}")
+
+    workdir = RESULTS / f"work-{args.workload}-{os.getpid()}"
+    workdir.mkdir(parents=True, exist_ok=True)
+    try:
+        return run(args, spec, workdir)
+    finally:
+        shutil.rmtree(workdir, ignore_errors=True)
+
+
+def run(args, spec, workdir) -> int:
     t0 = time.perf_counter()
+    import numpy  # noqa: F401  (read from its installed bytecode, as any user does)
+
+    # Look for bytecode only in the empty work directory and write none, so
+    # src/wka is compiled from source whether or not a __pycache__ exists.
+    sys.dont_write_bytecode = True
+    sys.pycache_prefix = str(workdir / "pycache")
     sys.path.insert(0, str(ROOT / "src"))
     import wka
     import wka.cli
@@ -222,38 +240,31 @@ def main(argv=None) -> int:
     from tracer import Tracer  # the script's directory leads sys.path
     from workloads import WORKLOADS, sha256_file
 
-    if args.workload not in WORKLOADS:
-        return fail(f"unknown workload {args.workload!r}: one of {', '.join(WORKLOADS)}")
-
-    workdir = RESULTS / f"work-{args.workload}-{os.getpid()}"
-    workdir.mkdir(parents=True, exist_ok=True)
     tracer = Tracer()
     workload = WORKLOADS[args.workload](wka, tracer, args.seed, str(workdir))
-    try:
-        builds = []
-        for _ in range(SETUP_REPEATS):
-            t = time.perf_counter()
-            workload.setup_inputs()
-            builds.append(time.perf_counter() - t)
+    builds = []
+    for _ in range(SETUP_REPEATS):
         t = time.perf_counter()
-        warmup = workload.run_pass(warmup=True)
-        setup_s = import_s + statistics.median(builds) + time.perf_counter() - t
+        workload.setup_inputs()
+        builds.append(time.perf_counter() - t)
+    t = time.perf_counter()
+    warmup = workload.run_pass(warmup=True)
+    setup_s = import_s + statistics.median(builds) + time.perf_counter() - t
 
-        untraced = measure(workload, args.seconds)
-        traced = []
-        if args.trace:
-            names = [m["name"] for m in spec["per_layer"]]
-            listed = {
-                n.rpartition(".")[0] for n in names if n.rpartition(".")[2] in STAT_FIELDS
-            } - BENCH_SPANS
-            tracer.install("wka", listed=listed, hooks=hooks())
-            tracer.recording = True
-            traced = [timed_pass(workload)]  # call counts repeat exactly
-            tracer.recording = False
-        notes = workload.notes([ops for _, ops in untraced])
-        inputs = {name: sha256_file(p) for name, p in workload.input_files.items()}
-    finally:
-        shutil.rmtree(workdir, ignore_errors=True)
+    untraced = measure(workload, args.seconds)
+    traced = []
+    if args.trace:
+        names = [m["name"] for m in spec["per_layer"]]
+        listed = {
+            n.rpartition(".")[0] for n in names if n.rpartition(".")[2] in STAT_FIELDS
+        } - BENCH_SPANS
+        tracer.install("wka", listed=listed, hooks=hooks())
+        tracer.recording = True
+        workload.setup_inputs()  # so constructors.build covers set-up
+        traced = [timed_pass(workload)]  # call counts repeat exactly
+        tracer.recording = False
+    notes = workload.notes([ops for _, ops in untraced])
+    inputs = {name: sha256_file(p) for name, p in workload.input_files.items()}
 
     every = warmup + [op for _, ops in untraced + traced for op in ops]
     failed = [op for op in every if not op.ok]

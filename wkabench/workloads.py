@@ -73,8 +73,7 @@ def cube_ok(n, w) -> tuple[bool, str]:
 
 class Workload:
     name = ""
-    # timed passes per run at least: two where one pass is one or a few long
-    # calls, but one on the ladder, whose ~20 s pass fills the run budget
+    # timed passes per run at least: one where a pass fills the run
     min_passes = 1
 
     def __init__(self, wka, tracer, seed: int, workdir):
@@ -90,9 +89,11 @@ class Workload:
     def run_pass(self, warmup: bool = False) -> list[Op]:
         """One pass over the inputs.
 
-        The untimed warm-up pass (``warmup``) leaves out the largest input,
-        whose one pass would add ~10-20 s to every run; the first timed pass
-        then meets it cold, as a one-off CLI call does.
+        The untimed warm-up pass (``warmup``) runs every input on
+        ``catalog`` and ``derive-cube4``.  On ``ladder`` and ``dual-files`` it
+        leaves out the largest input, whose one pass would add ~10-20 s to
+        every run; the first timed pass then meets it cold, as a one-off CLI
+        call does.
         """
         raise NotImplementedError
 
@@ -113,6 +114,9 @@ class Catalog(Workload):
     """
 
     name = "catalog"
+    # ~25 s of ~4.4 s passes: over three passes the machine's drift moved
+    # member_p90_ms by 0.28 of its median from run to run, over six by 0.07
+    min_passes = 6
 
     def setup_inputs(self):
         entries = self.wka.catalog()
@@ -157,7 +161,8 @@ class Ladder(Workload):
 
     The dense dim^3 scaling wall.  The warm-up pass stops before cube5.
     Per-rung peak RSS is the process peak after the first run of each rung;
-    rungs first run in ascending order from a fresh process.
+    rungs first run in ascending order from a fresh process.  A rung's
+    ``verify_s`` is its ``verify_weak_kac`` call alone, in the latest pass.
     """
 
     name = "ladder"
@@ -166,6 +171,7 @@ class Ladder(Workload):
     def __init__(self, *args):
         super().__init__(*args)
         self.rung_peak_rss_mb = {}
+        self.verify_s = {}
 
     def run_pass(self, warmup=False):
         ops = []
@@ -173,7 +179,9 @@ class Ladder(Workload):
             def op(n=n):
                 with self.tracer.span("constructors.build"):
                     w = self.wka.cube_family(n)
+                start = time.perf_counter()
                 rep = self.wka.verify_weak_kac(w, seed=self.seed)
+                self.verify_s[n] = time.perf_counter() - start
                 ok, detail = cube_ok(n, w)
                 if not rep.passed:
                     ok, detail = False, f"cube_family({n}): verdict FAIL"
@@ -187,9 +195,8 @@ class Ladder(Workload):
     def per_layer(self, passes):
         out = {}
         for i, n in enumerate(self.RUNGS):
-            times = [ops[i].seconds for ops in passes]
             _, dim, nnz = passes[0][i].verdict or (None, 0, 0)
-            out[f"ladder.cube{n}.verify_s"] = float(np.median(times))
+            out[f"ladder.cube{n}.verify_s"] = self.verify_s.get(n, 0.0)
             out[f"ladder.cube{n}.dim"] = dim
             out[f"ladder.cube{n}.nnz"] = nnz
             out[f"ladder.cube{n}.peak_rss_mb"] = self.rung_peak_rss_mb[n]
@@ -214,20 +221,20 @@ class DeriveCube4(CliWorkload):
     Derived structure dominates here (Haar conditional expectations, affine
     solves, repeated dual and Wedderburn realizations).  The CLI takes no
     seed, so this workload's input and calls are the same for every seed.
+    The warm-up pass is a full pass, so the slow first call is set-up time.
     """
 
     name = "derive-cube4"
-    min_passes = 2
 
     def setup_inputs(self):
-        self.input_files = {}
-        for n in (3, 4):  # cube_family(3) is the warm-up input
-            path = os.path.join(self.workdir, f"cube-family-{n}.wka")
-            self.wka.save_wka(self.wka.cube_family(n), path)
-            self.input_files[os.path.basename(path)] = path
+        path = os.path.join(self.workdir, "cube-family-4.wka")
+        with self.tracer.span("constructors.build"):
+            w = self.wka.cube_family(4)
+        self.wka.save_wka(w, path)
+        self.input_files = {os.path.basename(path): path}
 
     def run_pass(self, warmup=False):
-        path = self.input_files["cube-family-3.wka" if warmup else "cube-family-4.wka"]
+        path = self.input_files["cube-family-4.wka"]
 
         def op():
             code, _, err = self.cli("derive", "--what", "all", path)
@@ -241,10 +248,15 @@ class DualFiles(CliWorkload):
     """build -> dual -> verify -> report --format json, through the CLI.
 
     The only workload where storage writes sit beside reads.  The twist's
-    cocycle seed is the workload seed.
+    cocycle seed is the workload seed.  One operation is a whole pass over
+    the four inputs: their chains take ~0.5 s to ~11 s, so a median over
+    the chains of a run would sit between the slowest ``crossed 3`` and the
+    fastest ``twist`` sample and follow the machine's drift on small calls.
+    The warm-up pass leaves out ``cube-family 4``.
     """
 
     name = "dual-files"
+    # two ~14 s passes: one warm pass per run spread 0.22 over ten seeds
     min_passes = 2
 
     def setup_inputs(self):
@@ -254,40 +266,48 @@ class DualFiles(CliWorkload):
             ("dual-elementary", ("1,2",)),
             ("twist", ("1,1,2", str(self.seed))),
         ]
-        self.expected_dim = {
-            c: self.wka.build_named(c, list(p)).dim for c, p in self.specs
-        }
+        self.expected_dim = {}
+        for c, params in self.specs:
+            with self.tracer.span("constructors.build"):
+                self.expected_dim[c] = self.wka.build_named(c, list(params)).dim
 
     def run_pass(self, warmup=False):
-        ops = []
         self.written = []
-        for c, params in self.specs[1:] if warmup else self.specs:
-            tag = "-".join([c, *params]).replace(",", "_")
-            primal = os.path.join(self.workdir, f"{tag}.wka")
-            dualf = os.path.join(self.workdir, f"{tag}.dual.wka")
 
-            def op(c=c, params=params, primal=primal, dualf=dualf):
-                steps = [
-                    ("build", (c, *params, "-o", primal)),
-                    ("dual", (primal, "-o", dualf)),
-                    ("verify", (dualf,)),
-                ]
-                for command, args in steps:
-                    code, _, err = self.cli(command, *args)
-                    if code != 0:
-                        return False, (command, code), f"{command} {c} exited {code}: {err[-400:]}"
-                code, out, err = self.cli("report", "--format", "json", dualf)
-                if code != 0:
-                    return False, ("report", code), f"report {c} exited {code}: {err[-400:]}"
-                obj = json.loads(out)
-                dim, want = obj["dim"], self.expected_dim[c]
-                ok = obj["passed"] is True and dim == want
-                return ok, (obj["passed"], dim), f"dual of {c}: passed {obj['passed']} dim {dim}, expected {want}"
+        def op():
+            verdicts, errors = [], []
+            for c, params in self.specs[1:] if warmup else self.specs:
+                ok, verdict, detail = self.chain(c, params)
+                verdicts.append(verdict)
+                if not ok:
+                    errors.append(detail)
+            return not errors, tuple(verdicts), "; ".join(errors)
 
-            with self.tracer.span("bench.op"):
-                ops.append(run_op(f"{c} {' '.join(params)}", op))
-            self.written += [primal, dualf]
-        return ops
+        with self.tracer.span("bench.op"):
+            return [run_op("pass", op)]
+
+    def chain(self, c, params):
+        """One input's chain of CLI calls: (ok, verdict, detail)."""
+        tag = "-".join([c, *params]).replace(",", "_")
+        primal = os.path.join(self.workdir, f"{tag}.wka")
+        dualf = os.path.join(self.workdir, f"{tag}.dual.wka")
+        self.written += [primal, dualf]
+        steps = [
+            ("build", (c, *params, "-o", primal)),
+            ("dual", (primal, "-o", dualf)),
+            ("verify", (dualf,)),
+        ]
+        for command, args in steps:
+            code, _, err = self.cli(command, *args)
+            if code != 0:
+                return False, (command, code), f"{command} {c} exited {code}: {err[-400:]}"
+        code, out, err = self.cli("report", "--format", "json", dualf)
+        if code != 0:
+            return False, ("report", code), f"report {c} exited {code}: {err[-400:]}"
+        obj = json.loads(out)
+        dim, want = obj["dim"], self.expected_dim[c]
+        ok = obj["passed"] is True and dim == want
+        return ok, (obj["passed"], dim), f"dual of {c}: passed {obj['passed']} dim {dim}, expected {want}"
 
     def notes(self, passes):
         files = [p for p in self.written if os.path.exists(p)]

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    GramDegenerate,
     MismatchedParent,
     NotSemisimple,
     NotStarClosed,
@@ -200,14 +199,6 @@ class FdAlgebra:
 
     # -- distinguished elements ------------------------------------------
 
-    def basis_element(self, a: int) -> "AlgElement":
-        c = np.zeros(self.dim, dtype=complex)
-        c[a] = 1.0
-        return AlgElement(self, c)
-
-    def unit_element(self) -> "AlgElement":
-        return AlgElement(self, self.unit.copy())
-
     def block_identity(self, i: int) -> np.ndarray:
         c = np.zeros(self.dim, dtype=complex)
         sel = (self.basis_block == i) & (self.basis_row == self.basis_col)
@@ -275,13 +266,6 @@ class AlgElement:
 
     def to_matrix(self) -> np.ndarray:
         return self.parent.to_matrix(self.coeffs)
-
-    def norm_max(self) -> float:
-        return max_abs(self.coeffs)
-
-    def isclose(self, other, tol=None) -> bool:
-        self._check(other)
-        return max_abs(self.coeffs - other.coeffs) <= as_tol(tol).abs_tol
 
 
 @dataclass
@@ -459,12 +443,6 @@ class WedderburnRealization:
     to_canonical: np.ndarray
     from_canonical: np.ndarray
     residual: float
-
-    def push_element(self, x) -> np.ndarray:
-        return self.to_canonical @ np.asarray(x, dtype=complex)
-
-    def pull_element(self, x) -> np.ndarray:
-        return self.from_canonical @ np.asarray(x, dtype=complex)
 
 
 def _validate_star_algebra(data: StarAlgebraData, tol: Tolerance, rng):

@@ -67,15 +67,20 @@ def dual(w: WeakKac, tol=None, seed: int = 0) -> WeakKac:
     (abstract dual coordinates <-> concrete block coordinates) and
     `primal`, so the pairing with w remains computable.
 
-    Raises NotCounital when w has no counit and GramDegenerate when the
-    dual GNS form fails to be positive definite, which signals that w
-    does not satisfy the weak Kac axioms to working precision.
+    The dual is built once per (w, tol, seed); later calls return the same
+    object.  Raises NotCounital when w has no counit and GramDegenerate
+    when the dual GNS form fails to be positive definite, which signals
+    that w does not satisfy the weak Kac axioms to working precision.
     """
     tol = as_tol(tol)
     if w.counit is None:
         raise NotCounital(
             "dual construction needs a counit; recover one with counit_from_haar"
         )
+    return w.memo(("dual", tol, seed), lambda: _realize_dual(w, tol, seed))
+
+
+def _realize_dual(w: WeakKac, tol, seed: int) -> WeakKac:
     alg = w.algebra
     mult_hat = np.ascontiguousarray(w.coproduct.transpose(1, 2, 0))
     star_hat = w.antipode.T @ alg.star_matrix

@@ -78,7 +78,6 @@ class VerificationReport:
         return {
             "title": self.title,
             "abs_tol": self.tol.abs_tol,
-            "rel_cap": self.tol.rel_cap,
             "verdict": "pass" if self.passed else "fail",
             "max_residual": self.max_residual,
             "checks": [

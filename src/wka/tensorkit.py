@@ -1,4 +1,4 @@
-"""Dense complex tensor utilities: Kronecker products, rank factorization,
+"""Dense complex tensor utilities: tolerances, subspaces, rank factorization,
 affine solves.  All numerics are numpy; every cutoff is controlled by an
 explicit Tolerance so callers never depend on library defaults.
 
@@ -22,7 +22,6 @@ from .errors import Inconsistent
 __all__ = [
     "Tolerance",
     "AffineSpace",
-    "kron",
     "dagger",
     "max_abs",
     "nullspace",
@@ -39,10 +38,9 @@ DEFAULT_ABS_TOL = 1e-9
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Absolute entrywise tolerance; rel_cap only annotates reports."""
+    """Absolute entrywise tolerance."""
 
     abs_tol: float = DEFAULT_ABS_TOL
-    rel_cap: float = 1e-6
 
     def rank_cutoff(self, shape, smax: float) -> float:
         # Singular values at or below dim * abs_tol * sigma_max are noise.
@@ -58,11 +56,6 @@ def as_tol(tol) -> Tolerance:
     if isinstance(tol, Tolerance):
         return tol
     return Tolerance(abs_tol=float(tol))
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with lexicographic pair indexing (row-major)."""
-    return np.kron(np.asarray(a), np.asarray(b))
 
 
 def dagger(a: np.ndarray) -> np.ndarray:

@@ -15,12 +15,16 @@ primed variants and cross-checks the two derivations against each other.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .algebra import (
     FdAlgebra,
     Functional,
     SubalgebraBasis,
+    _basis_vec,
+    center,
     make_algebra,
     wedderburn_realize,
     StarAlgebraData,
@@ -31,6 +35,7 @@ from .tensorkit import (
     Tolerance,
     as_tol,
     dagger,
+    intersect_subspaces,
     max_abs,
     nullspace,
     orthonormal_columns,
@@ -59,14 +64,18 @@ class WeakKac:
     coproduct[i, j, k] is the coefficient of b_j (x) b_k in Delta(b_i);
     antipode acts on coefficient vectors by matrix multiplication; counit
     is a covector.  Elements of M (x) M are coefficient matrices.
+
+    The structure arrays are read-only copies of the inputs, so every
+    derived structure is computed once per algebra: the counital matrices
+    as cached properties, the tolerance-dependent ones through `memo`.
     """
 
     def __init__(self, algebra: FdAlgebra, coproduct, antipode, counit, meta=None):
         self.algebra = algebra
         d = algebra.dim
-        self.coproduct = np.asarray(coproduct, dtype=complex)
-        self.antipode = np.asarray(antipode, dtype=complex)
-        self.counit = None if counit is None else np.asarray(counit, dtype=complex)
+        self.coproduct = _read_only(np.array(coproduct, dtype=complex))
+        self.antipode = _read_only(np.array(antipode, dtype=complex))
+        self.counit = None if counit is None else _read_only(np.array(counit, dtype=complex))
         if self.coproduct.shape != (d, d, d):
             raise ValueError("coproduct tensor has wrong shape")
         if self.antipode.shape != (d, d):
@@ -74,11 +83,22 @@ class WeakKac:
         if self.counit is not None and self.counit.shape != (d,):
             raise ValueError("counit covector has wrong shape")
         self.meta = dict(meta or {})
-        self._cache = {}
+        self._memo = {}
 
     @property
     def dim(self) -> int:
         return self.algebra.dim
+
+    def memo(self, key, compute):
+        """The value of compute(), computed once per key for this algebra.
+
+        A key names a derived structure and the settings it depends on,
+        such as ("dual", tol, seed).  The arrays of the value are made
+        read-only, so no caller can change what later callers receive.
+        """
+        if key not in self._memo:
+            self._memo[key] = _freeze(compute())
+        return self._memo[key]
 
     def delta(self, x) -> np.ndarray:
         """Coefficient matrix of Delta(x)."""
@@ -92,43 +112,35 @@ class WeakKac:
         np.add.at(out, prod[mask], np.asarray(coeff_matrix, dtype=complex)[mask])
         return out
 
-    @property
+    @cached_property
     def e_matrix(self) -> np.ndarray:
         """Coefficient matrix of e = Delta(1)."""
-        if "e" not in self._cache:
-            self._cache["e"] = self.delta(self.algebra.unit)
-        return self._cache["e"]
+        return _read_only(self.delta(self.algebra.unit))
 
-    @property
+    @cached_property
     def eps_mult(self) -> np.ndarray:
         """eps_mult[a, b] = eps(b_a b_b)."""
-        if "eps_mult" not in self._cache:
-            prod = self.algebra.prod_table
-            out = np.zeros((self.dim, self.dim), dtype=complex)
-            mask = prod >= 0
-            out[mask] = self.counit[prod[mask]]
-            self._cache["eps_mult"] = out
-        return self._cache["eps_mult"]
+        prod = self.algebra.prod_table
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        mask = prod >= 0
+        out[mask] = self.counit[prod[mask]]
+        return _read_only(out)
 
-    @property
+    @cached_property
     def eps_t_matrix(self) -> np.ndarray:
         """Matrix of eps_t = mu (id (x) S) Delta on coefficient vectors."""
-        if "eps_t" not in self._cache:
-            cols = [
-                self.mu(self.coproduct[j] @ self.antipode.T) for j in range(self.dim)
-            ]
-            self._cache["eps_t"] = np.stack(cols, axis=1)
-        return self._cache["eps_t"]
+        cols = [
+            self.mu(self.coproduct[j] @ self.antipode.T) for j in range(self.dim)
+        ]
+        return _read_only(np.stack(cols, axis=1))
 
-    @property
+    @cached_property
     def eps_s_matrix(self) -> np.ndarray:
         """Matrix of eps_s = mu (S (x) id) Delta on coefficient vectors."""
-        if "eps_s" not in self._cache:
-            cols = [
-                self.mu(self.antipode @ self.coproduct[j]) for j in range(self.dim)
-            ]
-            self._cache["eps_s"] = np.stack(cols, axis=1)
-        return self._cache["eps_s"]
+        cols = [
+            self.mu(self.antipode @ self.coproduct[j]) for j in range(self.dim)
+        ]
+        return _read_only(np.stack(cols, axis=1))
 
     def counit_functional(self) -> Functional:
         return Functional(self.algebra, self.counit)
@@ -136,6 +148,26 @@ class WeakKac:
     def __repr__(self):
         tag = self.meta.get("name", "")
         return f"WeakKac({self.algebra.block_shape}{', ' + tag if tag else ''})"
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _freeze(value):
+    """Make the arrays of a memoized value read-only: an array, the items of
+    a tuple or list, or the array attributes and meta entries of an object."""
+    if isinstance(value, np.ndarray):
+        _read_only(value)
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            _freeze(item)
+    else:
+        for item in [*vars(value).values(), *getattr(value, "meta", {}).values()]:
+            if isinstance(item, np.ndarray):
+                _read_only(item)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +244,7 @@ def _delta_mult_residual(w: WeakKac, rng) -> float:
         for a in range(dim):
             xa = alg.to_matrix2(t[a])
             rhs_flat = (xa @ stacked).reshape(n2, dim, n2).transpose(1, 0, 2)
-            lhs = _delta_of_product(w, _unit_vec(dim, a))
+            lhs = _delta_of_product(w, _basis_vec(dim, a))
             for j in range(dim):
                 worst = max(worst, max_abs(lhs[j] - alg.from_matrix2(rhs_flat[j])))
         return worst
@@ -229,10 +261,18 @@ def _delta_mult_residual(w: WeakKac, rng) -> float:
     return worst
 
 
-def _unit_vec(dim, a):
-    v = np.zeros(dim, dtype=complex)
-    v[a] = 1.0
-    return v
+def _multiplicativity_residual(src: FdAlgebra, dst: FdAlgebra, f, anti: bool = False) -> float:
+    """Max over basis pairs of |f(b_a b_b) - f(b_a) f(b_b)| for the linear map
+    f : src -> dst given by its matrix, or of |f(b_a b_b) - f(b_b) f(b_a)|
+    when anti is set.  The products in dst are taken as concrete matrices."""
+    mats = np.stack([dst.to_matrix(f[:, a]) for a in range(src.dim)])
+    spec = "bij,ajk->abik" if anti else "aij,bjk->abik"
+    rhs = np.einsum(spec, mats, mats, optimize=True)[:, :, dst.basis_row, dst.basis_col]
+    lhs = np.zeros_like(rhs)
+    prod = src.prod_table
+    a_idx, b_idx = np.nonzero(prod >= 0)
+    lhs[a_idx, b_idx, :] = f[:, prod[a_idx, b_idx]].T
+    return max_abs(lhs - rhs)
 
 
 def _delta_star_residual(w: WeakKac) -> float:
@@ -258,16 +298,8 @@ def _antipode_residuals(w: WeakKac) -> dict:
     res["antipode_unital"] = max_abs(s @ alg.unit - alg.unit)
     res["antipode_involutive"] = max_abs(s @ s - np.eye(dim))
     res["antipode_star"] = max_abs(s @ alg.star_matrix - alg.star_matrix @ np.conj(s))
-
     # S(b_a b_b) = S(b_b) S(b_a) over all basis pairs
-    sb = np.stack([alg.to_matrix(s[:, a]) for a in range(dim)])
-    rhs_mats = np.einsum("bij,ajk->abik", sb, sb, optimize=True)
-    rhs = rhs_mats[:, :, alg.basis_row, alg.basis_col]
-    lhs = np.zeros((dim, dim, dim), dtype=complex)
-    prod = alg.prod_table
-    a_idx, b_idx = np.nonzero(prod >= 0)
-    lhs[a_idx, b_idx, :] = s[:, prod[a_idx, b_idx]].T
-    res["antipode_antimultiplicative"] = max_abs(lhs - rhs)
+    res["antipode_antimultiplicative"] = _multiplicativity_residual(alg, alg, s, anti=True)
 
     # (S (x) S) Delta = flip Delta S
     lhs2 = np.einsum("ma,jab,nb->jmn", s, t, s, optimize=True)
@@ -389,13 +421,18 @@ class CartanPair:
 
 def _cartan_spans(w: WeakKac, tol: Tolerance):
     """Bases of N_s and N_t from a minimal factorization of e (no checks)."""
-    alg = w.algebra
-    xs, ys = rank_factorization(
-        w.e_matrix, tol, star_left=alg.star, star_right=alg.star
-    )
-    ns = SubalgebraBasis(alg, np.stack(xs, axis=1), tol)
-    nt = SubalgebraBasis(alg, np.stack(ys, axis=1), tol)
-    return ns, nt, xs, ys
+    tol = as_tol(tol)
+
+    def factor():
+        alg = w.algebra
+        xs, ys = rank_factorization(
+            w.e_matrix, tol, star_left=alg.star, star_right=alg.star
+        )
+        ns = SubalgebraBasis(alg, np.stack(xs, axis=1), tol)
+        nt = SubalgebraBasis(alg, np.stack(ys, axis=1), tol)
+        return ns, nt, xs, ys
+
+    return w.memo(("cartan_spans", tol), factor)
 
 
 def _subalgebra_realization(sub: SubalgebraBasis, tol: Tolerance, seed=0):
@@ -418,7 +455,6 @@ def cartan_subalgebras(w: WeakKac, tol=None) -> CartanPair:
 
     if ns.dim != nt.dim:
         raise CartanMismatch(f"factor ranks differ: {ns.dim} vs {nt.dim}")
-    rep.add_flag("factor_ranks_equal", True, f"dim N_s = dim N_t = {ns.dim}")
     rep.add(
         "factorization_reconstructs_e",
         max_abs(sum(np.outer(x, y) for x, y in zip(xs, ys)) - e),
@@ -619,15 +655,7 @@ def check_morphism(w1: WeakKac, w2: WeakKac, pi, tol=None) -> VerificationReport
         scale=10,
     )
 
-    # multiplicative over all basis pairs, computed concretely in w2
-    mats = np.stack([a2.to_matrix(pi[:, a]) for a in range(a1.dim)])
-    rhs = np.einsum("aij,bjk->abik", mats, mats, optimize=True)
-    rhs_c = rhs[:, :, a2.basis_row, a2.basis_col]
-    lhs_c = np.zeros_like(rhs_c)
-    prod = a1.prod_table
-    a_idx, b_idx = np.nonzero(prod >= 0)
-    lhs_c[a_idx, b_idx, :] = pi[:, prod[a_idx, b_idx]].T
-    rep.add("multiplicative", max_abs(lhs_c - rhs_c), scale=10)
+    rep.add("multiplicative", _multiplicativity_residual(a1, a2, pi), scale=10)
 
     lhs_d = np.einsum("ma,iab,nb->imn", pi, w1.coproduct, pi, optimize=True)
     rhs_d = np.einsum("mi,mab->iab", pi, w2.coproduct, optimize=True)
@@ -757,25 +785,8 @@ def _regular_trace_on_span(alg: FdAlgebra, span: np.ndarray) -> np.ndarray:
 def hyper_center(w: WeakKac, tol=None) -> SubalgebraBasis:
     """N_s intersect N_t intersect Z(M), the obstruction to indecomposability."""
     tol = as_tol(tol)
-    alg, e = w.algebra, w.e_matrix
-    dim = alg.dim
-    lten, rten = alg.left_tensor(), alg.right_tensor()
-    cols = []
-    for j in range(dim):
-        dj = w.coproduct[j]
-        parts = [
-            (dj - rten[j] @ e).reshape(-1),
-            (dj - lten[j] @ e).reshape(-1),
-            (dj - e @ rten[j].T).reshape(-1),
-            (dj - e @ lten[j].T).reshape(-1),
-        ]
-        cols.append(np.concatenate(parts))
-    sys = np.stack(cols, axis=1)
-    central_rows = np.concatenate(
-        [lten[a] - rten[a] for a in range(dim)], axis=0
-    )
-    sys = np.vstack([sys, central_rows])
-    return SubalgebraBasis(alg, nullspace(sys, tol), tol, orthonormalize=False)
+    spans = [_membrane(w, "t", tol), _membrane(w, "s", tol), center(w.algebra).basis]
+    return SubalgebraBasis(w.algebra, intersect_subspaces(spans, tol), tol, orthonormalize=False)
 
 
 def restrict_to_blocks(w: WeakKac, blocks) -> tuple:

@@ -18,8 +18,14 @@ from wka import (
     pair_groupoid,
     verify_weak_kac,
 )
+from wka import duality, weakkac
 from wka.duality import convolution_unit, dual_element, dual_functional
-from wka.haar import trace_pairing_matrix
+from wka.haar import (
+    check_normalized_haar_trace,
+    haar_conditional_expectations,
+    haar_trace_cone,
+    trace_pairing_matrix,
+)
 from wka.weakkac import cartan_subalgebras
 
 from conftest import get_example
@@ -89,6 +95,30 @@ def test_dual_counit_is_evaluation_at_unit():
     dw = dual(w)
     carry = dw.meta["to_canonical"]
     assert np.abs(dw.counit @ carry - w.algebra.unit).max() < 1e-12
+
+
+def test_dual_is_built_once_per_tolerance_and_seed():
+    w = cube_family(2)
+    assert dual(w) is dual(w)
+    assert dual(w, 1e-9) is dual(w)
+    assert dual(w, 1e-8) is not dual(w, 1e-9)
+    assert dual(w, seed=1) is not dual(w)
+
+
+def test_haar_structures_realize_the_dual_once(monkeypatch):
+    w = cube_family(2)
+    real, calls = duality.wedderburn_realize, []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for module in (duality, weakkac):
+        monkeypatch.setattr(module, "wedderburn_realize", counting)
+    check_normalized_haar_trace(w)
+    haar_trace_cone(w)
+    haar_conditional_expectations(w)
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,9 @@
-"""Numeric kernel: kron indexing, rank factorization, affine solver."""
+"""Numeric kernel: rank factorization, subspaces, affine solver."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from wka import Tolerance, kron, rank_factorization, solve_affine_space
+from wka import Tolerance, rank_factorization, solve_affine_space
 from wka.errors import Inconsistent
 from wka.tensorkit import (
     dagger,
@@ -21,31 +19,6 @@ RNG = np.random.default_rng(20240811)
 
 def rand_c(*shape):
     return RNG.standard_normal(shape) + 1j * RNG.standard_normal(shape)
-
-
-def test_kron_matches_lexicographic_indexing():
-    a, b = rand_c(3, 2), rand_c(4, 5)
-    k = kron(a, b)
-    assert k.shape == (12, 10)
-    for i in range(3):
-        for j in range(4):
-            for p in range(2):
-                for q in range(5):
-                    assert k[i * 4 + j, p * 5 + q] == pytest.approx(a[i, p] * b[j, q])
-
-
-@given(st.integers(min_value=0, max_value=2 ** 31 - 1))
-@settings(max_examples=25, deadline=None)
-def test_kron_bilinear_and_associative(seed):
-    rng = np.random.default_rng(seed)
-
-    def r():
-        return rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
-
-    a, a2, b, c = r(), r(), r(), r()
-    lam = complex(rng.standard_normal(), rng.standard_normal())
-    assert max_abs(kron(a + lam * a2, b) - kron(a, b) - lam * kron(a2, b)) < 1e-12
-    assert max_abs(kron(kron(a, b), c) - kron(a, kron(b, c))) < 1e-12
 
 
 def test_rank_factorization_reconstructs_low_rank():

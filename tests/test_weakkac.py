@@ -4,19 +4,23 @@ import numpy as np
 import pytest
 
 from wka import (
+    GroupAction,
     WeakKac,
     cartan_subalgebras,
     check_kac_bimodule,
     check_morphism,
     counital_maps,
     counital_quotient,
+    cyclic_shift_action,
     decompose_if_split,
     direct_sum,
     hyper_center,
+    normalized_haar_trace,
     restrict_to_blocks,
     verify_weak_kac,
 )
-from wka.errors import CartanMismatch
+from wka.constructors import validate_action
+from wka.errors import CartanMismatch, InvalidAction
 from wka.tensorkit import max_abs
 
 from conftest import get_example
@@ -228,6 +232,56 @@ def test_zero_map_fails_morphism():
     rep = check_morphism(w, w, np.zeros((w.dim, w.dim)))
     assert not rep.passed
     assert not rep["unital"].passed
+
+
+def _transpose_map(alg):
+    """x -> x^T on every block: unital, *-preserving, anti-multiplicative."""
+    eye = np.eye(alg.dim)
+    return np.stack([alg.from_matrix(alg.to_matrix(eye[a]).T) for a in range(alg.dim)], axis=1)
+
+
+@pytest.mark.parametrize(
+    "check", ["antipode_antimultiplicative", "multiplicative", "validate_action"]
+)
+def test_unital_star_map_that_breaks_products_fails(check):
+    """Each basis-pair (anti-)multiplicativity check rejects a unital,
+    *-preserving map that does not respect products."""
+    if check == "validate_action":
+        w, action = cyclic_shift_action(2)
+        mean = np.outer(w.algebra.unit, np.full(w.dim, 1.0 / w.dim))  # x -> mean(x) 1
+        with pytest.raises(InvalidAction, match="not multiplicative"):
+            validate_action(w, GroupAction(action.group, [np.eye(w.dim), mean]))
+        return
+    w = get_example("group_k2")
+    assert w.algebra.block_shape == (2,)
+    if check == "multiplicative":
+        rep = check_morphism(w, w, _transpose_map(w.algebra))
+        kept = ("unital", "star_homomorphism")
+    else:
+        # the identity is multiplicative, hence not anti-multiplicative on M_2
+        rep = verify_weak_kac(WeakKac(w.algebra, w.coproduct, np.eye(w.dim), w.counit))
+        kept = ("antipode_unital", "antipode_star")
+    assert all(rep[name].passed for name in kept)
+    assert not rep[check].passed
+
+
+# ---------------------------------------------------------------------------
+# read-only structure and derived values
+# ---------------------------------------------------------------------------
+
+
+def test_structure_arrays_are_read_only_copies():
+    w0 = get_example("fun_k2")
+    given = [np.array(w0.coproduct), np.array(w0.antipode), np.array(w0.counit)]
+    w = WeakKac(w0.algebra, *given)
+    for own, arr in zip(given, (w.coproduct, w.antipode, w.counit)):
+        with pytest.raises(ValueError):
+            arr.flat[0] = 7.0
+        own.flat[0] = 7.0  # the caller's array stays writable ...
+        assert arr.flat[0] != 7.0  # ... and is not shared
+    for derived in (w.e_matrix, w.eps_t_matrix, normalized_haar_trace(w0).vec):
+        with pytest.raises(ValueError):
+            derived.flat[0] = 7.0
 
 
 # ---------------------------------------------------------------------------

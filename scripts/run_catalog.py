@@ -1,4 +1,5 @@
-"""Build and verify every catalog entry, printing a summary table.
+"""Build and verify every catalog entry, printing a summary table: dimension,
+nonzero coproduct entries, block shape, largest residual and verdict.
 
 Usage: python scripts/run_catalog.py [--tol 1e-9] [--no-duals] [--no-twists]
 Exits nonzero if any entry fails its axiom suite.
@@ -30,8 +31,9 @@ def main(argv=None) -> int:
         rep = verify_weak_kac(w, tol=tol)
         verdict = "pass" if rep.passed else "FAIL"
         shape = ",".join(str(d) for d in w.algebra.block_shape)
+        nnz = w.coproduct_nonzeros[0].size
         print(
-            f"{entry.name:<{width}}  dim {w.dim:>3}  blocks ({shape})"
+            f"{entry.name:<{width}}  dim {w.dim:>3}  nnz {nnz:>6}  blocks ({shape})"
             f"  residual {rep.max_residual:9.2e}  {verdict}"
         )
         failures += 0 if rep.passed else 1

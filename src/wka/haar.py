@@ -303,9 +303,14 @@ def haar_trace_cone(w: WeakKac, tol=None):
     single degree of freedom, so the rays are sums of components over the
     coupled classes, found by solving the trace conditions in the
     coefficients.  Returns (rays, report) where rays is a list of
-    Functionals summing to the normalized Haar trace.
+    Functionals summing to the normalized Haar trace; both are computed
+    once per algebra and tolerance and shared by every caller.
     """
     tol = as_tol(tol)
+    return w.memo(("haar_trace_cone", tol), lambda: _haar_trace_cone(w, tol))
+
+
+def _haar_trace_cone(w: WeakKac, tol: Tolerance):
     alg = w.algebra
     rep = VerificationReport("Haar trace cone", tol)
 

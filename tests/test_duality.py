@@ -18,7 +18,7 @@ from wka import (
     pair_groupoid,
     verify_weak_kac,
 )
-from wka import duality, weakkac
+from wka import duality, haar, weakkac
 from wka.duality import convolution_unit, dual_element, dual_functional
 from wka.haar import (
     check_normalized_haar_trace,
@@ -119,6 +119,22 @@ def test_haar_structures_realize_the_dual_once(monkeypatch):
     haar_trace_cone(w)
     haar_conditional_expectations(w)
     assert len(calls) == 1
+
+
+def test_haar_trace_cone_is_solved_once(monkeypatch):
+    w = cube_family(2)
+    normalized_haar_trace(w)  # solves its own trace rows once
+    real, calls = haar._haar_trace_rows, []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(haar, "_haar_trace_rows", counting)
+    rays, rep = haar_trace_cone(w)
+    haar_conditional_expectations(w)
+    assert len(calls) == 1
+    assert haar_trace_cone(w)[1] is rep
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from wka import (
     GroupAction,
     WeakKac,
     cartan_subalgebras,
+    catalog,
     check_kac_bimodule,
     check_morphism,
     counital_maps,
@@ -14,11 +15,13 @@ from wka import (
     cyclic_shift_action,
     decompose_if_split,
     direct_sum,
+    dual,
     hyper_center,
     normalized_haar_trace,
     restrict_to_blocks,
     verify_weak_kac,
 )
+from wka import weakkac
 from wka.constructors import validate_action
 from wka.errors import CartanMismatch, InvalidAction
 from wka.tensorkit import max_abs
@@ -88,6 +91,81 @@ def test_mangled_antipode_fails():
     bad = WeakKac(w.algebra, w.coproduct, np.eye(w.dim), w.counit, {})
     rep = verify_weak_kac(bad)
     assert not rep.passed
+
+
+# ---------------------------------------------------------------------------
+# coassociativity and multiplicativity: joins over the nonzeros and the
+# dense oracles
+# ---------------------------------------------------------------------------
+
+
+def _both_paths(w):
+    """(join, dense oracle) for coassociativity and for multiplicativity,
+    the latter exhaustive over basis pairs on both sides."""
+    return [
+        (weakkac._coassociativity_join(w), weakkac._coassociativity_dense(w)),
+        (weakkac._delta_mult_join(w), weakkac._delta_mult_dense(w, np.eye(w.dim))),
+    ]
+
+
+def test_join_residuals_match_dense_oracles_on_catalog():
+    checked = 0
+    for entry in catalog():
+        w = entry.build()
+        # the exhaustive dense oracle costs d * N^6, a join on a dense
+        # coproduct up to d^5 products: keep both to unit-test size
+        if w.dim > 27 or w.coproduct_nonzeros[0].size > 5000:
+            continue
+        for join, dense in _both_paths(w):
+            assert abs(join - dense) <= 1e-12, (entry.name, join, dense)
+        checked += 1
+    assert checked == 47
+
+
+def _with_noise(w, density, seed=5):
+    """w with 1e-3 complex noise on the nonzeros of its coproduct and on a
+    random share `density` of its zeros."""
+    rng = np.random.default_rng(seed)
+    shape = w.coproduct.shape
+    noise = 1e-3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    noise[(w.coproduct == 0) & (rng.random(shape) >= density)] = 0
+    return WeakKac(w.algebra, w.coproduct + noise, w.antipode, w.counit)
+
+
+@pytest.mark.parametrize("name, density", [("cube3", 0.05), ("crossed2", 1.0)])
+def test_join_residuals_match_dense_oracles_off_the_axioms(name, density):
+    w = _with_noise(get_example(name), density)
+    for join, dense in _both_paths(w):
+        assert 1e-5 < dense < 1e-1
+        assert abs(join - dense) <= 1e-12
+
+
+def _moved_entry(w):
+    """w with one coproduct entry moved to a zero position of its row."""
+    t = np.array(w.coproduct)
+    i = np.flatnonzero((t == 0).any(axis=(1, 2)))[0]
+    (j, k), (j2, k2) = np.argwhere(t[i] != 0)[0], np.argwhere(t[i] == 0)[0]
+    t[i, j2, k2], t[i, j, k] = t[i, j, k], 0
+    return WeakKac(w.algebra, t, w.antipode, w.counit)
+
+
+def _unreachable(*args):
+    raise AssertionError("residual computed on the other path")
+
+
+@pytest.mark.parametrize("path", ["join", "dense"])
+def test_moved_coproduct_entry_fails_coassociativity_and_multiplicativity(path, monkeypatch):
+    if path == "join":
+        w = get_example("cube3")
+        other = ("_coassociativity_dense", "_delta_mult_residual_dense")
+    else:
+        w = dual(get_example("cube2"))
+        other = ("_coassociativity_join", "_delta_mult_join")
+    for name in other:
+        monkeypatch.setattr(weakkac, name, _unreachable)
+    assert verify_weak_kac(w).passed
+    failed = {c.name for c in verify_weak_kac(_moved_entry(w)).failures()}
+    assert {"delta_coassociative", "delta_multiplicative"} <= failed
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from .tensorkit import (
     dagger,
     max_abs,
     nullspace,
+    numerical_rank,
     orthonormal_columns,
     subspace_contains,
 )
@@ -264,9 +265,6 @@ class AlgElement:
     def star(self) -> "AlgElement":
         return AlgElement(self.parent, self.parent.star(self.coeffs))
 
-    def to_matrix(self) -> np.ndarray:
-        return self.parent.to_matrix(self.coeffs)
-
 
 @dataclass
 class Functional:
@@ -344,9 +342,6 @@ class SubalgebraBasis:
         stars = [alg.star(b[:, i]) for i in range(b.shape[1])]
         vecs = np.stack(prods + stars + [alg.unit], axis=1)
         return self.contains(vecs)
-
-    def element(self, i: int) -> AlgElement:
-        return AlgElement(self.parent, self.basis[:, i])
 
     def structure_constants(self):
         """(mult, star, unit_coords) of the subalgebra in this basis.
@@ -700,8 +695,7 @@ def check_conditional_expectation(
     rep.add("idempotent", max_abs(emat @ emat - emat), scale=10)
     rep.add("range_in_target", target.contains(emat))
     rep.add("identity_on_target", max_abs(emat @ target.basis - target.basis))
-    svals = np.linalg.svd(emat, compute_uv=False)
-    rank = int(np.sum(svals > tol.rank_cutoff(emat.shape, max(svals[0], 1.0))))
+    rank = numerical_rank(emat, tol)
     rep.add_flag("range_equals_target", rank == target.dim, f"rank {rank} vs {target.dim}")
     rep.add(
         "star_preserving",

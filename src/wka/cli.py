@@ -36,7 +36,7 @@ from .haar import (
 )
 from .tensorkit import Tolerance, max_abs
 from .weakkac import cartan_subalgebras, hyper_center, verify_weak_kac
-from .storage import load_wka, save_wka, serialize
+from .storage import load_wka, save_wka
 
 __all__ = ["main"]
 
@@ -211,10 +211,9 @@ def cmd_report(args) -> int:
     _, trep = check_normalized_haar_trace(w, tol)
     reports.append(trep)
     if args.format == "json":
-        f = serialize(w)
         obj = {
             "file": args.file,
-            "block_shape": list(f.block_shape),
+            "block_shape": [int(d) for d in w.algebra.block_shape],
             "dim": w.dim,
             "passed": all(r.passed for r in reports),
             "reports": [r.as_dict() for r in reports],

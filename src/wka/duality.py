@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgElement, Functional, StarAlgebraData, wedderburn_realize
+from .algebra import AlgElement, FdAlgebra, Functional, StarAlgebraData, wedderburn_realize
 from .constructors import (
     Groupoid,
     groupoid_algebra,
@@ -34,7 +34,7 @@ from .constructors import (
 from .errors import GramDegenerate, NotCounital, NoUnit
 from .haar import _as_weak_kac, haar_projection, normalized_haar_trace, trace_pairing_matrix
 from .report import VerificationReport
-from .tensorkit import Inconsistent, as_tol, dagger, max_abs, solve_affine_space
+from .tensorkit import Inconsistent, as_tol, dagger, max_abs, numerical_rank, solve_affine_space
 from .weakkac import WeakKac, check_morphism, _cartan_spans
 
 __all__ = [
@@ -65,7 +65,10 @@ def dual(w: WeakKac, tol=None, seed: int = 0) -> WeakKac:
     trace, which is evaluation at the primal Haar projection.  The
     returned algebra carries meta entries `to_canonical`/`from_canonical`
     (abstract dual coordinates <-> concrete block coordinates) and
-    `primal`, so the pairing with w remains computable.
+    `primal_algebra`, so the pairing with w remains computable.  The dual
+    holds w's algebra, not w: w memoizes its dual, so a reference back
+    would form a cycle that keeps both alive until the cyclic collector
+    runs.
 
     The dual is built once per (w, tol, seed); later calls return the same
     object.  Raises NotCounital when w has no counit and GramDegenerate
@@ -100,7 +103,7 @@ def _realize_dual(w: WeakKac, tol, seed: int) -> WeakKac:
     t_abs = np.ascontiguousarray(alg.mult_tensor().transpose(2, 0, 1))
     s_abs = w.antipode.T
     eps_abs = alg.unit
-    meta = {"kind": "dual", "primal": w}
+    meta = {"kind": "dual", "primal_algebra": w.algebra}
     return transported_weak_kac(realization, t_abs, s_abs, eps_abs, meta)
 
 
@@ -109,18 +112,18 @@ def _pairing_matrix(dw: WeakKac) -> np.ndarray:
     return dw.meta["from_canonical"]
 
 
-def _primal_of(dw: WeakKac) -> WeakKac:
-    primal = dw.meta.get("primal")
-    if primal is None:
-        raise KeyError("not a dual-constructed algebra: meta lacks 'primal'")
-    return primal
+def _primal_algebra(dw: WeakKac) -> FdAlgebra:
+    alg = dw.meta.get("primal_algebra")
+    if alg is None:
+        raise KeyError("not a dual-constructed algebra: meta lacks 'primal_algebra'")
+    return alg
 
 
 def dual_functional(dw: WeakKac, element) -> Functional:
     """The linear functional on the primal algebra represented by a concrete
     element of the dual."""
     coeffs = element.coeffs if isinstance(element, AlgElement) else np.asarray(element)
-    return Functional(_primal_of(dw).algebra, _pairing_matrix(dw) @ coeffs)
+    return Functional(_primal_algebra(dw), _pairing_matrix(dw) @ coeffs)
 
 
 def dual_element(dw: WeakKac, functional) -> AlgElement:
@@ -204,9 +207,7 @@ def biduality_isomorphism(w: WeakKac, tol=None, seed: int = 0):
     ddw = dual(dw, tol, seed=seed)
     iota = ddw.meta["to_canonical"] @ dw.meta["from_canonical"].T
     rep = check_morphism(w, ddw, iota, tol)
-    sing = np.linalg.svd(iota, compute_uv=False)
-    cutoff = tol.rank_cutoff(iota.shape, float(sing[0]))
-    rank = int(np.count_nonzero(sing > cutoff))
+    rank = numerical_rank(iota, tol)
     rep.add_flag(
         "bijective",
         rank == w.dim and ddw.dim == w.dim,
@@ -339,10 +340,8 @@ def groupoid_dual_isomorphisms(gpd: Groupoid, tol=None, seed: int = 0) -> Groupo
     rep.extend(check_morphism(dwg, wf, to_functions, tol), prefix="functions.")
     rep.extend(check_morphism(dwf, wg, to_convolution, tol), prefix="convolution.")
     for name, mat in (("functions", to_functions), ("convolution", to_convolution)):
-        sing = np.linalg.svd(mat, compute_uv=False)
-        cutoff = as_tol(tol).rank_cutoff(mat.shape, float(sing[0]))
         rep.add_flag(
             f"{name}.bijective",
-            int(np.count_nonzero(sing > cutoff)) == mat.shape[0] == mat.shape[1],
+            numerical_rank(mat, tol) == mat.shape[0] == mat.shape[1],
         )
     return GroupoidDuality(wg, wf, dwg, dwf, to_functions, to_convolution, rep)

@@ -28,6 +28,7 @@ from .tensorkit import (
     intersect_subspaces,
     max_abs,
     nullspace,
+    numerical_rank,
     solve_affine_space,
     subspace_distance,
 )
@@ -159,9 +160,7 @@ def check_haar_projection(w: WeakKac, tol=None, seed: int = 0):
         rep.add("counit_left_invariant", max_abs(eps @ lmp - eps))
 
     ns, nt, _, _ = _cartan_spans(w, tol)
-    svals = np.linalg.svd(rmp, compute_uv=False)
-    cutoff = tol.rank_cutoff(rmp.shape, max(float(svals[0]), 1.0))
-    rank_mp = int(np.sum(svals > cutoff))
+    rank_mp = numerical_rank(rmp, tol)
     rep.add_flag(
         "right_ideal_dim_matches_target",
         rank_mp == nt.dim,
@@ -209,8 +208,7 @@ def check_haar_projection(w: WeakKac, tol=None, seed: int = 0):
             rows_j = alg.row_offsets[j] + np.arange(alg.block_shape[j])
             idx = (rows_i[:, None] * n + rows_j[None, :]).reshape(-1)
             sub = mat2[np.ix_(idx, idx)]
-            s = np.linalg.svd(sub, compute_uv=False)
-            r = int(np.sum(s > tol.rank_cutoff(sub.shape, max(float(s[0]), 1.0))))
+            r = numerical_rank(sub, tol)
             want = 1 if j == sigma[i] else 0
             if r != want:
                 ranks_ok = False
@@ -486,8 +484,7 @@ def haar_conditional_expectations(
     k1 = np.stack([(e @ rten[a].T).reshape(-1) for a in range(dim)], axis=1)
     k2 = np.stack([(rten[a] @ e).reshape(-1) for a in range(dim)], axis=1)
     for name, k in (("right_leg_injective", k1), ("left_leg_injective", k2)):
-        s = np.linalg.svd(k, compute_uv=False)
-        rank = int(np.sum(s > tol.rank_cutoff(k.shape, max(float(s[0]), 1.0))))
+        rank = numerical_rank(k, tol)
         rep.add_flag(name, rank == dim, f"rank {rank} of {dim}")
     return e_t, e_s, eo_t, rep
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .tensorkit import Tolerance
 
 __all__ = ["CheckResult", "VerificationReport"]
@@ -59,7 +61,8 @@ class VerificationReport:
 
     @property
     def max_residual(self) -> float:
-        return max((c.residual for c in self.checks), default=0.0)
+        # np.max propagates NaN, which max() drops depending on its position
+        return float(np.max([c.residual for c in self.checks], initial=0.0))
 
     def failures(self) -> list:
         return [c for c in self.checks if not c.passed]

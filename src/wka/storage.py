@@ -1,13 +1,15 @@
 """Text serialization for weak Kac algebras and groupoid tables.
 
-Structure files are JSON with sparse coefficient lists: every tensor
-entry is a row [indices..., re, im] with explicit real and imaginary
-parts, entries in lexicographic index order and exact zeros omitted, so
-files are diffable and round-trip bit-identically.  The multiplication
-and star tables of the canonical block algebra are included for
-readability and validated against the block shape on load; loading
-performs structural validation only (shapes, index ranges, canonical
-tables) and never checks the weak Kac axioms, which is `verify`'s job.
+Structure files (format version 2) are JSON objects with the fields
+format_version, block_shape, basis, coproduct, antipode, counit (null for
+generalized data) and metadata.  Each tensor is a sparse table of rows
+[indices..., re, im], one row per line, in lexicographic index order with
+exact zeros omitted, so files are diffable and round-trip bit-identically.
+The block shape alone fixes the algebra's product and involution.  Version
+1 files also stored them as mult and star tables; such files are still
+read, and their tables must equal the canonical ones.  Loading performs
+structural validation only (shapes, index ranges, finite values) and never
+checks the weak Kac axioms, which is `verify`'s job.
 
 Groupoid tables use a line-oriented format:
 
@@ -22,6 +24,7 @@ validated against the derived inverses when present.
 """
 
 import json
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,23 +44,21 @@ __all__ = [
     "parse_groupoid",
 ]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _JSON_SAFE = (str, int, float, bool)
 
 
 def _sparse(arr: np.ndarray) -> list:
-    """Rows [indices..., re, im] of the nonzero entries, index-sorted."""
-    arr = np.asarray(arr, dtype=complex)
-    rows = []
-    for idx in np.argwhere(arr != 0):
-        v = arr[tuple(idx)]
-        rows.append([int(i) for i in idx] + [float(v.real), float(v.imag)])
-    rows.sort(key=lambda r: r[:-2])
-    return rows
+    """Rows [indices..., re, im] of the nonzero entries, in index order."""
+    idx = np.nonzero(arr)
+    values = arr[idx]
+    return np.stack([*idx, values.real, values.imag], axis=1, dtype=object).tolist()
 
 
 def _dense(rows, shape, what: str) -> np.ndarray:
+    if not isinstance(rows, list):
+        raise ParseError(f"{what} must be a list of entry rows")
     ndim = len(shape)
     out = np.zeros(shape, dtype=complex)
     for r, row in enumerate(rows):
@@ -73,37 +74,39 @@ def _dense(rows, shape, what: str) -> np.ndarray:
                 )
         if not all(isinstance(x, (int, float)) for x in (re, im)):
             raise ParseError(f"{what} entry {r}: re/im must be numbers")
+        # unlike math.isfinite, this also rejects ints too large for a float
+        if not (abs(re) <= sys.float_info.max and abs(im) <= sys.float_info.max):
+            raise ParseError(f"{what} entry {r}: re/im must be finite, got {re!r}, {im!r}")
         out[tuple(idx)] = complex(re, im)
     return out
 
 
+def _rows_text(rows) -> str:
+    """JSON of an entry table with one row per line."""
+    text = json.dumps(rows)
+    return text if not rows else "[\n  " + text[1:-1].replace("], [", "],\n  [") + "\n ]"
+
+
 @dataclass
 class WkaFile:
-    """Parsed structure file: canonical block data plus sparse tensors."""
+    """Parsed structure file: block shape, basis labels and sparse tensors."""
 
     block_shape: tuple
     basis: list
-    mult: list
     coproduct: list
     antipode: list
     counit: object  # list of rows, or None for generalized data
-    star: list
     metadata: dict = field(default_factory=dict)
-    format_version: int = FORMAT_VERSION
 
     def to_text(self) -> str:
-        obj = {
-            "format_version": self.format_version,
-            "block_shape": list(self.block_shape),
-            "basis": list(self.basis),
-            "mult": self.mult,
-            "coproduct": self.coproduct,
-            "antipode": self.antipode,
-            "counit": self.counit,
-            "star": self.star,
-            "metadata": self.metadata,
+        fields = {
+            "format_version": json.dumps(FORMAT_VERSION),
+            "block_shape": json.dumps(list(self.block_shape)),
+            "basis": json.dumps(list(self.basis)),
+            **{k: _rows_text(getattr(self, k)) for k in ("coproduct", "antipode", "counit")},
+            "metadata": json.dumps(self.metadata),
         }
-        return json.dumps(obj, indent=1) + "\n"
+        return "{\n" + ",\n".join(f' "{k}": {v}' for k, v in fields.items()) + "\n}\n"
 
     @classmethod
     def from_text(cls, text: str) -> "WkaFile":
@@ -113,14 +116,13 @@ class WkaFile:
             raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
         if not isinstance(obj, dict):
             raise ParseError("top level must be an object")
-        missing = [
-            k
-            for k in ("format_version", "block_shape", "mult", "coproduct", "antipode", "star")
-            if k not in obj
-        ]
+        required = ["format_version", "block_shape", "coproduct", "antipode"]
+        if obj.get("format_version") == 1:
+            required += ["mult", "star"]
+        missing = [k for k in required if k not in obj]
         if missing:
             raise ParseError(f"missing fields: {', '.join(missing)}")
-        if obj["format_version"] != FORMAT_VERSION:
+        if obj["format_version"] not in (1, FORMAT_VERSION):
             raise ParseError(f"unsupported format_version {obj['format_version']!r}")
         shape = obj["block_shape"]
         if (
@@ -129,16 +131,18 @@ class WkaFile:
             or not all(isinstance(d, int) and d >= 1 for d in shape)
         ):
             raise ParseError("block_shape must be a nonempty list of positive integers")
+        if obj["format_version"] == 1:  # its mult and star tables must be canonical
+            alg = make_algebra(shape)
+            for key, table in (("mult", alg.mult_tensor()), ("star", alg.star_matrix)):
+                if np.any(_dense(obj[key], table.shape, key) != table):
+                    raise ParseError(f"{key} does not match the canonical algebra of block_shape")
         return cls(
             block_shape=tuple(shape),
             basis=obj.get("basis", []),
-            mult=obj["mult"],
             coproduct=obj["coproduct"],
             antipode=obj["antipode"],
             counit=obj.get("counit"),
-            star=obj["star"],
             metadata=obj.get("metadata", {}) or {},
-            format_version=obj["format_version"],
         )
 
 
@@ -154,11 +158,9 @@ def serialize(w: WeakKac) -> WkaFile:
     return WkaFile(
         block_shape=tuple(int(d) for d in alg.block_shape),
         basis=list(alg.labels),
-        mult=_sparse(alg.mult_tensor()),
         coproduct=_sparse(w.coproduct),
         antipode=_sparse(w.antipode),
         counit=None if w.counit is None else _sparse(w.counit),
-        star=_sparse(alg.star_matrix),
         metadata=meta,
     )
 
@@ -166,25 +168,17 @@ def serialize(w: WeakKac) -> WkaFile:
 def deserialize(f: WkaFile) -> WeakKac:
     """Rebuild the WeakKac from a parsed file, with structural validation.
 
-    Checks shapes and index ranges, and that the stored mult and star
-    tables equal those of the canonical block algebra; does not verify
-    the weak Kac axioms.
+    Checks the basis labels, index ranges and finiteness of every entry;
+    does not verify the weak Kac axioms.
     """
     alg = make_algebra(f.block_shape)
     dim = alg.dim
-    mult = _dense(f.mult, (dim, dim, dim), "mult")
-    if np.any(mult != alg.mult_tensor()):
-        raise ParseError("mult does not match the canonical algebra of block_shape")
-    star = _dense(f.star, (dim, dim), "star")
-    if np.any(star != alg.star_matrix):
-        raise ParseError("star does not match the canonical algebra of block_shape")
     if f.basis and (len(f.basis) != dim or not all(isinstance(x, str) for x in f.basis)):
         raise ParseError(f"basis must list {dim} labels")
     coproduct = _dense(f.coproduct, (dim, dim, dim), "coproduct")
     antipode = _dense(f.antipode, (dim, dim), "antipode")
     counit = None if f.counit is None else _dense(f.counit, (dim,), "counit")
-    meta = dict(f.metadata)
-    return WeakKac(alg, coproduct, antipode, counit, meta)
+    return WeakKac(alg, coproduct, antipode, counit, dict(f.metadata))
 
 
 def save_wka(w: WeakKac, path) -> None:

@@ -25,6 +25,7 @@ __all__ = [
     "dagger",
     "max_abs",
     "nullspace",
+    "numerical_rank",
     "orthonormal_columns",
     "rank_factorization",
     "solve_affine_space",
@@ -93,6 +94,13 @@ def nullspace(a: np.ndarray, tol: Tolerance | None = None) -> np.ndarray:
     cutoff = tol.rank_cutoff(a.shape, smax)
     rank = int(np.sum(s > cutoff))
     return dagger(vh)[:, rank:]
+
+
+def numerical_rank(a: np.ndarray, tol: Tolerance | None = None) -> int:
+    """Number of singular values of a above the rank cutoff."""
+    s = np.linalg.svd(a, compute_uv=False)
+    smax = float(s[0]) if s.size else 0.0
+    return int(np.count_nonzero(s > as_tol(tol).rank_cutoff(a.shape, smax)))
 
 
 def subspace_contains(basis: np.ndarray, vectors: np.ndarray) -> float:

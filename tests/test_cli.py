@@ -7,9 +7,9 @@ import sys
 import numpy as np
 import pytest
 
-from wka import WeakKac, cube_family
+from wka import WeakKac, cli, cube_family, storage
 from wka.cli import main
-from wka.storage import load_wka, save_wka, serialize
+from wka.storage import load_wka, save_wka
 
 from conftest import get_example
 
@@ -100,6 +100,19 @@ def test_failing_axioms_exit_one(tmp_path, capsys):
     assert "counit_left" in out and "FAIL" in out
 
 
+@pytest.mark.parametrize("tensor, value", [("coproduct", "nan"), ("counit", "inf")])
+def test_non_finite_entry_is_input_error(cube2_file, capsys, tensor, value):
+    with open(cube2_file) as fh:
+        obj = json.load(fh)
+    obj[tensor][0][-2] = float(value)
+    with open(cube2_file, "w") as fh:
+        json.dump(obj, fh)
+    assert run("verify", cube2_file) == 2
+    captured = capsys.readouterr()
+    assert f"error: {tensor} entry 0: re/im must be finite" in captured.err
+    assert "verdict" not in captured.out
+
+
 def test_counit_free_file_requires_recovery(tmp_path):
     w = get_example("cube2")
     gen = WeakKac(w.algebra, w.coproduct, w.antipode, None, {})
@@ -165,6 +178,21 @@ def test_json_report_is_deterministic(cube2_file, capsys):
     assert obj["passed"] is True
     assert obj["block_shape"] == [2, 2]
     assert obj["dim"] == 8
+
+
+def test_report_does_not_serialize_again(cube2_file, monkeypatch, capsys):
+    calls = []
+
+    def counted(w):
+        calls.append(w)
+        return original(w)
+
+    original = storage.serialize
+    monkeypatch.setattr(storage, "serialize", counted)
+    monkeypatch.setattr(cli, "serialize", counted, raising=False)
+    assert run("report", "--format", "json", cube2_file) == 0
+    assert json.loads(capsys.readouterr().out)["block_shape"] == [2, 2]
+    assert calls == []
 
 
 def test_text_report_mentions_checks(cube2_file, capsys):

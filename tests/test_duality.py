@@ -1,5 +1,8 @@
 """Duality: dual construction, pairing, biduality, counit recovery."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -103,6 +106,18 @@ def test_dual_is_built_once_per_tolerance_and_seed():
     assert dual(w, 1e-9) is dual(w)
     assert dual(w, 1e-8) is not dual(w, 1e-9)
     assert dual(w, seed=1) is not dual(w)
+
+
+def test_algebra_and_memoized_dual_are_freed_without_the_cyclic_collector():
+    w = cube_family(2)
+    dw = dual(w)
+    refs = [weakref.ref(w), weakref.ref(dw)]
+    gc.disable()
+    try:
+        del w, dw
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_haar_structures_realize_the_dual_once(monkeypatch):

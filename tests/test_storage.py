@@ -7,10 +7,12 @@ import pytest
 
 from wka import (
     WeakKac,
+    catalog,
     cube_family,
     cyclic_groupoid,
     disjoint_union,
     pair_groupoid,
+    storage,
     verify_weak_kac,
 )
 from wka.errors import IndexOutOfRange, ParseError
@@ -38,6 +40,78 @@ def test_round_trip_is_bit_identical(name):
     text = serialize(w).to_text()
     again = serialize(deserialize(WkaFile.from_text(text))).to_text()
     assert text == again
+
+
+@pytest.mark.parametrize("entry", catalog(), ids=lambda e: e.name)
+def test_catalog_round_trip_is_exact(entry, tmp_path):
+    w = entry.build()
+    first, second = tmp_path / "first.wka", tmp_path / "second.wka"
+    save_wka(w, first)
+    w2 = load_wka(first)
+    for name in ("coproduct", "antipode", "counit"):
+        assert np.array_equal(getattr(w2, name), getattr(w, name)), name
+    save_wka(w2, second)
+    assert second.read_text() == first.read_text()
+
+
+def test_file_holds_no_algebra_tables_and_one_entry_row_per_line():
+    text = serialize(get_example("cube2")).to_text()
+    obj = json.loads(text)
+    assert obj["format_version"] == 2
+    assert set(obj) == {
+        "format_version", "block_shape", "basis", "coproduct", "antipode", "counit", "metadata"
+    }
+    entries = sum(len(obj[k]) for k in ("coproduct", "antipode", "counit"))
+    rows = [json.loads(line.rstrip(",")) for line in text.splitlines() if line.startswith("  [")]
+    assert len(rows) == entries
+    assert rows == obj["coproduct"] + obj["antipode"] + obj["counit"]
+
+
+def _table_rows(arr):
+    """Entry rows of an array, written without the codec."""
+    return [
+        [*map(int, idx), float(arr[tuple(idx)].real), float(arr[tuple(idx)].imag)]
+        for idx in np.argwhere(arr != 0)
+    ]
+
+
+def test_entry_rows_match_a_per_entry_loop():
+    rng = np.random.default_rng(5)
+    arr = rng.standard_normal((4, 3, 5)) + 1j * rng.standard_normal((4, 3, 5))
+    arr[rng.random(arr.shape) < 0.5] = 0.0
+    arr[0, 0, 0], arr[1, 2, 3], arr[3, 1, 4] = -0.0, complex(-0.0, 2.5), complex(1.5, -0.0)
+    rows = storage._sparse(arr)
+    # json text tells -0.0 from 0.0, which == does not
+    assert json.dumps(rows) == json.dumps(_table_rows(arr))
+    assert [type(x) for x in rows[0]] == [int, int, int, float, float]
+    dense = storage._dense(rows, arr.shape, "t")
+    assert np.array_equal(dense, arr)
+    assert json.dumps(storage._sparse(dense)) == json.dumps(rows)
+
+
+def _version_1(w) -> dict:
+    """A version 1 file: the version 2 fields plus the canonical tables."""
+    obj = json.loads(serialize(w).to_text())
+    obj["format_version"] = 1
+    obj["mult"] = _table_rows(w.algebra.mult_tensor())
+    obj["star"] = _table_rows(w.algebra.star_matrix)
+    return obj
+
+
+@pytest.mark.parametrize("name", ["fun_k2", "cube2", "group_z3", "twist_11"])
+def test_version_1_file_loads_to_identical_arrays(name):
+    w = get_example(name)
+    w1 = deserialize(WkaFile.from_text(json.dumps(_version_1(w), indent=1)))
+    for key in ("coproduct", "antipode", "counit"):
+        assert np.array_equal(getattr(w1, key), getattr(w, key)), key
+    assert serialize(w1).to_text() == serialize(w).to_text()
+
+
+def test_version_1_file_needs_its_tables():
+    obj = _version_1(get_example("fun_z2"))
+    del obj["star"]
+    with pytest.raises(ParseError, match="missing fields: star"):
+        WkaFile.from_text(json.dumps(obj))
 
 
 def test_round_trip_preserves_structure(tmp_path):
@@ -104,9 +178,34 @@ def test_reject_out_of_range_index():
 
 
 def test_reject_tampered_mult_table():
-    obj = json.loads(serialize(get_example("fun_z2")).to_text())
+    obj = _version_1(get_example("fun_z2"))
     obj["mult"][0][-2] = 2.0
-    with pytest.raises(ParseError, match="mult"):
+    with pytest.raises(ParseError, match="mult does not match"):
+        deserialize(WkaFile.from_text(json.dumps(obj)))
+
+
+def test_reject_tampered_star_table():
+    obj = _version_1(get_example("cube2"))
+    obj["star"][1][-1] = 1.0
+    with pytest.raises(ParseError, match="star does not match"):
+        WkaFile.from_text(json.dumps(obj))
+
+
+@pytest.mark.parametrize(
+    "tensor, value",
+    [("coproduct", float("nan")), ("antipode", -float("inf")), ("counit", 10**400)],
+)
+def test_reject_non_finite_entry(tensor, value):
+    obj = json.loads(serialize(get_example("fun_z2")).to_text())
+    obj[tensor][0][-2] = value
+    with pytest.raises(ParseError, match=f"{tensor} entry 0: re/im must be finite"):
+        deserialize(WkaFile.from_text(json.dumps(obj)))
+
+
+def test_reject_entry_table_that_is_not_a_list():
+    obj = json.loads(serialize(get_example("fun_z2")).to_text())
+    obj["antipode"] = 3
+    with pytest.raises(ParseError, match="antipode must be a list"):
         deserialize(WkaFile.from_text(json.dumps(obj)))
 
 

@@ -9,6 +9,7 @@ from wka.tensorkit import (
     dagger,
     max_abs,
     nullspace,
+    numerical_rank,
     orthonormal_columns,
     subspace_contains,
     subspace_distance,
@@ -19,6 +20,17 @@ RNG = np.random.default_rng(20240811)
 
 def rand_c(*shape):
     return RNG.standard_normal(shape) + 1j * RNG.standard_normal(shape)
+
+
+def test_numerical_rank_ignores_noise_below_the_cutoff():
+    x, y = rand_c(7, 3), rand_c(3, 5)
+    mat = x @ y
+    assert numerical_rank(mat) == 3
+    assert numerical_rank(mat + 1e-13 * rand_c(7, 5)) == 3
+    assert numerical_rank(mat + 1e-3 * rand_c(7, 5)) == 5
+    # sigma_max is floored at 1, so a matrix of pure noise has rank 0
+    assert numerical_rank(1e-12 * rand_c(4, 4)) == 0
+    assert numerical_rank(mat, Tolerance(abs_tol=1e-1)) <= 3
 
 
 def test_rank_factorization_reconstructs_low_rank():

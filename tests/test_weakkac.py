@@ -24,6 +24,7 @@ from wka import (
 from wka import weakkac
 from wka.constructors import validate_action
 from wka.errors import CartanMismatch, InvalidAction
+from wka.report import VerificationReport
 from wka.tensorkit import max_abs
 
 from conftest import get_example
@@ -67,6 +68,28 @@ def test_axiom_suite_names_every_axiom():
         "axiomA4",
     ):
         assert expected in names, f"missing {expected}"
+
+
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_nan_residual_fails_and_is_reported(position):
+    rep = VerificationReport("nan")
+    residuals = [1e-12, 1e-13, 2e-12]
+    residuals[position] = float("nan")
+    for i, r in enumerate(residuals):
+        rep.add(f"check{i}", r)
+    assert not rep.passed
+    assert [c.name for c in rep.failures()] == [f"check{position}"]
+    assert np.isnan(rep.max_residual)
+    assert rep.as_text().endswith("verdict: FAIL (max residual nan)")
+
+
+@pytest.mark.parametrize("tensor", ["coproduct", "antipode", "counit"])
+def test_non_finite_structure_arrays_are_rejected(tensor):
+    w = get_example("fun_k2")
+    arrays = {k: np.array(getattr(w, k)) for k in ("coproduct", "antipode", "counit")}
+    arrays[tensor].flat[-1] = np.inf if tensor == "counit" else np.nan
+    with pytest.raises(ValueError, match=f"{tensor} has non-finite entries"):
+        WeakKac(w.algebra, **arrays)
 
 
 def test_scaled_coproduct_fails_counit_and_weak_unit_axioms():
@@ -374,6 +397,26 @@ def test_kac_bimodule_recovers_counit(name):
     assert rep.passed, rep.as_text()
     assert eps is not None
     assert max_abs(eps.vec - w.counit) < 1e-8
+
+
+def test_kac_bimodule_computes_each_residual_once(monkeypatch):
+    calls = []
+    original = weakkac._coassociativity_residual
+
+    def counted(w):
+        calls.append(w)
+        return original(w)
+
+    monkeypatch.setattr(weakkac, "_coassociativity_residual", counted)
+    w = get_example("cube2")
+    rep, eps = check_kac_bimodule(w.algebra, w.coproduct, w.antipode)
+    assert rep.passed and eps is not None
+    assert len(calls) == 1
+    names = [c.name for c in rep.checks]
+    assert "delta_injective" in names
+    assembled = [n for n in names if n.startswith("assembled.")]
+    counit_names = [c.name for c in verify_weak_kac(w).checks[9:]]
+    assert assembled == ["assembled." + n for n in counit_names]
 
 
 def test_kac_bimodule_rejects_scaled_coproduct():

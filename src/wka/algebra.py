@@ -85,14 +85,15 @@ class FdAlgebra:
         self.labels = labels
 
         self._prod = self._build_prod()
+        # the nonzero products b_p b_q = b_m, in row-major (p, q) order
+        p, q = np.nonzero(self._prod >= 0)
+        self.products = tuple(_read_only(a) for a in (p, q, self._prod[p, q]))
         # involution permutes matrix units: (e^{(i)}_{kl})* = e^{(i)}_{lk}
         self.star_index = self._prod_star_index()
         self.star_matrix = np.zeros((self.dim, self.dim))
         self.star_matrix[self.star_index, np.arange(self.dim)] = 1.0
         self.unit = np.zeros(self.dim, dtype=complex)
         self.unit[self.basis_row == self.basis_col] = 1.0
-        self._lten = None
-        self._rten = None
         self._mult = None
 
     def _build_prod(self):
@@ -125,32 +126,11 @@ class FdAlgebra:
     def mult_tensor(self) -> np.ndarray:
         """Dense structure constants mult[a, b, c] with b_a b_b = sum_c mult[a,b,c] b_c."""
         if self._mult is None:
-            m = np.zeros((self.dim, self.dim, self.dim))
-            a, b = np.nonzero(self._prod >= 0)
-            m[a, b, self._prod[a, b]] = 1.0
-            m.setflags(write=False)
-            self._mult = m
+            p, q, m = self.products
+            mult = np.zeros((self.dim, self.dim, self.dim))
+            mult[p, q, m] = 1.0
+            self._mult = _read_only(mult)
         return self._mult
-
-    def left_tensor(self) -> np.ndarray:
-        """lten[a, m, c] = coefficient of b_m in b_a b_c."""
-        if self._lten is None:
-            t = np.zeros((self.dim, self.dim, self.dim))
-            a, c = np.nonzero(self._prod >= 0)
-            t[a, self._prod[a, c], c] = 1.0
-            t.setflags(write=False)
-            self._lten = t
-        return self._lten
-
-    def right_tensor(self) -> np.ndarray:
-        """rten[a, m, c] = coefficient of b_m in b_c b_a."""
-        if self._rten is None:
-            t = np.zeros((self.dim, self.dim, self.dim))
-            c, a = np.nonzero(self._prod >= 0)
-            t[a, self._prod[c, a], c] = 1.0
-            t.setflags(write=False)
-            self._rten = t
-        return self._rten
 
     # -- conversions ----------------------------------------------------
 
@@ -191,12 +171,37 @@ class FdAlgebra:
         return np.conj(np.asarray(coeffs, dtype=complex))[self.star_index]
 
     def lmat(self, x) -> np.ndarray:
-        """Matrix of left multiplication by x on coefficient vectors."""
-        return np.tensordot(np.asarray(x, dtype=complex), self.left_tensor(), (0, 0))
+        """Matrix of left multiplication by x on coefficient vectors; for a
+        stack of elements x[..., :] the stack of their matrices."""
+        x = np.asarray(x, dtype=complex)
+        p, q, m = self.products
+        out = np.zeros((*x.shape[:-1], self.dim, self.dim), dtype=complex)
+        out[..., m, q] = x[..., p]
+        return out
 
     def rmat(self, x) -> np.ndarray:
-        """Matrix of right multiplication by x on coefficient vectors."""
-        return np.tensordot(np.asarray(x, dtype=complex), self.right_tensor(), (0, 0))
+        """Matrix of right multiplication by x on coefficient vectors; for a
+        stack of elements x[..., :] the stack of their matrices."""
+        x = np.asarray(x, dtype=complex)
+        p, q, m = self.products
+        out = np.zeros((*x.shape[:-1], self.dim, self.dim), dtype=complex)
+        out[..., m, p] = x[..., q]
+        return out
+
+    def basis_products(self, c, leg: int, left: bool) -> np.ndarray:
+        """Stack over the basis of an element C of M (x) M, given as its
+        coefficient matrix, with one leg multiplied by b_j: out[j] is
+        (b_j (x) 1) C, C (b_j (x) 1), (1 (x) b_j) C or C (1 (x) b_j) for
+        (leg, left) = (0, True), (0, False), (1, True) or (1, False)."""
+        c = np.asarray(c, dtype=complex)
+        p, q, m = self.products
+        j, k = (p, q) if left else (q, p)
+        out = np.zeros((self.dim, self.dim, self.dim), dtype=complex)
+        if leg == 0:
+            out[j, m, :] = c[k, :]
+        else:
+            out[j, :, m] = c[:, k].T
+        return out
 
     # -- distinguished elements ------------------------------------------
 
@@ -217,6 +222,11 @@ class FdAlgebra:
 
     def __repr__(self):
         return f"FdAlgebra{self.block_shape}"
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 def make_algebra(block_shape) -> FdAlgebra:
@@ -280,15 +290,17 @@ class Functional:
         coeffs = x.coeffs if isinstance(x, AlgElement) else np.asarray(x, dtype=complex)
         return complex(self.vec @ coeffs)
 
+    def pairing(self) -> np.ndarray:
+        """Pairing[a, b] = phi(b_a b_b); symmetric iff phi is tracial."""
+        alg = self.parent
+        p, q, m = alg.products
+        out = np.zeros((alg.dim, alg.dim), dtype=complex)
+        out[p, q] = self.vec[m]
+        return out
+
     def gram(self) -> np.ndarray:
         """Gram[a, b] = phi(b_a* b_b); Hermitian PSD iff phi is positive."""
-        alg = self.parent
-        prod, sidx = alg.prod_table, alg.star_index
-        g = np.zeros((alg.dim, alg.dim), dtype=complex)
-        p = prod[sidx, :]  # p[a, b] = index of b_a* b_b
-        mask = p >= 0
-        g[mask] = self.vec[p[mask]]
-        return g
+        return self.pairing()[self.parent.star_index]
 
     def is_faithful_positive(self, tol=None) -> bool:
         g = self.gram()
@@ -300,8 +312,14 @@ class Functional:
 
 def regular_trace(alg: FdAlgebra) -> Functional:
     """theta(x) = Tr L_x on the algebra itself; theta(e^{(i)}_{kk}) = d_i."""
-    counts = np.sum(alg.prod_table == np.arange(alg.dim)[None, :], axis=1)
+    p, q, m = alg.products
+    counts = np.bincount(p[q == m], minlength=alg.dim)
     return Functional(alg, counts.astype(complex))
+
+
+def regular_trace_of(mult: np.ndarray) -> np.ndarray:
+    """theta[a] = Tr L_{b_a} for structure constants b_a b_b = sum_c mult[a,b,c] b_c."""
+    return np.einsum("acc->a", mult)
 
 
 def block_trace(alg: FdAlgebra, weights=None) -> Functional:
@@ -723,12 +741,7 @@ def check_conditional_expectation(
         min_eig = min(min_eig, float(w[0]))
     rep.add("positive_sampled", max(0.0, -min_eig), note=f"min eig {min_eig:.2e}", scale=100)
 
-    tau = block_trace(alg)
-    p = alg.prod_table[alg.star_index, :]
-    fgram = np.zeros((alg.dim, alg.dim), dtype=complex)
-    mask = p >= 0
-    tvec = tau.vec @ emat
-    fgram[mask] = tvec[p[mask]]
+    fgram = Functional(alg, block_trace(alg).vec @ emat).gram()
     wf = np.linalg.eigvalsh((fgram + dagger(fgram)) / 2)
     rep.add_flag(
         "faithful",

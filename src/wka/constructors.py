@@ -17,6 +17,7 @@ from .algebra import (
     StarAlgebraData,
     WedderburnRealization,
     make_algebra,
+    regular_trace_of,
     wedderburn_realize,
 )
 from .errors import InvalidAction, InvalidCocycle, InvalidGroupoid
@@ -237,10 +238,6 @@ def transported_weak_kac(
     return WeakKac(realization.algebra, t_can, s_can, eps_can, meta)
 
 
-def _regular_trace_of(mult: np.ndarray) -> np.ndarray:
-    return np.einsum("acc->a", mult)
-
-
 # ---------------------------------------------------------------------------
 # the two weak Kac algebras of a finite groupoid
 # ---------------------------------------------------------------------------
@@ -258,7 +255,7 @@ def groupoid_algebra(gpd: Groupoid, tol=None, seed: int = 0) -> WeakKac:
     star[gpd.inverse, np.arange(n)] = 1.0
     unit = np.zeros(n, dtype=complex)
     unit[gpd.units] = 1.0
-    data = StarAlgebraData(mult, star, unit, _regular_trace_of(mult))
+    data = StarAlgebraData(mult, star, unit, regular_trace_of(mult))
     real = wedderburn_realize(data, tol, seed=seed)
 
     t_abs = np.zeros((n, n, n), dtype=complex)
@@ -558,7 +555,7 @@ def crossed_product(w: WeakKac, action: GroupAction, tol=None, seed: int = 0) ->
     unit = np.zeros(dim, dtype=complex)
     unit[np.arange(dm) * ng + grp.unit] = alg.unit
 
-    data = StarAlgebraData(mult, star, unit, _regular_trace_of(mult))
+    data = StarAlgebraData(mult, star, unit, regular_trace_of(mult))
     real = wedderburn_realize(data, tol, seed=seed)
 
     t_abs = np.zeros((dim, dim, dim), dtype=complex)

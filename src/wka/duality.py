@@ -32,7 +32,7 @@ from .constructors import (
     transported_weak_kac,
 )
 from .errors import GramDegenerate, NotCounital, NoUnit
-from .haar import _as_weak_kac, haar_projection, normalized_haar_trace, trace_pairing_matrix
+from .haar import _as_weak_kac, haar_projection, normalized_haar_trace
 from .report import VerificationReport
 from .tensorkit import Inconsistent, as_tol, dagger, max_abs, numerical_rank, solve_affine_space
 from .weakkac import WeakKac, check_morphism, _cartan_spans
@@ -147,13 +147,16 @@ def check_pairing(w: WeakKac, dw: WeakKac, tol=None) -> VerificationReport:
     alg = w.algebra
     rep = VerificationReport("pairing with the dual", tol)
     f = _pairing_matrix(dw)
-    mult = alg.mult_tensor()
 
     lhs = np.einsum("imn,am,bn->iab", dw.coproduct, f, f, optimize=True)
-    rhs = np.einsum("abc,ci->iab", mult, f, optimize=True)
+    p, q, m = alg.products
+    rhs = np.zeros((w.dim, w.dim, w.dim), dtype=complex)
+    rhs[:, p, q] = f[m].T
     rep.add("coproduct_pairs_with_product", max_abs(lhs - rhs), scale=10)
 
-    lhs = np.einsum("ijk,ck->ijc", dw.algebra.mult_tensor(), f, optimize=True)
+    p, q, m = dw.algebra.products
+    lhs = np.zeros((w.dim, w.dim, w.dim), dtype=complex)
+    lhs[p, q] = f[:, m].T
     rhs = np.einsum("cab,ai,bj->ijc", w.coproduct, f, f, optimize=True)
     rep.add("product_pairs_with_coproduct", max_abs(lhs - rhs), scale=10)
 
@@ -237,7 +240,7 @@ def _convolution_unit_system(w: WeakKac, phi: Functional, tol):
     """
     alg = w.algebra
     dim = alg.dim
-    phim = trace_pairing_matrix(w, phi)
+    phim = phi.pairing()
     t = w.coproduct
     left = np.einsum("acd,dj->jac", t, phim, optimize=True).reshape(dim * dim, dim)
     right = np.einsum("acd,cj->jad", t, phim, optimize=True).reshape(dim * dim, dim)

@@ -48,8 +48,7 @@ def block_characters(alg: FdAlgebra) -> np.ndarray:
 
 def counital_character(w: WeakKac) -> np.ndarray:
     """Character of the counital representation, chi_eps = eps o mu o Delta."""
-    eps_mult = np.einsum("mnk,k->mn", w.algebra.mult_tensor(), w.counit)
-    return np.einsum("amn,mn->a", w.coproduct, eps_mult)
+    return np.einsum("amn,mn->a", w.coproduct, w.eps_mult)
 
 
 def _support_multiplicities(w: WeakKac, tol):
@@ -125,7 +124,9 @@ def counital_representation(w: WeakKac, tol=None):
         scale=10,
     )
     rep.add("unital", max_abs(np.tensordot(alg.unit, pis, (0, 0)) - np.eye(k)))
-    prod = np.einsum("abm,mrs->abrs", alg.mult_tensor(), pis, optimize=True)
+    p, q, m = alg.products
+    prod = np.zeros((alg.dim, alg.dim, k, k), dtype=complex)
+    prod[p, q] = pis[m]
     comp = np.einsum("arm,bms->abrs", pis, pis, optimize=True)
     rep.add("multiplicative", max_abs(prod - comp), scale=10)
     star_lhs = pis[alg.star_index]

@@ -44,7 +44,6 @@ __all__ = [
     "haar_conditional_expectations",
     "check_generalized_kac",
     "operator_identities",
-    "trace_pairing_matrix",
 ]
 
 
@@ -56,13 +55,6 @@ def _as_weak_kac(data) -> WeakKac:
     return WeakKac(algebra, coproduct, antipode, counit=None)
 
 
-def trace_pairing_matrix(w_or_alg, phi: Functional) -> np.ndarray:
-    """Matrix P[a, b] = phi(b_a b_b); symmetric iff phi is tracial."""
-    alg = w_or_alg.algebra if isinstance(w_or_alg, WeakKac) else w_or_alg
-    mult = alg.mult_tensor()
-    return np.einsum("abk,k->ab", mult, phi.vec)
-
-
 def _haar_projection_space(w: WeakKac, tol: Tolerance):
     """Affine solution set of the Haar projection equations, solved once per
     algebra and tolerance.
@@ -72,12 +64,12 @@ def _haar_projection_space(w: WeakKac, tol: Tolerance):
 
     def solve():
         alg = w.algebra
-        lten = alg.left_tensor()
         et = w.eps_t_matrix
         dim = alg.dim
-        rows = [lten[a] - alg.lmat(et[:, a]) for a in range(dim)]
-        rows.append(w.antipode - np.eye(dim))
-        constraints = [(np.vstack(rows), np.zeros(dim * (dim + 1), dtype=complex))]
+        # rows[a] = L_{b_a} - L_{eps_t(b_a)}
+        rows = alg.lmat(np.eye(dim) - et.T).reshape(dim * dim, dim)
+        rows = np.vstack([rows, w.antipode - np.eye(dim)])
+        constraints = [(rows, np.zeros(dim * (dim + 1), dtype=complex))]
         constraints.append((et, alg.unit))
         return solve_affine_space(constraints, tol)
 
@@ -118,7 +110,7 @@ def counit_support_projection(w: WeakKac, tol=None) -> AlgElement:
     return AlgElement(alg, alg.from_matrix(keep @ dagger(keep)))
 
 
-def check_haar_projection(w: WeakKac, tol=None, seed: int = 0):
+def check_haar_projection(w: WeakKac, tol=None):
     """Haar projection plus a report on its defining properties.
 
     Cross-checks the affine solution against the support of the counit,
@@ -170,9 +162,8 @@ def check_haar_projection(w: WeakKac, tol=None, seed: int = 0):
     # ideals by their defining relations: I_s = {y : y x = y eps_s(x)},
     # I_t = {y : x y = eps_t(x) y}; they must equal M p and p M, and
     # intersect in p M p.
-    lten, rten = alg.left_tensor(), alg.right_tensor()
-    srows = np.vstack([rten[b] - alg.rmat(es[:, b]) for b in range(dim)])
-    trows = np.vstack([lten[b] - alg.lmat(et[:, b]) for b in range(dim)])
+    srows = alg.rmat(np.eye(dim) - es.T).reshape(dim * dim, dim)
+    trows = alg.lmat(np.eye(dim) - et.T).reshape(dim * dim, dim)
     i_s = nullspace(srows, tol)
     i_t = nullspace(trows, tol)
     rep.add("source_ideal_is_mp", subspace_distance(i_s, rmp))
@@ -270,7 +261,7 @@ def check_normalized_haar_trace(w: WeakKac, tol=None):
     phi = normalized_haar_trace(w, tol)
     rep.add_flag("unique", True, "affine solution space is a point")
 
-    pairing = trace_pairing_matrix(w, phi)
+    pairing = phi.pairing()
     rep.add("tracial", max_abs(pairing - pairing.T))
     rep.add("antipode_invariant", max_abs(w.antipode.T @ phi.vec - phi.vec))
     rep.add("normalized", max_abs(w.e_matrix @ phi.vec - alg.unit))
@@ -412,14 +403,16 @@ def haar_conditional_expectations(
 
     t = w.coproduct
     e = w.e_matrix
-    lten, rten = alg.left_tensor(), alg.right_tensor()
     smat = w.antipode
+
+    # stacks over the basis b_a: (1 (x) b_a) e and e (1 (x) b_a)
+    one_x_e = alg.basis_products(e, leg=1, left=True)
+    e_one_x = alg.basis_products(e, leg=1, left=False)
 
     e_t = np.stack([t[a] @ phi.vec for a in range(dim)], axis=1)
     e_s = np.stack([t[a].T @ phi.vec for a in range(dim)], axis=1)
-    alt = np.stack(
-        [smat @ ((e @ lten[a].T) @ phi.vec) for a in range(dim)], axis=1
-    )
+    # E_t(b_a) = S (id (x) phi)((1 (x) b_a) e)
+    alt = np.stack([smat @ (one_x_e[a] @ phi.vec) for a in range(dim)], axis=1)
     rep.add("target_formulas_agree", max_abs(e_t - alt))
 
     ns, nt, _, _ = _cartan_spans(w, tol)
@@ -457,7 +450,7 @@ def haar_conditional_expectations(
         worst = max(worst, max_abs(lhs - rhs))
     rep.add("flip_identity", worst, scale=100)
 
-    eo_t = np.stack([w.mu(smat @ (e @ lten[a].T)) for a in range(dim)], axis=1)
+    eo_t = w.mu((smat @ one_x_e).transpose(1, 2, 0))
     nt_comm = commutant(nt, tol)
     rep.extend(
         check_conditional_expectation(eo_t, nt_comm, tol=tol, seed=seed),
@@ -465,10 +458,10 @@ def haar_conditional_expectations(
     )
     worst_l = worst_r = 0.0
     for a in range(dim):
-        sandwich = alg.mul2(e @ rten[a].T, e)
+        sandwich = alg.mul2(e_one_x[a], e)
         z = eo_t[:, a]
-        right = e @ np.einsum("c,ckd->kd", z, rten).T
-        left = e @ np.einsum("c,ckd->kd", z, lten).T
+        right = e @ alg.rmat(z).T
+        left = e @ alg.lmat(z).T
         worst_l = max(worst_l, max_abs(sandwich - right))
         worst_r = max(worst_r, max_abs(sandwich - left))
     rep.add("relative_right_sandwich", worst_l, scale=10)
@@ -481,8 +474,8 @@ def haar_conditional_expectations(
     rep.add("relative_preserves_cone_traces", worst_cone, scale=10)
 
     # injectivity of y -> e(1 (x) y) and y -> e(y (x) 1)
-    k1 = np.stack([(e @ rten[a].T).reshape(-1) for a in range(dim)], axis=1)
-    k2 = np.stack([(rten[a] @ e).reshape(-1) for a in range(dim)], axis=1)
+    k1 = e_one_x.reshape(dim, -1).T
+    k2 = alg.basis_products(e, leg=0, left=False).reshape(dim, -1).T
     for name, k in (("right_leg_injective", k1), ("left_leg_injective", k2)):
         rank = numerical_rank(k, tol)
         rep.add_flag(name, rank == dim, f"rank {rank} of {dim}")
@@ -503,7 +496,7 @@ def check_generalized_kac(data, phi: Functional, tol=None) -> VerificationReport
     alg = w.algebra
     dim = alg.dim
 
-    pairing = trace_pairing_matrix(w, phi)
+    pairing = phi.pairing()
     asym = max_abs(pairing - pairing.T)
     if asym > 100 * tol.abs_tol:
         raise NotTracial(f"phi(xy) - phi(yx) reaches {asym:.3e}")
@@ -524,10 +517,9 @@ def check_generalized_kac(data, phi: Functional, tol=None) -> VerificationReport
     rep.add("haar_trace_identity", max_abs(lhs - rhs), scale=10)
 
     theta = regular_trace(alg)
-    e = w.e_matrix
-    rten = alg.right_tensor()
+    e_x_one = alg.basis_products(w.e_matrix, leg=0, left=False)  # e (b_a (x) 1)
     worst = max(
-        max_abs(t[a].T @ theta.vec - smat @ ((rten[a] @ e).T @ theta.vec))
+        max_abs(t[a].T @ theta.vec - smat @ (e_x_one[a].T @ theta.vec))
         for a in range(dim)
     )
     rep.add("regular_trace_identity", worst, scale=10)
@@ -556,8 +548,6 @@ def operator_identities(
     alg = w.algebra
     dim = alg.dim
     t = w.coproduct
-    lten = alg.left_tensor()
-    mult = alg.mult_tensor()
     e = w.e_matrix
     et = w.eps_t_matrix
     rep = VerificationReport("regular representation identities", tol)
@@ -572,11 +562,10 @@ def operator_identities(
         x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         f = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         cx = w.delta(x)
-        conv = np.einsum("cdk,k->cd", mult, f)
+        conv = Functional(alg, f).pairing()
         lhs = rstar(f) @ alg.lmat(x)
-        rhs = np.einsum(
-            "mn,nd,mpr,brd->pb", cx, conv, lten, t, optimize=True
-        )
+        # rhs[:, b] = sum cx[m, n] f(b_n b_d) t[b, r, d] b_m b_r
+        rhs = w.mu(np.einsum("md,brd->mrb", cx @ conv, t, optimize=True))
         worst_a = max(worst_a, max_abs(lhs - rhs))
         worst_b = max(
             worst_b, max_abs(rstar(et.T @ f) - alg.lmat(e @ f))

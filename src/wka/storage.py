@@ -23,6 +23,7 @@ Unlisted compositions are undefined; inverse lines are optional and
 validated against the derived inverses when present.
 """
 
+import itertools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -57,27 +58,42 @@ def _sparse(arr: np.ndarray) -> list:
 
 
 def _dense(rows, shape, what: str) -> np.ndarray:
+    """Dense array of an entry table, validated in one numpy pass over its
+    cells; an error names the first bad entry by its row number."""
     if not isinstance(rows, list):
         raise ParseError(f"{what} must be a list of entry rows")
-    ndim = len(shape)
-    out = np.zeros(shape, dtype=complex)
-    for r, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != ndim + 2:
-            raise ParseError(
-                f"{what} entry {r}: expected {ndim} indices plus re, im, got {row!r}"
+    ndim, width = len(shape), len(shape) + 2
+    # the cells of the rows before the first one of the wrong form
+    n = next((r for r, row in enumerate(rows) if not isinstance(row, list) or len(row) != width),
+             len(rows))
+    cells = np.fromiter(itertools.chain.from_iterable(rows[:n]), object, n * width)
+    cells = cells.reshape(n, width)
+    kind = np.frompyfunc(type, 1, 1)(cells)
+    is_int = (kind == int) | (kind == bool)
+    is_num = (is_int | (kind == float))[:, ndim:]
+    idx = np.where(is_int[:, :ndim], cells[:, :ndim], -1)
+    idx_ok = (idx >= 0) & (idx < np.array(shape))
+    values = np.where(is_num, cells[:, ndim:], 0)
+    # unlike math.isfinite, this also rejects ints too large for a float
+    with np.errstate(invalid="ignore"):  # and NaN, which compares false
+        finite = np.abs(values) <= sys.float_info.max
+    bad = ~(idx_ok.all(axis=1) & is_num.all(axis=1) & finite.all(axis=1))
+    if bad.any():
+        r = int(np.argmax(bad))
+        if not idx_ok[r].all():
+            axis = int(np.argmin(idx_ok[r]))
+            raise IndexOutOfRange(
+                f"{what} entry {r}: index {cells[r, axis]} out of range [0, {shape[axis]})"
             )
-        idx, (re, im) = row[:ndim], row[ndim:]
-        for axis, i in enumerate(idx):
-            if not isinstance(i, int) or not 0 <= i < shape[axis]:
-                raise IndexOutOfRange(
-                    f"{what} entry {r}: index {i} out of range [0, {shape[axis]})"
-                )
-        if not all(isinstance(x, (int, float)) for x in (re, im)):
+        if not is_num[r].all():
             raise ParseError(f"{what} entry {r}: re/im must be numbers")
-        # unlike math.isfinite, this also rejects ints too large for a float
-        if not (abs(re) <= sys.float_info.max and abs(im) <= sys.float_info.max):
-            raise ParseError(f"{what} entry {r}: re/im must be finite, got {re!r}, {im!r}")
-        out[tuple(idx)] = complex(re, im)
+        re, im = cells[r, ndim:]
+        raise ParseError(f"{what} entry {r}: re/im must be finite, got {re!r}, {im!r}")
+    if n < len(rows):
+        raise ParseError(f"{what} entry {n}: expected {ndim} indices plus re, im, got {rows[n]!r}")
+    out = np.zeros(shape, dtype=complex)
+    # (re, im) pairs of float64 are complex128 values, signed zeros included
+    out[tuple(idx.astype(np.int64).T)] = values.astype(float).view(complex)[:, 0]
     return out
 
 

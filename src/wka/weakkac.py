@@ -23,8 +23,10 @@ from .algebra import (
     FdAlgebra,
     Functional,
     SubalgebraBasis,
+    _read_only,
     center,
     make_algebra,
+    regular_trace_of,
     wedderburn_realize,
     StarAlgebraData,
 )
@@ -108,11 +110,12 @@ class WeakKac:
         return np.tensordot(np.asarray(x, dtype=complex), self.coproduct, (0, 0))
 
     def mu(self, coeff_matrix) -> np.ndarray:
-        """Multiply out mu(sum C[a,b] b_a (x) b_b) = sum C[a,b] b_a b_b."""
-        prod = self.algebra.prod_table
-        mask = prod >= 0
-        out = np.zeros(self.dim, dtype=complex)
-        np.add.at(out, prod[mask], np.asarray(coeff_matrix, dtype=complex)[mask])
+        """Multiply out mu(sum C[a,b] b_a (x) b_b) = sum C[a,b] b_a b_b; axes
+        of C after the first two are carried along."""
+        c = np.asarray(coeff_matrix, dtype=complex)
+        p, q, m = self.algebra.products
+        out = np.zeros((self.dim, *c.shape[2:]), dtype=complex)
+        np.add.at(out, m, c[p, q])
         return out
 
     @cached_property
@@ -123,11 +126,7 @@ class WeakKac:
     @cached_property
     def eps_mult(self) -> np.ndarray:
         """eps_mult[a, b] = eps(b_a b_b)."""
-        prod = self.algebra.prod_table
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        mask = prod >= 0
-        out[mask] = self.counit[prod[mask]]
-        return _read_only(out)
+        return _read_only(self.counit_functional().pairing())
 
     @cached_property
     def eps_t_matrix(self) -> np.ndarray:
@@ -158,11 +157,6 @@ class WeakKac:
     def __repr__(self):
         tag = self.meta.get("name", "")
         return f"WeakKac({self.algebra.block_shape}{', ' + tag if tag else ''})"
-
-
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
 
 
 def _freeze(value):
@@ -271,8 +265,7 @@ def _delta_mult_residual(w: WeakKac, rng) -> float:
     first = np.bincount(alg.basis_col[j] * n + alg.basis_col[k], minlength=n * n)
     second = np.bincount(alg.basis_row[j] * n + alg.basis_row[k], minlength=n * n)
     counts = np.diff(_row_starts(i, w.dim))
-    prod = alg.prod_table
-    join_size = int(first @ second + counts[prod[prod >= 0]].sum())
+    join_size = int(first @ second + counts[alg.products[2]].sum())
     if _prefer_join(w, join_size):
         return _delta_mult_join(w)
     return _delta_mult_residual_dense(w, rng)
@@ -330,8 +323,8 @@ def _delta_mult_join(w: WeakKac) -> float:
         ((i[f] * d + i[s]) * d + prod[j[f], j[s]]) * d + prod[k[f], k[s]],
         v[f] * v[s],
     )
-    a, b = np.nonzero(prod >= 0)
-    p, m = _join(prod[a, b], _row_starts(i, d))
+    a, b, ab = alg.products
+    p, m = _join(ab, _row_starts(i, d))
     left = (((a[p] * d + b[p]) * d + j[m]) * d + k[m], v[m])
     return _difference_max_abs(left, right)
 
@@ -371,9 +364,8 @@ def _multiplicativity_residual(src: FdAlgebra, dst: FdAlgebra, f, anti: bool = F
     spec = "bij,ajk->abik" if anti else "aij,bjk->abik"
     rhs = np.einsum(spec, mats, mats, optimize=True)[:, :, dst.basis_row, dst.basis_col]
     lhs = np.zeros_like(rhs)
-    prod = src.prod_table
-    a_idx, b_idx = np.nonzero(prod >= 0)
-    lhs[a_idx, b_idx, :] = f[:, prod[a_idx, b_idx]].T
+    p, q, m = src.products
+    lhs[p, q, :] = f[:, m].T
     return max_abs(lhs - rhs)
 
 
@@ -410,48 +402,49 @@ def _antipode_residuals(w: WeakKac) -> dict:
     return res
 
 
+def _counit_pair(coproduct, eps) -> tuple:
+    """Residuals of (eps (x) id) Delta = id and (id (x) eps) Delta = id."""
+    eye = np.eye(len(eps))
+    left = max_abs(np.einsum("iab,a->bi", coproduct, eps) - eye)
+    right = max_abs(np.einsum("iab,b->ai", coproduct, eps) - eye)
+    return left, right
+
+
 def _counit_residuals(w: WeakKac) -> dict:
+    """The counit axioms other than the counit pair itself."""
     alg, t, s, eps = w.algebra, w.coproduct, w.antipode, w.counit
     dim = alg.dim
-    eye = np.eye(dim)
+    p, q, m = alg.products
     em, e = w.eps_mult, w.e_matrix
-    lten, rten = alg.left_tensor(), alg.right_tensor()
     es, et = w.eps_s_matrix, w.eps_t_matrix
     res = {}
-    res["counit_left"] = max_abs(np.einsum("iab,a->bi", t, eps) - eye)
-    res["counit_right"] = max_abs(np.einsum("iab,b->ai", t, eps) - eye)
     res["axiom1_s_invariance"] = max_abs(eps @ s - eps)
     res["axiom1_star"] = max_abs(eps @ alg.star_matrix - np.conj(eps))
     res["axiom2"] = max_abs(em @ e @ em - em)
 
+    one_x_e = alg.basis_products(e, leg=1, left=True)  # (1 (x) b_j) e, for axiom3 and A3'
     lhs3 = np.einsum("ma,jab->jmb", es, t, optimize=True)
-    rhs3 = np.einsum("cd,jnd->jcn", e, lten, optimize=True)
-    res["axiom3"] = max_abs(lhs3 - rhs3)
+    res["axiom3"] = max_abs(lhs3 - one_x_e)
 
-    g = em @ e
-    lhs_a2 = np.einsum("ad,bnd->abn", g, rten, optimize=True)
+    lhs_a2 = np.zeros((dim, dim, dim), dtype=complex)
+    lhs_a2[:, q, m] = (em @ e)[:, p]
     rhs_a2 = np.einsum("ac,bcn->abn", em, t, optimize=True)
     res["axiomA2"] = max_abs(lhs_a2 - rhs_a2)
 
-    f = e @ em
-    lhs_a3 = np.einsum("ac,jcn->jan", f, t, optimize=True)
-    rhs_a3 = np.einsum("cd,jnd->jcn", e, rten, optimize=True)
-    res["axiomA3"] = max_abs(lhs_a3 - rhs_a3)
+    lhs_a3 = np.einsum("ac,jcn->jan", e @ em, t, optimize=True)
+    res["axiomA3"] = max_abs(lhs_a3 - alg.basis_products(e, leg=1, left=False))
 
     res["axiomA4"] = max_abs(es - e @ em.T)
 
-    h = em.T @ e
-    lhs_a2p = np.einsum("bd,and->abn", h, lten, optimize=True)
+    lhs_a2p = alg.basis_products(em.T @ e, leg=1, left=True)
     rhs_a2p = np.einsum("cb,acn->abn", em, t, optimize=True)
     res["axiomA2_prime"] = max_abs(lhs_a2p - rhs_a2p)
 
-    f2 = e @ em.T
-    lhs_a3p = np.einsum("ac,jcd->jad", f2, t, optimize=True)
-    res["axiomA3_prime"] = max_abs(lhs_a3p - rhs3)
+    lhs_a3p = np.einsum("ac,jcd->jad", e @ em.T, t, optimize=True)
+    res["axiomA3_prime"] = max_abs(lhs_a3p - one_x_e)
 
     lhs_a3pp = np.einsum("jab,mb->jam", t, et, optimize=True)
-    rhs_a3pp = np.einsum("jmc,cd->jmd", rten, e, optimize=True)
-    res["axiomA3_doubleprime"] = max_abs(lhs_a3pp - rhs_a3pp)
+    res["axiomA3_doubleprime"] = max_abs(lhs_a3pp - alg.basis_products(e, leg=0, left=False))
 
     res["axiomA3_star"] = max_abs(e @ em @ e - e)
     res["axiomA4_prime"] = max_abs(et - e.T @ em)
@@ -473,6 +466,9 @@ def verify_weak_kac(w: WeakKac, tol=None, seed: int = 0) -> VerificationReport:
         raise ValueError("counit is required for full verification")
     rep = VerificationReport(f"weak Kac axioms {w!r}", tol)
     _add_counit_free_checks(rep, w, np.random.default_rng((0xD314, seed)))
+    left, right = _counit_pair(w.coproduct, w.counit)
+    rep.add("counit_left", left, scale=10)
+    rep.add("counit_right", right, scale=10)
     _add_counit_checks(rep, w)
     return rep
 
@@ -489,7 +485,8 @@ def _add_counit_free_checks(rep: VerificationReport, w: WeakKac, rng) -> None:
 
 
 def _add_counit_checks(rep: VerificationReport, w: WeakKac, prefix: str = "") -> None:
-    """The counit axioms and the cross-check of the two axiom sets."""
+    """The counit axioms after the counit pair, and the cross-check of the
+    two axiom sets."""
     cres = _counit_residuals(w)
     for name, r in cres.items():
         rep.add(prefix + name, r, scale=10)
@@ -549,8 +546,7 @@ def _cartan_spans(w: WeakKac, tol: Tolerance):
 def _subalgebra_realization(sub: SubalgebraBasis, tol: Tolerance, seed=0):
     """Wedderburn data of a unital *-subalgebra given by a span."""
     mult, star, unit = sub.structure_constants()
-    theta = np.einsum("acc->a", mult)
-    data = StarAlgebraData(mult, star, unit, theta)
+    data = StarAlgebraData(mult, star, unit, regular_trace_of(mult))
     return wedderburn_realize(data, tol, seed=seed)
 
 
@@ -648,11 +644,12 @@ def cartan_subalgebras(w: WeakKac, tol=None) -> CartanPair:
 
 def _coproduct_of_e_residual(w: WeakKac) -> float:
     alg, t, e = w.algebra, w.coproduct, w.e_matrix
-    lten = alg.left_tensor()
     g_left = np.einsum("ab,amn->mnb", e, t, optimize=True)
     g_right = np.einsum("ab,bmn->amn", e, t, optimize=True)
-    g_ee = np.einsum("ab,bkc,cd->akd", e, lten, e, optimize=True)
-    g_ee2 = np.einsum("ab,ckb,cd->akd", e, lten, e, optimize=True)
+    # g_ee[a, :, d] = (sum_b e[a, b] b_b) (sum_c e[c, d] b_c), and g_ee2 in
+    # the other order
+    g_ee = alg.lmat(e) @ e
+    g_ee2 = alg.rmat(e) @ e
     return max(
         max_abs(g_left - g_ee), max_abs(g_right - g_ee), max_abs(g_ee - g_ee2)
     )
@@ -712,17 +709,13 @@ def counital_maps(w: WeakKac, tol=None) -> CounitalMaps:
         scale=10,
     )
 
-    # eps_t(x y) = eps_t(x eps_t(y)) over all basis pairs
-    lten = alg.left_tensor()
-    worst = 0.0
-    prod = alg.prod_table
-    for a in range(alg.dim):
-        lhs_a = np.zeros((alg.dim, alg.dim), dtype=complex)
-        mask = prod[a] >= 0
-        lhs_a[:, mask] = et[:, prod[a][mask]]
-        rhs_a = et @ (lten[a] @ et)
-        worst = max(worst, max_abs(lhs_a - rhs_a))
-    rep.add("absorbs_right_factor", worst, scale=100)
+    # eps_t(x y) = eps_t(x eps_t(y)) over all basis pairs: lhs[a] and
+    # rhs[a] are the matrices of y -> eps_t(b_a y) and y -> eps_t(b_a eps_t(y))
+    p, q, m = alg.products
+    lhs = np.zeros((alg.dim, alg.dim, alg.dim), dtype=complex)
+    lhs[p, :, q] = et[:, m].T
+    rhs = et @ alg.basis_products(et, leg=0, left=True)
+    rep.add("absorbs_right_factor", max_abs(lhs - rhs), scale=100)
 
     # eps_t(n S(n') x) = n eps_t(x) n' and eps_t(x n) = eps_t(x S(n)) on N_t
     worst_mod, worst_right = 0.0, 0.0
@@ -789,8 +782,8 @@ def check_kac_bimodule(
     Given (M, Delta, S) only, builds eps_t, eps_s, the candidate counit
     eps = theta_t eps_t = theta_s eps_s (theta_* = regular trace of the
     Cartan subalgebra) and reports whether (id (x) eps) Delta = id; when
-    every check passes, the counit axioms of the assembled weak Kac algebra
-    are added under the prefix "assembled.".
+    every check passes, the remaining counit axioms of the assembled weak
+    Kac algebra are added under the prefix "assembled.".
     Returns (report, Functional or None).  With strict=True a failing
     precondition raises NotCounital.
     """
@@ -814,13 +807,10 @@ def check_kac_bimodule(
 
     # counit-free compressions: (id (x) eps_t) Delta(x) = e (x (x) 1) and
     # (eps_s (x) id) Delta(x) = (1 (x) x) e for every basis x
-    rten, lten = alg.right_tensor(), alg.left_tensor()
-    worst_t, worst_s = 0.0, 0.0
-    for j in range(alg.dim):
-        worst_t = max(worst_t, max_abs(w.coproduct[j] @ et.T - rten[j] @ e))
-        worst_s = max(worst_s, max_abs(es @ w.coproduct[j] - e @ lten[j].T))
-    rep.add("target_compression", worst_t, scale=100)
-    rep.add("source_compression", worst_s, scale=100)
+    target = w.coproduct @ et.T - alg.basis_products(e, leg=0, left=False)
+    source = es @ w.coproduct - alg.basis_products(e, leg=1, left=True)
+    rep.add("target_compression", max_abs(target), scale=100)
+    rep.add("source_compression", max_abs(source), scale=100)
 
     theta_t = _regular_trace_on_span(alg, nt)
     theta_s = _regular_trace_on_span(alg, ns)
@@ -829,10 +819,9 @@ def check_kac_bimodule(
     rep.add("routes_agree", max_abs(eps_t_route - eps_s_route), scale=100)
     eps = (eps_t_route + eps_s_route) / 2
 
-    lhs = np.einsum("iab,b->ai", w.coproduct, eps)
-    rhs = np.einsum("iab,a->bi", w.coproduct, eps)
-    rep.add("counit_right", max_abs(lhs - np.eye(alg.dim)), scale=10)
-    rep.add("counit_left", max_abs(rhs - np.eye(alg.dim)), scale=10)
+    left, right = _counit_pair(w.coproduct, eps)
+    rep.add("counit_right", right, scale=10)
+    rep.add("counit_left", left, scale=10)
 
     if not rep.passed:
         if strict:
@@ -847,35 +836,20 @@ def check_kac_bimodule(
 
 def _membrane(w: WeakKac, side: str, tol: Tolerance) -> np.ndarray:
     """Basis of N_t (side='t') or N_s (side='s') by their defining relations."""
-    alg, e = w.algebra, w.e_matrix
-    dim = alg.dim
-    lten, rten = alg.left_tensor(), alg.right_tensor()
-    # columns index the unknown x: build as linear map applied to basis vectors
-    cols = []
-    for j in range(dim):
-        dj = w.coproduct[j]
-        if side == "t":
-            block = np.concatenate(
-                [(dj - rten[j] @ e).reshape(-1), (dj - lten[j] @ e).reshape(-1)]
-            )
-        else:
-            block = np.concatenate(
-                [(dj - e @ rten[j].T).reshape(-1), (dj - e @ lten[j].T).reshape(-1)]
-            )
-        cols.append(block)
-    sys = np.stack(cols, axis=1)
+    alg, e, t = w.algebra, w.e_matrix, w.coproduct
+    # N_t: Delta(x) = e (x (x) 1) = (x (x) 1) e; N_s: the same on the second leg
+    leg = 0 if side == "t" else 1
+    blocks = [t - alg.basis_products(e, leg, left) for left in (False, True)]
+    # columns index the unknown x over the basis
+    sys = np.concatenate([b.reshape(alg.dim, -1) for b in blocks], axis=1).T
     return nullspace(sys, tol)
 
 
 def _regular_trace_on_span(alg: FdAlgebra, span: np.ndarray) -> np.ndarray:
-    """Covector on M: trace of left multiplication on the given subalgebra,
-    composed with nothing -- evaluated via coordinates in the span."""
-    sub = SubalgebraBasis(alg, span, orthonormalize=False)
-    mult, _, _ = sub.structure_constants()
-    theta = np.einsum("acc->a", mult)
-    # express a general element's compression onto the span: theta(P x)
-    proj = dagger(sub.basis)
-    return theta @ proj
+    """Covector x -> theta(P x) on M, for theta the regular trace of the
+    subalgebra with orthonormal basis `span` and P the projection onto it."""
+    mult, _, _ = SubalgebraBasis(alg, span, orthonormalize=False).structure_constants()
+    return regular_trace_of(mult) @ dagger(span)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,29 @@ def test_associativity_all_basis_triples(shape):
 
 
 @pytest.mark.parametrize("shape", SHAPES)
+def test_product_scatters_match_dense_structure_constants(shape):
+    """lmat, rmat, basis_products and the pairing gather equal the dense
+    contractions with mult_tensor() exactly."""
+    alg = make_algebra(shape)
+    mult = alg.mult_tensor()
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim)
+    c = rng.standard_normal((alg.dim, alg.dim)) + 1j * rng.standard_normal((alg.dim, alg.dim))
+    assert np.array_equal(alg.lmat(x), np.einsum("a,acm->mc", x, mult))
+    assert np.array_equal(alg.rmat(x), np.einsum("a,cam->mc", x, mult))
+    assert np.array_equal(alg.lmat(c), np.einsum("ja,acm->jmc", c, mult))
+    assert np.array_equal(Functional(alg, x).pairing(), np.einsum("abm,m->ab", mult, x))
+    stacks = {
+        (0, True): np.einsum("jkm,kb->jmb", mult, c),
+        (0, False): np.einsum("kjm,kb->jmb", mult, c),
+        (1, True): np.einsum("jkm,ak->jam", mult, c),
+        (1, False): np.einsum("kjm,ak->jam", mult, c),
+    }
+    for (leg, left), dense in stacks.items():
+        assert np.array_equal(alg.basis_products(c, leg, left), dense), (leg, left)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
 def test_unit_and_star_involution(shape):
     alg = make_algebra(shape)
     for a in range(alg.dim):

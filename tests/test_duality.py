@@ -27,7 +27,6 @@ from wka.haar import (
     check_normalized_haar_trace,
     haar_conditional_expectations,
     haar_trace_cone,
-    trace_pairing_matrix,
 )
 from wka.weakkac import cartan_subalgebras
 
@@ -183,7 +182,7 @@ def test_convolution_unit_represents_counit():
     w = get_example("cube2")
     phi = normalized_haar_trace(w)
     u = convolution_unit(w, phi)
-    pairing = trace_pairing_matrix(w, phi)
+    pairing = phi.pairing()
     assert np.abs(pairing @ u.coeffs - w.counit).max() < 1e-10
 
 

@@ -1,6 +1,8 @@
 """Text serialization of structures and groupoid tables."""
 
 import json
+import random
+import sys
 
 import numpy as np
 import pytest
@@ -87,6 +89,58 @@ def test_entry_rows_match_a_per_entry_loop():
     dense = storage._dense(rows, arr.shape, "t")
     assert np.array_equal(dense, arr)
     assert json.dumps(storage._sparse(dense)) == json.dumps(rows)
+
+
+def _dense_by_loop(rows, shape, what):
+    """Reference for storage._dense: each row checked and written in turn."""
+    if not isinstance(rows, list):
+        raise ParseError(f"{what} must be a list of entry rows")
+    ndim = len(shape)
+    out = np.zeros(shape, dtype=complex)
+    for r, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != ndim + 2:
+            raise ParseError(f"{what} entry {r}: expected {ndim} indices plus re, im, got {row!r}")
+        idx, (re, im) = row[:ndim], row[ndim:]
+        for axis, i in enumerate(idx):
+            if not isinstance(i, int) or not 0 <= i < shape[axis]:
+                raise IndexOutOfRange(f"{what} entry {r}: index {i} out of range [0, {shape[axis]})")
+        if not all(isinstance(x, (int, float)) for x in (re, im)):
+            raise ParseError(f"{what} entry {r}: re/im must be numbers")
+        if not (abs(re) <= sys.float_info.max and abs(im) <= sys.float_info.max):
+            raise ParseError(f"{what} entry {r}: re/im must be finite, got {re!r}, {im!r}")
+        out[tuple(int(i) for i in idx)] = complex(re, im)
+    return out
+
+
+def _outcome(f, rows, shape):
+    try:
+        return "ok", f(rows, shape, "t").tobytes()
+    except (ParseError, IndexOutOfRange) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_entry_tables_are_read_as_by_a_per_entry_loop():
+    """Accepted tables give bit-identical arrays, rejected ones the same
+    error for the same first bad row, over tables with hostile cells."""
+    rng = random.Random(3)
+    hostile = [-1, 7, True, False, 1.0, -0.0, float("nan"), float("inf"), 10**400, 10**30,
+               "a", None, [1], {}]
+    outcomes = set()
+    for _ in range(400):
+        shape = rng.choice([(3,), (3, 4), (2, 3, 2)])
+        rows = []
+        for _ in range(rng.randint(0, 5)):
+            row = [rng.randrange(d) for d in shape] + [rng.uniform(-2, 2), rng.choice([0.0, -0.0, 0.5])]
+            if rng.random() < 0.3:
+                row[rng.randrange(len(row))] = rng.choice(hostile)
+            if rng.random() < 0.05:
+                row = rng.choice([row[:-1], row + [0.0], 5, "abcde", None])
+            rows.append(row)
+        expected = _outcome(_dense_by_loop, rows, shape)
+        assert _outcome(storage._dense, rows, shape) == expected, rows
+        message = "" if expected[0] == "ok" else expected[1]
+        outcomes.add(next((k for k in ("expected", "index", "numbers", "finite") if k in message), "ok"))
+    assert len(outcomes) == 5, outcomes  # accepted, and each of the four row errors
 
 
 def _version_1(w) -> dict:

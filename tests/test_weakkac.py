@@ -116,6 +116,30 @@ def test_mangled_antipode_fails():
     assert not rep.passed
 
 
+@pytest.mark.parametrize(
+    "perturbed, failing",
+    [
+        ("counit", {"axiomA2", "axiomA2_prime", "axiomA3", "axiomA3_prime"}),
+        ("coproduct", {"axiom3", "axiomA3_doubleprime"}),
+        ("antipode", {"axiom3", "axiomA3_doubleprime"}),
+    ],
+)
+def test_counit_axioms_evaluated_by_scatters_can_fail(perturbed, failing):
+    """1e-6 noise on the counit or the coproduct, or S = id, on cube_family(2)
+    fails each counit axiom that contracts against the product triples."""
+    w = get_example("cube2")
+    arrays = {"coproduct": w.coproduct, "antipode": w.antipode, "counit": w.counit}
+    if perturbed == "antipode":
+        arrays["antipode"] = np.eye(w.dim)
+    else:
+        rng = np.random.default_rng(7)
+        shape = arrays[perturbed].shape
+        noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        arrays[perturbed] = arrays[perturbed] + 1e-6 * noise
+    rep = verify_weak_kac(WeakKac(w.algebra, **arrays))
+    assert failing <= {c.name for c in rep.failures()}
+
+
 # ---------------------------------------------------------------------------
 # coassociativity and multiplicativity: joins over the nonzeros and the
 # dense oracles
@@ -415,7 +439,9 @@ def test_kac_bimodule_computes_each_residual_once(monkeypatch):
     names = [c.name for c in rep.checks]
     assert "delta_injective" in names
     assembled = [n for n in names if n.startswith("assembled.")]
-    counit_names = [c.name for c in verify_weak_kac(w).checks[9:]]
+    # the counit pair is reported once, at the top level
+    assert names.count("counit_left") == names.count("counit_right") == 1
+    counit_names = [c.name for c in verify_weak_kac(w).checks[11:]]
     assert assembled == ["assembled." + n for n in counit_names]
 
 

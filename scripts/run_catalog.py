@@ -1,5 +1,6 @@
 """Build and verify every catalog entry, printing a summary table: dimension,
-nonzero coproduct entries, block shape, largest residual and verdict.
+nonzero coproduct entries, block shape, largest residual and verdict, then
+the source and target Cartan block shapes and the Cartan verdict.
 
 Usage: python scripts/run_catalog.py [--tol 1e-9] [--no-duals] [--no-twists]
 Exits nonzero if any entry fails its axiom suite.
@@ -9,7 +10,7 @@ import argparse
 import sys
 import time
 
-from wka import Tolerance, catalog, verify_weak_kac
+from wka import Tolerance, cartan_subalgebras, catalog, verify_weak_kac
 
 
 def main(argv=None) -> int:
@@ -30,11 +31,17 @@ def main(argv=None) -> int:
         w = entry.build()
         rep = verify_weak_kac(w, tol=tol)
         verdict = "pass" if rep.passed else "FAIL"
-        shape = ",".join(str(d) for d in w.algebra.block_shape)
+        pair = cartan_subalgebras(w, tol=tol)
+        cartan = "pass" if pair.report.passed else "FAIL"
+        shape, source, target = (
+            ",".join(str(d) for d in s)
+            for s in (w.algebra.block_shape, pair.source_shape, pair.target_shape)
+        )
         nnz = w.coproduct_nonzeros[0].size
         print(
             f"{entry.name:<{width}}  dim {w.dim:>3}  nnz {nnz:>6}  blocks ({shape})"
             f"  residual {rep.max_residual:9.2e}  {verdict}"
+            f"  cartan ({source}) -> ({target})  {cartan}"
         )
         failures += 0 if rep.passed else 1
     elapsed = time.perf_counter() - t0

@@ -6,9 +6,14 @@ coefficient vectors over that basis; the algebra also carries a faithful
 concrete realization as block-diagonal N x N matrices (N = sum d_i) which
 makes products, involution and tensor-square products cheap and exact.
 
-Abstract presentations (structure constants + involution + unit + a
-positive GNS functional) are brought to this canonical form by
-wedderburn_realize.
+The product of both kinds of algebra is held one way, as its nonzero
+triples: b_p b_q = b_m for FdAlgebra.products, and b_p b_q = sum of v b_m
+for the (p, q, m, v) of an abstract presentation (StarAlgebraData: product
+triples + involution + unit + a positive GNS functional).
+wedderburn_realize brings a presentation to the canonical form: it
+scatters the triples once into the left multiplications, represents them
+on the GNS space, works on those operators, and pulls an operator back to
+abstract coordinates through the cyclic vector of the unit.
 """
 
 from __future__ import annotations
@@ -317,9 +322,13 @@ def regular_trace(alg: FdAlgebra) -> Functional:
     return Functional(alg, counts.astype(complex))
 
 
-def regular_trace_of(mult: np.ndarray) -> np.ndarray:
-    """theta[a] = Tr L_{b_a} for structure constants b_a b_b = sum_c mult[a,b,c] b_c."""
-    return np.einsum("acc->a", mult)
+def regular_trace_of(products, dim: int) -> np.ndarray:
+    """theta[a] = Tr L_{b_a} for product triples (p, q, m, v), that is
+    b_p b_q = sum of v b_m: the sum of v over the triples with p = a, q = m."""
+    p, q, m, v = products
+    theta = np.zeros(dim, dtype=complex)
+    np.add.at(theta, p[q == m], v[q == m])
+    return theta
 
 
 def block_trace(alg: FdAlgebra, weights=None) -> Functional:
@@ -352,31 +361,22 @@ class SubalgebraBasis:
     def closure_residual(self) -> float:
         """Residual of closedness under products, star and containing 1."""
         alg, b = self.parent, self.basis
-        prods = [
-            alg.mul(b[:, i], b[:, j])
-            for i in range(b.shape[1])
-            for j in range(b.shape[1])
-        ]
-        stars = [alg.star(b[:, i]) for i in range(b.shape[1])]
-        vecs = np.stack(prods + stars + [alg.unit], axis=1)
-        return self.contains(vecs)
+        # prods[m, i, j] is the coefficient of b_m in b_i b_j
+        prods = (alg.lmat(b.T) @ b).transpose(1, 0, 2).reshape(alg.dim, -1)
+        return self.contains(np.concatenate([prods, alg.star(b), alg.unit[:, None]], axis=1))
 
     def structure_constants(self):
-        """(mult, star, unit_coords) of the subalgebra in this basis.
+        """(products, star, unit_coords) of the subalgebra in this basis, the
+        products as triples (p, q, m, v) with b_p b_q = sum of v b_m.
 
         Requires the span to be a unital *-subalgebra; products are
         projected onto the span, so use closure_residual() first.
         """
         alg, b = self.parent, self.basis
-        k = b.shape[1]
         bh = dagger(b)
-        mult = np.zeros((k, k, k), dtype=complex)
-        for i in range(k):
-            for j in range(k):
-                mult[i, j] = bh @ alg.mul(b[:, i], b[:, j])
-        star = np.stack([bh @ alg.star(b[:, i]) for i in range(k)], axis=1)
-        unit = bh @ alg.unit
-        return mult, star, unit
+        lt = bh @ (alg.lmat(b.T) @ b)  # lt[p, m, q]: coefficient of b_m in b_p b_q
+        p, m, q = np.nonzero(lt)
+        return (p, q, m, lt[p, m, q]), bh @ alg.star(b), bh @ alg.unit
 
 
 def commutant(sub: SubalgebraBasis, tol=None) -> SubalgebraBasis:
@@ -410,19 +410,24 @@ def minimal_central_projections(alg: FdAlgebra) -> list:
 class StarAlgebraData:
     """Abstract *-algebra presentation over a finite basis.
 
-    mult: structure constants, b_a b_b = sum_c mult[a, b, c] b_c
+    products: triples (p, q, m, v) as four arrays, with b_p b_q = sum of
+              v b_m over the triples of that (p, q); zeros may be left out
     star: matrix of the antilinear involution, (x*)_m = sum_j star[m, j] conj(x_j)
     unit: coefficient vector of 1
     gns:  covector of a positive functional phi with phi(x* x) > 0 for x != 0
     """
 
-    mult: np.ndarray
+    products: tuple
     star: np.ndarray
     unit: np.ndarray
     gns: np.ndarray
 
     def __post_init__(self):
-        self.mult = np.asarray(self.mult, dtype=complex)
+        *idx, v = self.products
+        self.products = (
+            *(np.asarray(a, dtype=np.int64) for a in idx),
+            np.asarray(v, dtype=complex),
+        )
         self.star = np.asarray(self.star, dtype=complex)
         self.unit = np.asarray(self.unit, dtype=complex)
         self.gns = np.asarray(self.gns, dtype=complex)
@@ -431,17 +436,8 @@ class StarAlgebraData:
     def dim(self) -> int:
         return self.unit.shape[0]
 
-    def mul(self, x, y) -> np.ndarray:
-        return np.einsum("a,b,abc->c", x, y, self.mult)
-
     def star_of(self, x) -> np.ndarray:
         return self.star @ np.conj(x)
-
-    def lmult(self, x) -> np.ndarray:
-        return np.tensordot(x, self.mult, (0, 0)).T  # [c, b] -> [out, in]
-
-    def rmult(self, x) -> np.ndarray:
-        return np.tensordot(x, self.mult.transpose(1, 0, 2), (0, 0)).T
 
 
 @dataclass
@@ -458,11 +454,18 @@ class WedderburnRealization:
     residual: float
 
 
-def _validate_star_algebra(data: StarAlgebraData, tol: Tolerance, rng):
+def _mul(lt: np.ndarray, x, y) -> np.ndarray:
+    """Product x y in a presentation whose left multiplications are lt[a]."""
+    return np.tensordot(x, lt, 1) @ y
+
+
+def _validate_star_algebra(data: StarAlgebraData, lt: np.ndarray, tol: Tolerance, rng):
+    """Unit, involution and associativity of a presentation whose left
+    multiplications are lt[a]; the last two on three seeded random probes."""
     dim = data.dim
     res_unit = max(
-        max_abs(np.tensordot(data.unit, data.mult, (0, 0)) - np.eye(dim)),
-        max_abs(np.tensordot(data.unit, data.mult.transpose(1, 0, 2), (0, 0)) - np.eye(dim)),
+        max_abs(np.tensordot(data.unit, lt, 1) - np.eye(dim)),
+        max_abs(lt @ data.unit - np.eye(dim)),
     )
     if res_unit > 100 * tol.abs_tol:
         raise WkaError(f"unit fails by {res_unit:.2e}")
@@ -473,14 +476,15 @@ def _validate_star_algebra(data: StarAlgebraData, tol: Tolerance, rng):
     for x, y in probes:
         res_anti = max(
             res_anti,
-            max_abs(data.star_of(data.mul(x, y)) - data.mul(data.star_of(y), data.star_of(x))),
+            max_abs(
+                data.star_of(_mul(lt, x, y)) - _mul(lt, data.star_of(y), data.star_of(x))
+            ),
         )
         z = probes[0][0]
         res_assoc = max(
-            res_assoc,
-            max_abs(data.mul(data.mul(x, y), z) - data.mul(x, data.mul(y, z))),
+            res_assoc, max_abs(_mul(lt, _mul(lt, x, y), z) - _mul(lt, x, _mul(lt, y, z)))
         )
-    scale = max(1.0, max_abs(data.mult))
+    scale = max(1.0, max_abs(data.products[3]))
     if max(res_star, res_anti) > 1e-6 * scale * max(1.0, scale):
         raise NotStarClosed(f"involution fails by {max(res_star, res_anti):.2e}")
     if res_assoc > 1e-6 * scale * scale:
@@ -505,12 +509,16 @@ def wedderburn_realize(
 ) -> WedderburnRealization:
     """Find block sizes and explicit matrix units for an abstract *-algebra.
 
-    Strategy: GNS-orthonormalize with the supplied positive form so left
-    multiplication becomes a faithful *-representation; split the center
-    with the spectral projections of a seeded random self-adjoint central
-    element; inside each block, spectral projections of a random
-    self-adjoint element give minimal projections, and polar-normalized
-    corner elements q_1 r q_k complete them to matrix units.
+    Strategy: scatter the product triples once into the left
+    multiplications lt[a] = L_{b_a}; GNS-orthonormalize with the supplied
+    positive form so that pi(x) = C L_x C^{-1} (C the hermitian Cholesky
+    factor) is a faithful *-representation; split the center with the
+    spectral projections of a seeded random self-adjoint central element;
+    inside each block, spectral projections of a random self-adjoint
+    element give minimal projections, and polar-normalized corner elements
+    q_1 r q_k complete them to matrix units.  Operators are pulled back
+    through the cyclic vector C 1, since pi(x) C 1 = C x, and must lie in
+    pi(M) to within the membership residual.
 
     Raises NotSemisimple when the GNS form is degenerate and NotStarClosed
     when the involution axioms fail.
@@ -518,10 +526,13 @@ def wedderburn_realize(
     tol = as_tol(tol)
     rng = np.random.default_rng((0x5EED, seed))
     dim = data.dim
-    _validate_star_algebra(data, tol, rng)
+    a, b, c, val = data.products
+    lt = np.zeros((dim, dim, dim), dtype=complex)
+    np.add.at(lt, (a, c, b), val)  # lt[a] is left multiplication by b_a
+    _validate_star_algebra(data, lt, tol, rng)
 
     # gram[a, b] = phi(b_a* b_b) with b_a* = sum_c star[c, a] b_c
-    gram = np.einsum("ca,cbm,m->ab", data.star, data.mult, data.gns)
+    gram = data.star.T @ np.tensordot(data.gns, lt, (0, 1))
     herm_res = max_abs(gram - dagger(gram))
     if herm_res > 1e-7 * max(1.0, max_abs(gram)):
         raise NotSemisimple(f"GNS form not hermitian (residual {herm_res:.2e})")
@@ -529,29 +540,24 @@ def wedderburn_realize(
     evals = np.linalg.eigvalsh(gram)
     if evals[0] <= tol.rank_cutoff(gram.shape, max(evals[-1], 1.0)):
         raise NotSemisimple(f"GNS form degenerate (min eigenvalue {evals[0]:.2e})")
-    chol = np.linalg.cholesky(gram)
-
-    # pi(x) = chol^H  L_x  chol^{-H} is a faithful *-representation
-    chol_h = dagger(chol)
+    chol_h = dagger(np.linalg.cholesky(gram))
     chol_h_inv = np.linalg.inv(chol_h)
-    pis = np.stack(
-        [chol_h @ data.lmult(_basis_vec(dim, a)) @ chol_h_inv for a in range(dim)]
-    )
-    pimat = pis.reshape(dim, dim * dim).T  # columns = vec(pi(b_a))
+    pis = chol_h @ lt @ chol_h_inv
+    cyclic = chol_h @ data.unit
 
     def represent(x):
-        return np.tensordot(x, pis, (0, 0))
+        return np.tensordot(x, pis, 1)
 
-    def unrepresent(op, what: str):
-        x, *_ = np.linalg.lstsq(pimat, op.reshape(-1), rcond=None)
-        res = max_abs(pimat @ x - op.reshape(-1))
+    def pull_back(op, what: str):
+        # op may be a stack of operators; x then holds one element per row
+        x = (op @ cyclic) @ chol_h_inv.T
+        res = max_abs(represent(x) - op)
         if res > 1e-6 * max(1.0, max_abs(op)):
             raise WkaError(f"{what}: operator not in the algebra ({res:.2e})")
         return x
 
-    # center: null space of stacked commutators with all basis elements
-    rows = [data.lmult(_basis_vec(dim, a)) - data.rmult(_basis_vec(dim, a)) for a in range(dim)]
-    cbasis = nullspace(np.vstack(rows), tol)
+    # center: null space of the commutators [b_a, .] stacked over a
+    cbasis = nullspace((lt - lt.transpose(2, 1, 0)).reshape(dim * dim, dim), tol)
     nblocks = cbasis.shape[1]
 
     # split the center with a random self-adjoint central element
@@ -569,10 +575,9 @@ def wedderburn_realize(
         try:
             blocks = []
             for cl in clusters:
-                q = v[:, cl] @ dagger(v[:, cl])
-                p = unrepresent(q, "central projection")
+                p = pull_back(v[:, cl] @ dagger(v[:, cl]), "central projection")
                 p = (p + data.star_of(p)) / 2
-                if max_abs(data.mul(p, p) - p) > 1e-7:
+                if max_abs(_mul(lt, p, p) - p) > 1e-7:
                     raise WkaError("central idempotent drifted")
                 blocks.append((float(np.mean(w[cl])), p))
             break
@@ -585,25 +590,21 @@ def wedderburn_realize(
     # matrix units inside each block
     found = []
     for z_eig, p in blocks:
-        cols = np.stack([data.mul(p, _basis_vec(dim, a)) for a in range(dim)], axis=1)
-        vi = orthonormal_columns(cols, tol)
+        vi = orthonormal_columns(np.tensordot(p, lt, 1), tol)  # columns p b_a
         bdim = vi.shape[1]
         d = int(round(np.sqrt(bdim)))
         if d * d != bdim:
             raise NotSemisimple(f"block dimension {bdim} is not a square")
-        units = _block_matrix_units(data, p, vi, d, represent, unrepresent, rng)
+        units = _block_matrix_units(data, lt, p, vi, d, represent, pull_back, rng)
         found.append((d, z_eig, units))
 
     found.sort(key=lambda t: (t[0], t[1]))
-    shape = tuple(t[0] for t in found)
-    target = make_algebra(shape)
-    cols = []
-    for _, _, units in found:
-        cols.extend(units)
-    wmat = np.stack(cols, axis=1)  # abstract coords of canonical units
+    target = make_algebra(tuple(t[0] for t in found))
+    # abstract coords of the canonical units, one per column
+    wmat = np.concatenate([t[2] for t in found], axis=0).T
     winv = np.linalg.inv(wmat)
 
-    residual = _realization_residual(data, target, wmat, winv)
+    residual = _realization_residual(data, lt, target, wmat, winv)
     if residual > 1e-7:
         raise WkaError(f"realization round-trip residual {residual:.2e}")
     return WedderburnRealization(
@@ -611,24 +612,19 @@ def wedderburn_realize(
     )
 
 
-def _basis_vec(dim, a):
-    v = np.zeros(dim, dtype=complex)
-    v[a] = 1.0
-    return v
-
-
-def _block_matrix_units(data, p, vi, d, represent, unrepresent, rng):
-    """Matrix units of the block p*M, ordered e_{00}, e_{01}, ..., e_{d-1,d-1}."""
+def _block_matrix_units(data, lt, p, vi, d, represent, pull_back, rng):
+    """Matrix units of the block p*M as rows, ordered e_{00}, e_{01}, ...,
+    e_{d-1,d-1}; the corner products run on the operators pi(x)."""
     bdim = vi.shape[1]
+    pop = represent(p)
+    pop = (pop + dagger(pop)) / 2
     qs = None
     for _ in range(24):
         v = vi @ (rng.standard_normal(bdim) + 1j * rng.standard_normal(bdim))
-        a = v + data.star_of(v)
-        aop = represent(a)
+        aop = represent(v + data.star_of(v))
         aop = (aop + dagger(aop)) / 2
         shift = float(np.max(np.abs(np.linalg.eigvalsh(aop)))) + 1.0
-        aop_s = aop + shift * ((represent(p) + dagger(represent(p))) / 2)
-        w, vec = np.linalg.eigh(aop_s)
+        w, vec = np.linalg.eigh(aop + shift * pop)
         inside = w > 0.5
         if not np.any(inside):
             continue
@@ -640,12 +636,11 @@ def _block_matrix_units(data, p, vi, d, represent, unrepresent, rng):
             qs = []
             vin = vec[:, inside]
             for cl in clusters:
-                q = vin[:, cl] @ dagger(vin[:, cl])
-                qc = unrepresent(q, "minimal projection")
+                qc = pull_back(vin[:, cl] @ dagger(vin[:, cl]), "minimal projection")
                 qc = (qc + data.star_of(qc)) / 2
-                if max_abs(data.mul(qc, qc) - qc) > 1e-7:
+                if max_abs(_mul(lt, qc, qc) - qc) > 1e-7:
                     raise WkaError("minimal idempotent drifted")
-                qs.append(qc)
+                qs.append(represent(qc))
             break
         except WkaError:
             qs = None
@@ -655,37 +650,30 @@ def _block_matrix_units(data, p, vi, d, represent, unrepresent, rng):
 
     us = None
     for _ in range(24):
-        r = vi @ (rng.standard_normal(bdim) + 1j * rng.standard_normal(bdim))
+        r = represent(vi @ (rng.standard_normal(bdim) + 1j * rng.standard_normal(bdim)))
         us = [qs[0]]
-        ok = True
-        for k in range(1, d):
-            w = data.mul(data.mul(qs[0], r), qs[k])
-            ww = data.mul(data.star_of(w), w)
-            denom = float(np.real(np.vdot(qs[k], qs[k])))
-            c = complex(np.vdot(qs[k], ww)) / denom
-            if np.real(c) < 1e-8 or max_abs(ww - c * qs[k]) > 1e-6 * abs(c):
-                ok = False
+        for qk in qs[1:]:
+            w = qs[0] @ r @ qk
+            ww = dagger(w) @ w
+            c = complex(np.vdot(qk, ww)) / float(np.real(np.vdot(qk, qk)))
+            if np.real(c) < 1e-8 or max_abs(ww - c * qk) > 1e-6 * abs(c):
+                us = None
                 break
             us.append(w / np.sqrt(np.real(c)))
-        if ok:
+        if us is not None:
             break
-        us = None
     if us is None:
         raise NotSemisimple("could not build partial isometries in a block")
-
-    units = []
-    for k in range(d):
-        for l in range(d):
-            units.append(data.mul(data.star_of(us[k]), us[l]))
-    return units
+    return pull_back(np.stack([dagger(uk) @ ul for uk in us for ul in us]), "matrix unit")
 
 
-def _realization_residual(data, target, wmat, winv):
+def _realization_residual(data, lt, target, wmat, winv):
     """Max difference between transported and canonical structure data."""
-    s1 = np.einsum("pqm,pa->aqm", data.mult, wmat)
-    s2 = np.einsum("aqm,qb->abm", s1, wmat)
-    trans = np.einsum("abm,cm->abc", s2, winv)
-    res = max_abs(trans - target.mult_tensor())
+    # trans[a, c, b] is the coefficient of e_c in e_a e_b, carried over
+    trans = winv @ np.tensordot(wmat, lt, (0, 0)) @ wmat
+    p, q, m = target.products
+    trans[p, m, q] -= 1.0
+    res = max_abs(trans)
     star_trans = winv @ data.star @ np.conj(wmat)
     res = max(res, max_abs(star_trans - target.star_matrix))
     res = max(res, max_abs(winv @ data.unit - target.unit))

@@ -248,14 +248,13 @@ def groupoid_algebra(gpd: Groupoid, tol=None, seed: int = 0) -> WeakKac:
     undefined), g* = g^{-1}, Delta(g) = g (x) g, S(g) = g^{-1}, eps(g) = 1."""
     tol = as_tol(tol)
     n = gpd.size
-    mult = np.zeros((n, n, n), dtype=complex)
     g_idx, h_idx = np.nonzero(gpd.compose >= 0)
-    mult[g_idx, h_idx, gpd.compose[g_idx, h_idx]] = 1.0
+    products = (g_idx, h_idx, gpd.compose[g_idx, h_idx], np.ones(g_idx.size))
     star = np.zeros((n, n), dtype=complex)
     star[gpd.inverse, np.arange(n)] = 1.0
     unit = np.zeros(n, dtype=complex)
     unit[gpd.units] = 1.0
-    data = StarAlgebraData(mult, star, unit, regular_trace_of(mult))
+    data = StarAlgebraData(products, star, unit, regular_trace_of(products, n))
     real = wedderburn_realize(data, tol, seed=seed)
 
     t_abs = np.zeros((n, n, n), dtype=complex)
@@ -530,19 +529,16 @@ def crossed_product(w: WeakKac, action: GroupAction, tol=None, seed: int = 0) ->
     def idx(a, g):
         return a * ng + g
 
-    mult = np.zeros((dim, dim, dim), dtype=complex)
-    for h in range(ng):
-        ah = action[h]
-        for a in range(dm):
-            acted = ah[:, a]
-            lm = alg.lmat(acted)
-            for g in range(ng):
-                gh = grp.table[g, h]
-                for b in range(dm):
-                    col = lm[:, b]
-                    nz = np.nonzero(np.abs(col) > 0)[0]
-                    for c in nz:
-                        mult[idx(a, g), idx(b, h), idx(c, gh)] = col[c]
+    # (b_a <| h) b_b = sum_c lm[h, a, c, b] b_c, and the group legs multiply
+    lm = alg.lmat(np.swapaxes(action.mats, 1, 2))
+    h, a, c, b = np.nonzero(lm)
+    g = np.arange(ng)[:, None]
+    products = tuple(
+        x.ravel()
+        for x in np.broadcast_arrays(
+            idx(a, g), idx(b, h), idx(c, grp.table[g, h]), lm[h, a, c, b]
+        )
+    )
 
     star = np.zeros((dim, dim), dtype=complex)
     smat = alg.star_matrix
@@ -555,7 +551,7 @@ def crossed_product(w: WeakKac, action: GroupAction, tol=None, seed: int = 0) ->
     unit = np.zeros(dim, dtype=complex)
     unit[np.arange(dm) * ng + grp.unit] = alg.unit
 
-    data = StarAlgebraData(mult, star, unit, regular_trace_of(mult))
+    data = StarAlgebraData(products, star, unit, regular_trace_of(products, dim))
     real = wedderburn_realize(data, tol, seed=seed)
 
     t_abs = np.zeros((dim, dim, dim), dtype=complex)

@@ -31,10 +31,10 @@ from .constructors import (
     groupoid_function_algebra,
     transported_weak_kac,
 )
-from .errors import GramDegenerate, NotCounital, NoUnit
+from .errors import NotCounital, NoUnit
 from .haar import _as_weak_kac, haar_projection, normalized_haar_trace
 from .report import VerificationReport
-from .tensorkit import Inconsistent, as_tol, dagger, max_abs, numerical_rank, solve_affine_space
+from .tensorkit import Inconsistent, as_tol, max_abs, numerical_rank, solve_affine_space
 from .weakkac import WeakKac, check_morphism, _cartan_spans
 
 __all__ = [
@@ -71,9 +71,10 @@ def dual(w: WeakKac, tol=None, seed: int = 0) -> WeakKac:
     runs.
 
     The dual is built once per (w, tol, seed); later calls return the same
-    object.  Raises NotCounital when w has no counit and GramDegenerate
-    when the dual GNS form fails to be positive definite, which signals
-    that w does not satisfy the weak Kac axioms to working precision.
+    object.  Raises NotCounital when w has no counit and NotSemisimple
+    (from wedderburn_realize) when the dual GNS form fails to be positive
+    definite, which signals that w does not satisfy the weak Kac axioms to
+    working precision.
     """
     tol = as_tol(tol)
     if w.counit is None:
@@ -85,22 +86,16 @@ def dual(w: WeakKac, tol=None, seed: int = 0) -> WeakKac:
 
 def _realize_dual(w: WeakKac, tol, seed: int) -> WeakKac:
     alg = w.algebra
-    mult_hat = np.ascontiguousarray(w.coproduct.transpose(1, 2, 0))
+    # b^j b^k = sum_i T[i, j, k] b^i: the coproduct's nonzeros are the triples
+    i, j, k, v = w.coproduct_nonzeros
     star_hat = w.antipode.T @ alg.star_matrix
-    unit_hat = np.asarray(w.counit, dtype=complex)
     gns = haar_projection(w, tol).coeffs
-
-    gram = np.einsum("ca,cbm,m->ab", star_hat, mult_hat, gns, optimize=True)
-    gram = (gram + dagger(gram)) / 2
-    evals = np.linalg.eigvalsh(gram)
-    if evals[0] <= tol.rank_cutoff(gram.shape, max(float(evals[-1]), 1.0)):
-        raise GramDegenerate(
-            f"dual Haar trace is not faithful (min gram eigenvalue {evals[0]:.2e})"
-        )
-
-    data = StarAlgebraData(mult_hat, star_hat, unit_hat, gns)
+    data = StarAlgebraData((j, k, i, v), star_hat, w.counit, gns)
     realization = wedderburn_realize(data, tol, seed=seed)
-    t_abs = np.ascontiguousarray(alg.mult_tensor().transpose(2, 0, 1))
+    # Delta^(b^m) = sum over b_p b_q = b_m of b^p (x) b^q
+    p, q, m = alg.products
+    t_abs = np.zeros((w.dim, w.dim, w.dim), dtype=complex)
+    t_abs[m, p, q] = 1.0
     s_abs = w.antipode.T
     eps_abs = alg.unit
     meta = {"kind": "dual", "primal_algebra": w.algebra}

@@ -208,6 +208,16 @@ def check_haar_projection(w: WeakKac, tol=None):
     return p, rep
 
 
+def _tracial_rows(alg) -> np.ndarray:
+    """Rows (a, b) -> b_a b_b - b_b b_a acting on a functional, scattered
+    over the product triples."""
+    p, q, m = alg.products
+    rows = np.zeros((alg.dim, alg.dim, alg.dim))
+    rows[p, q, m] = 1.0
+    rows[q, p, m] -= 1.0
+    return rows.reshape(alg.dim * alg.dim, alg.dim)
+
+
 def _haar_trace_rows(w: WeakKac, tol: Tolerance) -> np.ndarray:
     """Homogeneous part of the Haar trace conditions, rows acting on phi.
 
@@ -219,8 +229,7 @@ def _haar_trace_rows(w: WeakKac, tol: Tolerance) -> np.ndarray:
     dim = alg.dim
     proj = np.eye(dim) - et
     invariance = np.concatenate([proj @ t[a] for a in range(dim)], axis=0)
-    mult = alg.mult_tensor()
-    tracial = (mult - mult.transpose(1, 0, 2)).reshape(dim * dim, dim)
+    tracial = _tracial_rows(alg)
     sinv = w.antipode.T - np.eye(dim)
     return np.vstack([invariance, tracial, sinv])
 

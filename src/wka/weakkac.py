@@ -545,8 +545,8 @@ def _cartan_spans(w: WeakKac, tol: Tolerance):
 
 def _subalgebra_realization(sub: SubalgebraBasis, tol: Tolerance, seed=0):
     """Wedderburn data of a unital *-subalgebra given by a span."""
-    mult, star, unit = sub.structure_constants()
-    data = StarAlgebraData(mult, star, unit, regular_trace_of(mult))
+    products, star, unit = sub.structure_constants()
+    data = StarAlgebraData(products, star, unit, regular_trace_of(products, sub.dim))
     return wedderburn_realize(data, tol, seed=seed)
 
 
@@ -848,8 +848,8 @@ def _membrane(w: WeakKac, side: str, tol: Tolerance) -> np.ndarray:
 def _regular_trace_on_span(alg: FdAlgebra, span: np.ndarray) -> np.ndarray:
     """Covector x -> theta(P x) on M, for theta the regular trace of the
     subalgebra with orthonormal basis `span` and P the projection onto it."""
-    mult, _, _ = SubalgebraBasis(alg, span, orthonormalize=False).structure_constants()
-    return regular_trace_of(mult) @ dagger(span)
+    products, _, _ = SubalgebraBasis(alg, span, orthonormalize=False).structure_constants()
+    return regular_trace_of(products, span.shape[1]) @ dagger(span)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,8 @@ from wka import (
     regular_trace,
     wedderburn_realize,
 )
-from wka.errors import NotSemisimple
+from wka.errors import NotSemisimple, NotStarClosed, WkaError
+from wka.haar import _tracial_rows
 from wka.tensorkit import dagger, max_abs, subspace_distance
 
 SHAPES = [(1,), (2,), (1, 1), (1, 2), (2, 2), (1, 1, 3)]
@@ -55,6 +56,8 @@ def test_product_scatters_match_dense_structure_constants(shape):
     }
     for (leg, left), dense in stacks.items():
         assert np.array_equal(alg.basis_products(c, leg, left), dense), (leg, left)
+    commutators = (mult - mult.transpose(1, 0, 2)).reshape(alg.dim * alg.dim, alg.dim)
+    assert np.array_equal(_tracial_rows(alg), commutators)
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -170,8 +173,15 @@ def test_commutant_of_whole_algebra_is_center():
     assert subspace_distance(com.basis, center(alg).basis) < 1e-9
 
 
+def _presentation(mult, star, unit, gns):
+    """StarAlgebraData from dense structure constants b_a b_b = sum_c mult[a, b, c] b_c."""
+    p, q, m = np.nonzero(mult)
+    return StarAlgebraData((p, q, m, mult[p, q, m]), star, unit, gns)
+
+
 def _scrambled_data(shape, seed):
-    """Structure constants of make_algebra(shape) in a random new basis."""
+    """Presentation of make_algebra(shape) in a random new basis, and its
+    dense structure constants."""
     alg = make_algebra(shape)
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((alg.dim, alg.dim)) + 1j * rng.standard_normal(
@@ -185,24 +195,24 @@ def _scrambled_data(shape, seed):
     star = ginv @ alg.star_matrix @ np.conj(g)
     unit = ginv @ alg.unit
     trace = g.T @ regular_trace(alg).vec
-    return StarAlgebraData(mult, star, unit, trace), g
+    return _presentation(mult, star, unit, trace), mult
 
 
 @pytest.mark.parametrize("shape", [(2,), (1, 2), (2, 1, 1)])
 def test_wedderburn_round_trip(shape, seed=3):
-    data, g = _scrambled_data(shape, seed)
+    data, mult = _scrambled_data(shape, seed)
     real = wedderburn_realize(data)
     assert tuple(real.algebra.block_shape) == tuple(sorted(shape))
     can = real.algebra
     w, v = real.to_canonical, real.from_canonical
-    dim = data.mult.shape[0]
+    dim = data.dim
     assert max_abs(w @ v - np.eye(dim)) < 1e-8
     assert max_abs(w @ data.unit - can.unit) < 1e-8
     rng = np.random.default_rng(seed)
     for _ in range(10):
         x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         y = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        prod_abs = np.einsum("abc,a,b->c", data.mult, x, y)
+        prod_abs = np.einsum("abc,a,b->c", mult, x, y)
         assert max_abs(v @ can.mul(w @ x, w @ y) - prod_abs) < 1e-8
         star_abs = data.star @ np.conj(x)
         assert max_abs(v @ can.star(w @ x) - star_abs) < 1e-8
@@ -216,7 +226,55 @@ def test_wedderburn_rejects_nonsemisimple():
     unit = np.array([1.0, 0.0], dtype=complex)
     trace = np.array([1.0, 0.0], dtype=complex)
     with pytest.raises(NotSemisimple):
-        wedderburn_realize(StarAlgebraData(mult, star, unit, trace))
+        wedderburn_realize(_presentation(mult, star, unit, trace))
+
+
+def _two_points():
+    """C (+) C on the idempotents f_0, f_1 with the trace f_a -> 1."""
+    mult = np.zeros((2, 2, 2), dtype=complex)
+    mult[0, 0, 0] = mult[1, 1, 1] = 1.0
+    return mult, np.eye(2, dtype=complex), np.ones(2, dtype=complex), np.ones(2, dtype=complex)
+
+
+def test_wedderburn_realizes_two_points():
+    real = wedderburn_realize(_presentation(*_two_points()))
+    assert real.algebra.block_shape == (1, 1)
+    assert real.residual < 1e-12
+
+
+def test_wedderburn_rejects_wrong_unit():
+    mult, star, _, trace = _two_points()
+    with pytest.raises(WkaError, match="unit fails"):
+        wedderburn_realize(_presentation(mult, star, np.array([1.0, 0.0]), trace))
+
+
+def test_wedderburn_rejects_non_involutive_star():
+    # (x*)* = 4x for the star x -> 2 conj(x)
+    mult, star, unit, trace = _two_points()
+    with pytest.raises(NotStarClosed, match="involution fails"):
+        wedderburn_realize(_presentation(mult, 2 * star, unit, trace))
+
+
+def test_wedderburn_rejects_non_antimultiplicative_star():
+    # the swap b_1 <-> b_2 is an involution, but on the triangular product
+    # below (b_1 b_2 = b_1, b_2 b_1 = 0) it is not anti-multiplicative
+    mult = np.zeros((3, 3, 3), dtype=complex)
+    mult[0, :, :] = mult[:, 0, :] = np.eye(3)
+    mult[1, 2, 1] = mult[2, 2, 2] = 1.0
+    star = np.eye(3, dtype=complex)[[0, 2, 1]]
+    with pytest.raises(NotStarClosed, match="involution fails"):
+        wedderburn_realize(_presentation(mult, star, np.eye(3)[0], np.eye(3)[0]))
+
+
+def test_wedderburn_rejects_non_associative_product():
+    # unit 1, x x = y, x y = y x = 1, y y = 0: commutative with a real
+    # involution, but (x x) y = 0 while x (x y) = x
+    mult = np.zeros((3, 3, 3), dtype=complex)
+    mult[0, :, :] = mult[:, 0, :] = np.eye(3)
+    mult[1, 1, 2] = mult[1, 2, 0] = mult[2, 1, 0] = 1.0
+    star = np.eye(3, dtype=complex)
+    with pytest.raises(WkaError, match="associativity fails"):
+        wedderburn_realize(_presentation(mult, star, np.eye(3)[0], np.eye(3)[0]))
 
 
 def test_block_trace_weights():

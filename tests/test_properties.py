@@ -1,18 +1,25 @@
 """Seeded property tests for the structural identities."""
 
+import itertools
 from functools import lru_cache
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from wka import (
     cartan_subalgebras,
     counital_maps,
+    crossed_product,
+    cyclic_shift_action,
     dual,
+    fusion_ring,
+    groupoid_algebra,
     haar_projection,
+    pair_groupoid,
     verify_weak_kac,
 )
-from wka.duality import dual_functional
+from wka.duality import check_pairing, dual_functional
 
 from conftest import get_example
 
@@ -157,3 +164,60 @@ def test_verification_reports_are_deterministic():
     for name in ("cube2", "twist_11"):
         w = get_example(name)
         assert verify_weak_kac(w).as_json() == verify_weak_kac(w).as_json()
+
+
+# ---------------------------------------------------------------------------
+# independence of the realized matrix-unit basis
+# ---------------------------------------------------------------------------
+
+
+def _realized(name, seed):
+    """(primal, dual, realized algebra under test) for one realization seed."""
+    if name == "group-algebra[k3]":
+        w = groupoid_algebra(pair_groupoid(3), seed=seed)
+        return w, dual(w, seed=seed), w
+    if name == "crossed[2]":
+        w = crossed_product(*cyclic_shift_action(2), seed=seed)
+        return w, dual(w, seed=seed), w
+    primal = get_example(name)
+    dw = dual(primal, seed=seed)
+    return primal, dw, dw
+
+
+def _relabelings(shape):
+    """Permutations of the blocks that keep each block's size."""
+    for perm in itertools.permutations(range(len(shape))):
+        if all(shape[i] == shape[j] for i, j in enumerate(perm)):
+            yield list(perm)
+
+
+@pytest.mark.parametrize(
+    "name", ["group-algebra[k3]", "crossed[2]", "cube3", "elem_12", "twist_11"]
+)
+def test_verdicts_do_not_depend_on_the_realized_basis(name):
+    """Realization seeds give different matrix-unit bases; the block shape,
+    the verdicts, the Cartan shapes and the fusion table (up to relabeling
+    blocks of equal size) must not move, and the dual must pair."""
+    first = None
+    for seed in range(4):
+        w, dw, realized = _realized(name, seed)
+        pair = cartan_subalgebras(realized)
+        ring, fusion_report = fusion_ring(realized)
+        assert check_pairing(w, dw).passed, seed
+        found = (
+            realized.algebra.block_shape,
+            verify_weak_kac(realized).passed,
+            pair.report.passed,
+            pair.source_shape,
+            pair.target_shape,
+            fusion_report.passed,
+        )
+        assert found[1:3] == (True, True), seed
+        if first is None:
+            first, table = found, ring.table
+            continue
+        assert found == first, seed
+        assert any(
+            np.array_equal(table[np.ix_(s, s, s)], ring.table)
+            for s in _relabelings(found[0])
+        ), seed

@@ -1,6 +1,8 @@
 """Build and verify every catalog entry, printing a summary table: dimension,
 nonzero coproduct entries, block shape, largest residual and verdict, then
-the source and target Cartan block shapes and the Cartan verdict.
+the source and target Cartan block shapes, the Cartan verdict, the
+hyper-center dimension and the number of extreme rays of the Haar trace
+cone.
 
 Usage: python scripts/run_catalog.py [--tol 1e-9] [--no-duals] [--no-twists]
 Exits nonzero if any entry fails its axiom suite.
@@ -10,7 +12,14 @@ import argparse
 import sys
 import time
 
-from wka import Tolerance, cartan_subalgebras, catalog, verify_weak_kac
+from wka import (
+    Tolerance,
+    cartan_subalgebras,
+    catalog,
+    haar_trace_cone,
+    hyper_center,
+    verify_weak_kac,
+)
 
 
 def main(argv=None) -> int:
@@ -38,10 +47,13 @@ def main(argv=None) -> int:
             for s in (w.algebra.block_shape, pair.source_shape, pair.target_shape)
         )
         nnz = w.coproduct_nonzeros[0].size
+        hyper = hyper_center(w, tol=tol).dim
+        rays, _ = haar_trace_cone(w, tol=tol)
         print(
             f"{entry.name:<{width}}  dim {w.dim:>3}  nnz {nnz:>6}  blocks ({shape})"
             f"  residual {rep.max_residual:9.2e}  {verdict}"
             f"  cartan ({source}) -> ({target})  {cartan}"
+            f"  hyper-center {hyper}  rays {len(rays)}"
         )
         failures += 0 if rep.passed else 1
     elapsed = time.perf_counter() - t0

@@ -168,10 +168,6 @@ class FdAlgebra:
     def mul(self, x, y) -> np.ndarray:
         return self.from_matrix(self.to_matrix(x) @ self.to_matrix(y))
 
-    def mul2(self, cx, cy) -> np.ndarray:
-        """Product of two elements of M (x) M given as coefficient matrices."""
-        return self.from_matrix2(self.to_matrix2(cx) @ self.to_matrix2(cy))
-
     def star(self, coeffs) -> np.ndarray:
         return np.conj(np.asarray(coeffs, dtype=complex))[self.star_index]
 
@@ -381,13 +377,9 @@ class SubalgebraBasis:
 
 def commutant(sub: SubalgebraBasis, tol=None) -> SubalgebraBasis:
     """Elements commuting with every generator of the given subspace."""
-    alg = sub.parent
-    rows = []
-    for i in range(sub.dim):
-        v = sub.basis[:, i]
-        rows.append(alg.lmat(v) - alg.rmat(v))
-    ns = nullspace(np.vstack(rows), as_tol(tol))
-    return SubalgebraBasis(alg, ns, tol, orthonormalize=False)
+    alg, b = sub.parent, sub.basis
+    rows = (alg.lmat(b.T) - alg.rmat(b.T)).reshape(-1, alg.dim)
+    return SubalgebraBasis(alg, nullspace(rows, as_tol(tol)), tol, orthonormalize=False)
 
 
 def center(alg: FdAlgebra) -> SubalgebraBasis:

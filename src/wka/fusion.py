@@ -89,16 +89,12 @@ def counital_representation(w: WeakKac, tol=None):
     """
     tol = as_tol(tol)
     alg = w.algebra
-    eps = w.counit_functional()
     rep = VerificationReport("counital representation", tol)
 
     _, nt, _, _ = _cartan_spans(w, tol)
     b = nt.basis
     k = nt.dim
-    stars = np.stack([alg.star(b[:, r]) for r in range(k)], axis=1)
-    gram = np.array(
-        [[eps(alg.mul(stars[:, r], b[:, s])) for s in range(k)] for r in range(k)]
-    )
+    gram = alg.star(b).T @ w.eps_mult @ b
     herm = max_abs(gram - dagger(gram))
     gram = (gram + dagger(gram)) / 2
     evals = np.linalg.eigvalsh(gram)
@@ -111,12 +107,7 @@ def counital_representation(w: WeakKac, tol=None):
         )
 
     et = w.eps_t_matrix
-    images = np.stack(
-        [
-            np.stack([et @ alg.mul(np.eye(alg.dim)[a], b[:, s]) for s in range(k)], axis=1)
-            for a in range(alg.dim)
-        ]
-    )  # [a, coeff, s]
+    images = et @ alg.lmat(np.eye(alg.dim)) @ b  # [a, coeff, s]
     pis = np.einsum("cr,acs->ars", np.conj(b), images, optimize=True)
     rep.add(
         "action_lands_in_cartan",

@@ -5,6 +5,10 @@ they span, the conditional expectations onto the Cartan subalgebras, and
 the predicate that a faithful trace makes the bialgebra a generalized
 Kac algebra.  Everything is computed in coefficient space over the
 matrix-unit basis.
+
+Each structure is solved once per algebra and tolerance: the Haar
+projection equations, and the null space of the Haar trace conditions
+that the normalized trace, its check and the trace cone all read.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from .algebra import (
 from .errors import NonUnique, NoSolution, NotFaithful, NotTracial
 from .report import VerificationReport
 from .tensorkit import (
+    AffineSpace,
     Inconsistent,
     Tolerance,
     as_tol,
@@ -32,7 +37,7 @@ from .tensorkit import (
     solve_affine_space,
     subspace_distance,
 )
-from .weakkac import WeakKac, _cartan_spans
+from .weakkac import WeakKac, _cartan_spans, _join, _row_starts
 
 __all__ = [
     "haar_projection",
@@ -117,7 +122,9 @@ def check_haar_projection(w: WeakKac, tol=None):
     verifies the absorption rules on both sides, the ideal descriptions
     of M p and p M, the coproduct evaluation formula
     Delta(p) = sum_i (1/d_i) sum_kl e^i_kl (x) S(e^i_lk), its flip
-    symmetry, and the block ranks of Delta(p).
+    symmetry, and the block ranks of Delta(p).  When the equations leave
+    a family of solutions, `unique` fails and the least-norm solution is
+    the one checked and returned.
     """
     tol = as_tol(tol)
     alg = w.algebra
@@ -128,10 +135,6 @@ def check_haar_projection(w: WeakKac, tol=None):
     rep.add_flag(
         "unique", space.unique, f"null space dimension {space.null.shape[1]}"
     )
-    if not space.unique:
-        raise NonUnique(
-            f"Haar projection space has dimension {space.null.shape[1] + 1}"
-        )
     p = AlgElement(alg, space.particular)
     rep.add("solver_residual", space.residual)
     rep.add("idempotent", max_abs(alg.mul(p.coeffs, p.coeffs) - p.coeffs))
@@ -175,11 +178,9 @@ def check_haar_projection(w: WeakKac, tol=None):
 
     # coproduct of p: evaluation formula over matrix units, flip symmetry,
     # and one rank-one kron block per antipode-paired pair of blocks.
-    c = w.delta(p.coeffs)
-    dims = np.asarray(alg.block_shape, dtype=float)[alg.basis_block]
-    rhs = (w.antipode[:, alg.star_index] / dims[None, :]).T
-    rep.add("coproduct_evaluation_formula", max_abs(c - rhs))
-    rep.add("coproduct_flip_symmetric", max_abs(c - c.T))
+    c, formula, flip = _haar_projection_coproduct(w, p.coeffs)
+    rep.add("coproduct_evaluation_formula", formula)
+    rep.add("coproduct_flip_symmetric", flip)
 
     sigma = np.array(
         [
@@ -208,6 +209,17 @@ def check_haar_projection(w: WeakKac, tol=None):
     return p, rep
 
 
+def _haar_projection_coproduct(w: WeakKac, p: np.ndarray):
+    """Delta(p) with the residuals of its evaluation formula
+    Delta(p) = sum_i (1/d_i) sum_kl e^i_kl (x) S(e^i_lk) and of its flip
+    symmetry."""
+    alg = w.algebra
+    c = w.delta(p)
+    dims = np.asarray(alg.block_shape, dtype=float)[alg.basis_block]
+    formula = (w.antipode[:, alg.star_index] / dims[None, :]).T
+    return c, max_abs(c - formula), max_abs(c - c.T)
+
+
 def _tracial_rows(alg) -> np.ndarray:
     """Rows (a, b) -> b_a b_b - b_b b_a acting on a functional, scattered
     over the product triples."""
@@ -218,69 +230,86 @@ def _tracial_rows(alg) -> np.ndarray:
     return rows.reshape(alg.dim * alg.dim, alg.dim)
 
 
-def _haar_trace_rows(w: WeakKac, tol: Tolerance) -> np.ndarray:
-    """Homogeneous part of the Haar trace conditions, rows acting on phi.
+def _haar_trace_rows(w: WeakKac, phis: np.ndarray) -> np.ndarray:
+    """The homogeneous Haar trace conditions on the functionals in the
+    columns of phis, one row per condition; on the identity, their matrix.
 
     (id (x) phi) Delta = (eps_t (x) phi) Delta, phi tracial, phi o S = phi.
     """
-    alg = w.algebra
-    t = w.coproduct
-    et = w.eps_t_matrix
-    dim = alg.dim
-    proj = np.eye(dim) - et
-    invariance = np.concatenate([proj @ t[a] for a in range(dim)], axis=0)
-    tracial = _tracial_rows(alg)
+    dim = w.dim
+    proj = np.eye(dim) - w.eps_t_matrix
+    invariance = (proj @ (w.coproduct @ phis)).reshape(dim * dim, -1)
     sinv = w.antipode.T - np.eye(dim)
-    return np.vstack([invariance, tracial, sinv])
+    return np.vstack([invariance, _tracial_rows(w.algebra) @ phis, sinv @ phis])
+
+
+def _haar_trace_space(w: WeakKac, tol: Tolerance) -> np.ndarray:
+    """Orthonormal basis of the unnormalized Haar traces, the null space of
+    the trace conditions, solved once per algebra and tolerance."""
+    return w.memo(
+        ("haar_trace_space", tol),
+        lambda: nullspace(_haar_trace_rows(w, np.eye(w.dim)), tol),
+    )
+
+
+def _normalized_haar_trace_space(w: WeakKac, tol: Tolerance) -> AffineSpace:
+    """Haar traces phi with (id (x) phi)(e) = 1: the least-norm one and the
+    directions left free, solved in the coordinates of the trace space."""
+
+    def solve():
+        basis = _haar_trace_space(w, tol)
+        a = w.e_matrix @ basis
+        u, s, vh = np.linalg.svd(a, full_matrices=False)
+        rank = int(np.sum(s > tol.rank_cutoff(a.shape, s[0] if s.size else 0.0)))
+        coords = dagger(vh[:rank]) @ (dagger(u[:, :rank]) @ w.algebra.unit / s[:rank])
+        residual = max_abs(a @ coords - w.algebra.unit)
+        if residual > 10.0 * tol.abs_tol:
+            raise NoSolution(f"Haar trace equations: affine system residual {residual:.3e}")
+        return AffineSpace(basis @ coords, basis @ dagger(vh[rank:]), residual)
+
+    return w.memo(("normalized_haar_trace_space", tol), solve)
 
 
 def normalized_haar_trace(w: WeakKac, tol=None) -> Functional:
-    """Unique tracial S-invariant functional with (id (x) phi)(e) = 1,
-    solved once per algebra and tolerance."""
-    tol = as_tol(tol)
-
-    def solve():
-        rows = _haar_trace_rows(w, tol)
-        constraints = [
-            (rows, np.zeros(rows.shape[0], dtype=complex)),
-            (w.e_matrix, w.algebra.unit),
-        ]
-        try:
-            space = solve_affine_space(constraints, tol)
-        except Inconsistent as exc:
-            raise NoSolution(f"Haar trace equations: {exc}") from exc
-        if not space.unique:
-            raise NonUnique(
-                f"normalized Haar trace space has dimension {space.null.shape[1] + 1}"
-            )
-        return Functional(w.algebra, space.particular)
-
-    return w.memo(("normalized_haar_trace", tol), solve)
+    """Unique tracial S-invariant functional with (id (x) phi)(e) = 1."""
+    space = _normalized_haar_trace_space(w, as_tol(tol))
+    if not space.unique:
+        raise NonUnique(
+            f"normalized Haar trace space has dimension {space.null.shape[1] + 1}"
+        )
+    return Functional(w.algebra, space.particular)
 
 
 def check_normalized_haar_trace(w: WeakKac, tol=None):
     """Normalized Haar trace plus a report on its defining properties.
 
     Includes the cross-check against the Haar projection of the dual
-    algebra carried back through the canonical pairing.
+    algebra carried back through the canonical pairing.  When the trace
+    conditions leave a family of solutions, `unique` fails, the least-norm
+    solution is checked and returned, and the report ends before the
+    cross-check, since `dual` raises on such inputs.
     """
     tol = as_tol(tol)
     alg = w.algebra
     rep = VerificationReport("normalized Haar trace", tol)
-    phi = normalized_haar_trace(w, tol)
-    rep.add_flag("unique", True, "affine solution space is a point")
+    space = _normalized_haar_trace_space(w, tol)
+    phi = Functional(alg, space.particular)
+    rep.add_flag(
+        "unique",
+        space.unique,
+        "affine solution space is a point" if space.unique
+        else f"null space dimension {space.null.shape[1]}",
+    )
 
     pairing = phi.pairing()
     rep.add("tracial", max_abs(pairing - pairing.T))
     rep.add("antipode_invariant", max_abs(w.antipode.T @ phi.vec - phi.vec))
     rep.add("normalized", max_abs(w.e_matrix @ phi.vec - alg.unit))
-    t = w.coproduct
-    et = w.eps_t_matrix
-    worst = max(
-        max_abs((t[a] - et @ t[a]) @ phi.vec) for a in range(alg.dim)
-    )
-    rep.add("invariance", worst)
+    t_phi = w.coproduct @ phi.vec  # row a: (id (x) phi) Delta(b_a)
+    rep.add("invariance", max_abs(t_phi - t_phi @ w.eps_t_matrix.T))
     rep.add_flag("faithful_positive", phi.is_faithful_positive(tol))
+    if not space.unique:
+        return phi, rep
 
     from .duality import dual  # deferred: duality builds on this module
 
@@ -321,12 +350,12 @@ def _haar_trace_cone(w: WeakKac, tol: Tolerance):
         r = dw.algebra.mul(dw.algebra.block_identity(i), p_hat.coeffs)
         if max_abs(r) > tol.abs_tol:
             funcs.append(Functional(alg, dw.meta["from_canonical"] @ r))
-    rows = _haar_trace_rows(w, tol)
+    solution = _haar_trace_space(w, tol)
     rays = []
     if funcs:
         gens = np.stack([f.vec for f in funcs], axis=1)
         m = gens.shape[1]
-        lam_space = nullspace(rows @ gens, tol)
+        lam_space = nullspace(_haar_trace_rows(w, gens), tol)
         proj = lam_space @ dagger(lam_space)
         cut = tol.rank_cutoff(proj.shape, max(1.0, max_abs(proj)))
         # coupled classes = connected components of the coefficient projector
@@ -365,7 +394,6 @@ def _haar_trace_cone(w: WeakKac, tol: Tolerance):
             ),
         )
 
-    solution = nullspace(rows, tol)
     rep.add_flag(
         "ray_count_matches_solution_space",
         len(rays) == solution.shape[1],
@@ -374,7 +402,7 @@ def _haar_trace_cone(w: WeakKac, tol: Tolerance):
     )
     if rays:
         stack = np.stack([r.vec for r in rays], axis=1)
-        rep.add("rays_satisfy_trace_conditions", max_abs(rows @ stack), scale=10)
+        rep.add("rays_satisfy_trace_conditions", max_abs(_haar_trace_rows(w, stack)), scale=10)
         rep.add("rays_span_solution_space", subspace_distance(stack, solution))
         for k, r in enumerate(rays):
             g = r.gram()
@@ -418,11 +446,10 @@ def haar_conditional_expectations(
     one_x_e = alg.basis_products(e, leg=1, left=True)
     e_one_x = alg.basis_products(e, leg=1, left=False)
 
-    e_t = np.stack([t[a] @ phi.vec for a in range(dim)], axis=1)
-    e_s = np.stack([t[a].T @ phi.vec for a in range(dim)], axis=1)
+    e_t = (t @ phi.vec).T
+    e_s = (phi.vec @ t).T
     # E_t(b_a) = S (id (x) phi)((1 (x) b_a) e)
-    alt = np.stack([smat @ (one_x_e[a] @ phi.vec) for a in range(dim)], axis=1)
-    rep.add("target_formulas_agree", max_abs(e_t - alt))
+    rep.add("target_formulas_agree", max_abs(e_t - smat @ (one_x_e @ phi.vec).T))
 
     ns, nt, _, _ = _cartan_spans(w, tol)
     rep.extend(
@@ -434,16 +461,11 @@ def haar_conditional_expectations(
         prefix="source.",
     )
 
-    worst_t = max(
-        max_abs(t[a] @ e_t.T - np.einsum("m,mpq->pq", e_t[:, a], t))
-        for a in range(dim)
-    )
-    rep.add("target_intertwines_coproduct", worst_t, scale=10)
-    worst_s = max(
-        max_abs(e_s @ t[a] - np.einsum("m,mpq->pq", e_s[:, a], t))
-        for a in range(dim)
-    )
-    rep.add("source_intertwines_coproduct", worst_s, scale=10)
+    # (id (x) E_t) Delta = Delta E_t and (E_s (x) id) Delta = Delta E_s
+    intertwine_t = max_abs(t @ e_t.T - np.tensordot(e_t, t, (0, 0)))
+    rep.add("target_intertwines_coproduct", intertwine_t, scale=10)
+    intertwine_s = max_abs(e_s @ t - np.tensordot(e_s, t, (0, 0)))
+    rep.add("source_intertwines_coproduct", intertwine_s, scale=10)
     rep.add("antipode_exchange", max_abs(e_t @ smat - smat @ e_s))
 
     rng = np.random.default_rng((0xF11B, seed))
@@ -465,16 +487,11 @@ def haar_conditional_expectations(
         check_conditional_expectation(eo_t, nt_comm, tol=tol, seed=seed),
         prefix="relative.",
     )
-    worst_l = worst_r = 0.0
-    for a in range(dim):
-        sandwich = alg.mul2(e_one_x[a], e)
-        z = eo_t[:, a]
-        right = e @ alg.rmat(z).T
-        left = e @ alg.lmat(z).T
-        worst_l = max(worst_l, max_abs(sandwich - right))
-        worst_r = max(worst_r, max_abs(sandwich - left))
-    rep.add("relative_right_sandwich", worst_l, scale=10)
-    rep.add("relative_left_sandwich", worst_r, scale=10)
+    # e (1 (x) b_a) e = e (1 (x) z_a) = (1 (x) z_a) e with z_a = Eo_t(b_a)
+    sandwiches = _sandwiches(alg, e)
+    for name, stack in (("right", e_one_x), ("left", one_x_e)):
+        residual = max_abs(sandwiches - np.tensordot(eo_t, stack, (0, 0)))
+        rep.add(f"relative_{name}_sandwich", residual, scale=10)
 
     cone, _ = haar_trace_cone(w, tol)
     worst_cone = max(
@@ -491,6 +508,30 @@ def haar_conditional_expectations(
     return e_t, e_s, eo_t, rep
 
 
+def _sandwiches(alg, c) -> np.ndarray:
+    """Stack over the basis of C (1 (x) b_a) C for an element C of M (x) M,
+    given as its coefficient matrix, by one join over the nonzeros of C.
+
+    Terms v b_i (x) b_j and v' b_k (x) b_l of C meet where col(b_i) =
+    row(b_k); then b_j b_a b_l is nonzero for the one matrix unit b_a from
+    col(b_j) to row(b_l), if those lie in one block.
+    """
+    n = alg.matrix_size
+    rows, cols = alg.basis_row, alg.basis_col
+    units = np.full((n, n), -1)  # basis index of the matrix unit at (row, col)
+    units[rows, cols] = np.arange(alg.dim)
+    i, j = np.nonzero(c)
+    order = np.argsort(rows[i], kind="stable")
+    f, s = _join(cols[i], _row_starts(rows[i][order], n))
+    s = order[s]
+    a = units[cols[j[f]], rows[j[s]]]
+    f, s, a = f[a >= 0], s[a >= 0], a[a >= 0]
+    out = np.zeros((alg.dim, alg.dim, alg.dim), dtype=complex)
+    keys = (a, units[rows[i[f]], cols[i[s]]], units[rows[j[f]], cols[j[s]]])
+    np.add.at(out, keys, c[i[f], j[f]] * c[i[s], j[s]])
+    return out
+
+
 def check_generalized_kac(data, phi: Functional, tol=None) -> VerificationReport:
     """Verify that a faithful trace phi is a Haar trace for (M, Delta, S).
 
@@ -503,7 +544,6 @@ def check_generalized_kac(data, phi: Functional, tol=None) -> VerificationReport
     tol = as_tol(tol)
     w = _as_weak_kac(data)
     alg = w.algebra
-    dim = alg.dim
 
     pairing = phi.pairing()
     asym = max_abs(pairing - pairing.T)
@@ -527,20 +567,15 @@ def check_generalized_kac(data, phi: Functional, tol=None) -> VerificationReport
 
     theta = regular_trace(alg)
     e_x_one = alg.basis_products(w.e_matrix, leg=0, left=False)  # e (b_a (x) 1)
-    worst = max(
-        max_abs(t[a].T @ theta.vec - smat @ (e_x_one[a].T @ theta.vec))
-        for a in range(dim)
-    )
+    worst = max_abs(theta.vec @ t - (theta.vec @ e_x_one) @ smat.T)
     rep.add("regular_trace_identity", worst, scale=10)
 
     p = haar_projection(w, tol)
-    c = w.delta(p.coeffs)
+    c, formula, flip = _haar_projection_coproduct(w, p.coeffs)
     rep.add("regular_trace_left_unit", max_abs(c.T @ theta.vec - alg.unit))
     rep.add("regular_trace_right_unit", max_abs(c @ theta.vec - alg.unit))
-    dims = np.asarray(alg.block_shape, dtype=float)[alg.basis_block]
-    rhs_mat = (smat[:, alg.star_index] / dims[None, :]).T
-    rep.add("haar_projection_coproduct", max_abs(c - rhs_mat))
-    rep.add("haar_projection_flip", max_abs(c - c.T))
+    rep.add("haar_projection_coproduct", formula)
+    rep.add("haar_projection_flip", flip)
     return rep
 
 

@@ -568,17 +568,11 @@ def cartan_subalgebras(w: WeakKac, tol=None) -> CartanPair:
         scale=10,
     )
 
-    worst_s = 0.0
-    for i in range(ns.dim):
-        v = ns.basis[:, i]
-        dv = w.delta(v)
-        rv = alg.rmat(v)
-        worst_s = max(worst_s, max_abs(dv - e @ rv.T), max_abs(dv - e @ alg.lmat(v).T))
-    worst_t = 0.0
-    for i in range(nt.dim):
-        v = nt.basis[:, i]
-        dv = w.delta(v)
-        worst_t = max(worst_t, max_abs(dv - alg.rmat(v) @ e), max_abs(dv - alg.lmat(v) @ e))
+    # stacks over the basis v of each span: Delta(v), L_v and R_v
+    ds, dt = (np.tensordot(sub.basis, w.coproduct, (0, 0)) for sub in (ns, nt))
+    ls, rs, lt, rt = (op(sub.basis.T) for sub in (ns, nt) for op in (alg.lmat, alg.rmat))
+    worst_s = max(max_abs(ds - e @ rs.transpose(0, 2, 1)), max_abs(ds - e @ ls.transpose(0, 2, 1)))
+    worst_t = max(max_abs(dt - rt @ e), max_abs(dt - lt @ e))
     if max(worst_s, worst_t) > 1e-5:
         raise CartanMismatch(
             f"defining relations fail: N_s {worst_s:.2e}, N_t {worst_t:.2e}"
@@ -589,14 +583,7 @@ def cartan_subalgebras(w: WeakKac, tol=None) -> CartanPair:
     rep.add("source_closed", ns.closure_residual(), scale=100)
     rep.add("target_closed", nt.closure_residual(), scale=100)
 
-    worst = 0.0
-    for i in range(ns.dim):
-        ln = alg.lmat(ns.basis[:, i])
-        rn = alg.rmat(ns.basis[:, i])
-        for j in range(nt.dim):
-            v = nt.basis[:, j]
-            worst = max(worst, max_abs(ln @ v - rn @ v))
-    rep.add("cartans_commute", worst, scale=100)
+    rep.add("cartans_commute", max_abs((ls - rs) @ nt.basis), scale=100)
 
     rep.add(
         "antipode_swaps_cartans",
@@ -607,27 +594,21 @@ def cartan_subalgebras(w: WeakKac, tol=None) -> CartanPair:
     ps, pt = ns.projector(), nt.projector()
     rep.add("e_in_ns_tensor_nt", max_abs(e - ps @ e @ pt.T), scale=100)
 
-    bio = np.array(
-        [[w.counit @ alg.mul(y, x) for x in xs] for y in ys]
-    )
+    # eps(y_r x_s) and eps(x_s y_r), rows r and columns s
+    xmat, ymat = np.stack(xs, axis=1), np.stack(ys, axis=1)
+    bio = ymat.T @ w.eps_mult @ xmat
     rep.add("biorthogonal", max_abs(bio - np.eye(len(xs))), scale=100)
-    bio2 = np.array(
-        [[w.counit @ alg.mul(x, y) for y in ys] for x in xs]
-    ).T
+    bio2 = ymat.T @ w.eps_mult.T @ xmat
     rep.add("biorthogonal_reversed", max_abs(bio2 - np.eye(len(xs))), scale=100)
 
     rep.add("coproduct_of_e", _coproduct_of_e_residual(w), scale=10)
 
-    worst = 0.0
-    for j in range(nt.dim):
-        n = nt.basis[:, j]
-        sn = w.antipode @ n
-        worst = max(
-            worst,
-            max_abs(alg.rmat(sn) @ e - e @ alg.rmat(n).T),
-            max_abs(alg.lmat(sn) @ e - e @ alg.lmat(n).T),
-        )
-    rep.add("e_exchanges_target_factors", worst, scale=100)
+    st = (w.antipode @ nt.basis).T  # S(v) over the basis v of N_t
+    exchange = max(
+        max_abs(alg.rmat(st) @ e - e @ rt.transpose(0, 2, 1)),
+        max_abs(alg.lmat(st) @ e - e @ lt.transpose(0, 2, 1)),
+    )
+    rep.add("e_exchanges_target_factors", exchange, scale=100)
 
     src = _subalgebra_realization(ns, tol)
     tgt = _subalgebra_realization(nt, tol)
@@ -798,8 +779,13 @@ def check_kac_bimodule(
     rep.add("eps_t_unital", max_abs(et @ alg.unit - alg.unit), scale=10)
     rep.add("eps_s_unital", max_abs(es @ alg.unit - alg.unit), scale=10)
 
-    nt = _membrane(w, side="t", tol=tol)
-    ns = _membrane(w, side="s", tol=tol)
+    # N_t: Delta(x) = e (x (x) 1) = (x (x) 1) e; N_s: the same on the second
+    # leg; each is the null space of its defining relations, columns index x
+    nt, ns = (
+        nullspace(np.hstack([(w.coproduct - alg.basis_products(e, leg, left)).reshape(alg.dim, -1)
+                             for left in (False, True)]).T, tol)
+        for leg in (0, 1)
+    )
     rep.add("eps_t_range_in_cartan", subspace_contains(nt, et), scale=100)
     rep.add("eps_s_range_in_cartan", subspace_contains(ns, es), scale=100)
     rep.add("target_cartan_closed", SubalgebraBasis(alg, nt, tol).closure_residual(), scale=100)
@@ -834,17 +820,6 @@ def check_kac_bimodule(
     return rep, func
 
 
-def _membrane(w: WeakKac, side: str, tol: Tolerance) -> np.ndarray:
-    """Basis of N_t (side='t') or N_s (side='s') by their defining relations."""
-    alg, e, t = w.algebra, w.e_matrix, w.coproduct
-    # N_t: Delta(x) = e (x (x) 1) = (x (x) 1) e; N_s: the same on the second leg
-    leg = 0 if side == "t" else 1
-    blocks = [t - alg.basis_products(e, leg, left) for left in (False, True)]
-    # columns index the unknown x over the basis
-    sys = np.concatenate([b.reshape(alg.dim, -1) for b in blocks], axis=1).T
-    return nullspace(sys, tol)
-
-
 def _regular_trace_on_span(alg: FdAlgebra, span: np.ndarray) -> np.ndarray:
     """Covector x -> theta(P x) on M, for theta the regular trace of the
     subalgebra with orthonormal basis `span` and P the projection onto it."""
@@ -858,9 +833,11 @@ def _regular_trace_on_span(alg: FdAlgebra, span: np.ndarray) -> np.ndarray:
 
 
 def hyper_center(w: WeakKac, tol=None) -> SubalgebraBasis:
-    """N_s intersect N_t intersect Z(M), the obstruction to indecomposability."""
+    """N_s intersect N_t intersect Z(M), the obstruction to indecomposability,
+    from the Cartan spans of the factorization of e."""
     tol = as_tol(tol)
-    spans = [_membrane(w, "t", tol), _membrane(w, "s", tol), center(w.algebra).basis]
+    ns, nt, _, _ = _cartan_spans(w, tol)
+    spans = [nt.basis, ns.basis, center(w.algebra).basis]
     return SubalgebraBasis(w.algebra, intersect_subspaces(spans, tol), tol, orthonormalize=False)
 
 

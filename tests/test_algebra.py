@@ -20,7 +20,7 @@ from wka import (
     wedderburn_realize,
 )
 from wka.errors import NotSemisimple, NotStarClosed, WkaError
-from wka.haar import _tracial_rows
+from wka.haar import _sandwiches, _tracial_rows
 from wka.tensorkit import dagger, max_abs, subspace_distance
 
 SHAPES = [(1,), (2,), (1, 1), (1, 2), (2, 2), (1, 1, 3)]
@@ -58,6 +58,13 @@ def test_product_scatters_match_dense_structure_constants(shape):
         assert np.array_equal(alg.basis_products(c, leg, left), dense), (leg, left)
     commutators = (mult - mult.transpose(1, 0, 2)).reshape(alg.dim * alg.dim, alg.dim)
     assert np.array_equal(_tracial_rows(alg), commutators)
+    # the join C (1 (x) b_a) C against the product of concrete N^2 x N^2
+    # matrices; integer coefficients make every sum exact in any order
+    c = rng.integers(-3, 4, (alg.dim, alg.dim)) + 1j * rng.integers(-3, 4, (alg.dim, alg.dim))
+    c[rng.random(c.shape) < 0.3] = 0
+    c_one_x = alg.basis_products(c, leg=1, left=False)
+    concrete = [alg.from_matrix2(alg.to_matrix2(c_one_x[a]) @ alg.to_matrix2(c)) for a in range(alg.dim)]
+    assert np.array_equal(_sandwiches(alg, c), np.stack(concrete))
 
 
 @pytest.mark.parametrize("shape", SHAPES)

@@ -136,18 +136,28 @@ def test_haar_structures_realize_the_dual_once(monkeypatch):
 
 
 def test_haar_trace_cone_is_solved_once(monkeypatch):
+    # the matrix of the trace conditions is formed and solved once, and the
+    # normalized trace, its check and the cone all read that one null space
     w = cube_family(2)
-    normalized_haar_trace(w)  # solves its own trace rows once
-    real, calls = haar._haar_trace_rows, []
+    real_rows, real_null, rows, solves = haar._haar_trace_rows, haar.nullspace, [], []
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counting_rows(w, *args):
+        out = real_rows(w, *args)
+        if out.shape[1] == w.dim:  # the whole matrix, not a few functionals
+            rows.append(out)
+        return out
 
-    monkeypatch.setattr(haar, "_haar_trace_rows", counting)
+    def counting_null(a, *args, **kwargs):
+        solves.extend(1 for r in rows if a is r)
+        return real_null(a, *args, **kwargs)
+
+    monkeypatch.setattr(haar, "_haar_trace_rows", counting_rows)
+    monkeypatch.setattr(haar, "nullspace", counting_null)
+    normalized_haar_trace(w)
+    check_normalized_haar_trace(w)
     rays, rep = haar_trace_cone(w)
     haar_conditional_expectations(w)
-    assert len(calls) == 1
+    assert (len(rows), len(solves)) == (1, 1)
     assert haar_trace_cone(w)[1] is rep
 
 

@@ -14,8 +14,8 @@ from wka import (
     haar_trace_cone,
     normalized_haar_trace,
 )
-from wka.algebra import Functional, block_trace, regular_trace
-from wka.errors import NotFaithful, NotTracial
+from wka.algebra import Functional, block_trace, make_algebra, regular_trace
+from wka.errors import NonUnique, NotFaithful, NotTracial
 from wka.haar import (
     check_generalized_kac,
     check_haar_projection,
@@ -24,7 +24,7 @@ from wka.haar import (
     haar_conditional_expectations,
     operator_identities,
 )
-from wka.weakkac import cartan_subalgebras
+from wka.weakkac import WeakKac, cartan_subalgebras
 
 from conftest import get_example
 
@@ -58,6 +58,24 @@ def test_haar_projection_checks(name):
     assert rep["coproduct_block_ranks"].passed
 
 
+def test_haar_projection_unique_flag_fails_on_a_solution_family():
+    # a 0/1 coproduct on M_2 with S = id and counit (1, 1, 1, 1), found by a
+    # seeded search over such tensors: the Haar projection equations are
+    # consistent but leave a line of solutions
+    t = np.zeros((4, 4, 4))
+    for i, j, k in [
+        (0, 0, 0), (0, 0, 2), (0, 2, 2), (1, 1, 0), (1, 1, 3), (1, 2, 0),
+        (2, 0, 2), (2, 3, 1), (3, 1, 0), (3, 1, 2), (3, 2, 1),
+    ]:
+        t[i, j, k] = 1.0
+    w = WeakKac(make_algebra((2,)), t, np.eye(4), np.ones(4))
+    p, rep = check_haar_projection(w)
+    assert not rep["unique"].passed
+    assert rep["solver_residual"].passed
+    with pytest.raises(NonUnique):
+        haar_projection(w)
+
+
 def test_support_oracle_equals_equation_solution():
     w = get_example("cube2")
     assert (
@@ -84,6 +102,20 @@ def test_normalized_haar_trace_checks(name):
     assert rep["unique"].passed
     assert rep["matches_dual_haar_projection"].passed
     assert np.abs(phi.vec - normalized_haar_trace(w).vec).max() < 1e-12
+
+
+def test_normalized_trace_unique_flag_fails_on_a_trace_family():
+    # C^2 with Delta(b_a) = b_a (x) 1, S = id and counit (1, 1): every
+    # functional with phi(1) = 1 is a normalized trace
+    t = np.zeros((2, 2, 2))
+    t[0, 0, :] = t[1, 1, :] = 1.0
+    w = WeakKac(make_algebra((1, 1)), t, np.eye(2), np.ones(2))
+    phi, rep = check_normalized_haar_trace(w)
+    assert not rep["unique"].passed
+    assert "matches_dual_haar_projection" not in [c.name for c in rep.checks]
+    assert np.abs(phi.vec - 0.5).max() < 1e-12  # the least-norm solution
+    with pytest.raises(NonUnique, match="dimension 2"):
+        normalized_haar_trace(w)
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -9,6 +9,7 @@ from wka import (
     cartan_subalgebras,
     catalog,
     check_kac_bimodule,
+    cube_family,
     check_morphism,
     counital_maps,
     counital_quotient,
@@ -299,6 +300,26 @@ def test_hyper_center_trivial_for_elementary_and_cube():
     assert hyper_center(get_example("elem_12")).dim == 1
     assert hyper_center(get_example("cube2")).dim == 1
     assert decompose_if_split(get_example("cube2")) is None
+
+
+def test_hyper_center_reads_the_cartan_spans(monkeypatch):
+    # N_s and N_t come from the factorization of e, not from a second solve
+    # of their defining relations
+    w = cube_family(2)
+    real_spans, real_null, spans, solves = weakkac._cartan_spans, weakkac.nullspace, [], []
+
+    def counting_spans(*args, **kwargs):
+        spans.append(1)
+        return real_spans(*args, **kwargs)
+
+    def counting_null(*args, **kwargs):
+        solves.append(1)
+        return real_null(*args, **kwargs)
+
+    monkeypatch.setattr(weakkac, "_cartan_spans", counting_spans)
+    monkeypatch.setattr(weakkac, "nullspace", counting_null)
+    assert hyper_center(w).dim == 1
+    assert (len(spans), len(solves)) == (1, 0)
 
 
 def test_direct_sum_splits_back():

@@ -10,10 +10,12 @@ The product of both kinds of algebra is held one way, as its nonzero
 triples: b_p b_q = b_m for FdAlgebra.products, and b_p b_q = sum of v b_m
 for the (p, q, m, v) of an abstract presentation (StarAlgebraData: product
 triples + involution + unit + a positive GNS functional).
-wedderburn_realize brings a presentation to the canonical form: it
-scatters the triples once into the left multiplications, represents them
-on the GNS space, works on those operators, and pulls an operator back to
-abstract coordinates through the cyclic vector of the unit.
+wedderburn_realize brings a presentation to the canonical form.  A
+principal groupoid basis is rescaled into matrix units, a monomial change
+of basis; any other basis is split on the GNS space: the left
+multiplications are represented there, the matrix units are found among
+those operators, and an operator is pulled back to abstract coordinates
+through the cyclic vector of the unit.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .tensorkit import (
     Tolerance,
     as_tol,
     dagger,
+    difference_max_abs,
     max_abs,
     nullspace,
     numerical_rank,
@@ -501,19 +504,32 @@ def wedderburn_realize(
 ) -> WedderburnRealization:
     """Find block sizes and explicit matrix units for an abstract *-algebra.
 
-    Strategy: scatter the product triples once into the left
-    multiplications lt[a] = L_{b_a}; GNS-orthonormalize with the supplied
-    positive form so that pi(x) = C L_x C^{-1} (C the hermitian Cholesky
-    factor) is a faithful *-representation; split the center with the
-    spectral projections of a seeded random self-adjoint central element;
+    Both routes first scatter the product triples once into the left
+    multiplications lt[a] = L_{b_a}, check the unit, the involution and
+    associativity, and require the GNS form phi(b_a* b_b) of the supplied
+    positive functional to be hermitian and positive definite.
+
+    A principal groupoid basis (see _groupoid_matrix_units), such as the
+    morphisms of a principal groupoid, the duals of the cube family and of
+    the elementary algebras, or a crossed product by a free action, is
+    realized by rescaling: every matrix unit is a multiple of one basis
+    element, so the map is monomial and does not depend on seed.  Equal-size
+    blocks are ordered by their smallest unit index.
+
+    Any other basis, for example one with isotropy (a group algebra, the
+    dual of a commutative algebra), takes the seeded split, the only route
+    whose result depends on seed: pi(x) = C L_x C^{-1} (C the hermitian Cholesky factor of
+    the GNS form) is a faithful *-representation; the spectral projections
+    of a seeded random self-adjoint central element split the center;
     inside each block, spectral projections of a random self-adjoint
     element give minimal projections, and polar-normalized corner elements
     q_1 r q_k complete them to matrix units.  Operators are pulled back
     through the cyclic vector C 1, since pi(x) C 1 = C x, and must lie in
     pi(M) to within the membership residual.
 
-    Raises NotSemisimple when the GNS form is degenerate and NotStarClosed
-    when the involution axioms fail.
+    On both routes the transported product, involution and unit must match
+    the canonical ones.  Raises NotSemisimple when the GNS form is
+    degenerate and NotStarClosed when the involution axioms fail.
     """
     tol = as_tol(tol)
     rng = np.random.default_rng((0x5EED, seed))
@@ -532,6 +548,110 @@ def wedderburn_realize(
     evals = np.linalg.eigvalsh(gram)
     if evals[0] <= tol.rank_cutoff(gram.shape, max(evals[-1], 1.0)):
         raise NotSemisimple(f"GNS form degenerate (min eigenvalue {evals[0]:.2e})")
+
+    target, wmat, winv = _groupoid_matrix_units(data) or _split_matrix_units(
+        data, lt, gram, tol, rng
+    )
+    residual = _realization_residual(data, lt, target, wmat, winv)
+    if residual > 1e-7:
+        raise WkaError(f"realization round-trip residual {residual:.2e}")
+    return WedderburnRealization(
+        algebra=target, to_canonical=winv, from_canonical=wmat, residual=residual
+    )
+
+
+def _groupoid_matrix_units(data: StarAlgebraData):
+    """(algebra, wmat, winv) of the rescaled basis when the basis of data is
+    a principal groupoid basis, else None; O(nnz) in the product triples.
+
+    The basis is one when each product b_p b_q is a multiple of one basis
+    element or zero, the star maps each b_x to a multiple s_x b_sigma(x),
+    and the units (the u with b_u b_u = c_u b_u) give each x exactly one
+    target t (b_t b_x ~ b_x) and one source s (b_x b_s ~ b_x), with
+    (t, s) determining x and each class of units complete: the class sizes
+    squared sum to the dimension.  The products and the star must follow
+    the pair groupoid of each class, (t, s)(s, r) = (t, r) and
+    (t, s)* ~ (s, t), and every composable pair must multiply to nonzero.
+
+    With r the smallest unit of its class, b_x* b_x = k_x b_s / c_s and
+    e_ur = b_x / sqrt(k_x) for the x from u to r; then e_uv = e_ur e_vr*.
+    """
+    dim = data.dim
+    p, q, m, v = data.products
+    key, inv = np.unique((p * dim + q) * dim + m, return_inverse=True)
+    val = np.zeros(key.size, dtype=complex)
+    np.add.at(val, inv, v)
+    key, val = key[val != 0], val[val != 0]
+    pq, m = np.divmod(key, dim)
+    if np.any(pq[1:] == pq[:-1]):
+        return None
+    p, q = np.divmod(pq, dim)
+    sigma = np.argmax(data.star != 0, axis=0)
+    s = data.star[sigma, np.arange(dim)]
+    if np.count_nonzero(data.star) != dim or not s.all():
+        return None
+
+    is_unit = np.zeros(dim, dtype=bool)
+    is_unit[p[(p == q) & (q == m)]] = True
+    left, right = is_unit[p] & (m == q), is_unit[q] & (m == p)
+    once = np.ones(dim, dtype=np.int64)
+    if not (
+        np.array_equal(np.bincount(q[left], minlength=dim), once)
+        and np.array_equal(np.bincount(p[right], minlength=dim), once)
+    ):
+        return None
+    target, source = np.empty(dim, dtype=np.int64), np.empty(dim, dtype=np.int64)
+    target[q[left]], source[p[right]] = p[left], q[right]
+    pair = target * dim + source
+    root = np.full(dim, dim)
+    np.minimum.at(root, target, source)
+    roots, sizes = np.unique(root[is_unit], return_counts=True)
+    if not (
+        np.all(np.diff(np.sort(pair)) != 0)
+        and np.array_equal(root[target], root[source])
+        and (sizes**2).sum() == dim
+        and (sizes**3).sum() == p.size
+        and np.array_equal(source[p], target[q])
+        and np.array_equal(pair[m], target[p] * dim + source[q])
+        and np.array_equal(pair[sigma], source * dim + target)
+    ):
+        return None
+
+    x_of = np.empty(dim * dim, dtype=np.int64)
+    x_of[pair] = np.arange(dim)
+    at = np.empty(dim * dim, dtype=np.int64)
+    at[p * dim + q] = np.arange(p.size)
+
+    def coeff(x, y):  # b_x b_y = coeff(x, y) b_z, for composable x, y
+        return val[at[x * dim + y]]
+
+    sqrt_k = np.sqrt(s * coeff(sigma, np.arange(dim)) * coeff(source, source))
+    to_root = x_of[target * dim + root[target]]
+    from_root = x_of[source * dim + root[source]]
+    scale = (
+        s[from_root] * coeff(to_root, sigma[from_root])
+        / (sqrt_k[to_root] * np.conj(sqrt_k[from_root]))
+    )
+
+    order = np.lexsort((roots, sizes))
+    offsets = np.cumsum([0, *(sizes[order] ** 2)])
+    block, pos = np.empty(dim, dtype=np.int64), np.empty(dim, dtype=np.int64)
+    for i, r in enumerate(roots[order]):
+        members = np.flatnonzero(is_unit & (root == r))
+        block[members], pos[members] = i, np.arange(members.size)
+    size = sizes[order][block[target]]
+    canon = offsets[block[target]] + pos[target] * size + pos[source]
+    wmat = np.zeros((dim, dim), dtype=complex)
+    winv = np.zeros((dim, dim), dtype=complex)
+    wmat[np.arange(dim), canon] = scale
+    winv[canon, np.arange(dim)] = 1 / scale
+    return make_algebra(tuple(sizes[order])), wmat, winv
+
+
+def _split_matrix_units(data, lt, gram, tol, rng):
+    """(algebra, wmat, winv) from the seeded spectral split of the GNS
+    representation (see wedderburn_realize)."""
+    dim = data.dim
     chol_h = dagger(np.linalg.cholesky(gram))
     chol_h_inv = np.linalg.inv(chol_h)
     pis = chol_h @ lt @ chol_h_inv
@@ -591,17 +711,9 @@ def wedderburn_realize(
         found.append((d, z_eig, units))
 
     found.sort(key=lambda t: (t[0], t[1]))
-    target = make_algebra(tuple(t[0] for t in found))
     # abstract coords of the canonical units, one per column
     wmat = np.concatenate([t[2] for t in found], axis=0).T
-    winv = np.linalg.inv(wmat)
-
-    residual = _realization_residual(data, lt, target, wmat, winv)
-    if residual > 1e-7:
-        raise WkaError(f"realization round-trip residual {residual:.2e}")
-    return WedderburnRealization(
-        algebra=target, to_canonical=winv, from_canonical=wmat, residual=residual
-    )
+    return make_algebra(tuple(t[0] for t in found)), wmat, np.linalg.inv(wmat)
 
 
 def _block_matrix_units(data, lt, p, vi, d, represent, pull_back, rng):
@@ -659,13 +771,37 @@ def _block_matrix_units(data, lt, p, vi, d, represent, pull_back, rng):
     return pull_back(np.stack([dagger(uk) @ ul for uk in us for ul in us]), "matrix unit")
 
 
+def monomial_rows(mat: np.ndarray):
+    """(canon, scale) when the invertible matrix mat has one nonzero per
+    row, mat[x, canon[x]] = scale[x], else None.  For a change of basis
+    from_canonical this reads e_canon[x] = scale[x] b_x."""
+    if np.count_nonzero(mat) != mat.shape[0]:
+        return None
+    canon = np.argmax(mat != 0, axis=1)
+    return canon, mat[np.arange(mat.shape[0]), canon]
+
+
 def _realization_residual(data, lt, target, wmat, winv):
     """Max difference between transported and canonical structure data."""
-    # trans[a, c, b] is the coefficient of e_c in e_a e_b, carried over
-    trans = winv @ np.tensordot(wmat, lt, (0, 0)) @ wmat
     p, q, m = target.products
-    trans[p, m, q] -= 1.0
-    res = max_abs(trans)
+    dim = target.dim
+    monomial = monomial_rows(wmat)
+    if monomial is None:
+        # trans[a, c, b] is the coefficient of e_c in e_a e_b, carried over
+        trans = winv @ np.tensordot(wmat, lt, (0, 0)) @ wmat
+        trans[p, m, q] -= 1.0
+        res = max_abs(trans)
+    else:
+        # b_a b_b = v b_c moves to e_a' e_b' = v scale[a] scale[b] / scale[c] e_c'
+        canon, scale = monomial
+        a, b, c, v = data.products
+        res = difference_max_abs(
+            (
+                (canon[a] * dim + canon[b]) * dim + canon[c],
+                v * scale[a] * scale[b] / scale[c],
+            ),
+            ((p * dim + q) * dim + m, np.ones(p.size)),
+        )
     star_trans = winv @ data.star @ np.conj(wmat)
     res = max(res, max_abs(star_trans - target.star_matrix))
     res = max(res, max_abs(winv @ data.unit - target.unit))
@@ -700,13 +836,11 @@ def check_conditional_expectation(
         max_abs(emat @ alg.star_matrix - alg.star_matrix @ np.conj(emat)),
     )
 
-    worst = 0.0
-    lmats = [alg.lmat(target.basis[:, i]) for i in range(target.dim)]
-    rmats = [alg.rmat(target.basis[:, i]) for i in range(target.dim)]
-    for ln in lmats:
-        for rn in rmats:
-            mixed = ln @ rn
-            worst = max(worst, max_abs(emat @ mixed - mixed @ emat))
+    # [E, L_a R_b] = [E, L_a] R_b + L_a [E, R_b] over the pairs of target
+    # basis elements, batched over b for each a
+    lmats, rmats = alg.lmat(target.basis.T), alg.rmat(target.basis.T)
+    lcom, rcom = emat @ lmats - lmats @ emat, emat @ rmats - rmats @ emat
+    worst = max((max_abs(lc @ rmats + ln @ rcom) for ln, lc in zip(lmats, lcom)), default=0.0)
     rep.add("bimodular", worst, scale=100)
 
     rng = np.random.default_rng((0xE4, seed))

@@ -13,6 +13,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from .algebra import regular_trace
 from .catalog import CONSTRUCTOR_NAMES, build_named
 from .duality import counit_from_haar, dual, generalized_to_weak
@@ -288,6 +290,9 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
+    except np.linalg.LinAlgError as exc:
+        print(f"error: numerical failure in linear algebra: {exc}", file=sys.stderr)
+        return 2
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

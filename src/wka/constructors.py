@@ -5,7 +5,7 @@ family built from the principal groupoid, and direct sums.
 
 All constructors return WeakKac objects over canonical matrix-unit
 algebras; abstract presentations (groupoid algebras, crossed products)
-are realized through wedderburn_realize and the structure tensors are
+are realized through wedderburn_realize and the coproduct's nonzeros are
 transported along the resulting isomorphism, which is kept in .meta.
 """
 
@@ -17,6 +17,7 @@ from .algebra import (
     StarAlgebraData,
     WedderburnRealization,
     make_algebra,
+    monomial_rows,
     regular_trace_of,
     wedderburn_realize,
 )
@@ -227,9 +228,22 @@ def transported_weak_kac(
     realization: WedderburnRealization, t_abs, s_abs, eps_abs, meta=None
 ) -> WeakKac:
     """Push abstract (coproduct, antipode, counit) tensors onto the
-    canonical algebra of a Wedderburn realization."""
+    canonical algebra of a Wedderburn realization.  t_abs holds the
+    coproduct's nonzeros (i, j, k, v): v is the coefficient of b_j (x) b_k
+    in Delta(b_i).  Along a monomial realization (e_canon[x] = scale[x] b_x)
+    each nonzero moves to one canonical entry; otherwise the dense tensor
+    is contracted with the change of basis on all three legs."""
     w2c, c2a = realization.to_canonical, realization.from_canonical
-    t_can = np.einsum("gi,gab,pa,qb->ipq", c2a, t_abs, w2c, w2c, optimize=True)
+    dim = realization.algebra.dim
+    i, j, k, v = t_abs
+    t_can = np.zeros((dim, dim, dim), dtype=complex)
+    monomial = monomial_rows(c2a)
+    if monomial is None:
+        np.add.at(t_can, (i, j, k), v)
+        t_can = np.einsum("gi,gab,pa,qb->ipq", c2a, t_can, w2c, w2c, optimize=True)
+    else:
+        canon, scale = monomial
+        np.add.at(t_can, (canon[i], canon[j], canon[k]), v * scale[i] / (scale[j] * scale[k]))
     s_can = w2c @ s_abs @ c2a
     eps_can = np.asarray(eps_abs, dtype=complex) @ c2a
     meta = dict(meta or {})
@@ -245,7 +259,11 @@ def transported_weak_kac(
 
 def groupoid_algebra(gpd: Groupoid, tol=None, seed: int = 0) -> WeakKac:
     """Groupoid algebra CG: span of morphisms with g h = composition (0 when
-    undefined), g* = g^{-1}, Delta(g) = g (x) g, S(g) = g^{-1}, eps(g) = 1."""
+    undefined), g* = g^{-1}, Delta(g) = g (x) g, S(g) = g^{-1}, eps(g) = 1.
+
+    The morphisms of a principal groupoid (no isotropy, as pair_groupoid)
+    are realized by rescaling and seed is not used; a groupoid with
+    isotropy (a group) takes the seeded split of wedderburn_realize."""
     tol = as_tol(tol)
     n = gpd.size
     g_idx, h_idx = np.nonzero(gpd.compose >= 0)
@@ -257,12 +275,10 @@ def groupoid_algebra(gpd: Groupoid, tol=None, seed: int = 0) -> WeakKac:
     data = StarAlgebraData(products, star, unit, regular_trace_of(products, n))
     real = wedderburn_realize(data, tol, seed=seed)
 
-    t_abs = np.zeros((n, n, n), dtype=complex)
-    t_abs[np.arange(n), np.arange(n), np.arange(n)] = 1.0
     eps_abs = np.ones(n, dtype=complex)
     return transported_weak_kac(
         real,
-        t_abs,
+        (np.arange(n), np.arange(n), np.arange(n), np.ones(n)),
         star.copy(),  # S acts like * on the real basis: g -> g^{-1}
         eps_abs,
         meta={"kind": "groupoid_algebra", "groupoid": gpd, "name": f"C[{gpd!r}]"},
@@ -519,6 +535,10 @@ def crossed_product(w: WeakKac, action: GroupAction, tol=None, seed: int = 0) ->
     On generators m (x) g: (m (x) g)(n (x) h) = (m <| h) n (x) gh,
     (m (x) g)* = (m <| g^-1)* (x) g^-1, the coproduct duplicates the group
     leg, S(m (x) g) = S(m <| g^-1) (x) g^-1 and eps(m (x) g) = eps(m).
+
+    When the generators form a principal groupoid basis, as for the cyclic
+    shift on the function algebra of a principal groupoid, the realization
+    rescales them and seed is not used; otherwise it takes the seeded split.
     """
     tol = as_tol(tol)
     validate_action(w, action, tol)
@@ -554,13 +574,10 @@ def crossed_product(w: WeakKac, action: GroupAction, tol=None, seed: int = 0) ->
     data = StarAlgebraData(products, star, unit, regular_trace_of(products, dim))
     real = wedderburn_realize(data, tol, seed=seed)
 
-    t_abs = np.zeros((dim, dim, dim), dtype=complex)
-    for g in range(ng):
-        t_abs[
-            np.arange(dm)[:, None, None] * ng + g,
-            np.arange(dm)[None, :, None] * ng + g,
-            np.arange(dm)[None, None, :] * ng + g,
-        ] = w.coproduct
+    # Delta(m (x) g) = sum of Delta(m) with g on both legs
+    i, j, k, v = w.coproduct_nonzeros
+    g = np.arange(ng)[:, None]
+    t_abs = tuple(x.ravel() for x in np.broadcast_arrays(idx(i, g), idx(j, g), idx(k, g), v))
     s_abs = np.zeros((dim, dim), dtype=complex)
     for g in range(ng):
         ginv = grp.inverse[g]

@@ -70,6 +70,13 @@ def dual(w: WeakKac, tol=None, seed: int = 0) -> WeakKac:
     would form a cycle that keeps both alive until the cyclic collector
     runs.
 
+    When the dual basis is a principal groupoid basis, as for the duals of
+    the cube family, the elementary algebras, the twists and the algebras
+    of principal groupoids, wedderburn_realize rescales it: the dual then
+    has one coproduct nonzero per nonzero product of w and does not depend
+    on seed.  Other duals, such as those of commutative algebras, take the
+    seeded split, the only route whose result depends on seed.
+
     The dual is built once per (w, tol, seed); later calls return the same
     object.  Raises NotCounital when w has no counit and NotSemisimple
     (from wedderburn_realize) when the dual GNS form fails to be positive
@@ -94,12 +101,9 @@ def _realize_dual(w: WeakKac, tol, seed: int) -> WeakKac:
     realization = wedderburn_realize(data, tol, seed=seed)
     # Delta^(b^m) = sum over b_p b_q = b_m of b^p (x) b^q
     p, q, m = alg.products
-    t_abs = np.zeros((w.dim, w.dim, w.dim), dtype=complex)
-    t_abs[m, p, q] = 1.0
-    s_abs = w.antipode.T
-    eps_abs = alg.unit
+    t_abs = (m, p, q, np.ones(m.size))
     meta = {"kind": "dual", "primal_algebra": w.algebra}
-    return transported_weak_kac(realization, t_abs, s_abs, eps_abs, meta)
+    return transported_weak_kac(realization, t_abs, w.antipode.T, alg.unit, meta)
 
 
 def _pairing_matrix(dw: WeakKac) -> np.ndarray:

@@ -23,6 +23,7 @@ __all__ = [
     "Tolerance",
     "AffineSpace",
     "dagger",
+    "difference_max_abs",
     "max_abs",
     "nullspace",
     "numerical_rank",
@@ -66,6 +67,19 @@ def dagger(a: np.ndarray) -> np.ndarray:
 def max_abs(a) -> float:
     a = np.asarray(a)
     return 0.0 if a.size == 0 else float(np.max(np.abs(a)))
+
+
+def difference_max_abs(left, right) -> float:
+    """Max abs of the difference of two sparse tensors given as (keys, values)
+    with repeated keys, after summing the values of each key."""
+    keys = np.concatenate([left[0], right[0]])
+    if keys.size == 0:
+        return 0.0
+    values = np.concatenate([left[1], -right[1]])
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+    return max_abs(np.add.reduceat(values[order], first))
 
 
 def orthonormal_columns(vs: np.ndarray, tol: Tolerance | None = None) -> np.ndarray:

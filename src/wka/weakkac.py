@@ -36,6 +36,7 @@ from .tensorkit import (
     Tolerance,
     as_tol,
     dagger,
+    difference_max_abs,
     intersect_subspaces,
     max_abs,
     nullspace,
@@ -221,7 +222,7 @@ def _coassociativity_join(w: WeakKac) -> float:
     left = (((i[n] * d + j[m]) * d + k[m]) * d + k[n], v[n] * v[m])
     n, m = _join(k, starts)
     right = (((i[n] * d + j[n]) * d + j[m]) * d + k[m], v[n] * v[m])
-    return _difference_max_abs(left, right)
+    return difference_max_abs(left, right)
 
 
 def _delta_of_product(w: WeakKac, x) -> np.ndarray:
@@ -326,7 +327,7 @@ def _delta_mult_join(w: WeakKac) -> float:
     a, b, ab = alg.products
     p, m = _join(ab, _row_starts(i, d))
     left = (((a[p] * d + b[p]) * d + j[m]) * d + k[m], v[m])
-    return _difference_max_abs(left, right)
+    return difference_max_abs(left, right)
 
 
 def _row_starts(sorted_keys: np.ndarray, size: int) -> np.ndarray:
@@ -341,19 +342,6 @@ def _join(keys: np.ndarray, starts: np.ndarray):
     n = np.repeat(np.arange(keys.size), counts)
     m = np.arange(n.size) - np.repeat(np.cumsum(counts) - counts, counts) + lo[n]
     return n, m
-
-
-def _difference_max_abs(left, right) -> float:
-    """Max abs of the difference of two sparse tensors given as (keys, values)
-    with repeated keys, after summing the values of each key."""
-    keys = np.concatenate([left[0], right[0]])
-    if keys.size == 0:
-        return 0.0
-    values = np.concatenate([left[1], -right[1]])
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    first = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
-    return max_abs(np.add.reduceat(values[order], first))
 
 
 def _multiplicativity_residual(src: FdAlgebra, dst: FdAlgebra, f, anti: bool = False) -> float:

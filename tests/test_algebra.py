@@ -19,6 +19,8 @@ from wka import (
     regular_trace,
     wedderburn_realize,
 )
+from wka.algebra import _groupoid_matrix_units, monomial_rows, regular_trace_of
+from wka.constructors import cyclic_groupoid, disjoint_union, pair_groupoid
 from wka.errors import NotSemisimple, NotStarClosed, WkaError
 from wka.haar import _sandwiches, _tracial_rows
 from wka.tensorkit import dagger, max_abs, subspace_distance
@@ -284,6 +286,86 @@ def test_wedderburn_rejects_non_associative_product():
         wedderburn_realize(_presentation(mult, star, np.eye(3)[0], np.eye(3)[0]))
 
 
+def _groupoid_data(gpd):
+    """Presentation of the groupoid algebra on its morphisms: g h is the
+    composition or 0, g* = g^-1, and the regular trace as GNS functional."""
+    n = gpd.size
+    g, h = np.nonzero(gpd.compose >= 0)
+    products = (g, h, gpd.compose[g, h], np.ones(g.size))
+    star = np.zeros((n, n), dtype=complex)
+    star[gpd.inverse, np.arange(n)] = 1.0
+    unit = np.zeros(n, dtype=complex)
+    unit[gpd.units] = 1.0
+    return StarAlgebraData(products, star, unit, regular_trace_of(products, n))
+
+
+def test_groupoid_basis_is_realized_by_rescaling():
+    # K_2 + K_1 + K_2: units 0, 3 | 4 | 5, 8; equal blocks go by smallest unit
+    gpd = disjoint_union(pair_groupoid(2), disjoint_union(pair_groupoid(1), pair_groupoid(2)))
+    real = wedderburn_realize(_groupoid_data(gpd))
+    assert real.algebra.block_shape == (1, 2, 2)
+    canon, scale = monomial_rows(real.from_canonical)
+    assert canon.tolist() == [1, 2, 3, 4, 0, 5, 6, 7, 8]
+    assert np.array_equal(scale, np.ones(9))
+    assert real.residual == 0.0
+    other = wedderburn_realize(_groupoid_data(gpd), seed=5)
+    assert np.array_equal(other.from_canonical, real.from_canonical)
+    assert np.array_equal(other.to_canonical, real.to_canonical)
+
+
+def _with_extra_output(data):
+    # b_0 b_0 = b_0 + b_1
+    p, q, m, v = data.products
+    products = (np.append(p, 0), np.append(q, 0), np.append(m, 1), np.append(v, 1.0))
+    return StarAlgebraData(products, data.star, data.unit, data.gns)
+
+
+def _with_mixing_star(data):
+    # b_1* = b_2 + b_0 / 2
+    star = data.star.copy()
+    star[0, 1] = 0.5
+    return StarAlgebraData(data.products, star, data.unit, data.gns)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        _groupoid_data(cyclic_groupoid(3)),  # isotropy: one unit, three morphisms
+        _with_extra_output(_groupoid_data(pair_groupoid(2))),
+        _with_mixing_star(_groupoid_data(pair_groupoid(2))),
+    ],
+    ids=["isotropy", "two-outputs", "non-monomial-star"],
+)
+def test_groupoid_detector_declines(data):
+    assert _groupoid_matrix_units(_groupoid_data(pair_groupoid(2))) is not None
+    assert _groupoid_matrix_units(data) is None
+
+
+def _k2_with(products=None, star=None, gns=None):
+    data = _groupoid_data(pair_groupoid(2))
+    return StarAlgebraData(
+        data.products if products is None else products,
+        data.star if star is None else star,
+        data.unit,
+        data.gns if gns is None else gns,
+    )
+
+
+def test_groupoid_shaped_presentations_keep_their_rejections():
+    data = _k2_with()
+    # phi(b_x* b_x) = phi(b_source(x)) vanishes for the x with source (1, 1)
+    with pytest.raises(NotSemisimple, match="GNS form degenerate"):
+        wedderburn_realize(_k2_with(gns=np.eye(4)[0]))
+    with pytest.raises(NotStarClosed, match="involution fails"):
+        wedderburn_realize(_k2_with(star=2 * data.star))
+    # (0,1)(1,0) = 2 (0,0) breaks associativity: ((0,1)(1,0))(0,1) = 2 (0,1)
+    # while (0,1)((1,0)(0,1)) = (0,1)
+    p, q, m, v = data.products
+    v = np.where((p == 1) & (q == 2), 2.0, v)
+    with pytest.raises(WkaError, match="associativity fails"):
+        wedderburn_realize(_k2_with(products=(p, q, m, v)))
+
+
 def test_block_trace_weights():
     alg = make_algebra((2, 1))
     tau = block_trace(alg, weights=[0.25, 3.0])
@@ -332,3 +414,21 @@ def test_check_conditional_expectation_detects_non_bimodule_map():
     emat[k0, :] = 1.0  # sends everything to e_00: not even unital onto target
     rep = check_conditional_expectation(emat, target, regular_trace(alg))
     assert not rep.passed
+
+
+def test_check_conditional_expectation_bimodular_can_fail_alone():
+    # E(x) = diag(x) + (x_01 + x_10)(e_00 - e_11) on M_2 is unital,
+    # idempotent, the identity on the diagonal and *-preserving, but
+    # E(e_00 e_01 e_11) = e_00 - e_11 while e_00 E(e_01) e_11 = 0
+    alg = make_algebra((2,))
+    e00, e01, e10, e11 = (alg.matrix_unit_index(0, i, j) for i in range(2) for j in range(2))
+    target = SubalgebraBasis(alg, np.eye(4, dtype=complex)[:, [e00, e11]])
+    emat = np.zeros((4, 4), dtype=complex)
+    emat[e00, e00] = emat[e11, e11] = 1.0
+    emat[e00, [e01, e10]] = 1.0
+    emat[e11, [e01, e10]] = -1.0
+    rep = check_conditional_expectation(emat, target)
+    for name in ("unital", "idempotent", "identity_on_target", "star_preserving"):
+        assert rep[name].passed, name
+    assert not rep["bimodular"].passed
+    assert rep["bimodular"].residual == pytest.approx(1.0)

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from wka import WeakKac, cli, cube_family, storage
+from wka import WeakKac, algebra, cli, cube_family, storage
 from wka.cli import main
 from wka.storage import load_wka, save_wka
 
@@ -98,6 +98,18 @@ def test_failing_axioms_exit_one(tmp_path, capsys):
     assert run("verify", str(path)) == 1
     out = capsys.readouterr().out
     assert "counit_left" in out and "FAIL" in out
+
+
+def test_numerical_failure_is_input_error(tmp_path, monkeypatch, capsys):
+    # the group algebra of Z/3 takes the seeded split, which solves for the
+    # center with nullspace
+    def no_convergence(*args):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(algebra, "nullspace", no_convergence)
+    assert run("build", "group-algebra", "z3", "-o", str(tmp_path / "z3.wka")) == 2
+    err = capsys.readouterr().err
+    assert err == "error: numerical failure in linear algebra: SVD did not converge\n"
 
 
 @pytest.mark.parametrize("tensor, value", [("coproduct", "nan"), ("counit", "inf")])

@@ -24,7 +24,9 @@ from wka import (
     untwist_isomorphism,
     verify_weak_kac,
 )
-from wka.constructors import cube_crossed_isomorphism, validate_action
+from wka import catalog, constructors, duality
+from wka.algebra import monomial_rows
+from wka.constructors import cube_crossed_isomorphism, transported_weak_kac, validate_action
 from wka.errors import InvalidAction, InvalidCocycle, InvalidGroupoid
 
 from conftest import get_example
@@ -277,6 +279,42 @@ def test_cube_isomorphic_to_crossed_product(n):
     pi = cube_crossed_isomorphism(n, crossed)
     rep = check_morphism(crossed, cube_family(n), pi)
     assert rep.passed, rep.as_text()
+
+
+# ---------------------------------------------------------------------------
+# transport along a realization
+# ---------------------------------------------------------------------------
+
+
+def test_monomial_realizations_keep_the_abstract_nonzeros(monkeypatch):
+    """A catalog member realized by rescaling a principal groupoid basis has
+    exactly the nonzeros of its abstract coproduct; only the bases with
+    isotropy take the seeded split."""
+    seen = []
+
+    def recording(realization, t_abs, *args, **kwargs):
+        w = transported_weak_kac(realization, t_abs, *args, **kwargs)
+        monomial = monomial_rows(realization.from_canonical) is not None
+        seen.append((monomial, np.count_nonzero(t_abs[3]), w.coproduct_nonzeros[0].size))
+        return w
+
+    monkeypatch.setattr(constructors, "transported_weak_kac", recording)
+    monkeypatch.setattr(duality, "transported_weak_kac", recording)
+    split = []
+    for entry in catalog():
+        start = len(seen)
+        entry.build()
+        for monomial, abstract, realized in seen[start:]:
+            if monomial:
+                assert realized == abstract, entry.name
+            else:
+                split.append(entry.name)
+    groups = [f"group-algebra[{g}]" for g in ("z2", "z3", "disc")]
+    functions = [f"dual(function-algebra[{g}])" for g in ("z2", "z3", "disc")]
+    # the dual of a group algebra realizes the primal and then the dual
+    duals = [f"dual({name})" for name in groups for _ in range(2)]
+    assert sorted(split) == sorted(groups + duals + functions)
+    assert len(seen) == 39
 
 
 # ---------------------------------------------------------------------------

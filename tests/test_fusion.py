@@ -25,7 +25,7 @@ ORACLE = {
     "dualelem_12": ((0, 3), 17),
     "cube2": ((0,), 4),
     "cube3": ((0,), 9),
-    "crossed2": ((1,), 4),
+    "crossed2": ((0,), 4),
     "twist_11": ((0,), 4),
 }
 

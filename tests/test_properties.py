@@ -15,10 +15,13 @@ from wka import (
     dual,
     fusion_ring,
     groupoid_algebra,
+    groupoid_function_algebra,
     haar_projection,
-    pair_groupoid,
     verify_weak_kac,
+    WeakKac,
+    catalog,
 )
+from wka.catalog import named_groupoid
 from wka.duality import check_pairing, dual_functional
 
 from conftest import get_example
@@ -171,17 +174,37 @@ def test_verification_reports_are_deterministic():
 # ---------------------------------------------------------------------------
 
 
+# inputs that take the seeded split of wedderburn_realize: bases with
+# isotropy, where each seed orders and rotates the matrix units differently
+SPLIT = [
+    "group-algebra[z3]",
+    "group-algebra[disc]",
+    "dual(function-algebra[z3])",
+    "dual(function-algebra[disc])",
+]
+# principal groupoid bases, realized by rescaling; no seed reaches them
+MONOMIAL = ["group-algebra[k3]", "crossed[2]", "cube3", "elem_12", "twist_11"]
+
+
 def _realized(name, seed):
     """(primal, dual, realized algebra under test) for one realization seed."""
-    if name == "group-algebra[k3]":
-        w = groupoid_algebra(pair_groupoid(3), seed=seed)
+    if name.startswith("group-algebra["):
+        w = groupoid_algebra(named_groupoid(name[14:-1]), seed=seed)
         return w, dual(w, seed=seed), w
     if name == "crossed[2]":
         w = crossed_product(*cyclic_shift_action(2), seed=seed)
         return w, dual(w, seed=seed), w
-    primal = get_example(name)
+    if name.startswith("dual(function-algebra["):
+        primal = groupoid_function_algebra(named_groupoid(name[22:-2]))
+    else:
+        primal = get_example(name)
     dw = dual(primal, seed=seed)
     return primal, dw, dw
+
+
+def _structure(w):
+    """The arrays that fix a realized weak Kac algebra."""
+    return (w.meta["from_canonical"], w.coproduct, w.antipode, w.counit)
 
 
 def _relabelings(shape):
@@ -191,13 +214,13 @@ def _relabelings(shape):
             yield list(perm)
 
 
-@pytest.mark.parametrize(
-    "name", ["group-algebra[k3]", "crossed[2]", "cube3", "elem_12", "twist_11"]
-)
+@pytest.mark.parametrize("name", SPLIT + MONOMIAL)
 def test_verdicts_do_not_depend_on_the_realized_basis(name):
-    """Realization seeds give different matrix-unit bases; the block shape,
-    the verdicts, the Cartan shapes and the fusion table (up to relabeling
-    blocks of equal size) must not move, and the dual must pair."""
+    """On the seeded split, realization seeds give different matrix-unit
+    bases; the block shape, the verdicts, the Cartan shapes and the fusion
+    table (up to relabeling blocks of equal size) must not move, and the
+    dual must pair.  A monomial realization must not depend on the seed at
+    all: seeds 0-3 give identical arrays."""
     first = None
     for seed in range(4):
         w, dw, realized = _realized(name, seed)
@@ -214,10 +237,74 @@ def test_verdicts_do_not_depend_on_the_realized_basis(name):
         )
         assert found[1:3] == (True, True), seed
         if first is None:
-            first, table = found, ring.table
+            first, table, arrays = found, ring.table, _structure(realized)
+            moved = False
             continue
         assert found == first, seed
         assert any(
             np.array_equal(table[np.ix_(s, s, s)], ring.table)
             for s in _relabelings(found[0])
         ), seed
+        same = all(map(np.array_equal, arrays, _structure(realized)))
+        if name in MONOMIAL:
+            assert same, seed
+        moved = moved or not same
+    assert moved == (name in SPLIT)
+
+
+# ---------------------------------------------------------------------------
+# metamorphic: inner automorphisms move the basis, not the structure
+# ---------------------------------------------------------------------------
+
+
+def _inner_automorphism(alg, rng):
+    """Coefficient matrix of x -> U x U* for a random block-unitary U."""
+    u = np.zeros((alg.matrix_size, alg.matrix_size), dtype=complex)
+    for start, d in zip(alg.row_offsets, alg.block_shape):
+        z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        u[start : start + d, start : start + d] = np.linalg.qr(z)[0]
+    images = [u @ alg.to_matrix(b) @ u.conj().T for b in np.eye(alg.dim)]
+    return np.stack([alg.from_matrix(x) for x in images], axis=1)
+
+
+def _moved_along(w, a):
+    """w carried along the automorphism a (unitary on coefficients):
+    Delta' = (a (x) a) Delta a^-1, S' = a S a^-1, eps' = eps a^-1."""
+    ainv = a.conj().T
+    t = np.einsum("gi,gab,pa,qb->ipq", ainv, w.coproduct, a, a, optimize=True)
+    return WeakKac(w.algebra, t, a @ w.antipode @ ainv, w.counit @ ainv)
+
+
+def _invariants(w):
+    rep = verify_weak_kac(w)
+    pair = cartan_subalgebras(w)
+    ring, fusion_report = fusion_ring(w)
+    found = (
+        [(c.name, c.passed) for c in rep.checks],
+        pair.report.passed,
+        pair.source_shape,
+        pair.target_shape,
+        fusion_report.passed,
+    )
+    return found, ring.table
+
+
+def test_inner_automorphisms_keep_verdicts_cartan_shapes_and_fusion():
+    """Every catalog member of dimension <= 27, moved along a seeded random
+    block-unitary inner automorphism, keeps its verdicts, Cartan shapes and
+    fusion table (up to relabeling blocks of equal size)."""
+    rng = np.random.default_rng(0x1AA)
+    checked = 0
+    for entry in catalog():
+        w = entry.build()
+        if w.dim > 27:
+            continue
+        found, table = _invariants(w)
+        moved, moved_table = _invariants(_moved_along(w, _inner_automorphism(w.algebra, rng)))
+        assert moved == found, entry.name
+        assert any(
+            np.array_equal(table[np.ix_(s, s, s)], moved_table)
+            for s in _relabelings(w.algebra.block_shape)
+        ), entry.name
+        checked += 1
+    assert checked == 52

@@ -167,7 +167,7 @@ def test_join_residuals_match_dense_oracles_on_catalog():
         for join, dense in _both_paths(w):
             assert abs(join - dense) <= 1e-12, (entry.name, join, dense)
         checked += 1
-    assert checked == 47
+    assert checked == 52
 
 
 def _with_noise(w, density, seed=5):
@@ -207,7 +207,7 @@ def test_moved_coproduct_entry_fails_coassociativity_and_multiplicativity(path, 
         w = get_example("cube3")
         other = ("_coassociativity_dense", "_delta_mult_residual_dense")
     else:
-        w = dual(get_example("cube2"))
+        w = dual(get_example("fun_disc"))
         other = ("_coassociativity_join", "_delta_mult_join")
     for name in other:
         monkeypatch.setattr(weakkac, name, _unreachable)

@@ -245,9 +245,7 @@ def _convolution_unit_system(w: WeakKac, phi: Functional, tol):
     right = np.einsum("acd,cj->jad", t, phim, optimize=True).reshape(dim * dim, dim)
     rhs = phim.T.reshape(-1)
     try:
-        space = solve_affine_space(
-            [(np.vstack((left, right)), np.concatenate((rhs, rhs)))], tol
-        )
+        space = solve_affine_space([(left, rhs), (right, rhs)], tol)
     except Inconsistent as exc:
         raise NoUnit(f"convolution algebra has no unit: {exc}") from exc
     if not space.unique:

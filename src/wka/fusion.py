@@ -23,7 +23,7 @@ import numpy as np
 from .algebra import FdAlgebra
 from .errors import GramDegenerate, NonIntegralMultiplicity
 from .report import VerificationReport
-from .tensorkit import as_tol, dagger, max_abs
+from .tensorkit import as_tol, dagger, max_abs, positive_definite
 from .weakkac import WeakKac, check_morphism, restrict_to_blocks, verify_weak_kac, _cartan_spans
 
 __all__ = [
@@ -97,13 +97,11 @@ def counital_representation(w: WeakKac, tol=None):
     gram = alg.star(b).T @ w.eps_mult @ b
     herm = max_abs(gram - dagger(gram))
     gram = (gram + dagger(gram)) / 2
-    evals = np.linalg.eigvalsh(gram)
-    if herm > 100 * tol.abs_tol or evals[0] <= tol.rank_cutoff(
-        gram.shape, max(float(evals[-1]), 1.0)
-    ):
+    ok, min_eig = positive_definite(gram, tol)
+    if herm > 100 * tol.abs_tol or not ok:
         raise GramDegenerate(
             f"counit is not faithful positive on N_t"
-            f" (hermiticity {herm:.2e}, min eigenvalue {evals[0]:.2e})"
+            f" (hermiticity {herm:.2e}, min eigenvalue {min_eig:.2e})"
         )
 
     et = w.eps_t_matrix

@@ -1,6 +1,15 @@
 """Dense complex tensor utilities: tolerances, subspaces, rank factorization,
-affine solves.  All numerics are numpy; every cutoff is controlled by an
-explicit Tolerance so callers never depend on library defaults.
+affine solves.  All numerics are numpy.
+
+The only module that decides a numerical rank.  Each decision counts the
+singular values (or eigenvalues) above the one Tolerance.rank_cutoff,
+max(shape) * abs_tol * max(sigma_max, 1): null spaces (Haar traces,
+commutants, ideals), ranks (injectivity, conditional expectations),
+spans (Cartan subalgebras, counit support, range checks), affine solves
+(Haar projection and trace, convolution unit) and definiteness
+(faithfulness, GNS forms, complete positivity).  A tall matrix whose right
+singular vectors are needed is first reduced to its R factor, which has
+the same singular values and right singular vectors.
 
 Index conventions used throughout the package:
   * elements of an algebra M are coefficient vectors over a fixed basis,
@@ -28,7 +37,9 @@ __all__ = [
     "nullspace",
     "numerical_rank",
     "orthonormal_columns",
+    "positive_definite",
     "rank_factorization",
+    "singular_values",
     "solve_affine_space",
     "subspace_contains",
     "subspace_distance",
@@ -82,62 +93,66 @@ def difference_max_abs(left, right) -> float:
     return max_abs(np.add.reduceat(values[order], first))
 
 
+def _rank(s: np.ndarray, shape, tol: Tolerance) -> int:
+    """Number of the descending singular values s of a matrix of the given
+    shape that lie above the rank cutoff."""
+    return int(np.count_nonzero(s > tol.rank_cutoff(shape, s[0] if s.size else 0.0)))
+
+
 def orthonormal_columns(vs: np.ndarray, tol: Tolerance | None = None) -> np.ndarray:
     """Orthonormal basis (as columns) of the column span of vs."""
-    tol = as_tol(tol)
     vs = np.asarray(vs, dtype=complex)
-    if vs.size == 0:
-        return vs.reshape(vs.shape[0], 0)
     u, s, _ = np.linalg.svd(vs, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return vs[:, :0]
-    keep = s > tol.rank_cutoff(vs.shape, s[0])
-    return u[:, keep]
+    return u[:, : _rank(s, vs.shape, as_tol(tol))]
 
 
 def nullspace(a: np.ndarray, tol: Tolerance | None = None) -> np.ndarray:
     """Orthonormal basis (as columns) of the right null space of a."""
-    tol = as_tol(tol)
     a = np.asarray(a, dtype=complex)
-    if a.shape[0] == 0:
-        return np.eye(a.shape[1], dtype=complex)
-    # full V is only needed when the system is wide; a tall system's
-    # reduced vh is already square and a full U would be huge
-    _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
-    smax = s[0] if s.size else 0.0
-    cutoff = tol.rank_cutoff(a.shape, smax)
-    rank = int(np.sum(s > cutoff))
-    return dagger(vh)[:, rank:]
+    _, s, vh = np.linalg.svd(np.linalg.qr(a, mode="r") if a.shape[0] > a.shape[1] else a)
+    return dagger(vh)[:, _rank(s, a.shape, as_tol(tol)) :]
+
+
+def singular_values(a: np.ndarray, tol: Tolerance | None = None):
+    """(s, rank): the singular values of a, descending, and how many lie
+    above the rank cutoff."""
+    a = np.asarray(a)
+    s = np.linalg.svd(a, compute_uv=False)
+    return s, _rank(s, a.shape, as_tol(tol))
 
 
 def numerical_rank(a: np.ndarray, tol: Tolerance | None = None) -> int:
     """Number of singular values of a above the rank cutoff."""
-    s = np.linalg.svd(a, compute_uv=False)
-    smax = float(s[0]) if s.size else 0.0
-    return int(np.count_nonzero(s > as_tol(tol).rank_cutoff(a.shape, smax)))
+    return singular_values(a, tol)[1]
 
 
-def subspace_contains(basis: np.ndarray, vectors: np.ndarray) -> float:
+def positive_definite(g: np.ndarray, tol: Tolerance | None = None):
+    """(ok, min_eig) for the hermitian part of g: ok when its smallest
+    eigenvalue lies above the rank cutoff of its largest."""
+    g = np.asarray(g, dtype=complex)
+    w = np.linalg.eigvalsh((g + dagger(g)) / 2)
+    return bool(w[0] > as_tol(tol).rank_cutoff(g.shape, w[-1])), float(w[0])
+
+
+def subspace_contains(basis: np.ndarray, vectors: np.ndarray, tol: Tolerance | None = None) -> float:
     """Max-norm residual of projecting vectors onto span(basis columns)."""
-    basis = np.asarray(basis, dtype=complex)
     vectors = np.asarray(vectors, dtype=complex)
     if vectors.ndim == 1:
         vectors = vectors[:, None]
-    q = orthonormal_columns(basis)
+    q = orthonormal_columns(basis, tol)
     return max_abs(vectors - q @ (dagger(q) @ vectors))
 
 
-def subspace_distance(a: np.ndarray, b: np.ndarray) -> float:
+def subspace_distance(a: np.ndarray, b: np.ndarray, tol: Tolerance | None = None) -> float:
     """Max-norm difference of orthogonal projectors onto the two spans."""
-    qa = orthonormal_columns(np.asarray(a, dtype=complex))
-    qb = orthonormal_columns(np.asarray(b, dtype=complex))
+    qa, qb = orthonormal_columns(a, tol), orthonormal_columns(b, tol)
     return max_abs(qa @ dagger(qa) - qb @ dagger(qb))
 
 
 def intersect_subspaces(bases, tol: Tolerance | None = None) -> np.ndarray:
     """Orthonormal basis of the intersection of column spans."""
     tol = as_tol(tol)
-    bases = [orthonormal_columns(np.asarray(b, dtype=complex), tol) for b in bases]
+    bases = [orthonormal_columns(b, tol) for b in bases]
     if not bases:
         raise ValueError("need at least one subspace")
     dim = bases[0].shape[0]
@@ -146,27 +161,17 @@ def intersect_subspaces(bases, tol: Tolerance | None = None) -> np.ndarray:
     return nullspace(np.vstack(rows), tol)
 
 
-def _star_close_span(basis: np.ndarray, star, tol: Tolerance) -> np.ndarray:
-    """Average a span with an antilinear involution and re-trim its rank.
+def _star_close_span(basis: np.ndarray, star) -> np.ndarray:
+    """Orthonormal basis of the leading directions (as many as basis has
+    columns) of the span averaged with an antilinear involution.
 
-    star maps coefficient vectors antilinearly; the span of a minimal
-    factorization is *-closed in exact arithmetic, so averaging only
-    removes numerical drift.  The returned basis has the same rank.
+    star maps the coefficient columns of a matrix antilinearly; the span of
+    a minimal factorization is *-closed in exact arithmetic, so averaging
+    only removes numerical drift.
     """
-    cols = []
-    for i in range(basis.shape[1]):
-        v = basis[:, i]
-        w = star(v)
-        cols.append((v + w) / 2.0)
-        cols.append((v - w) / 2.0j)
-    stacked = np.stack(cols, axis=1)
-    u, s, _ = np.linalg.svd(stacked, full_matrices=False)
-    keep = s > tol.rank_cutoff(stacked.shape, s[0] if s.size else 0.0)
-    out = u[:, keep]
-    if out.shape[1] != basis.shape[1]:
-        # drift exceeded the cutoff; keep the leading directions
-        out = u[:, : basis.shape[1]]
-    return out
+    w = star(basis)
+    averaged = np.hstack([(basis + w) / 2.0, (basis - w) / 2.0j])
+    return np.linalg.svd(averaged, full_matrices=False)[0][:, : basis.shape[1]]
 
 
 def rank_factorization(
@@ -177,36 +182,30 @@ def rank_factorization(
 ):
     """Minimal factorization mat[a, b] = sum_i x_i[a] * y_i[b].
 
-    The rank cutoff keeps singular values above dim * abs_tol * sigma_max.
-    When antilinear involutions are supplied, the left factor span is
-    averaged to be *-closed and the right factors are re-solved so the
-    factorization is preserved exactly (up to least squares).
+    When antilinear involutions (acting on the columns of a matrix) are
+    supplied, the left factor span is averaged to be *-closed and the right
+    factors are the projection of mat onto its orthonormal basis, so the
+    factorization is preserved (likewise for the right span).
     Returns (xs, ys): two lists of coefficient vectors of equal length.
     """
     tol = as_tol(tol)
     mat = np.asarray(mat, dtype=complex)
     u, s, vh = np.linalg.svd(mat)
-    smax = s[0] if s.size else 0.0
-    cutoff = tol.rank_cutoff(mat.shape, smax)
-    rank = int(np.sum(s > cutoff))
+    rank = _rank(s, mat.shape, tol)
     if rank == 0:
         return [], []
     xs = u[:, :rank] * np.sqrt(s[:rank])
     ys = vh[:rank, :].T * np.sqrt(s[:rank])
     if star_left is not None:
-        xbasis = _star_close_span(xs, star_left, tol)
-        # re-solve the right factors against the adjusted left span
-        ysT, *_ = np.linalg.lstsq(xbasis, mat, rcond=None)
-        xs, ys = xbasis, ysT.T
+        xs = _star_close_span(xs, star_left)
+        ys = mat.T @ np.conj(xs)
     if star_right is not None:
-        ybasis = _star_close_span(ys, star_right, tol)
-        xsT, *_ = np.linalg.lstsq(ybasis, mat.T, rcond=None)
-        xs, ys = xsT.T, ybasis
+        ys = _star_close_span(ys, star_right)
+        xs = mat @ np.conj(ys)
         if star_left is not None:
-            # keep the left span *-closed after the right-side re-solve
-            xbasis = _star_close_span(orthonormal_columns(xs, tol), star_left, tol)
-            ysT, *_ = np.linalg.lstsq(xbasis, mat, rcond=None)
-            xs, ys = xbasis, ysT.T
+            # keep the left span *-closed after the right-side projection
+            xs = _star_close_span(orthonormal_columns(xs, tol), star_left)
+            ys = mat.T @ np.conj(xs)
     return [xs[:, i] for i in range(xs.shape[1])], [ys[:, i] for i in range(ys.shape[1])]
 
 
@@ -227,20 +226,30 @@ def solve_affine_space(constraints, tol: Tolerance | None = None) -> AffineSpace
     """Solve a stacked affine system A_i x = b_i in the least-squares sense.
 
     constraints: iterable of (A, b) with A of shape (m_i, n), b of shape
-    (m_i,).  Raises Inconsistent when the residual exceeds 10 * abs_tol.
+    (m_i,).  The blocks are written once into [A | b], which is factored
+    once: a tall system is reduced to the R factor of [A | b], whose last
+    column is Q^H b, and the SVD of the rest of R (or of A itself) gives the
+    least-norm point and the null space, the rank counted at the shape of
+    A.  Raises Inconsistent when the residual exceeds 10 * abs_tol.
     """
     tol = as_tol(tol)
-    mats, rhss = [], []
+    blocks = []
     for a, b in constraints:
-        a = np.asarray(a, dtype=complex)
-        if a.ndim == 1:
-            a = a[None, :]
-        mats.append(a)
-        rhss.append(np.atleast_1d(np.asarray(b, dtype=complex)))
-    big_a = np.vstack(mats)
-    big_b = np.concatenate(rhss)
-    x, *_ = np.linalg.lstsq(big_a, big_b, rcond=None)
+        a = np.asarray(a)
+        blocks.append((a.reshape(-1, a.shape[-1]), np.atleast_1d(b)))
+    n = blocks[0][0].shape[1]
+    ab = np.empty((sum(a.shape[0] for a, _ in blocks), n + 1), dtype=complex)
+    row = 0
+    for a, b in blocks:
+        ab[row : row + a.shape[0], :n] = a
+        ab[row : row + a.shape[0], n] = b
+        row += a.shape[0]
+    big_a, big_b = ab[:, :n], ab[:, n]
+    r = np.linalg.qr(ab, mode="r") if ab.shape[0] > n + 1 else ab
+    u, s, vh = np.linalg.svd(r[:, :n])
+    rank = _rank(s, big_a.shape, tol)
+    x = dagger(vh[:rank]) @ ((dagger(u[:, :rank]) @ r[:, n]) / s[:rank])
     residual = max_abs(big_a @ x - big_b)
     if residual > 10.0 * tol.abs_tol:
         raise Inconsistent(f"affine system residual {residual:.3e}")
-    return AffineSpace(particular=x, null=nullspace(big_a, tol), residual=residual)
+    return AffineSpace(particular=x, null=dagger(vh[rank:]), residual=residual)

@@ -401,6 +401,34 @@ def test_check_conditional_expectation_compression():
     assert rep.passed
 
 
+def test_complete_positivity_is_exact_on_the_transpose():
+    # the transpose of M_2 is positive, so sampled x* x probes all pass,
+    # but not completely positive: its Choi matrix is the swap, spectrum +-1
+    alg = make_algebra((2,))
+    transpose = alg.star_matrix.astype(complex)
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        image = alg.to_matrix(transpose @ alg.mul(alg.star(x), x))
+        assert np.linalg.eigvalsh((image + dagger(image)) / 2)[0] > -1e-12
+    rep = check_conditional_expectation(transpose, SubalgebraBasis(alg, np.eye(4)))
+    assert not rep["completely_positive"].passed
+    assert rep["completely_positive"].residual == pytest.approx(1.0)
+    assert rep["completely_positive"].note == "min eig -1.00e+00"
+
+
+def test_complete_positivity_passes_a_compression_of_two_blocks():
+    # E = compression to the diagonal of each block of M_1 + M_2 is a
+    # conditional expectation; its Choi matrices are positive semidefinite
+    alg = make_algebra((1, 2))
+    diag = np.flatnonzero(alg.basis_row == alg.basis_col)
+    emat = np.zeros((alg.dim, alg.dim), dtype=complex)
+    emat[diag, diag] = 1.0
+    rep = check_conditional_expectation(emat, SubalgebraBasis(alg, np.eye(alg.dim)[:, diag]))
+    assert rep.passed, rep.as_text()
+    assert rep["completely_positive"].residual == 0.0
+
+
 def test_check_conditional_expectation_detects_non_bimodule_map():
     alg = make_algebra((2,))
     target = SubalgebraBasis(

@@ -11,6 +11,8 @@ from wka.tensorkit import (
     nullspace,
     numerical_rank,
     orthonormal_columns,
+    positive_definite,
+    singular_values,
     subspace_contains,
     subspace_distance,
 )
@@ -135,3 +137,145 @@ def test_tolerance_rank_cutoff_scales():
     assert tol.rank_cutoff((10, 4), 100.0) == pytest.approx(10 * 1e-9 * 100.0)
     # the scale floor keeps the cutoff meaningful for tiny matrices
     assert tol.rank_cutoff((3, 3), 1e-30) == pytest.approx(3 * 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# oracles: the rank primitives against plain lstsq + full SVD references
+# ---------------------------------------------------------------------------
+
+
+def ref_nullspace(a, tol=None):
+    tol = Tolerance() if tol is None else tol
+    a = np.asarray(a, dtype=complex)
+    if a.shape[0] == 0:
+        return np.eye(a.shape[1], dtype=complex)
+    _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
+    cutoff = tol.rank_cutoff(a.shape, s[0] if s.size else 0.0)
+    return dagger(vh)[:, int(np.sum(s > cutoff)) :]
+
+
+def ref_solve(a, b, tol=None):
+    """(particular, null) or None when inconsistent, by lstsq and a
+    separate null-space SVD."""
+    tol = Tolerance() if tol is None else tol
+    x, *_ = np.linalg.lstsq(a, b, rcond=None)
+    if max_abs(a @ x - b) > 10.0 * tol.abs_tol:
+        return None
+    return x, ref_nullspace(a, tol)
+
+
+def oracle_systems():
+    """(name, A, b) over random complex systems of every shape, each with a
+    right-hand side in the range of A truncated at its numerical rank and
+    a generic one (inconsistent where A has a cokernel)."""
+    rng = np.random.default_rng(777)
+
+    def c(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    cutoff = Tolerance().rank_cutoff((40, 8), 1.0)
+    # a very tall system with noise between the cutoffs at the shape of its
+    # R factor (5 x 4) and at its own shape (400 x 4)
+    tall = c(400, 2) @ c(2, 4)
+    smax = np.linalg.svd(tall, compute_uv=False)[0]
+    between = np.sqrt(Tolerance().rank_cutoff((5, 4), smax) * Tolerance().rank_cutoff((400, 4), smax))
+    noise = c(400, 4)
+    mats = [
+        ("tall", c(40, 8)),
+        ("wide", c(5, 12)),
+        ("square", c(9, 9)),
+        ("tall_deficient", c(40, 3) @ c(3, 8)),
+        ("wide_deficient", c(5, 2) @ c(2, 12)),
+        ("square_deficient", c(9, 4) @ c(4, 9)),
+        ("zero", np.zeros((6, 4), dtype=complex)),
+        ("noise_below_cutoff", c(40, 3) @ c(3, 8) + 1e-2 * cutoff * c(40, 8)),
+        ("noise_above_cutoff", c(40, 3) @ c(3, 8) + 1e2 * cutoff * c(40, 8)),
+        ("noise_between_shapes", tall + between * noise / np.linalg.svd(noise, compute_uv=False)[0]),
+    ]
+    for name, a in mats:
+        u, s, vh = np.linalg.svd(a, full_matrices=False)
+        r = a.shape[1] - ref_nullspace(a).shape[1]
+        yield name + "_consistent", a, (u[:, :r] * s[:r]) @ (vh[:r] @ c(a.shape[1]))
+        yield name + "_generic", a, c(a.shape[0])
+
+
+ORACLE_SYSTEMS = list(oracle_systems())
+
+
+@pytest.mark.parametrize("name,a,b", ORACLE_SYSTEMS, ids=[s[0] for s in ORACLE_SYSTEMS])
+def test_rank_primitives_match_lstsq_and_svd_oracles(name, a, b):
+    assert numerical_rank(a) == a.shape[1] - ref_nullspace(a).shape[1]
+    null = nullspace(a)
+    assert null.shape == ref_nullspace(a).shape
+    assert subspace_distance(null, ref_nullspace(a)) < 1e-12
+    want = ref_solve(a, b)
+    if want is None:
+        with pytest.raises(Inconsistent):
+            solve_affine_space([(a, b)])
+        return
+    space = solve_affine_space([(a, b)])
+    x_ref, null_ref = want
+    assert subspace_distance(space.null, null_ref) < 1e-12
+    # lstsq keeps directions below the rank cutoff that the affine solve
+    # leaves in the null space: compare off the null space
+    x_ref = x_ref - null_ref @ (dagger(null_ref) @ x_ref)
+    assert max_abs(space.particular - x_ref) < 1e-12
+
+
+def test_solve_affine_space_factors_once_without_lstsq(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve_affine_space called lstsq")
+
+    svds = []
+    real_svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        svds.append(np.shape(args[0]))
+        return real_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    a = rand_c(30, 4) @ rand_c(4, 6)
+    space = solve_affine_space([(a, a @ rand_c(6))])
+    assert space.null.shape[1] == 2
+    # one SVD, of the 7 x 6 part of the R factor of [A | b]
+    assert svds == [(7, 6)]
+
+
+def test_nullspace_decomposes_the_r_factor_of_a_tall_system(monkeypatch):
+    shapes = []
+    real_svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        shapes.append(np.shape(args[0]))
+        return real_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    a = rand_c(500, 3) @ rand_c(3, 5)
+    assert nullspace(a).shape == (5, 2)
+    assert shapes == [(5, 5)]
+
+
+def test_positive_definite_reads_the_hermitian_part():
+    g = np.diag([2.0, 1.0, 1e-12]).astype(complex)
+    ok, min_eig = positive_definite(g)
+    assert not ok and min_eig == pytest.approx(1e-12)
+    assert positive_definite(g + 1e-6 * np.eye(3))[0]
+    # an antihermitian part does not change the verdict or the eigenvalue
+    skew = np.array([[0, 1j, 0], [1j, 0, 0], [0, 0, 0]])
+    assert positive_definite(np.eye(3) + skew) == (True, pytest.approx(1.0))
+    assert positive_definite(-np.eye(2)) == (False, pytest.approx(-1.0))
+
+
+def test_subspace_helpers_follow_the_tolerance():
+    # a direction at 1e-6: inside the span at the default cutoff (3e-9),
+    # noise at abs_tol = 1e-4 (cutoff 3e-4)
+    basis = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1e-6]], dtype=complex)
+    e3 = np.array([0.0, 0.0, 1.0])
+    loose = Tolerance(abs_tol=1e-4)
+    assert subspace_contains(basis, e3) < 1e-12
+    assert subspace_contains(basis, e3, loose) == pytest.approx(1.0)
+    assert subspace_distance(basis, basis[:, :1]) == pytest.approx(1.0)
+    assert subspace_distance(basis, basis[:, :1], loose) < 1e-12
+    s, rank = singular_values(basis, loose)
+    assert rank == 1 and s[-1] == pytest.approx(1e-6)

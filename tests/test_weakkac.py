@@ -283,6 +283,22 @@ def test_counital_maps_verified(name):
     assert pair.target.contains(et) < 1e-9
 
 
+def test_counital_range_checks_follow_the_tolerance():
+    # coproduct noise at 1e-6 gives eps_t and eps_s singular values near
+    # 1e-6 off the Cartan subalgebras: signal at the default cutoff, noise
+    # at abs_tol = 1e-4, where the whole report must then pass
+    w = get_example("cube2")
+    rng = np.random.default_rng(3)
+    noisy = WeakKac(
+        w.algebra, w.coproduct + 1e-6 * rng.standard_normal(w.coproduct.shape),
+        w.antipode, w.counit,
+    )
+    rep = counital_maps(noisy, tol=1e-4).report
+    assert rep.passed, rep.as_text()
+    assert rep["target_range"].residual < 1e-4
+    assert rep["source_range"].residual < 1e-4
+
+
 def test_counital_maps_match_counit_composition():
     # eps o eps_t = eps and eps o eps_s = eps
     w = get_example("cube2")

@@ -93,37 +93,23 @@ class FdAlgebra:
         self.basis_col = np.array(cols)
         self.labels = labels
 
-        self._prod = self._build_prod()
+        # unit_index[r, c]: basis index of the matrix unit at (r, c), or -1
+        n = self.matrix_size
+        self.unit_index = np.full((n, n), -1)
+        self.unit_index[rows, cols] = np.arange(self.dim)
+        # b_a b_b is the unit at (row a, col b) when col a = row b
+        meet = self.basis_col[:, None] == self.basis_row[None, :]
+        self._prod = np.where(meet, self.unit_index[np.ix_(self.basis_row, self.basis_col)], -1)
         # the nonzero products b_p b_q = b_m, in row-major (p, q) order
         p, q = np.nonzero(self._prod >= 0)
         self.products = tuple(_read_only(a) for a in (p, q, self._prod[p, q]))
         # involution permutes matrix units: (e^{(i)}_{kl})* = e^{(i)}_{lk}
-        self.star_index = self._prod_star_index()
+        self.star_index = self.unit_index[self.basis_col, self.basis_row]
         self.star_matrix = np.zeros((self.dim, self.dim))
         self.star_matrix[self.star_index, np.arange(self.dim)] = 1.0
         self.unit = np.zeros(self.dim, dtype=complex)
         self.unit[self.basis_row == self.basis_col] = 1.0
         self._mult = None
-
-    def _build_prod(self):
-        prod = -np.ones((self.dim, self.dim), dtype=np.int64)
-        for i, d in enumerate(self.block_shape):
-            base = self.basis_offsets[i]
-            ks = np.arange(d)
-            for t in range(d):
-                a = base + ks * d + t  # e_{k t}
-                b = base + t * d + ks  # e_{t n}
-                prod[np.ix_(a, b)] = base + ks[:, None] * d + ks[None, :]
-        return prod
-
-    def _prod_star_index(self):
-        idx = np.empty(self.dim, dtype=np.int64)
-        for i, d in enumerate(self.block_shape):
-            base = self.basis_offsets[i]
-            for k in range(d):
-                for l in range(d):
-                    idx[base + k * d + l] = base + l * d + k
-        return idx
 
     # -- canonical structure data -------------------------------------
 

@@ -46,6 +46,13 @@ def block_characters(alg: FdAlgebra) -> np.ndarray:
     return chi
 
 
+def _character_coordinates(chi: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Least-squares coefficients of v (or of its columns) over the block
+    characters chi, disjoint 0/1 columns: each is a sum of v over the
+    diagonal units of a block divided by their number."""
+    return (chi / chi.sum(axis=0)).T @ v
+
+
 def counital_character(w: WeakKac) -> np.ndarray:
     """Character of the counital representation, chi_eps = eps o mu o Delta."""
     return np.einsum("amn,mn->a", w.coproduct, w.eps_mult)
@@ -55,7 +62,7 @@ def _support_multiplicities(w: WeakKac, tol):
     """Multiplicity vector of chi_eps over the block characters."""
     chi = block_characters(w.algebra)
     target = counital_character(w)
-    nu, *_ = np.linalg.lstsq(chi, target, rcond=None)
+    nu = _character_coordinates(chi, target)
     residual = max_abs(chi @ nu - target)
     return nu, residual, chi
 
@@ -189,7 +196,7 @@ def fusion_ring(w: WeakKac, tol=None):
     nblocks = alg.nblocks
 
     v = np.einsum("amn,mi,nj->aij", w.coproduct, chi, chi, optimize=True)
-    coeffs, *_ = np.linalg.lstsq(chi, v.reshape(alg.dim, -1), rcond=None)
+    coeffs = _character_coordinates(chi, v.reshape(alg.dim, -1))
     residual = max_abs(chi @ coeffs - v.reshape(alg.dim, -1))
     rep.add("character_decomposition", residual, scale=10)
     n_float = coeffs.reshape(nblocks, nblocks, nblocks).transpose(1, 2, 0)
@@ -202,13 +209,9 @@ def fusion_ring(w: WeakKac, tol=None):
         )
 
     conj_chi = w.antipode.T @ chi
-    involution = []
-    invol_res = 0.0
-    for i in range(nblocks):
-        dists = [float(max_abs(conj_chi[:, i] - chi[:, k])) for k in range(nblocks)]
-        k = int(np.argmin(dists))
-        involution.append(k)
-        invol_res = max(invol_res, dists[k])
+    dists = np.abs(conj_chi[:, :, None] - chi[:, None, :]).max(axis=0)  # [i, k]
+    involution = [int(k) for k in dists.argmin(axis=1)]
+    invol_res = float(dists.min(axis=1).max())
     rep.add("involution_permutes_characters", invol_res)
     rep.add_flag(
         "involution_is_involution",
@@ -277,14 +280,11 @@ def dual_fusion_consistency(w: WeakKac, tol=None) -> VerificationReport:
     carried = dw.meta["to_canonical"].T @ chi_hat  # columns: elements of M
     nb = dw.algebra.nblocks
     alg = w.algebra
-    prods = np.stack(
-        [
-            [alg.mul(carried[:, i], carried[:, j]) for j in range(nb)]
-            for i in range(nb)
-        ],
-        axis=0,
-    )  # [i, j, coeff]
-    coeffs, *_ = np.linalg.lstsq(carried, prods.reshape(-1, alg.dim).T, rcond=None)
+    prods = (alg.lmat(carried.T) @ carried).transpose(0, 2, 1)  # [i, j, coeff]
+    # carried = T^T chi_hat with T = to_canonical and T^-1 = from_canonical:
+    # the products are decomposed in the dual's canonical coordinates
+    to_dual = dw.meta["from_canonical"].T
+    coeffs = _character_coordinates(chi_hat, to_dual @ prods.reshape(-1, alg.dim).T)
     lam = coeffs.T.reshape(nb, nb, nb)
     rep.add(
         "products_decompose_over_characters",

@@ -6,9 +6,13 @@ the predicate that a faithful trace makes the bialgebra a generalized
 Kac algebra.  Everything is computed in coefficient space over the
 matrix-unit basis.
 
-Each structure is solved once per algebra and tolerance: the Haar
-projection equations, and the null space of the Haar trace conditions
-that the normalized trace, its check and the trace cone all read.
+Each structure is solved once per algebra and tolerance: the target
+ideal that the Haar projection equations are solved in, and the null
+space of the Haar trace conditions that the normalized trace, its check
+and the trace cone all read.  No check draws a random input: each
+identity is linear in each argument and is evaluated on every basis
+triple (the flip identity), basis pair (the product exchange) or basis
+functional (the dual target identity).
 """
 
 from __future__ import annotations
@@ -62,25 +66,36 @@ def _as_weak_kac(data) -> WeakKac:
     return WeakKac(algebra, coproduct, antipode, counit=None)
 
 
+def _target_ideal(w: WeakKac, tol: Tolerance) -> np.ndarray:
+    """Orthonormal basis of I_t = {y : x y = eps_t(x) y for every basis x},
+    the null space of the stack L_{b_a} - L_{eps_t(b_a)}, solved once per
+    algebra and tolerance."""
+
+    def solve():
+        rows = w.algebra.lmat(np.eye(w.dim) - w.eps_t_matrix.T)
+        return nullspace(rows.reshape(w.dim * w.dim, w.dim), tol)
+
+    return w.memo(("target_ideal", tol), solve)
+
+
 def _haar_projection_space(w: WeakKac, tol: Tolerance):
     """Affine solution set of the Haar projection equations, solved once per
     algebra and tolerance.
 
-    x p = eps_t(x) p for every basis x, S(p) = p, eps_t(p) = 1.
+    x p = eps_t(x) p for every basis x puts p in the target ideal I_t;
+    S(p) = p and eps_t(p) = 1 are solved in its coordinates.
     """
 
     def solve():
-        alg = w.algebra
-        et = w.eps_t_matrix
-        dim = alg.dim
-        # rows[a] = L_{b_a} - L_{eps_t(b_a)}
-        rows = alg.lmat(np.eye(dim) - et.T)
+        ideal = _target_ideal(w, tol)
+        if ideal.shape[1] == 0:
+            raise Inconsistent("the target ideal is zero")
         constraints = [
-            (rows, np.zeros(dim * dim)),
-            (w.antipode - np.eye(dim), np.zeros(dim)),
-            (et, alg.unit),
+            ((w.antipode - np.eye(w.dim)) @ ideal, np.zeros(w.dim)),
+            (w.eps_t_matrix @ ideal, w.algebra.unit),
         ]
-        return solve_affine_space(constraints, tol)
+        coords = solve_affine_space(constraints, tol)
+        return AffineSpace(ideal @ coords.particular, ideal @ coords.null, coords.residual)
 
     return w.memo(("haar_projection_space", tol), solve)
 
@@ -168,9 +183,8 @@ def check_haar_projection(w: WeakKac, tol=None):
     # I_t = {y : x y = eps_t(x) y}; they must equal M p and p M, and
     # intersect in p M p.
     srows = alg.rmat(np.eye(dim) - es.T).reshape(dim * dim, dim)
-    trows = alg.lmat(np.eye(dim) - et.T).reshape(dim * dim, dim)
     i_s = nullspace(srows, tol)
-    i_t = nullspace(trows, tol)
+    i_t = _target_ideal(w, tol)
     rep.add("source_ideal_is_mp", subspace_distance(i_s, rmp, tol))
     rep.add("target_ideal_is_pm", subspace_distance(i_t, lmp, tol))
     rep.add(
@@ -184,30 +198,21 @@ def check_haar_projection(w: WeakKac, tol=None):
     rep.add("coproduct_evaluation_formula", formula)
     rep.add("coproduct_flip_symmetric", flip)
 
-    sigma = np.array(
-        [
-            int(alg.basis_block[int(np.argmax(np.abs(
-                w.antipode[:, alg.matrix_unit_index(i, 0, 0)]
-            )))])
-            for i in range(alg.nblocks)
-        ]
-    )
+    # sigma[i]: the block that S carries the unit e^i_00 into
+    units = [alg.matrix_unit_index(i, 0, 0) for i in range(alg.nblocks)]
+    sigma = alg.basis_block[np.argmax(np.abs(w.antipode[:, units]), axis=0)]
     mat2 = alg.to_matrix2(c)
     n = alg.matrix_size
-    ranks_ok = True
     detail = []
     for i in range(alg.nblocks):
         rows_i = alg.row_offsets[i] + np.arange(alg.block_shape[i])
         for j in range(alg.nblocks):
             rows_j = alg.row_offsets[j] + np.arange(alg.block_shape[j])
             idx = (rows_i[:, None] * n + rows_j[None, :]).reshape(-1)
-            sub = mat2[np.ix_(idx, idx)]
-            r = numerical_rank(sub, tol)
-            want = 1 if j == sigma[i] else 0
-            if r != want:
-                ranks_ok = False
-                detail.append(f"block ({i},{j}) rank {r} want {want}")
-    rep.add_flag("coproduct_block_ranks", ranks_ok, "; ".join(detail))
+            r = numerical_rank(mat2[np.ix_(idx, idx)], tol)
+            if r != int(j == sigma[i]):
+                detail.append(f"block ({i},{j}) rank {r} want {int(j == sigma[i])}")
+    rep.add_flag("coproduct_block_ranks", not detail, "; ".join(detail))
     return p, rep
 
 
@@ -357,21 +362,12 @@ def _haar_trace_cone(w: WeakKac, tol: Tolerance):
         lam_space = nullspace(_haar_trace_rows(w, gens), tol)
         proj = lam_space @ dagger(lam_space)
         cut = tol.rank_cutoff(proj.shape, max(1.0, max_abs(proj)))
-        # coupled classes = connected components of the coefficient projector
-        assigned = np.full(m, -1)
-        classes = []
-        for i in range(m):
-            if assigned[i] >= 0:
-                continue
-            todo, members = [i], []
-            while todo:
-                j = todo.pop()
-                if assigned[j] >= 0:
-                    continue
-                assigned[j] = len(classes)
-                members.append(j)
-                todo.extend(k for k in range(m) if abs(proj[j, k]) > cut)
-            classes.append(sorted(members))
+        # coupled classes = connected components of the coefficient projector,
+        # by squaring its reachability matrix; a class is listed at its least member
+        reach = (np.abs(proj) > cut) | np.eye(m, dtype=bool)
+        for _ in range(m.bit_length()):
+            reach = (reach.astype(int) @ reach) > 0
+        classes = [np.flatnonzero(row).tolist() for i, row in enumerate(reach) if row.argmax() == i]
         coeffs = []
         for members in classes:
             ind = np.zeros(m, dtype=complex)
@@ -419,14 +415,13 @@ def _haar_trace_cone(w: WeakKac, tol: Tolerance):
     return rays, rep
 
 
-def haar_conditional_expectations(
-    w: WeakKac, phi: Functional | None = None, tol=None, seed: int = 0
-):
+def haar_conditional_expectations(w: WeakKac, phi: Functional | None = None, tol=None):
     """Conditional expectations onto N_t, N_s, and the N_t-commutant.
 
     E_t = (id (x) phi) Delta, E_s = (phi (x) id) Delta, and
     Eo_t = mu (S (x) id) ((1 (x) y) e).  Returns (e_t, e_s, eo_t, report)
-    with the maps as matrices acting on coefficient vectors.  Eo_t is
+    with the maps as matrices acting on coefficient vectors.  The flip
+    identity is trilinear and is checked on every basis triple; Eo_t is
     tested against the extreme rays of the Haar trace cone.
     """
     tol = as_tol(tol)
@@ -465,19 +460,11 @@ def haar_conditional_expectations(
     intertwine_s = max_abs(e_s @ t - np.tensordot(e_s, t, (0, 0)))
     rep.add("source_intertwines_coproduct", intertwine_s, scale=10)
     rep.add("antipode_exchange", max_abs(e_t @ smat - smat @ e_s))
-
-    rng = np.random.default_rng((0xF11B, seed))
-    worst = 0.0
-    for _ in range(200):
-        x, y, z = (
-            rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-            for _ in range(3)
-        )
-        cx, cz = w.delta(x), w.delta(z)
-        lhs = e_t @ (alg.rmat(y) @ cx @ alg.rmat(z).T) @ e_t.T
-        rhs = (e_t @ alg.lmat(smat @ y) @ cz @ alg.lmat(x).T @ e_t.T).T
-        worst = max(worst, max_abs(lhs - rhs))
-    rep.add("flip_identity", worst, scale=100)
+    # in the coordinates of the range of E_t: N_t for a Haar trace, but a
+    # trace that is not one moves E_t off N_t, and only its own range
+    # keeps E_t = B v exact
+    span = orthonormal_columns(e_t, tol)
+    rep.add("flip_identity", _flip_identity_residual(w, dagger(span) @ e_t), scale=100)
 
     eo_t = w.mu((smat @ one_x_e).transpose(1, 2, 0))
     nt_comm = commutant(nt, tol)
@@ -506,6 +493,28 @@ def haar_conditional_expectations(
     return e_t, e_s, eo_t, rep
 
 
+def _flip_identity_residual(w: WeakKac, v: np.ndarray) -> float:
+    """Max over basis triples (x, y, z) of the flip identity
+    (E_t (x) E_t)(Delta(x)(y (x) z)) = flip (E_t (x) E_t)((S(y) (x) x) Delta(z)),
+    with E_t = B v for B orthonormal columns, in the coordinates of B.
+    Over the stacks v R_{b_y}, v L_{S b_y} and v L_{b_x}, one x at a time,
+    so no intermediate exceeds d^2 k^2 for the k rows of v.
+    """
+    alg, t = w.algebra, w.coproduct
+    dim, k = alg.dim, v.shape[0]
+    eye = np.eye(dim)
+    right = (v @ alg.rmat(eye)).reshape(dim * k, dim)  # row (y, i): (v R_{b_y})[i]
+    left_s = (v @ alg.lmat(w.antipode.T)).reshape(dim * k, dim)  # (v L_{S b_y})[j]
+    left = v @ alg.lmat(eye)  # left[x] = v L_{b_x}
+    worst = 0.0
+    for x in range(dim):
+        lhs = right @ t[x] @ right.T  # [(y, i), (z, j)]
+        rhs = left_s @ (t @ left[x].T).transpose(1, 0, 2).reshape(dim, dim * k)  # [(y, j), (z, i)]
+        diff = lhs.reshape(dim, k, dim, k) - rhs.reshape(dim, k, dim, k).transpose(0, 3, 2, 1)
+        worst = max(worst, max_abs(diff))
+    return worst
+
+
 def _sandwiches(alg, c) -> np.ndarray:
     """Stack over the basis of C (1 (x) b_a) C for an element C of M (x) M,
     given as its coefficient matrix, by one join over the nonzeros of C.
@@ -515,9 +524,7 @@ def _sandwiches(alg, c) -> np.ndarray:
     col(b_j) to row(b_l), if those lie in one block.
     """
     n = alg.matrix_size
-    rows, cols = alg.basis_row, alg.basis_col
-    units = np.full((n, n), -1)  # basis index of the matrix unit at (row, col)
-    units[rows, cols] = np.arange(alg.dim)
+    rows, cols, units = alg.basis_row, alg.basis_col, alg.unit_index
     i, j = np.nonzero(c)
     order = np.argsort(rows[i], kind="stable")
     f, s = _join(cols[i], _row_starts(rows[i][order], n))
@@ -575,41 +582,49 @@ def check_generalized_kac(data, phi: Functional, tol=None) -> VerificationReport
     return rep
 
 
-def operator_identities(
-    w: WeakKac, n_samples: int = 20, seed: int = 0, tol=None
-) -> VerificationReport:
+def operator_identities(w: WeakKac, tol=None) -> VerificationReport:
     """Regular-representation identities linking M and its dual.
 
     With L_x y = x y and R*_f y = (id (x) f) Delta(y):
-    R*_f L_x = sum f_(1)(x_(2)) L_{x_(1)} R*_{f_(2)} and
-    R*_{target part of f} = L_{(id (x) f) e}.
+    R*_f L_x = sum f_(1)(x_(2)) L_{x_(1)} R*_{f_(2)}, bilinear in (x, f)
+    and checked on every basis element x and basis functional f, and
+    R*_{target part of f} = L_{(id (x) f) e}, linear in f and checked on
+    every basis functional.
     """
     tol = as_tol(tol)
-    alg = w.algebra
-    dim = alg.dim
-    t = w.coproduct
-    e = w.e_matrix
-    et = w.eps_t_matrix
+    alg, t = w.algebra, w.coproduct
     rep = VerificationReport("regular representation identities", tol)
-
-    rng = np.random.default_rng((0x51D3, seed))
-
-    def rstar(fvec):
-        return np.einsum("bmn,n->mb", t, fvec)
-
-    worst_a = worst_b = 0.0
-    for _ in range(n_samples):
-        x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        f = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        cx = w.delta(x)
-        conv = Functional(alg, f).pairing()
-        lhs = rstar(f) @ alg.lmat(x)
-        # rhs[:, b] = sum cx[m, n] f(b_n b_d) t[b, r, d] b_m b_r
-        rhs = w.mu(np.einsum("md,brd->mrb", cx @ conv, t, optimize=True))
-        worst_a = max(worst_a, max_abs(lhs - rhs))
-        worst_b = max(
-            worst_b, max_abs(rstar(et.T @ f) - alg.lmat(e @ f))
-        )
-    rep.add("product_exchange", worst_a, scale=100)
-    rep.add("dual_target_as_left_multiplication", worst_b, scale=100)
+    rep.add("product_exchange", _product_exchange_residual(w), scale=100)
+    # column j: R*_{eps_t^T delta_j}, as [j, m, b], against L_{e delta_j}
+    rstar = np.einsum("bmn,jn->jmb", t, w.eps_t_matrix, optimize=True)
+    rep.add("dual_target_as_left_multiplication", max_abs(rstar - alg.lmat(w.e_matrix.T)), scale=100)
     return rep
+
+
+def _product_exchange_residual(w: WeakKac) -> float:
+    """Max over basis x, y and basis functionals f = delta_j of
+    |R*_f L_x y - sum f_(1)(x_(2)) x_(1) R*_{f_(2)} y|.
+
+    The right side at output coefficient o sums t[x,m,n] t[y,r,s] over the
+    factorizations b_m b_r = b_o and b_n b_s = b_j (the dual coproduct of
+    delta_j): one product over the factorizations per o, batched over j.
+    The left side is row b_x b_y of the coproduct.
+    """
+    alg, d = w.algebra, w.dim
+    p, q, m = alg.products
+    counts = np.bincount(m, minlength=d)
+    order = np.argsort(m, kind="stable")
+    slot = np.arange(m.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    # the factors of each b_o, padded with the index d of a zero slice of t
+    first, second = np.full((2, d, counts.max()), d)
+    first[m[order], slot], second[m[order], slot] = p[order], q[order]
+    t = np.zeros((d + 1,) * 3, dtype=complex)
+    t[:d, :d, :d] = w.coproduct
+    prod = np.where(alg.prod_table >= 0, alg.prod_table, d)
+    worst = 0.0
+    for o in range(d):
+        a = t[:d, first[o][:, None, None], first[None]].transpose(2, 0, 1, 3)  # [j, x, m, n]
+        b = t[:d, second[o][:, None, None], second[None]].transpose(2, 1, 3, 0)  # [j, r, s, y]
+        rhs = a.reshape(d, d, -1) @ b.reshape(d, -1, d)
+        worst = max(worst, max_abs(t[prod, o, :d].transpose(2, 0, 1) - rhs))
+    return worst

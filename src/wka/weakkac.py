@@ -133,18 +133,27 @@ class WeakKac:
     @cached_property
     def eps_t_matrix(self) -> np.ndarray:
         """Matrix of eps_t = mu (id (x) S) Delta on coefficient vectors."""
-        cols = [
-            self.mu(self.coproduct[j] @ self.antipode.T) for j in range(self.dim)
-        ]
-        return _read_only(np.stack(cols, axis=1))
+        return _read_only(self._counital_matrix(antipode_leg=1))
 
     @cached_property
     def eps_s_matrix(self) -> np.ndarray:
         """Matrix of eps_s = mu (S (x) id) Delta on coefficient vectors."""
-        cols = [
-            self.mu(self.antipode @ self.coproduct[j]) for j in range(self.dim)
-        ]
-        return _read_only(np.stack(cols, axis=1))
+        return _read_only(self._counital_matrix(antipode_leg=0))
+
+    def _counital_matrix(self, antipode_leg: int) -> np.ndarray:
+        """mu (id (x) S) Delta (antipode_leg 1) or mu (S (x) id) Delta (0)
+        by one join: each term t[i,m,n] b_m (x) b_n meets the products
+        b_p b_q = b_o whose factor on the other leg is its own, and adds
+        t[i,m,n] S[q,n] (or S[p,m]) at row o, column i."""
+        i, m, n, v = self.coproduct_nonzeros
+        p, q, o = self.algebra.products
+        kept, key, moved, factor = (m, p, n, q) if antipode_leg else (n, q, m, p)
+        order = np.argsort(key, kind="stable")
+        f, s = _join(kept, _row_starts(key[order], self.dim))
+        s = order[s]
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        np.add.at(out, (o[s], i[f]), v[f] * self.antipode[factor[s], moved[f]])
+        return out
 
     @cached_property
     def coproduct_nonzeros(self) -> tuple:
@@ -624,14 +633,9 @@ def _coproduct_of_e_residual(w: WeakKac) -> float:
 
 def _block_formula_residual(w: WeakKac, source_units, source_alg) -> float:
     """Residual of e = sum_blocks (1/n) sum_{pq} f_{pq} (x) S(f_{qp})."""
-    total = np.zeros_like(w.e_matrix)
-    for i, d in enumerate(source_alg.block_shape):
-        for p in range(d):
-            for q in range(d):
-                fpq = source_units[:, source_alg.matrix_unit_index(i, p, q)]
-                fqp = source_units[:, source_alg.matrix_unit_index(i, q, p)]
-                total += np.outer(fpq, w.antipode @ fqp) / d
-    return max_abs(total - w.e_matrix)
+    sizes = np.asarray(source_alg.block_shape, dtype=float)[source_alg.basis_block]
+    flipped = w.antipode @ source_units[:, source_alg.star_index]  # S(f_qp) at pq
+    return max_abs((source_units / sizes) @ flipped.T - w.e_matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -684,18 +688,13 @@ def counital_maps(w: WeakKac, tol=None) -> CounitalMaps:
     rhs = et @ alg.basis_products(et, leg=0, left=True)
     rep.add("absorbs_right_factor", max_abs(lhs - rhs), scale=100)
 
-    # eps_t(n S(n') x) = n eps_t(x) n' and eps_t(x n) = eps_t(x S(n)) on N_t
-    worst_mod, worst_right = 0.0, 0.0
-    for i in range(nt.dim):
-        n = nt.basis[:, i]
-        worst_right = max(
-            worst_right, max_abs(et @ alg.rmat(n) - et @ alg.rmat(w.antipode @ n))
-        )
-        for j in range(nt.dim):
-            np_ = nt.basis[:, j]
-            lhs_m = et @ alg.lmat(n) @ alg.lmat(w.antipode @ np_)
-            rhs_m = alg.lmat(n) @ alg.rmat(np_) @ et
-            worst_mod = max(worst_mod, max_abs(lhs_m - rhs_m))
+    # eps_t(n S(n') x) = n eps_t(x) n' and eps_t(x n) = eps_t(x S(n)) over
+    # the pairs of basis elements n, n' of N_t
+    snt = (w.antipode @ nt.basis).T
+    ln, rn = alg.lmat(nt.basis.T), alg.rmat(nt.basis.T)
+    worst_right = max_abs(et @ rn - et @ alg.rmat(snt))
+    lhs_m = et @ ln[:, None] @ alg.lmat(snt)[None]
+    worst_mod = max_abs(lhs_m - ln[:, None] @ rn[None] @ et)
     rep.add("target_bimodule_map", worst_mod, scale=100)
     rep.add("right_antipode_absorption", worst_right, scale=100)
     return CounitalMaps(et, es, rep)
@@ -852,31 +851,25 @@ def restrict_to_blocks(w: WeakKac, blocks) -> tuple:
 def decompose_if_split(w: WeakKac, tol=None):
     """Split w along a nontrivial hyper-central projection if one exists.
 
-    Returns None when the hyper-center is trivial, otherwise
-    (w1, w2, report) where both summands are fully verified.
+    Hyper-central elements are central, so each is a scalar on every
+    block; blocks where all of them agree form a class, and the class of
+    block 0 is split from the other blocks.  Returns None when the
+    hyper-center is trivial, otherwise (w1, w2, report) where w1 holds the
+    class of block 0 and both summands are fully verified.
     """
     tol = as_tol(tol)
     hc = hyper_center(w, tol)
     if hc.dim < 2:
         return None
     alg = w.algebra
-    # hyper-central elements are central: identified by their block scalars
-    values = np.stack(
-        [
-            [hc.basis[:, i] @ alg.block_identity(b) / alg.block_shape[b]
-             for b in range(alg.nblocks)]
-            for i in range(hc.dim)
-        ]
+    # values[i, b]: the scalar of hyper-central basis element i on block b
+    scalars = np.stack(
+        [alg.block_identity(b) / alg.block_shape[b] for b in range(alg.nblocks)], axis=1
     )
-    rng = np.random.default_rng(0xC0FFEE)
-    coeff = rng.standard_normal(hc.dim)
-    z = coeff @ values  # block scalars of a generic hyper-central element
-    z = np.real(z)
-    order = np.argsort(z)
-    gaps = np.diff(z[order])
-    split_at = int(np.argmax(gaps)) + 1
-    group1 = sorted(order[:split_at].tolist())
-    group2 = sorted(order[split_at:].tolist())
+    values = hc.basis.T @ scalars
+    same = np.abs(values - values[:, :1]).max(axis=0) <= 100 * tol.abs_tol
+    group1 = np.flatnonzero(same).tolist()
+    group2 = np.flatnonzero(~same).tolist()
     w1, pi1 = restrict_to_blocks(w, group1)
     w2, pi2 = restrict_to_blocks(w, group2)
     rep = VerificationReport("direct sum splitting", tol)

@@ -2,9 +2,11 @@
 
 from functools import lru_cache
 
+import numpy as np
 import pytest
 
 from wka import (
+    WeakKac,
     crossed_product,
     cube_family,
     cyclic_groupoid,
@@ -44,6 +46,15 @@ def get_example(name):
         "twist_12": lambda: elementary_twist(elementary((1, 2)), random_cocycle(2, seed=3)),
     }
     return builders[name]()
+
+
+def moved_entry(w):
+    """w with one coproduct entry moved to a zero position of its row."""
+    t = np.array(w.coproduct)
+    i = np.flatnonzero((t == 0).any(axis=(1, 2)))[0]
+    (j, k), (j2, k2) = np.argwhere(t[i] != 0)[0], np.argwhere(t[i] == 0)[0]
+    t[i, j2, k2], t[i, j, k] = t[i, j, k], 0
+    return WeakKac(w.algebra, t, w.antipode, w.counit)
 
 
 @pytest.fixture

@@ -14,6 +14,7 @@ from wka import (
     haar_trace_cone,
     normalized_haar_trace,
 )
+from wka import haar
 from wka.algebra import Functional, block_trace, make_algebra, regular_trace
 from wka.errors import NonUnique, NotFaithful, NotTracial
 from wka.haar import (
@@ -24,9 +25,10 @@ from wka.haar import (
     haar_conditional_expectations,
     operator_identities,
 )
+from wka.tensorkit import dagger, max_abs, orthonormal_columns
 from wka.weakkac import WeakKac, cartan_subalgebras
 
-from conftest import get_example
+from conftest import get_example, moved_entry
 
 EXAMPLES = ["group_z3", "fun_k2", "elem_12", "dualelem_12", "cube2", "twist_12"]
 
@@ -74,6 +76,35 @@ def test_haar_projection_unique_flag_fails_on_a_solution_family():
     assert rep["solver_residual"].passed
     with pytest.raises(NonUnique):
         haar_projection(w)
+
+
+def test_target_ideal_is_solved_once(monkeypatch):
+    # x p = eps_t(x) p is decomposed once, as the target ideal that the
+    # Haar projection is solved in and that its check compares with p M
+    w = cube_family(2)
+    dim = w.dim
+    rows = w.algebra.lmat(np.eye(dim) - w.eps_t_matrix.T).reshape(dim * dim, dim)
+    real_null, real_solve, solves = haar.nullspace, haar.solve_affine_space, []
+
+    def holds_rows(a):
+        a = np.asarray(a).reshape(-1, dim)
+        return a.shape[0] >= rows.shape[0] and np.array_equal(a[: rows.shape[0]], rows)
+
+    def counting_null(a, *args, **kwargs):
+        solves.extend([1] if holds_rows(a) else [])
+        return real_null(a, *args, **kwargs)
+
+    def counting_solve(constraints, *args, **kwargs):
+        solves.extend(1 for a, _ in constraints if holds_rows(a))
+        return real_solve(constraints, *args, **kwargs)
+
+    monkeypatch.setattr(haar, "nullspace", counting_null)
+    monkeypatch.setattr(haar, "solve_affine_space", counting_solve)
+    haar_projection(w)
+    _, rep = check_haar_projection(w)
+    check_haar_projection(w)
+    assert rep.passed, rep.as_text()
+    assert len(solves) == 1
 
 
 def test_support_oracle_equals_equation_solution():
@@ -214,6 +245,33 @@ def test_skewed_trace_fails_expectations():
     *_, rep = haar_conditional_expectations(w, phi=tau)
     assert not rep.passed
     assert rep.max_residual > 0.1
+    assert rep["flip_identity"].residual > 0.1
+
+
+def _flip_identity_by_triples(w, v):
+    """Oracle: the flip identity in the coordinates v of E_t, one basis
+    triple at a time."""
+    alg, t, s = w.algebra, w.coproduct, w.antipode
+    eye = np.eye(w.dim)
+    worst = 0.0
+    for x in range(w.dim):
+        for y in range(w.dim):
+            for z in range(w.dim):
+                lhs = v @ alg.rmat(eye[y]) @ t[x] @ alg.rmat(eye[z]).T @ v.T
+                rhs = (v @ alg.lmat(s[:, y]) @ t[z] @ alg.lmat(eye[x]).T @ v.T).T
+                worst = max(worst, max_abs(lhs - rhs))
+    return worst
+
+
+@pytest.mark.parametrize("weights", [None, [0.3, 0.7]])
+def test_flip_identity_matches_the_triple_loop(weights):
+    w = get_example("cube2")
+    tau = normalized_haar_trace(w) if weights is None else block_trace(w.algebra, weights)
+    e_t = (w.coproduct @ tau.vec).T
+    v = dagger(orthonormal_columns(e_t)) @ e_t
+    exact = haar._flip_identity_residual(w, v)
+    assert abs(exact - _flip_identity_by_triples(w, v)) <= 1e-12
+    assert (exact > 0.1) == (weights is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -258,3 +316,29 @@ def test_generalized_kac_rejects_non_faithful():
 def test_operator_identities(name):
     rep = operator_identities(get_example(name))
     assert rep.passed, rep.as_text()
+
+
+def _product_exchange_by_pairs(w):
+    """Oracle: R*_f L_x against sum f_(1)(x_(2)) L_{x_(1)} R*_{f_(2)}, one
+    basis pair (x, f) at a time, the right side through the pairing of f."""
+    alg, t = w.algebra, w.coproduct
+    eye = np.eye(w.dim)
+    worst = 0.0
+    for x in eye:
+        for f in eye:
+            lhs = np.einsum("bmn,n->mb", t, f) @ alg.lmat(x)
+            conv = Functional(alg, f).pairing()
+            rhs = w.mu(np.einsum("md,brd->mrb", w.delta(x) @ conv, t))
+            worst = max(worst, max_abs(lhs - rhs))
+    return worst
+
+
+@pytest.mark.parametrize("name", ["cube2", "elem_12", "dualelem_12"])
+def test_moved_coproduct_entry_fails_operator_identities(name):
+    w = get_example(name)
+    moved = moved_entry(w)
+    failed = {c.name for c in operator_identities(moved).failures()}
+    assert failed == {"product_exchange", "dual_target_as_left_multiplication"}
+    for v in (w, moved):
+        exact = haar._product_exchange_residual(v)
+        assert abs(exact - _product_exchange_by_pairs(v)) <= 1e-12

@@ -28,7 +28,7 @@ from wka.errors import CartanMismatch, InvalidAction
 from wka.report import VerificationReport
 from wka.tensorkit import max_abs
 
-from conftest import get_example
+from conftest import get_example, moved_entry
 
 EXAMPLES = [
     "group_z3",
@@ -188,15 +188,6 @@ def test_join_residuals_match_dense_oracles_off_the_axioms(name, density):
         assert abs(join - dense) <= 1e-12
 
 
-def _moved_entry(w):
-    """w with one coproduct entry moved to a zero position of its row."""
-    t = np.array(w.coproduct)
-    i = np.flatnonzero((t == 0).any(axis=(1, 2)))[0]
-    (j, k), (j2, k2) = np.argwhere(t[i] != 0)[0], np.argwhere(t[i] == 0)[0]
-    t[i, j2, k2], t[i, j, k] = t[i, j, k], 0
-    return WeakKac(w.algebra, t, w.antipode, w.counit)
-
-
 def _unreachable(*args):
     raise AssertionError("residual computed on the other path")
 
@@ -212,7 +203,7 @@ def test_moved_coproduct_entry_fails_coassociativity_and_multiplicativity(path, 
     for name in other:
         monkeypatch.setattr(weakkac, name, _unreachable)
     assert verify_weak_kac(w).passed
-    failed = {c.name for c in verify_weak_kac(_moved_entry(w)).failures()}
+    failed = {c.name for c in verify_weak_kac(moved_entry(w)).failures()}
     assert {"delta_coassociative", "delta_multiplicative"} <= failed
 
 
@@ -299,6 +290,27 @@ def test_counital_range_checks_follow_the_tolerance():
     assert rep["source_range"].residual < 1e-4
 
 
+def _counital_matrices_by_columns(w):
+    """Oracle: eps_t and eps_s one basis column at a time, as d products."""
+    t, s = w.coproduct, w.antipode
+    eps_t = np.stack([w.mu(t[j] @ s.T) for j in range(w.dim)], axis=1)
+    eps_s = np.stack([w.mu(s @ t[j]) for j in range(w.dim)], axis=1)
+    return eps_t, eps_s
+
+
+def test_counital_matrices_match_the_column_products():
+    cases = [entry.build() for entry in catalog()]
+    # a dense antipode, so the join meets every entry of S
+    w = get_example("cube2")
+    rng = np.random.default_rng(3)
+    s = rng.standard_normal((w.dim, w.dim)) + 1j * rng.standard_normal((w.dim, w.dim))
+    cases.append(WeakKac(w.algebra, w.coproduct, s, w.counit))
+    for w in cases:
+        eps_t, eps_s = _counital_matrices_by_columns(w)
+        assert max_abs(w.eps_t_matrix - eps_t) <= 1e-12 * max(1.0, max_abs(eps_t))
+        assert max_abs(w.eps_s_matrix - eps_s) <= 1e-12 * max(1.0, max_abs(eps_s))
+
+
 def test_counital_maps_match_counit_composition():
     # eps o eps_t = eps and eps o eps_s = eps
     w = get_example("cube2")
@@ -353,6 +365,20 @@ def test_direct_sum_splits_back():
     assert shapes == sorted(
         [tuple(w1.algebra.block_shape), tuple(w2.algebra.block_shape)]
     )
+
+
+def test_three_summands_split_off_the_class_of_block_0():
+    # a hyper-center of dimension 3 offers several splits; the class of
+    # block 0 is split off, the same on every call and every rebuild
+    parts = [get_example(name) for name in ("fun_z2", "group_z3", "cube2")]
+    builds = [direct_sum(direct_sum(*parts[:2]), parts[2]) for _ in range(2)]
+    assert hyper_center(builds[0]).dim == 3
+    for w in (builds[0], builds[0], builds[1]):
+        first, rest, rep = decompose_if_split(w)
+        assert rep.passed, rep.as_text()
+        assert np.array_equal(first.coproduct, parts[0].coproduct)
+        assert rest.algebra.block_shape == parts[1].algebra.block_shape + parts[2].algebra.block_shape
+        assert np.array_equal(rest.coproduct, direct_sum(*parts[1:]).coproduct)
 
 
 def test_restrict_to_blocks_recovers_summand():

@@ -23,7 +23,7 @@ from .algebra import (
 )
 from .errors import InvalidAction, InvalidCocycle, InvalidGroupoid
 from .tensorkit import as_tol, max_abs
-from .weakkac import WeakKac, _multiplicativity_residual
+from .weakkac import WeakKac, _intertwining_residual, _multiplicativity_residual
 
 __all__ = [
     "Group",
@@ -500,9 +500,7 @@ def validate_action(w: WeakKac, action: GroupAction, tol=None):
             raise InvalidAction(f"action of {g} does not preserve *")
         if _multiplicativity_residual(alg, alg, ag) > limit:
             raise InvalidAction(f"action of {g} is not multiplicative")
-        lhs_d = np.einsum("ma,iab,nb->imn", ag, w.coproduct, ag, optimize=True)
-        rhs_d = np.einsum("mi,mab->iab", ag, w.coproduct, optimize=True)
-        if max_abs(lhs_d - rhs_d) > limit:
+        if _intertwining_residual(w, w, ag) > limit:
             raise InvalidAction(f"action of {g} does not commute with the coproduct")
         if max_abs(ag @ w.antipode - w.antipode @ ag) > limit:
             raise InvalidAction(f"action of {g} does not commute with the antipode")

@@ -583,48 +583,15 @@ def check_generalized_kac(data, phi: Functional, tol=None) -> VerificationReport
 
 
 def operator_identities(w: WeakKac, tol=None) -> VerificationReport:
-    """Regular-representation identities linking M and its dual.
-
-    With L_x y = x y and R*_f y = (id (x) f) Delta(y):
-    R*_f L_x = sum f_(1)(x_(2)) L_{x_(1)} R*_{f_(2)}, bilinear in (x, f)
-    and checked on every basis element x and basis functional f, and
-    R*_{target part of f} = L_{(id (x) f) e}, linear in f and checked on
-    every basis functional.
-    """
+    """Regular-representation identity linking M and its dual: with
+    L_x y = x y and R*_f y = (id (x) f) Delta(y), R*_{target part of f} =
+    L_{(id (x) f) e}, checked on every basis functional.  The exchange
+    identity R*_f L_x = sum f_(1)(x_(2)) L_{x_(1)} R*_{f_(2)} is, on basis
+    elements, `delta_multiplicative` of `verify_weak_kac`."""
     tol = as_tol(tol)
     alg, t = w.algebra, w.coproduct
     rep = VerificationReport("regular representation identities", tol)
-    rep.add("product_exchange", _product_exchange_residual(w), scale=100)
     # column j: R*_{eps_t^T delta_j}, as [j, m, b], against L_{e delta_j}
     rstar = np.einsum("bmn,jn->jmb", t, w.eps_t_matrix, optimize=True)
     rep.add("dual_target_as_left_multiplication", max_abs(rstar - alg.lmat(w.e_matrix.T)), scale=100)
     return rep
-
-
-def _product_exchange_residual(w: WeakKac) -> float:
-    """Max over basis x, y and basis functionals f = delta_j of
-    |R*_f L_x y - sum f_(1)(x_(2)) x_(1) R*_{f_(2)} y|.
-
-    The right side at output coefficient o sums t[x,m,n] t[y,r,s] over the
-    factorizations b_m b_r = b_o and b_n b_s = b_j (the dual coproduct of
-    delta_j): one product over the factorizations per o, batched over j.
-    The left side is row b_x b_y of the coproduct.
-    """
-    alg, d = w.algebra, w.dim
-    p, q, m = alg.products
-    counts = np.bincount(m, minlength=d)
-    order = np.argsort(m, kind="stable")
-    slot = np.arange(m.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    # the factors of each b_o, padded with the index d of a zero slice of t
-    first, second = np.full((2, d, counts.max()), d)
-    first[m[order], slot], second[m[order], slot] = p[order], q[order]
-    t = np.zeros((d + 1,) * 3, dtype=complex)
-    t[:d, :d, :d] = w.coproduct
-    prod = np.where(alg.prod_table >= 0, alg.prod_table, d)
-    worst = 0.0
-    for o in range(d):
-        a = t[:d, first[o][:, None, None], first[None]].transpose(2, 0, 1, 3)  # [j, x, m, n]
-        b = t[:d, second[o][:, None, None], second[None]].transpose(2, 1, 3, 0)  # [j, r, s, y]
-        rhs = a.reshape(d, d, -1) @ b.reshape(d, -1, d)
-        worst = max(worst, max_abs(t[prod, o, :d].transpose(2, 0, 1) - rhs))
-    return worst

@@ -87,7 +87,7 @@ def difference_max_abs(left, right) -> float:
     if keys.size == 0:
         return 0.0
     values = np.concatenate([left[1], -right[1]])
-    order = np.argsort(keys, kind="stable")
+    order = np.argsort(keys)
     keys = keys[order]
     first = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
     return max_abs(np.add.reduceat(values[order], first))
@@ -113,12 +113,13 @@ def nullspace(a: np.ndarray, tol: Tolerance | None = None) -> np.ndarray:
     return dagger(vh)[:, _rank(s, a.shape, as_tol(tol)) :]
 
 
-def singular_values(a: np.ndarray, tol: Tolerance | None = None):
+def singular_values(a: np.ndarray, tol: Tolerance | None = None, shape=None):
     """(s, rank): the singular values of a, descending, and how many lie
-    above the rank cutoff."""
+    above the rank cutoff.  A matrix given by its nonzero rows is ranked at
+    the cutoff of its full `shape` (by default the shape of a)."""
     a = np.asarray(a)
     s = np.linalg.svd(a, compute_uv=False)
-    return s, _rank(s, a.shape, as_tol(tol))
+    return s, _rank(s, a.shape if shape is None else shape, as_tol(tol))
 
 
 def numerical_rank(a: np.ndarray, tol: Tolerance | None = None) -> int:

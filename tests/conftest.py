@@ -57,6 +57,16 @@ def moved_entry(w):
     return WeakKac(w.algebra, t, w.antipode, w.counit)
 
 
+def with_noise(w, density=0.0, seed=5):
+    """w with 1e-3 complex noise on the nonzeros of its coproduct and on a
+    random share `density` of its zeros."""
+    rng = np.random.default_rng(seed)
+    shape = w.coproduct.shape
+    noise = 1e-3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    noise[(w.coproduct == 0) & (rng.random(shape) >= density)] = 0
+    return WeakKac(w.algebra, w.coproduct + noise, w.antipode, w.counit)
+
+
 @pytest.fixture
 def example():
     return get_example

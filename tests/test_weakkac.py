@@ -1,5 +1,7 @@
 """Axiom verification, Cartan subalgebras, counital maps, morphisms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -26,9 +28,9 @@ from wka import weakkac
 from wka.constructors import validate_action
 from wka.errors import CartanMismatch, InvalidAction
 from wka.report import VerificationReport
-from wka.tensorkit import max_abs
+from wka.tensorkit import Tolerance, max_abs, singular_values
 
-from conftest import get_example, moved_entry
+from conftest import get_example, moved_entry, with_noise
 
 EXAMPLES = [
     "group_z3",
@@ -120,18 +122,29 @@ def test_mangled_antipode_fails():
 @pytest.mark.parametrize(
     "perturbed, failing",
     [
-        ("counit", {"axiomA2", "axiomA2_prime", "axiomA3", "axiomA3_prime"}),
-        ("coproduct", {"axiom3", "axiomA3_doubleprime"}),
+        ("counit", {"axiomA2", "axiomA2_prime", "axiomA3", "axiomA3_prime", "axiom1_s_invariance"}),
+        (
+            "coproduct",
+            {"axiom3", "axiomA3_doubleprime", "delta_star_compatible", "antipode_flips_coproduct"},
+        ),
         ("antipode", {"axiom3", "axiomA3_doubleprime"}),
+        ("counit_imaginary", {"axiom1_star", "axiomA3_star", "axiomA4_prime"}),
+        ("coproduct_row", {"delta_injective"}),
     ],
 )
 def test_counit_axioms_evaluated_by_scatters_can_fail(perturbed, failing):
-    """1e-6 noise on the counit or the coproduct, or S = id, on cube_family(2)
-    fails each counit axiom that contracts against the product triples."""
+    """On cube_family(2): 1e-6 noise on the counit or the coproduct, S = id,
+    an imaginary 1e-6 shift of the counit or a zero row of the coproduct
+    fails each named axiom evaluated over the nonzeros or by d x d products."""
     w = get_example("cube2")
     arrays = {"coproduct": w.coproduct, "antipode": w.antipode, "counit": w.counit}
     if perturbed == "antipode":
         arrays["antipode"] = np.eye(w.dim)
+    elif perturbed == "counit_imaginary":
+        arrays["counit"] = w.counit + 1e-6j
+    elif perturbed == "coproduct_row":
+        arrays["coproduct"] = np.array(w.coproduct)
+        arrays["coproduct"][0] = 0
     else:
         rng = np.random.default_rng(7)
         shape = arrays[perturbed].shape
@@ -142,18 +155,104 @@ def test_counit_axioms_evaluated_by_scatters_can_fail(perturbed, failing):
 
 
 # ---------------------------------------------------------------------------
-# coassociativity and multiplicativity: joins over the nonzeros and the
-# dense oracles
+# residuals over the coproduct's nonzeros and their dense oracles: the
+# contractions the joins replaced, kept here as reference implementations
 # ---------------------------------------------------------------------------
 
 
+def _multiplicativity_dense(src, dst, f, anti=False):
+    """Max over basis pairs of |f(b_a b_b) - f(b_a) f(b_b)| (or f(b_b) f(b_a)
+    when anti is set), the products in dst taken as concrete matrices."""
+    mats = np.stack([dst.to_matrix(f[:, a]) for a in range(src.dim)])
+    spec = "bij,ajk->abik" if anti else "aij,bjk->abik"
+    rhs = np.einsum(spec, mats, mats, optimize=True)[:, :, dst.basis_row, dst.basis_col]
+    lhs = np.zeros_like(rhs)
+    p, q, m = src.products
+    lhs[p, q, :] = f[:, m].T
+    return max_abs(lhs - rhs)
+
+
+def _intertwining_dense(w1, w2, f, flip=False):
+    """Residual of (f (x) f) Delta_1 = Delta_2 f, or = flip Delta_2 f."""
+    lhs = np.einsum("ma,iab,nb->imn", f, w1.coproduct, f, optimize=True)
+    rhs = np.einsum("mi,mab->iab", f, w2.coproduct, optimize=True)
+    return max_abs(lhs - (rhs.transpose(0, 2, 1) if flip else rhs))
+
+
+def _delta_injectivity_dense(w):
+    d = w.dim
+    s, rank = singular_values(w.coproduct.reshape(d, d * d).T)
+    return rank == d, float(s[-1])
+
+
+def _residuals_dense(w):
+    """Every residual of verify_weak_kac evaluated over the nonzeros, other
+    than coassociativity and multiplicativity, by dense contractions."""
+    alg, t, s = w.algebra, w.coproduct, w.antipode
+    dim = alg.dim
+    star, eps = alg.star_matrix, w.counit
+    em, e = w.eps_mult, w.e_matrix
+    es, et = w.eps_s_matrix, w.eps_t_matrix
+    eye = np.eye(dim)
+    p, q, m = alg.products
+    one_x_e = alg.basis_products(e, leg=1, left=True)
+    lhs_a2 = np.zeros((dim, dim, dim), dtype=complex)
+    lhs_a2[:, q, m] = (em @ e)[:, p]
+    return {
+        "delta_star_compatible": max_abs(
+            np.einsum("mj,mab->jab", star, t)
+            - np.einsum("ma,jab,nb->jmn", star, np.conj(t), np.conj(star), optimize=True)
+        ),
+        "antipode_antimultiplicative": _multiplicativity_dense(alg, alg, s, anti=True),
+        "antipode_flips_coproduct": _intertwining_dense(w, w, s, flip=True),
+        "counit_left": max_abs(np.einsum("iab,a->bi", t, eps) - eye),
+        "counit_right": max_abs(np.einsum("iab,b->ai", t, eps) - eye),
+        "axiom3": max_abs(np.einsum("ma,jab->jmb", es, t) - one_x_e),
+        "axiomA2": max_abs(lhs_a2 - np.einsum("ac,bcn->abn", em, t)),
+        "axiomA3": max_abs(
+            np.einsum("ac,jcn->jan", e @ em, t) - alg.basis_products(e, leg=1, left=False)
+        ),
+        "axiomA2_prime": max_abs(
+            alg.basis_products(em.T @ e, leg=1, left=True) - np.einsum("cb,acn->abn", em, t)
+        ),
+        "axiomA3_prime": max_abs(np.einsum("ac,jcd->jad", e @ em.T, t) - one_x_e),
+        "axiomA3_doubleprime": max_abs(
+            np.einsum("jab,mb->jam", t, et) - alg.basis_products(e, leg=0, left=False)
+        ),
+    }
+
+
+def _perturbed_identity(dim, seed=3):
+    rng = np.random.default_rng(seed)
+    noise = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return np.eye(dim) + 1e-3 * noise
+
+
 def _both_paths(w):
-    """(join, dense oracle) for coassociativity and for multiplicativity,
-    the latter exhaustive over basis pairs on both sides."""
-    return [
-        (weakkac._coassociativity_join(w), weakkac._coassociativity_dense(w)),
-        (weakkac._delta_mult_join(w), weakkac._delta_mult_dense(w, np.eye(w.dim))),
-    ]
+    """{check: (join, dense oracle)} for every residual evaluated over the
+    coproduct's nonzeros, multiplicativity exhaustive over basis pairs on
+    both sides, and check_morphism's on the identity and a perturbed map."""
+    rep = verify_weak_kac(w)
+    paths = {name: (rep[name].residual, dense) for name, dense in _residuals_dense(w).items()}
+    paths["delta_coassociative"] = (
+        weakkac._coassociativity_join(w), weakkac._coassociativity_dense(w)
+    )
+    paths["delta_multiplicative"] = (
+        weakkac._delta_mult_join(w), weakkac._delta_mult_dense(w, np.eye(w.dim))
+    )
+    for label, f in (("identity", np.eye(w.dim)), ("perturbed", _perturbed_identity(w.dim))):
+        mrep = check_morphism(w, w, f)
+        paths[f"multiplicative[{label}]"] = (
+            mrep["multiplicative"].residual, _multiplicativity_dense(w.algebra, w.algebra, f)
+        )
+        paths[f"intertwines_coproduct[{label}]"] = (
+            mrep["intertwines_coproduct"].residual, _intertwining_dense(w, w, f)
+        )
+    full, smin = weakkac._delta_injectivity(w, rep.tol)
+    full_dense, smin_dense = _delta_injectivity_dense(w)
+    assert full == full_dense == rep["delta_injective"].passed
+    paths["delta_injective smallest singular value"] = (smin, smin_dense)
+    return paths
 
 
 def test_join_residuals_match_dense_oracles_on_catalog():
@@ -164,28 +263,57 @@ def test_join_residuals_match_dense_oracles_on_catalog():
         # coproduct up to d^5 products: keep both to unit-test size
         if w.dim > 27 or w.coproduct_nonzeros[0].size > 5000:
             continue
-        for join, dense in _both_paths(w):
-            assert abs(join - dense) <= 1e-12, (entry.name, join, dense)
+        for name, (join, dense) in _both_paths(w).items():
+            assert abs(join - dense) <= 1e-12, (entry.name, name, join, dense)
         checked += 1
     assert checked == 52
 
 
-def _with_noise(w, density, seed=5):
-    """w with 1e-3 complex noise on the nonzeros of its coproduct and on a
-    random share `density` of its zeros."""
-    rng = np.random.default_rng(seed)
-    shape = w.coproduct.shape
-    noise = 1e-3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    noise[(w.coproduct == 0) & (rng.random(shape) >= density)] = 0
-    return WeakKac(w.algebra, w.coproduct + noise, w.antipode, w.counit)
+# residuals that read the coproduct and move off the axioms with its noise
+_READ_THE_COPRODUCT = [
+    "delta_coassociative", "delta_multiplicative", "delta_star_compatible",
+    "antipode_flips_coproduct", "counit_left", "counit_right", "axiom3", "axiomA2",
+    "axiomA3", "axiomA2_prime", "axiomA3_prime", "axiomA3_doubleprime",
+    "intertwines_coproduct[perturbed]",
+]
 
 
 @pytest.mark.parametrize("name, density", [("cube3", 0.05), ("crossed2", 1.0)])
 def test_join_residuals_match_dense_oracles_off_the_axioms(name, density):
-    w = _with_noise(get_example(name), density)
-    for join, dense in _both_paths(w):
-        assert 1e-5 < dense < 1e-1
-        assert abs(join - dense) <= 1e-12
+    w = with_noise(get_example(name), density)
+    paths = _both_paths(w)
+    for check, (join, dense) in paths.items():
+        assert abs(join - dense) <= 1e-12, (check, join, dense)
+    for check in _READ_THE_COPRODUCT:
+        assert 1e-5 < paths[check][1] < 1e-1, check
+
+
+def test_injectivity_is_ranked_at_the_cutoff_of_the_full_shape():
+    """Delta(b_0) scaled to norm 3e-8 on cube_family(2): the coproduct's
+    columns have disjoint supports, so that is its smallest singular value.
+    It lies below the rank cutoff of the 64 x 8 shape and above that of the
+    16 nonzero rows; the flag follows the full shape, as the dense SVD does."""
+    w = get_example("cube2")
+    t = np.array(w.coproduct)
+    t[0] *= 3e-8 / np.linalg.norm(t[0])
+    scaled = WeakKac(w.algebra, t, w.antipode, w.counit)
+    full, smin = weakkac._delta_injectivity(scaled, Tolerance())
+    assert len(np.unique(scaled.coproduct_nonzeros[1] * 8 + scaled.coproduct_nonzeros[2])) == 16
+    assert (full, smin) == (False, pytest.approx(3e-8, rel=1e-9))
+    assert _delta_injectivity_dense(scaled)[0] is False
+
+
+def test_verify_weak_kac_forms_no_dense_cube():
+    """On a prebuilt cube_family(4) (d = 64) the traced peak of the whole
+    verification stays below one dense d^3 complex array (4.2 MB)."""
+    w = cube_family(4)
+    tracemalloc.start()
+    try:
+        assert verify_weak_kac(w).passed
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < w.dim ** 3 * 16, peak
 
 
 def _unreachable(*args):
@@ -451,6 +579,27 @@ def test_unital_star_map_that_breaks_products_fails(check):
         kept = ("antipode_unital", "antipode_star")
     assert all(rep[name].passed for name in kept)
     assert not rep[check].passed
+
+
+@pytest.mark.parametrize(
+    "name, make_map, failing",
+    [
+        ("fun_k2", lambda w: np.eye(w.dim), set()),
+        (
+            "fun_k2",
+            lambda w: np.array(w.antipode),
+            {"intertwines_coproduct", "cartan_source_bijective", "cartan_target_bijective"},
+        ),
+    ],
+    ids=["identity", "antipode"],
+)
+def test_morphism_checks_fail_where_the_map_breaks(name, make_map, failing):
+    """The identity passes; on the functions of the pair groupoid, S is a
+    *-automorphism that keeps S and eps but reverses the coproduct and
+    swaps the Cartan subalgebras (x -> x^T, which breaks only products, is
+    in the test above)."""
+    w = get_example(name)
+    assert {c.name for c in check_morphism(w, w, make_map(w)).failures()} == failing
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from .tensorkit import (
     as_tol,
     dagger,
     difference_max_abs,
+    eigenspaces,
     max_abs,
     nullspace,
     numerical_rank,
@@ -441,9 +442,10 @@ def _mul(lt: np.ndarray, x, y) -> np.ndarray:
     return np.tensordot(x, lt, 1) @ y
 
 
-def _validate_star_algebra(data: StarAlgebraData, lt: np.ndarray, tol: Tolerance, rng):
+def _validate_star_algebra(data: StarAlgebraData, lt: np.ndarray, tol: Tolerance):
     """Unit, involution and associativity of a presentation whose left
-    multiplications are lt[a]; the last two on three seeded random probes."""
+    multiplications are lt[a]; the last two on three probes drawn from a
+    fixed generator."""
     dim = data.dim
     res_unit = max(
         max_abs(np.tensordot(data.unit, lt, 1) - np.eye(dim)),
@@ -452,6 +454,7 @@ def _validate_star_algebra(data: StarAlgebraData, lt: np.ndarray, tol: Tolerance
     if res_unit > 100 * tol.abs_tol:
         raise WkaError(f"unit fails by {res_unit:.2e}")
     res_star = max_abs(data.star @ np.conj(data.star) - np.eye(dim))
+    rng = np.random.default_rng((0x5EED, 0))
     probes = rng.standard_normal((3, 2, dim)) + 1j * rng.standard_normal((3, 2, dim))
     res_anti = 0.0
     res_assoc = 0.0
@@ -473,22 +476,7 @@ def _validate_star_algebra(data: StarAlgebraData, lt: np.ndarray, tol: Tolerance
         raise WkaError(f"associativity fails by {res_assoc:.2e}")
 
 
-def _cluster(eigvals: np.ndarray, gap: float):
-    """Group sorted eigenvalues into clusters split at gaps larger than gap."""
-    order = np.argsort(eigvals)
-    clusters, current = [], [order[0]]
-    for prev, nxt in zip(order[:-1], order[1:]):
-        if eigvals[nxt] - eigvals[prev] > gap:
-            clusters.append(current)
-            current = []
-        current.append(nxt)
-    clusters.append(current)
-    return clusters
-
-
-def wedderburn_realize(
-    data: StarAlgebraData, tol=None, seed: int = 0
-) -> WedderburnRealization:
+def wedderburn_realize(data: StarAlgebraData, tol=None) -> WedderburnRealization:
     """Find block sizes and explicit matrix units for an abstract *-algebra.
 
     Both routes first scatter the product triples once into the left
@@ -500,31 +488,33 @@ def wedderburn_realize(
     morphisms of a principal groupoid, the duals of the cube family and of
     the elementary algebras, or a crossed product by a free action, is
     realized by rescaling: every matrix unit is a multiple of one basis
-    element, so the map is monomial and does not depend on seed.  Equal-size
-    blocks are ordered by their smallest unit index.
+    element, so the map is monomial.  Equal-size blocks are ordered by their
+    smallest unit index.
 
     Any other basis, for example one with isotropy (a group algebra, the
-    dual of a commutative algebra), takes the seeded split, the only route
-    whose result depends on seed: pi(x) = C L_x C^{-1} (C the hermitian Cholesky factor of
-    the GNS form) is a faithful *-representation; the spectral projections
-    of a seeded random self-adjoint central element split the center;
-    inside each block, spectral projections of a random self-adjoint
-    element give minimal projections, and polar-normalized corner elements
-    q_1 r q_k complete them to matrix units.  Operators are pulled back
-    through the cyclic vector C 1, since pi(x) C 1 = C x, and must lie in
-    pi(M) to within the membership residual.
+    dual of a commutative algebra), is split: pi(x) = C L_x C^{-1} (C the
+    hermitian Cholesky factor of the GNS form) is a faithful
+    *-representation.  From the identity on, each projection q is split into
+    the eigenspaces of its compression q h q by the first hermitian basis
+    part h, (b_a + b_a*)/2 or (b_a - b_a*)/2i, that is not scalar there,
+    until every projection is minimal.  Minimal projections q_0, q_k lie in
+    one block when some q_0 b_a q_k is nonzero; the first such one,
+    polar-normalized, is the partial isometry u_k, and the matrix units are
+    u_k* u_l.  Blocks are ordered by size, then by the order in which they
+    were found.  Operators are pulled back through the cyclic vector C 1,
+    since pi(x) C 1 = C x.  Nothing is drawn at random, so the realization
+    is a function of the presentation and the tolerance.
 
     On both routes the transported product, involution and unit must match
     the canonical ones.  Raises NotSemisimple when the GNS form is
     degenerate and NotStarClosed when the involution axioms fail.
     """
     tol = as_tol(tol)
-    rng = np.random.default_rng((0x5EED, seed))
     dim = data.dim
     a, b, c, val = data.products
     lt = np.zeros((dim, dim, dim), dtype=complex)
     np.add.at(lt, (a, c, b), val)  # lt[a] is left multiplication by b_a
-    _validate_star_algebra(data, lt, tol, rng)
+    _validate_star_algebra(data, lt, tol)
 
     # gram[a, b] = phi(b_a* b_b) with b_a* = sum_c star[c, a] b_c
     gram = data.star.T @ np.tensordot(data.gns, lt, (0, 1))
@@ -536,9 +526,7 @@ def wedderburn_realize(
     if not ok:
         raise NotSemisimple(f"GNS form degenerate (min eigenvalue {min_eig:.2e})")
 
-    target, wmat, winv = _groupoid_matrix_units(data) or _split_matrix_units(
-        data, lt, gram, tol, rng
-    )
+    target, wmat, winv = _groupoid_matrix_units(data) or _split_matrix_units(data, lt, gram, tol)
     residual = _realization_residual(data, lt, target, wmat, winv)
     if residual > 1e-7:
         raise WkaError(f"realization round-trip residual {residual:.2e}")
@@ -635,127 +623,54 @@ def _groupoid_matrix_units(data: StarAlgebraData):
     return make_algebra(tuple(sizes[order])), wmat, winv
 
 
-def _split_matrix_units(data, lt, gram, tol, rng):
-    """(algebra, wmat, winv) from the seeded spectral split of the GNS
-    representation (see wedderburn_realize)."""
-    dim = data.dim
+def _split_matrix_units(data, lt, gram, tol):
+    """(algebra, wmat, winv) from the split of the GNS representation into
+    minimal projections (see wedderburn_realize)."""
     chol_h = dagger(np.linalg.cholesky(gram))
     chol_h_inv = np.linalg.inv(chol_h)
     pis = chol_h @ lt @ chol_h_inv
-    cyclic = chol_h @ data.unit
-
-    def represent(x):
-        return np.tensordot(x, pis, 1)
-
-    def pull_back(op, what: str):
-        # op may be a stack of operators; x then holds one element per row
-        x = (op @ cyclic) @ chol_h_inv.T
-        res = max_abs(represent(x) - op)
-        if res > 1e-6 * max(1.0, max_abs(op)):
-            raise WkaError(f"{what}: operator not in the algebra ({res:.2e})")
-        return x
-
-    # center: null space of the commutators [b_a, .] stacked over a
-    cbasis = nullspace((lt - lt.transpose(2, 1, 0)).reshape(dim * dim, dim), tol)
-    nblocks = cbasis.shape[1]
-
-    # split the center with a random self-adjoint central element
-    blocks = None
-    for _ in range(24):
-        z = cbasis @ (rng.standard_normal(nblocks) + 1j * rng.standard_normal(nblocks))
-        z = z + data.star_of(z)
-        zop = represent(z)
-        zop = (zop + dagger(zop)) / 2
-        w, v = np.linalg.eigh(zop)
-        spread = max(w[-1] - w[0], 1.0)
-        clusters = _cluster(w, 1e-6 * spread)
-        if len(clusters) != nblocks:
-            continue
-        try:
-            blocks = []
-            for cl in clusters:
-                p = pull_back(v[:, cl] @ dagger(v[:, cl]), "central projection")
-                p = (p + data.star_of(p)) / 2
-                if max_abs(_mul(lt, p, p) - p) > 1e-7:
-                    raise WkaError("central idempotent drifted")
-                blocks.append((float(np.mean(w[cl])), p))
-            break
-        except WkaError:
-            blocks = None
-            continue
-    if blocks is None:
-        raise NotSemisimple("could not separate central idempotents")
-
-    # matrix units inside each block
-    found = []
-    for z_eig, p in blocks:
-        vi = orthonormal_columns(np.tensordot(p, lt, 1), tol)  # columns p b_a
-        bdim = vi.shape[1]
-        d = int(round(np.sqrt(bdim)))
-        if d * d != bdim:
-            raise NotSemisimple(f"block dimension {bdim} is not a square")
-        units = _block_matrix_units(data, lt, p, vi, d, represent, pull_back, rng)
-        found.append((d, z_eig, units))
-
-    found.sort(key=lambda t: (t[0], t[1]))
-    # abstract coords of the canonical units, one per column
-    wmat = np.concatenate([t[2] for t in found], axis=0).T
-    return make_algebra(tuple(t[0] for t in found)), wmat, np.linalg.inv(wmat)
-
-
-def _block_matrix_units(data, lt, p, vi, d, represent, pull_back, rng):
-    """Matrix units of the block p*M as rows, ordered e_{00}, e_{01}, ...,
-    e_{d-1,d-1}; the corner products run on the operators pi(x)."""
-    bdim = vi.shape[1]
-    pop = represent(p)
-    pop = (pop + dagger(pop)) / 2
-    qs = None
-    for _ in range(24):
-        v = vi @ (rng.standard_normal(bdim) + 1j * rng.standard_normal(bdim))
-        aop = represent(v + data.star_of(v))
-        aop = (aop + dagger(aop)) / 2
-        shift = float(np.max(np.abs(np.linalg.eigvalsh(aop)))) + 1.0
-        w, vec = np.linalg.eigh(aop + shift * pop)
-        inside = w > 0.5
-        if not np.any(inside):
-            continue
-        win = w[inside]
-        clusters = _cluster(win, 1e-6 * max(win[-1] - win[0], 1.0))
-        if len(clusters) != d:
-            continue
-        try:
-            qs = []
-            vin = vec[:, inside]
-            for cl in clusters:
-                qc = pull_back(vin[:, cl] @ dagger(vin[:, cl]), "minimal projection")
-                qc = (qc + data.star_of(qc)) / 2
-                if max_abs(_mul(lt, qc, qc) - qc) > 1e-7:
-                    raise WkaError("minimal idempotent drifted")
-                qs.append(represent(qc))
-            break
-        except WkaError:
-            qs = None
-            continue
-    if qs is None:
-        raise NotSemisimple("could not split a block into minimal projections")
-
-    us = None
-    for _ in range(24):
-        r = represent(vi @ (rng.standard_normal(bdim) + 1j * rng.standard_normal(bdim)))
-        us = [qs[0]]
-        for qk in qs[1:]:
-            w = qs[0] @ r @ qk
-            ww = dagger(w) @ w
-            c = complex(np.vdot(qk, ww)) / float(np.real(np.vdot(qk, qk)))
-            if np.real(c) < 1e-8 or max_abs(ww - c * qk) > 1e-6 * abs(c):
-                us = None
+    blocks = []  # per block: the range of its first projection q_0, and the u_k
+    for v in _minimal_projections(pis, tol):
+        for v0, us in blocks:
+            # q_0 pi(b_a) q_k in range coordinates; a nonzero one is lambda
+            # times a unitary, so dividing by |lambda| leaves the isometry
+            links = dagger(v0) @ pis @ v
+            hit = next((link for link in links if numerical_rank(link, tol)), None)
+            if hit is not None:
+                us.append(v0 @ hit @ dagger(v) * np.sqrt(v.shape[1]) / np.linalg.norm(hit))
                 break
-            us.append(w / np.sqrt(np.real(c)))
-        if us is not None:
-            break
-    if us is None:
-        raise NotSemisimple("could not build partial isometries in a block")
-    return pull_back(np.stack([dagger(uk) @ ul for uk in us for ul in us]), "matrix unit")
+        else:
+            blocks.append((v, [v @ dagger(v)]))
+    blocks.sort(key=lambda block: len(block[1]))
+    shape = tuple(len(us) for _, us in blocks)
+    if sum(d * d for d in shape) != data.dim:
+        raise NotSemisimple(f"minimal projections give blocks {shape} for dimension {data.dim}")
+    # the matrix units u_k* u_l, pulled back through pi(x) C 1 = C x
+    units = np.stack([dagger(uk) @ ul for _, us in blocks for uk in us for ul in us])
+    wmat = ((units @ (chol_h @ data.unit)) @ chol_h_inv.T).T
+    return make_algebra(shape), wmat, np.linalg.inv(wmat)
+
+
+def _minimal_projections(pis, tol):
+    """Ranges (orthonormal columns) of minimal projections of the algebra
+    spanned by the operators pis, summing to 1.  From the identity on, each
+    projection q is split into the eigenspaces of q h q for the first
+    hermitian part h of some pis[a] that is not scalar there; the parts
+    before h are scalar on every piece, so the pieces go on from the next."""
+    dim = pis.shape[1]
+    adj = pis.conj().swapaxes(1, 2)
+    herm = np.stack([pis + adj, (pis - adj) / 1j], axis=1).reshape(-1, dim, dim) / 2
+    found, todo = [], [(np.eye(dim), 0)]
+    while todo:
+        v, start = todo.pop()
+        for a in range(start, len(herm)):
+            parts = eigenspaces(dagger(v) @ herm[a] @ v, tol)
+            if len(parts) > 1:
+                todo.extend((v @ part, a + 1) for part in reversed(parts))
+                break
+        else:
+            found.append(v)
+    return found
 
 
 def monomial_rows(mat: np.ndarray):

@@ -257,13 +257,13 @@ def transported_weak_kac(
 # ---------------------------------------------------------------------------
 
 
-def groupoid_algebra(gpd: Groupoid, tol=None, seed: int = 0) -> WeakKac:
+def groupoid_algebra(gpd: Groupoid, tol=None) -> WeakKac:
     """Groupoid algebra CG: span of morphisms with g h = composition (0 when
     undefined), g* = g^{-1}, Delta(g) = g (x) g, S(g) = g^{-1}, eps(g) = 1.
 
     The morphisms of a principal groupoid (no isotropy, as pair_groupoid)
-    are realized by rescaling and seed is not used; a groupoid with
-    isotropy (a group) takes the seeded split of wedderburn_realize."""
+    are realized by rescaling; a groupoid with isotropy (a group) takes the
+    split of wedderburn_realize into minimal projections."""
     tol = as_tol(tol)
     n = gpd.size
     g_idx, h_idx = np.nonzero(gpd.compose >= 0)
@@ -273,7 +273,7 @@ def groupoid_algebra(gpd: Groupoid, tol=None, seed: int = 0) -> WeakKac:
     unit = np.zeros(n, dtype=complex)
     unit[gpd.units] = 1.0
     data = StarAlgebraData(products, star, unit, regular_trace_of(products, n))
-    real = wedderburn_realize(data, tol, seed=seed)
+    real = wedderburn_realize(data, tol)
 
     eps_abs = np.ones(n, dtype=complex)
     return transported_weak_kac(
@@ -527,7 +527,7 @@ def cyclic_shift_action(n: int) -> tuple:
     return w, GroupAction(grp, mats)
 
 
-def crossed_product(w: WeakKac, action: GroupAction, tol=None, seed: int = 0) -> WeakKac:
+def crossed_product(w: WeakKac, action: GroupAction, tol=None) -> WeakKac:
     """Crossed product weak Kac algebra of a right group action.
 
     On generators m (x) g: (m (x) g)(n (x) h) = (m <| h) n (x) gh,
@@ -536,7 +536,7 @@ def crossed_product(w: WeakKac, action: GroupAction, tol=None, seed: int = 0) ->
 
     When the generators form a principal groupoid basis, as for the cyclic
     shift on the function algebra of a principal groupoid, the realization
-    rescales them and seed is not used; otherwise it takes the seeded split.
+    rescales them; otherwise it splits the algebra into minimal projections.
     """
     tol = as_tol(tol)
     validate_action(w, action, tol)
@@ -570,7 +570,7 @@ def crossed_product(w: WeakKac, action: GroupAction, tol=None, seed: int = 0) ->
     unit[np.arange(dm) * ng + grp.unit] = alg.unit
 
     data = StarAlgebraData(products, star, unit, regular_trace_of(products, dim))
-    real = wedderburn_realize(data, tol, seed=seed)
+    real = wedderburn_realize(data, tol)
 
     # Delta(m (x) g) = sum of Delta(m) with g on both legs
     i, j, k, v = w.coproduct_nonzeros

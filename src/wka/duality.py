@@ -51,7 +51,7 @@ __all__ = [
 ]
 
 
-def dual(w: WeakKac, tol=None, seed: int = 0) -> WeakKac:
+def dual(w: WeakKac, tol=None, seed=None) -> WeakKac:
     """Concrete realization of the dual weak Kac algebra of w.
 
     Over the dual basis the structure constants are re-indexings of the
@@ -73,11 +73,13 @@ def dual(w: WeakKac, tol=None, seed: int = 0) -> WeakKac:
     When the dual basis is a principal groupoid basis, as for the duals of
     the cube family, the elementary algebras, the twists and the algebras
     of principal groupoids, wedderburn_realize rescales it: the dual then
-    has one coproduct nonzero per nonzero product of w and does not depend
-    on seed.  Other duals, such as those of commutative algebras, take the
-    seeded split, the only route whose result depends on seed.
+    has one coproduct nonzero per nonzero product of w.  Other duals, such
+    as those of commutative algebras, take the split into minimal
+    projections.  Neither route draws at random, so the dual and the file
+    written from it are a function of w and tol; `seed` is accepted for
+    callers that pass one and is ignored.
 
-    The dual is built once per (w, tol, seed); later calls return the same
+    The dual is built once per (w, tol); later calls return the same
     object.  Raises NotCounital when w has no counit and NotSemisimple
     (from wedderburn_realize) when the dual GNS form fails to be positive
     definite, which signals that w does not satisfy the weak Kac axioms to
@@ -88,17 +90,17 @@ def dual(w: WeakKac, tol=None, seed: int = 0) -> WeakKac:
         raise NotCounital(
             "dual construction needs a counit; recover one with counit_from_haar"
         )
-    return w.memo(("dual", tol, seed), lambda: _realize_dual(w, tol, seed))
+    return w.memo(("dual", tol), lambda: _realize_dual(w, tol))
 
 
-def _realize_dual(w: WeakKac, tol, seed: int) -> WeakKac:
+def _realize_dual(w: WeakKac, tol) -> WeakKac:
     alg = w.algebra
     # b^j b^k = sum_i T[i, j, k] b^i: the coproduct's nonzeros are the triples
     i, j, k, v = w.coproduct_nonzeros
     star_hat = w.antipode.T @ alg.star_matrix
     gns = haar_projection(w, tol).coeffs
     data = StarAlgebraData((j, k, i, v), star_hat, w.counit, gns)
-    realization = wedderburn_realize(data, tol, seed=seed)
+    realization = wedderburn_realize(data, tol)
     # Delta^(b^m) = sum over b_p b_q = b_m of b^p (x) b^q
     p, q, m = alg.products
     t_abs = (m, p, q, np.ones(m.size))
@@ -193,7 +195,7 @@ def check_pairing(w: WeakKac, dw: WeakKac, tol=None) -> VerificationReport:
     return rep
 
 
-def biduality_isomorphism(w: WeakKac, tol=None, seed: int = 0):
+def biduality_isomorphism(w: WeakKac, tol=None):
     """Canonical isomorphism of w onto its double dual.
 
     Evaluation at x defines a functional on the dual; expressed in the
@@ -205,8 +207,8 @@ def biduality_isomorphism(w: WeakKac, tol=None, seed: int = 0):
     morphism check plus bijectivity.
     """
     tol = as_tol(tol)
-    dw = dual(w, tol, seed=seed)
-    ddw = dual(dw, tol, seed=seed)
+    dw = dual(w, tol)
+    ddw = dual(dw, tol)
     iota = ddw.meta["to_canonical"] @ dw.meta["from_canonical"].T
     rep = check_morphism(w, ddw, iota, tol)
     rank = numerical_rank(iota, tol)
@@ -316,7 +318,7 @@ class GroupoidDuality:
     report: VerificationReport
 
 
-def groupoid_dual_isomorphisms(gpd: Groupoid, tol=None, seed: int = 0) -> GroupoidDuality:
+def groupoid_dual_isomorphisms(gpd: Groupoid, tol=None) -> GroupoidDuality:
     """Realize the duality between the groupoid algebra and the function
     algebra of a finite groupoid.
 
@@ -326,10 +328,10 @@ def groupoid_dual_isomorphisms(gpd: Groupoid, tol=None, seed: int = 0) -> Groupo
     then verified as weak Kac isomorphisms.
     """
     tol = as_tol(tol)
-    wg = groupoid_algebra(gpd, tol, seed=seed)
+    wg = groupoid_algebra(gpd, tol)
     wf = groupoid_function_algebra(gpd)
-    dwg = dual(wg, tol, seed=seed)
-    dwf = dual(wf, tol, seed=seed)
+    dwg = dual(wg, tol)
+    dwf = dual(wf, tol)
     # the function algebra is built directly on its canonical basis, so its
     # change of basis defaults to the identity
     wg_can = wg.meta.get("to_canonical", np.eye(wg.dim))

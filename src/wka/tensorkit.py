@@ -6,10 +6,11 @@ singular values (or eigenvalues) above the one Tolerance.rank_cutoff,
 max(shape) * abs_tol * max(sigma_max, 1): null spaces (Haar traces,
 commutants, ideals), ranks (injectivity, conditional expectations),
 spans (Cartan subalgebras, counit support, range checks), affine solves
-(Haar projection and trace, convolution unit) and definiteness
-(faithfulness, GNS forms, complete positivity).  A tall matrix whose right
-singular vectors are needed is first reduced to its R factor, which has
-the same singular values and right singular vectors.
+(Haar projection and trace, convolution unit), definiteness
+(faithfulness, GNS forms, complete positivity) and eigenspaces (the
+Wedderburn split).  A tall matrix whose right singular vectors are needed
+is first reduced to its R factor, which has the same singular values and
+right singular vectors.
 
 Index conventions used throughout the package:
   * elements of an algebra M are coefficient vectors over a fixed basis,
@@ -33,6 +34,7 @@ __all__ = [
     "AffineSpace",
     "dagger",
     "difference_max_abs",
+    "eigenspaces",
     "max_abs",
     "nullspace",
     "numerical_rank",
@@ -125,6 +127,15 @@ def singular_values(a: np.ndarray, tol: Tolerance | None = None, shape=None):
 def numerical_rank(a: np.ndarray, tol: Tolerance | None = None) -> int:
     """Number of singular values of a above the rank cutoff."""
     return singular_values(a, tol)[1]
+
+
+def eigenspaces(h: np.ndarray, tol: Tolerance | None = None) -> list:
+    """Orthonormal bases (as columns) of the eigenspaces of the hermitian
+    matrix h, in ascending order of eigenvalue; neighbouring eigenvalues
+    no farther apart than the rank cutoff count as one."""
+    w, v = np.linalg.eigh(h)
+    cut = as_tol(tol).rank_cutoff(h.shape, max_abs(w))
+    return np.split(v, np.flatnonzero(np.diff(w) > cut) + 1, axis=1)
 
 
 def positive_definite(g: np.ndarray, tol: Tolerance | None = None):

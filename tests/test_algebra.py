@@ -308,9 +308,6 @@ def test_groupoid_basis_is_realized_by_rescaling():
     assert canon.tolist() == [1, 2, 3, 4, 0, 5, 6, 7, 8]
     assert np.array_equal(scale, np.ones(9))
     assert real.residual == 0.0
-    other = wedderburn_realize(_groupoid_data(gpd), seed=5)
-    assert np.array_equal(other.from_canonical, real.from_canonical)
-    assert np.array_equal(other.to_canonical, real.to_canonical)
 
 
 def _with_extra_output(data):

@@ -101,15 +101,15 @@ def test_failing_axioms_exit_one(tmp_path, capsys):
 
 
 def test_numerical_failure_is_input_error(tmp_path, monkeypatch, capsys):
-    # the group algebra of Z/3 takes the seeded split, which solves for the
-    # center with nullspace
+    # the group algebra of Z/3 takes the split into minimal projections,
+    # which takes eigenspaces of compressed operators
     def no_convergence(*args):
-        raise np.linalg.LinAlgError("SVD did not converge")
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(algebra, "nullspace", no_convergence)
+    monkeypatch.setattr(algebra, "eigenspaces", no_convergence)
     assert run("build", "group-algebra", "z3", "-o", str(tmp_path / "z3.wka")) == 2
     err = capsys.readouterr().err
-    assert err == "error: numerical failure in linear algebra: SVD did not converge\n"
+    assert err == "error: numerical failure in linear algebra: Eigenvalues did not converge\n"
 
 
 @pytest.mark.parametrize("tensor, value", [("coproduct", "nan"), ("counit", "inf")])
@@ -241,3 +241,23 @@ def test_entry_point_subprocess(tmp_path):
     )
     assert r.returncode == 0, r.stderr
     assert "pass" in r.stdout.lower()
+
+
+def test_dual_files_are_byte_identical_across_processes(tmp_path):
+    """The group algebra of Z/3 and its dual take the split into minimal
+    projections, which draws nothing: two fresh processes write the same
+    bytes."""
+    path = str(tmp_path / "z3.wka")
+    assert run("build", "group-algebra", "z3", "-o", path) == 0
+    written = []
+    for n in range(2):
+        out = tmp_path / f"z3.dual{n}.wka"
+        r = subprocess.run(
+            [sys.executable, "-m", "wka.cli", "dual", path, "-o", str(out)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert r.returncode == 0, r.stderr
+        written.append(out.read_bytes())
+    assert written[0] == written[1]

@@ -289,7 +289,7 @@ def test_cube_isomorphic_to_crossed_product(n):
 def test_monomial_realizations_keep_the_abstract_nonzeros(monkeypatch):
     """A catalog member realized by rescaling a principal groupoid basis has
     exactly the nonzeros of its abstract coproduct; only the bases with
-    isotropy take the seeded split."""
+    isotropy take the split into minimal projections."""
     seen = []
 
     def recording(realization, t_abs, *args, **kwargs):

@@ -320,18 +320,31 @@ def _unreachable(*args):
     raise AssertionError("residual computed on the other path")
 
 
+def _doubled_entry(w):
+    """w with the first nonzero doubled in the coproduct row of most terms."""
+    t = np.array(w.coproduct)
+    i = np.argmax(np.count_nonzero(t, axis=(1, 2)))
+    j, k = np.argwhere(t[i] != 0)[0]
+    t[i, j, k] *= 2
+    return WeakKac(w.algebra, t, w.antipode, w.counit)
+
+
 @pytest.mark.parametrize("path", ["join", "dense"])
 def test_moved_coproduct_entry_fails_coassociativity_and_multiplicativity(path, monkeypatch):
+    """On the dense path the input is dual(fun_disc), realized on character
+    idempotents: each Delta(e_i) is a sum of disjoint 0/1 terms, so a moved
+    entry can keep Delta multiplicative.  A doubled entry in a row of two
+    terms breaks both identities, whatever the basis."""
     if path == "join":
         w = get_example("cube3")
-        other = ("_coassociativity_dense", "_delta_mult_residual_dense")
+        other, mutate = ("_coassociativity_dense", "_delta_mult_dense"), moved_entry
     else:
         w = dual(get_example("fun_disc"))
-        other = ("_coassociativity_join", "_delta_mult_join")
+        other, mutate = ("_coassociativity_join", "_delta_mult_join"), _doubled_entry
     for name in other:
         monkeypatch.setattr(weakkac, name, _unreachable)
     assert verify_weak_kac(w).passed
-    failed = {c.name for c in verify_weak_kac(moved_entry(w)).failures()}
+    failed = {c.name for c in verify_weak_kac(mutate(w)).failures()}
     assert {"delta_coassociative", "delta_multiplicative"} <= failed
 
 
@@ -655,6 +668,18 @@ def test_kac_bimodule_computes_each_residual_once(monkeypatch):
     assert names.count("counit_left") == names.count("counit_right") == 1
     counit_names = [c.name for c in verify_weak_kac(w).checks[11:]]
     assert assembled == ["assembled." + n for n in counit_names]
+
+
+def test_kac_bimodule_compressions_are_the_assembled_axioms():
+    """target_compression and source_compression are axioms A3'' and 3 of
+    the assembled algebra, by the same joins; a scaled Delta fails both."""
+    w = get_example("cube2")
+    rep, _ = check_kac_bimodule(w.algebra, w.coproduct, w.antipode)
+    assert rep["target_compression"].residual == rep["assembled.axiomA3_doubleprime"].residual
+    assert rep["source_compression"].residual == rep["assembled.axiom3"].residual
+    scaled, _ = check_kac_bimodule(w.algebra, 0.5 * w.coproduct, w.antipode)
+    assert not scaled["target_compression"].passed
+    assert not scaled["source_compression"].passed
 
 
 def test_kac_bimodule_rejects_scaled_coproduct():

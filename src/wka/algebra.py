@@ -739,11 +739,16 @@ def check_conditional_expectation(
     )
 
     # [E, L_a R_b] = [E, L_a] R_b + L_a [E, R_b] over the pairs of target
-    # basis elements, batched over b for each a
+    # basis elements: block (a, b) of the product of the rows
+    # ([E, L_a] | L_a) with the columns (R_b ; [E, R_b]), taken four rows a
+    # at a time so no product exceeds the four stacks of k d x d matrices
+    k, dim = target.dim, alg.dim
     lmats, rmats = alg.lmat(target.basis.T), alg.rmat(target.basis.T)
-    lcom, rcom = emat @ lmats - lmats @ emat, emat @ rmats - rmats @ emat
-    worst = max((max_abs(lc @ rmats + ln @ rcom) for ln, lc in zip(lmats, lcom)), default=0.0)
-    rep.add("bimodular", worst, scale=100)
+    rows = np.concatenate([emat @ lmats - lmats @ emat, lmats], axis=2).reshape(k * dim, 2 * dim)
+    cols = np.concatenate([rmats, emat @ rmats - rmats @ emat], axis=1)
+    cols = cols.transpose(1, 0, 2).reshape(2 * dim, k * dim)
+    worst = (max_abs(rows[a * dim : (a + 4) * dim] @ cols) for a in range(0, k, 4))
+    rep.add("bimodular", max(worst, default=0.0), scale=100)
 
     min_eig = min(positive_definite(choi, tol)[1] for choi in _choi_matrices(alg, emat))
     rep.add("completely_positive", max(0.0, -min_eig), note=f"min eig {min_eig:.2e}", scale=100)

@@ -6,7 +6,12 @@ class WkaError(Exception):
 
 
 class Inconsistent(WkaError):
-    """Affine system has no solution within tolerance."""
+    """Affine system has no solution within tolerance; `space` holds the
+    least-squares solution and its residual when the solver got that far."""
+
+    def __init__(self, message, space=None):
+        super().__init__(message)
+        self.space = space
 
 
 class MismatchedParent(WkaError):

@@ -11,8 +11,10 @@ ideal that the Haar projection equations are solved in, and the null
 space of the Haar trace conditions that the normalized trace, its check
 and the trace cone all read.  No check draws a random input: each
 identity is linear in each argument and is evaluated on every basis
-triple (the flip identity), basis pair (the product exchange) or basis
-functional (the dual target identity).
+triple (the flip identity) or basis functional (the dual target
+identity).  The flip identity is a join over the coproduct's nonzeros,
+so its cost follows nnz(Delta) times the square of the block size, not
+dim^3.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .tensorkit import (
     Tolerance,
     as_tol,
     dagger,
+    difference_max_abs,
     intersect_subspaces,
     max_abs,
     nullspace,
@@ -404,8 +407,12 @@ def _haar_trace_cone(w: WeakKac, tol: Tolerance):
             rep.add(f"ray_{k}_positive", max(0.0, -min_eig), scale=10)
 
         phi = normalized_haar_trace(w, tol)
-        lam, *_ = np.linalg.lstsq(stack, phi.vec, rcond=None)
-        rep.add("normalized_trace_in_cone_span", max_abs(stack @ lam - phi.vec))
+        try:
+            coords = solve_affine_space([(stack, phi.vec)], tol)
+        except Inconsistent as exc:
+            coords = exc.space  # the least-squares point, whose residual fails
+        lam = coords.particular
+        rep.add("normalized_trace_in_cone_span", coords.residual)
         rep.add("cone_coefficients_real", max_abs(np.imag(lam)))
         rep.add_flag(
             "cone_coefficients_positive",
@@ -421,8 +428,9 @@ def haar_conditional_expectations(w: WeakKac, phi: Functional | None = None, tol
     E_t = (id (x) phi) Delta, E_s = (phi (x) id) Delta, and
     Eo_t = mu (S (x) id) ((1 (x) y) e).  Returns (e_t, e_s, eo_t, report)
     with the maps as matrices acting on coefficient vectors.  The flip
-    identity is trilinear and is checked on every basis triple; Eo_t is
-    tested against the extreme rays of the Haar trace cone.
+    identity is trilinear and is checked on every basis triple, as one
+    join over the coproduct's nonzeros; Eo_t is tested against the
+    extreme rays of the Haar trace cone.
     """
     tol = as_tol(tol)
     alg = w.algebra
@@ -497,22 +505,33 @@ def _flip_identity_residual(w: WeakKac, v: np.ndarray) -> float:
     """Max over basis triples (x, y, z) of the flip identity
     (E_t (x) E_t)(Delta(x)(y (x) z)) = flip (E_t (x) E_t)((S(y) (x) x) Delta(z)),
     with E_t = B v for B orthonormal columns, in the coordinates of B.
-    Over the stacks v R_{b_y}, v L_{S b_y} and v L_{b_x}, one x at a time,
-    so no intermediate exceeds d^2 k^2 for the k rows of v.
+
+    One join over the coproduct's nonzeros per side, keyed by (x, y, z):
+    on the left each t[x,m,n] meets the units y, z with row(y) = col(m) and
+    row(z) = col(n) and adds t[x,m,n] v[:, b_m b_y] (x) v[:, b_n b_z]; on
+    the right each t[z,m,n] meets the nonzeros S[c,y] with col(c) = row(m)
+    and the units x with col(x) = row(n) and adds t[z,m,n] S[c,y]
+    v[:, b_x b_n] (x) v[:, b_c b_m].  The k x k blocks are summed per key.
     """
-    alg, t = w.algebra, w.coproduct
-    dim, k = alg.dim, v.shape[0]
-    eye = np.eye(dim)
-    right = (v @ alg.rmat(eye)).reshape(dim * k, dim)  # row (y, i): (v R_{b_y})[i]
-    left_s = (v @ alg.lmat(w.antipode.T)).reshape(dim * k, dim)  # (v L_{S b_y})[j]
-    left = v @ alg.lmat(eye)  # left[x] = v L_{b_x}
-    worst = 0.0
-    for x in range(dim):
-        lhs = right @ t[x] @ right.T  # [(y, i), (z, j)]
-        rhs = left_s @ (t @ left[x].T).transpose(1, 0, 2).reshape(dim, dim * k)  # [(y, j), (z, i)]
-        diff = lhs.reshape(dim, k, dim, k) - rhs.reshape(dim, k, dim, k).transpose(0, 3, 2, 1)
-        worst = max(worst, max_abs(diff))
-    return worst
+    alg, d, vt = w.algebra, w.dim, v.T
+    rows, cols, units, size = alg.basis_row, alg.basis_col, alg.unit_index, alg.matrix_size
+    i, m, n, t = w.coproduct_nonzeros
+    by_row = _row_starts(rows, size)  # the basis is sorted by row
+    f, y = _join(cols[m], by_row)
+    g, z = _join(cols[n[f]], by_row)
+    f, y = f[g], y[g]
+    a, b = units[rows[m[f]], cols[y]], units[rows[n[f]], cols[z]]
+    left = ((i[f] * d + y) * d + z, t[f, None, None] * vt[a, :, None] * vt[b, None, :])
+    c, y = np.nonzero(w.antipode)
+    order = np.argsort(cols[c], kind="stable")
+    f, r = _join(rows[m], _row_starts(cols[c[order]], size))
+    by_col = np.argsort(cols, kind="stable")
+    g, x = _join(rows[n[f]], _row_starts(cols[by_col], size))
+    f, c, y, x = f[g], c[order[r[g]]], y[order[r[g]]], by_col[x]
+    a, b = units[rows[x], cols[n[f]]], units[rows[c], cols[m[f]]]
+    coeff = t[f] * w.antipode[c, y]
+    right = ((x * d + y) * d + i[f], coeff[:, None, None] * vt[a, :, None] * vt[b, None, :])
+    return difference_max_abs(left, right)
 
 
 def _sandwiches(alg, c) -> np.ndarray:

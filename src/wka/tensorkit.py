@@ -8,9 +8,10 @@ commutants, ideals), ranks (injectivity, conditional expectations),
 spans (Cartan subalgebras, counit support, range checks), affine solves
 (Haar projection and trace, convolution unit), definiteness
 (faithfulness, GNS forms, complete positivity) and eigenspaces (the
-Wedderburn split).  A tall matrix whose right singular vectors are needed
-is first reduced to its R factor, which has the same singular values and
-right singular vectors.
+Wedderburn split).  Before an SVD the exactly-zero rows of a matrix are
+dropped and a tall one is reduced to its R factor; neither changes the
+singular values or right singular vectors, and the rank is counted at the
+full shape.
 
 Index conventions used throughout the package:
   * elements of an algebra M are coefficient vectors over a fixed basis,
@@ -84,7 +85,8 @@ def max_abs(a) -> float:
 
 def difference_max_abs(left, right) -> float:
     """Max abs of the difference of two sparse tensors given as (keys, values)
-    with repeated keys, after summing the values of each key."""
+    with repeated keys, after summing the values of each key; the values
+    may carry trailing axes, such as a block per key."""
     keys = np.concatenate([left[0], right[0]])
     if keys.size == 0:
         return 0.0
@@ -108,11 +110,18 @@ def orthonormal_columns(vs: np.ndarray, tol: Tolerance | None = None) -> np.ndar
     return u[:, : _rank(s, vs.shape, as_tol(tol))]
 
 
-def nullspace(a: np.ndarray, tol: Tolerance | None = None) -> np.ndarray:
-    """Orthonormal basis (as columns) of the right null space of a."""
+def _r_factor(a: np.ndarray) -> np.ndarray:
+    """a without its zero rows, reduced to its R factor when still tall."""
+    a = a[np.any(a != 0, axis=1)]
+    return np.linalg.qr(a, mode="r") if a.shape[0] > a.shape[1] else a
+
+
+def nullspace(a: np.ndarray, tol: Tolerance | None = None, shape=None) -> np.ndarray:
+    """Orthonormal basis (as columns) of the right null space of a, ranked
+    at the cutoff of `shape` (by default the shape of a)."""
     a = np.asarray(a, dtype=complex)
-    _, s, vh = np.linalg.svd(np.linalg.qr(a, mode="r") if a.shape[0] > a.shape[1] else a)
-    return dagger(vh)[:, _rank(s, a.shape, as_tol(tol)) :]
+    _, s, vh = np.linalg.svd(_r_factor(a))
+    return dagger(vh)[:, _rank(s, a.shape if shape is None else shape, as_tol(tol)) :]
 
 
 def singular_values(a: np.ndarray, tol: Tolerance | None = None, shape=None):
@@ -120,7 +129,7 @@ def singular_values(a: np.ndarray, tol: Tolerance | None = None, shape=None):
     above the rank cutoff.  A matrix given by its nonzero rows is ranked at
     the cutoff of its full `shape` (by default the shape of a)."""
     a = np.asarray(a)
-    s = np.linalg.svd(a, compute_uv=False)
+    s = np.linalg.svd(a[np.any(a != 0, axis=1)], compute_uv=False)
     return s, _rank(s, a.shape if shape is None else shape, as_tol(tol))
 
 
@@ -239,10 +248,11 @@ def solve_affine_space(constraints, tol: Tolerance | None = None) -> AffineSpace
 
     constraints: iterable of (A, b) with A of shape (m_i, n), b of shape
     (m_i,).  The blocks are written once into [A | b], which is factored
-    once: a tall system is reduced to the R factor of [A | b], whose last
-    column is Q^H b, and the SVD of the rest of R (or of A itself) gives the
-    least-norm point and the null space, the rank counted at the shape of
-    A.  Raises Inconsistent when the residual exceeds 10 * abs_tol.
+    once: its zero rows are dropped, a tall system is reduced to the R
+    factor of [A | b], whose last column is Q^H b, and the SVD of the rest
+    of R (or of A itself) gives the least-norm point and the null space,
+    the rank counted at the shape of A.  Raises Inconsistent, carrying the
+    least-squares solution, when the residual exceeds 10 * abs_tol.
     """
     tol = as_tol(tol)
     blocks = []
@@ -256,12 +266,11 @@ def solve_affine_space(constraints, tol: Tolerance | None = None) -> AffineSpace
         ab[row : row + a.shape[0], :n] = a
         ab[row : row + a.shape[0], n] = b
         row += a.shape[0]
-    big_a, big_b = ab[:, :n], ab[:, n]
-    r = np.linalg.qr(ab, mode="r") if ab.shape[0] > n + 1 else ab
+    r = _r_factor(ab)
     u, s, vh = np.linalg.svd(r[:, :n])
-    rank = _rank(s, big_a.shape, tol)
+    rank = _rank(s, (ab.shape[0], n), tol)
     x = dagger(vh[:rank]) @ ((dagger(u[:, :rank]) @ r[:, n]) / s[:rank])
-    residual = max_abs(big_a @ x - big_b)
-    if residual > 10.0 * tol.abs_tol:
-        raise Inconsistent(f"affine system residual {residual:.3e}")
-    return AffineSpace(particular=x, null=dagger(vh[rank:]), residual=residual)
+    space = AffineSpace(x, dagger(vh[rank:]), residual=max_abs(ab[:, :n] @ x - ab[:, n]))
+    if space.residual > 10.0 * tol.abs_tol:
+        raise Inconsistent(f"affine system residual {space.residual:.3e}", space)
+    return space

@@ -11,9 +11,11 @@ from wka import (
     StarAlgebraData,
     SubalgebraBasis,
     block_trace,
+    cartan_subalgebras,
     center,
     check_conditional_expectation,
     commutant,
+    cube_family,
     make_algebra,
     minimal_central_projections,
     regular_trace,
@@ -457,3 +459,21 @@ def test_check_conditional_expectation_bimodular_can_fail_alone():
         assert rep[name].passed, name
     assert not rep["bimodular"].passed
     assert rep["bimodular"].residual == pytest.approx(1.0)
+
+
+def test_bimodular_matches_the_pair_loop():
+    # a random map against the 9-dimensional commutant of N_t in
+    # cube_family(3): more target elements than one batch of rows holds
+    w = cube_family(3)
+    alg = w.algebra
+    target = commutant(cartan_subalgebras(w).target)
+    rng = np.random.default_rng(3)
+    emat = rng.standard_normal((alg.dim, alg.dim)) + 1j * rng.standard_normal((alg.dim, alg.dim))
+    assert target.dim > 4
+    worst = 0.0
+    for a in target.basis.T:
+        for b in target.basis.T:
+            la, rb = alg.lmat(a), alg.rmat(b)
+            worst = max(worst, max_abs(emat @ la @ rb - la @ rb @ emat))
+    residual = check_conditional_expectation(emat, target)["bimodular"].residual
+    assert residual == pytest.approx(worst, rel=1e-12)

@@ -211,6 +211,16 @@ def test_normalized_trace_is_sum_of_rays():
         assert np.abs(total - normalized_haar_trace(w).vec).max() < 1e-10
 
 
+def test_normalized_trace_off_the_ray_span_fails_the_cone(monkeypatch):
+    w = cube_family(2)  # a fresh algebra: the cone is memoized per algebra
+    skew = block_trace(w.algebra, [0.5, -0.5]).vec
+    off = Functional(w.algebra, normalized_haar_trace(w).vec + skew)
+    monkeypatch.setattr(haar, "normalized_haar_trace", lambda w, tol=None: off)
+    _, rep = haar_trace_cone(w)
+    assert not rep["normalized_trace_in_cone_span"].passed
+    assert rep["normalized_trace_in_cone_span"].residual > 0.1
+
+
 def test_rays_are_antipode_invariant_traces():
     w = direct_sum(get_example("group_z2"), get_example("fun_k2"))
     rays, _ = haar_trace_cone(w)
@@ -253,25 +263,41 @@ def _flip_identity_by_triples(w, v):
     triple at a time."""
     alg, t, s = w.algebra, w.coproduct, w.antipode
     eye = np.eye(w.dim)
+    right, left, left_s = alg.rmat(eye), alg.lmat(eye), alg.lmat(s.T)
     worst = 0.0
     for x in range(w.dim):
         for y in range(w.dim):
             for z in range(w.dim):
-                lhs = v @ alg.rmat(eye[y]) @ t[x] @ alg.rmat(eye[z]).T @ v.T
-                rhs = (v @ alg.lmat(s[:, y]) @ t[z] @ alg.lmat(eye[x]).T @ v.T).T
+                lhs = v @ right[y] @ t[x] @ right[z].T @ v.T
+                rhs = (v @ left_s[y] @ t[z] @ left[x].T @ v.T).T
                 worst = max(worst, max_abs(lhs - rhs))
     return worst
 
 
-@pytest.mark.parametrize("weights", [None, [0.3, 0.7]])
-def test_flip_identity_matches_the_triple_loop(weights):
-    w = get_example("cube2")
+@pytest.mark.parametrize(
+    "name,weights,moved",
+    [
+        ("cube2", None, False),
+        ("cube2", [0.3, 0.7], False),
+        ("cube2", None, True),
+        ("group_z3", None, False),  # split route: a non-monomial antipode
+        ("elem_12", None, False),
+        ("twist_11", None, False),
+    ],
+    ids=["None", "weights1", "moved", "group_z3", "elem_12", "twist_11"],
+)
+def test_flip_identity_matches_the_triple_loop(name, weights, moved):
+    w = get_example(name)
     tau = normalized_haar_trace(w) if weights is None else block_trace(w.algebra, weights)
+    if moved:
+        w = moved_entry(w)
+    if name == "group_z3":
+        assert np.count_nonzero(w.antipode) > w.dim
     e_t = (w.coproduct @ tau.vec).T
     v = dagger(orthonormal_columns(e_t)) @ e_t
     exact = haar._flip_identity_residual(w, v)
     assert abs(exact - _flip_identity_by_triples(w, v)) <= 1e-12
-    assert (exact > 0.1) == (weights is not None)
+    assert (exact > 0.1) == (weights is not None or moved)
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,6 @@ ALLOWED = {
     ("haar.py", "_haar_trace_cone", "rank_cutoff"):
         "entrywise threshold on the coefficient projector that couples"
         " generators into classes; the projector's rank came from nullspace",
-    ("haar.py", "_haar_trace_cone", "lstsq"):
-        "coefficients of the normalized trace over the rays; the residual"
-        " is reported as normalized_trace_in_cone_span",
 }
 
 # attribute names whose calls draw random numbers

@@ -106,8 +106,48 @@ def test_solve_affine_space_haar_equations_group_z2():
 def test_solve_affine_space_inconsistent():
     a = np.array([[1.0, 0.0], [1.0, 0.0]])
     b = np.array([0.0, 1.0])
-    with pytest.raises(Inconsistent):
+    with pytest.raises(Inconsistent) as info:
         solve_affine_space([(a, b)])
+    # the least-squares point travels with the exception
+    assert max_abs(info.value.space.particular - np.array([0.5, 0.0])) < 1e-12
+    assert info.value.space.residual == pytest.approx(0.5)
+
+
+def test_zero_rows_change_the_cutoff_but_not_the_factorization(monkeypatch):
+    # singular values 1, 1e-8 and 0: 1e-8 lies above the cutoff of the
+    # 4 x 3 system (4e-9) and below that of the system padded to 40 x 3
+    # (4e-8), so the padded rank is counted at the padded shape
+    u, _ = np.linalg.qr(rand_c(4, 3))
+    v, _ = np.linalg.qr(rand_c(3, 3))
+    a = (u * [1.0, 1e-8, 0.0]) @ dagger(v)
+    b = (2.0 - 1.0j) * u[:, 0]
+    padded = np.zeros((40, 3), dtype=complex)
+    padded[::10] = a
+    padded_b = np.zeros(40, dtype=complex)
+    padded_b[::10] = b
+    assert numerical_rank(a) == 2 and numerical_rank(padded) == 1
+    assert nullspace(a).shape == (3, 1)
+    null_ref = ref_nullspace(padded)
+    x_ref = ref_solve(padded, padded_b)[0]
+    x_ref = x_ref - null_ref @ (dagger(null_ref) @ x_ref)
+
+    shapes = []
+    real_svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        shapes.append(np.shape(args[0]))
+        return real_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    null = nullspace(padded)
+    space = solve_affine_space([(padded, padded_b)])
+    # no factorization saw a zero row: the R factor of the 4 nonzero rows,
+    # and the 4 nonzero rows of [A | b]
+    assert shapes == [(3, 3), (4, 3)]
+    # the padded results are those of the dense references at the padded shape
+    assert null.shape == (3, 2) and subspace_distance(null, null_ref) < 1e-12
+    assert subspace_distance(space.null, null_ref) < 1e-12
+    assert max_abs(space.particular - x_ref) < 1e-12
 
 
 def test_solver_residual_below_threshold_for_solvable_systems():

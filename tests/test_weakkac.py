@@ -28,7 +28,7 @@ from wka import weakkac
 from wka.constructors import validate_action
 from wka.errors import CartanMismatch, InvalidAction
 from wka.report import VerificationReport
-from wka.tensorkit import Tolerance, max_abs, singular_values
+from wka.tensorkit import Tolerance, max_abs, nullspace, singular_values, subspace_distance
 
 from conftest import get_example, moved_entry, with_noise
 
@@ -687,3 +687,20 @@ def test_kac_bimodule_rejects_scaled_coproduct():
     rep, _ = check_kac_bimodule(w.algebra, 0.5 * w.coproduct, w.antipode)
     assert not rep.passed
     assert rep.max_residual >= 0.5
+
+
+@pytest.mark.parametrize("name", ["group_z3", "elem_12", "cube2", "cube2-moved"])
+def test_cartan_relations_match_the_dense_stack(name):
+    """N_t and N_s of the bimodule check, from the nonzero rows of their
+    relations, against the null space of the dense d^3 stacks."""
+    w = get_example(name.split("-")[0])
+    if name.endswith("moved"):
+        w = moved_entry(w)
+    tol = Tolerance()
+    for leg in (0, 1):
+        dense = np.hstack([
+            (w.coproduct - w.algebra.basis_products(w.e_matrix, leg, left)).reshape(w.dim, -1)
+            for left in (False, True)
+        ]).T
+        span = weakkac._cartan_by_relations(w, leg, tol)
+        assert subspace_distance(span, nullspace(dense, tol)) < 1e-10

@@ -46,7 +46,7 @@ def main(argv=None) -> int:
             ",".join(str(d) for d in s)
             for s in (w.algebra.block_shape, pair.source_shape, pair.target_shape)
         )
-        nnz = w.coproduct_nonzeros[0].size
+        nnz = w.coproduct.nnz
         hyper = hyper_center(w, tol=tol).dim
         rays, _ = haar_trace_cone(w, tol=tol)
         print(

@@ -60,7 +60,6 @@ from .haar import (
     haar_projection,
     haar_trace_cone,
     normalized_haar_trace,
-    operator_identities,
 )
 from .duality import (
     biduality_isomorphism,

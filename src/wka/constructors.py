@@ -63,25 +63,20 @@ class Group:
         if self.table.shape != (n, n):
             raise ValueError("Cayley table must be square")
         self.size = n
-        units = [
-            u
-            for u in range(n)
-            if all(self.table[u, g] == g and self.table[g, u] == g for g in range(n))
-        ]
+        every = np.arange(n)
+        units = np.flatnonzero((self.table == every).all(1) & (self.table.T == every).all(1))
         if len(units) != 1:
             raise ValueError("Cayley table has no unique unit")
-        self.unit = units[0]
+        self.unit = int(units[0])
         self.inverse = np.full(n, -1, dtype=int)
         for g in range(n):
             hs = np.nonzero(self.table[g] == self.unit)[0]
             if len(hs) != 1 or self.table[hs[0], g] != self.unit:
                 raise ValueError(f"element {g} has no two-sided inverse")
             self.inverse[g] = hs[0]
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    if self.table[self.table[a, b], c] != self.table[a, self.table[b, c]]:
-                        raise ValueError("Cayley table is not associative")
+        # (ab)c at [a, b, c] against a(bc)
+        if not np.array_equal(self.table[self.table], self.table[:, self.table]):
+            raise ValueError("Cayley table is not associative")
         self.labels = list(labels) if labels else [f"g{g}" for g in range(n)]
 
     @classmethod
@@ -154,18 +149,13 @@ class Groupoid:
                         raise InvalidGroupoid(f"composition ({g}, {h}) breaks source/target")
 
     def _validate_associativity(self):
-        n = self.size
-        for g in range(n):
-            for h in range(n):
-                gh = self.compose[g, h]
-                if gh < 0:
-                    continue
-                for k in range(n):
-                    hk = self.compose[h, k]
-                    lhs = self.compose[gh, k]
-                    rhs = -1 if hk < 0 else self.compose[g, hk]
-                    if lhs != rhs:
-                        raise InvalidGroupoid(f"associativity fails at ({g}, {h}, {k})")
+        c = self.compose
+        g, h, k = np.indices((self.size,) * 3)
+        # (gh)k against g(hk) wherever gh is defined, -1 where undefined
+        lhs, rhs = c[c[g, h], k], np.where(c[h, k] < 0, -1, c[g, c[h, k]])
+        bad = np.argwhere((c[g, h] >= 0) & (lhs != rhs))
+        if bad.size:
+            raise InvalidGroupoid(f"associativity fails at {tuple(int(x) for x in bad[0])}")
 
     def _find_inverse(self, g):
         hits = [
@@ -231,19 +221,20 @@ def transported_weak_kac(
     canonical algebra of a Wedderburn realization.  t_abs holds the
     coproduct's nonzeros (i, j, k, v): v is the coefficient of b_j (x) b_k
     in Delta(b_i).  Along a monomial realization (e_canon[x] = scale[x] b_x)
-    each nonzero moves to one canonical entry; otherwise the dense tensor
-    is contracted with the change of basis on all three legs."""
+    each nonzero moves to one canonical entry; otherwise the tensor is
+    contracted densely with the change of basis on all three legs and its
+    nonzeros are kept."""
     w2c, c2a = realization.to_canonical, realization.from_canonical
     dim = realization.algebra.dim
     i, j, k, v = t_abs
-    t_can = np.zeros((dim, dim, dim), dtype=complex)
     monomial = monomial_rows(c2a)
     if monomial is None:
+        t_can = np.zeros((dim, dim, dim), dtype=complex)
         np.add.at(t_can, (i, j, k), v)
         t_can = np.einsum("gi,gab,pa,qb->ipq", c2a, t_can, w2c, w2c, optimize=True)
     else:
         canon, scale = monomial
-        np.add.at(t_can, (canon[i], canon[j], canon[k]), v * scale[i] / (scale[j] * scale[k]))
+        t_can = (canon[i], canon[j], canon[k], v * scale[i] / (scale[j] * scale[k]))
     s_can = w2c @ s_abs @ c2a
     eps_can = np.asarray(eps_abs, dtype=complex) @ c2a
     meta = dict(meta or {})
@@ -291,9 +282,8 @@ def groupoid_function_algebra(gpd: Groupoid) -> WeakKac:
     S(delta_g) = delta_{g^{-1}}, eps(delta_g) = [g is a unit]."""
     n = gpd.size
     alg = make_algebra((1,) * n)
-    t = np.zeros((n, n, n), dtype=complex)
     h_idx, k_idx = np.nonzero(gpd.compose >= 0)
-    t[gpd.compose[h_idx, k_idx], h_idx, k_idx] = 1.0
+    t = (gpd.compose[h_idx, k_idx], h_idx, k_idx, np.ones(h_idx.size))
     s = np.zeros((n, n), dtype=complex)
     s[gpd.inverse, np.arange(n)] = 1.0
     eps = np.zeros(n, dtype=complex)
@@ -309,18 +299,6 @@ def groupoid_function_algebra(gpd: Groupoid) -> WeakKac:
 # ---------------------------------------------------------------------------
 
 
-def _composite_index_maps(shape):
-    """Row labels (alpha, i, j) of the full matrix algebra M_n, n = dim A."""
-    shape = tuple(int(x) for x in shape)
-    offsets = np.concatenate([[0], np.cumsum([d * d for d in shape])])
-    n = int(offsets[-1])
-
-    def row(alpha, i, j):
-        return int(offsets[alpha] + i * shape[alpha] + j)
-
-    return shape, n, row
-
-
 def elementary(shape, tol=None) -> WeakKac:
     """The unique elementary weak Kac algebra on M_n with Cartan subalgebras
     isomorphic to A = concrete algebra with the given block shape (n = dim A).
@@ -329,16 +307,22 @@ def elementary(shape, tol=None) -> WeakKac:
     ranging over the alpha-th block size; the coproduct spreads the inner
     index, the antipode transposes both labels and the counit pairs them.
     """
-    shape, n, row = _composite_index_maps(shape)
+    shape = tuple(int(x) for x in shape)
+    offsets = np.concatenate([[0], np.cumsum([d * d for d in shape])])
+    n = int(offsets[-1])
     alg = make_algebra((n,))
     dim = n * n
+
+    def row(alpha, i, j):  # the row label (alpha, i, j) of M_n
+        return int(offsets[alpha] + i * shape[alpha] + j)
 
     def idx(r, c):
         return r * n + c
 
-    t = np.zeros((dim, dim, dim), dtype=complex)
+    t = []  # entries (a, b, c, value) of the coproduct
     s = np.zeros((dim, dim), dtype=complex)
     eps = np.zeros(dim, dtype=complex)
+    pair_of = np.zeros((dim, 2), dtype=int)  # block-pair labels, used by twists
     for alpha, na in enumerate(shape):
         for beta, nb in enumerate(shape):
             scale = 1.0 / np.sqrt(na * nb)
@@ -349,23 +333,14 @@ def elementary(shape, tol=None) -> WeakKac:
                             a = idx(row(alpha, i, j), row(beta, k, l))
                             for u in range(na):
                                 for v in range(nb):
-                                    t[a, idx(row(alpha, i, u), row(beta, k, v)),
-                                      idx(row(alpha, u, j), row(beta, v, l))] = scale
+                                    t.append((a, idx(row(alpha, i, u), row(beta, k, v)),
+                                              idx(row(alpha, u, j), row(beta, v, l)), scale))
                             s[idx(row(beta, l, k), row(alpha, j, i)), a] = 1.0
+                            pair_of[a] = (alpha, beta)
                             if i == j and k == l:
                                 eps[a] = np.sqrt(na * nb)
-    # block-pair labels per basis element, used by twists
-    pair_of = np.zeros((dim, 2), dtype=int)
-    for alpha, na in enumerate(shape):
-        for beta, nb in enumerate(shape):
-            for i in range(na):
-                for j in range(na):
-                    for k in range(nb):
-                        for l in range(nb):
-                            a = idx(row(alpha, i, j), row(beta, k, l))
-                            pair_of[a] = (alpha, beta)
     return WeakKac(
-        alg, t, s, eps,
+        alg, tuple(np.array(t).T), s, eps,
         meta={"kind": "elementary", "cartan_shape": shape, "block_pairs": pair_of,
               "name": f"M({shape})"},
     )
@@ -404,7 +379,8 @@ def elementary_twist(w: WeakKac, lam) -> WeakKac:
     pairs = w.meta["block_pairs"]
     lam = _validate_cocycle(lam, int(pairs.max()) + 1 if len(pairs) else 1)
     lam_of = lam[pairs[:, 0], pairs[:, 1]]
-    t = w.coproduct * lam_of[:, None, None]
+    i, j, k, v = w.coproduct
+    t = (i, j, k, v * lam_of[i])
     s = w.antipode * (lam_of ** -2)[None, :]
     eps = w.counit * (lam_of ** -1)
     meta = dict(w.meta)
@@ -438,7 +414,7 @@ def dual_elementary(shape) -> WeakKac:
         nbeta = shape[beta]
         return alg.matrix_unit_index(block, i * nbeta + k, j * nbeta + l)
 
-    t = np.zeros((dim, dim, dim), dtype=complex)
+    t = []  # entries (a, b, c, value) of the coproduct, repeated ones summed
     s = np.zeros((dim, dim), dtype=complex)
     eps = np.zeros(dim, dtype=complex)
     for alpha, na in enumerate(shape):
@@ -451,14 +427,13 @@ def dual_elementary(shape) -> WeakKac:
                             for gamma, ng in enumerate(shape):
                                 for p in range(ng):
                                     for q in range(ng):
-                                        t[a,
-                                          idx(alpha, gamma, i, p, j, q),
-                                          idx(gamma, beta, p, k, q, l)] += 1.0 / ng
+                                        t.append((a, idx(alpha, gamma, i, p, j, q),
+                                                  idx(gamma, beta, p, k, q, l), 1.0 / ng))
                             s[idx(beta, alpha, l, j, k, i), a] = 1.0
                             if alpha == beta and i == k and j == l:
                                 eps[a] = na
     return WeakKac(
-        alg, t, s, eps,
+        alg, tuple(np.array(t).T), s, eps,
         meta={"kind": "dual_elementary", "cartan_shape": shape,
               "name": f"M({shape})^"},
     )
@@ -558,13 +533,11 @@ def crossed_product(w: WeakKac, action: GroupAction, tol=None) -> WeakKac:
         )
     )
 
+    # (m (x) g)* and S(m (x) g) have the group leg g^-1
+    rows = np.arange(dm)[:, None] * ng + grp.inverse[:, None, None]
+    cols = idx(np.arange(dm), np.arange(ng)[:, None])[:, None, :]
     star = np.zeros((dim, dim), dtype=complex)
-    smat = alg.star_matrix
-    for g in range(ng):
-        ginv = grp.inverse[g]
-        block = smat @ np.conj(action[ginv])
-        for a in range(dm):
-            star[np.arange(dm) * ng + ginv, idx(a, g)] = block[:, a]
+    star[rows, cols] = alg.star_matrix @ np.conj(action.mats[grp.inverse])
 
     unit = np.zeros(dim, dtype=complex)
     unit[np.arange(dm) * ng + grp.unit] = alg.unit
@@ -573,18 +546,12 @@ def crossed_product(w: WeakKac, action: GroupAction, tol=None) -> WeakKac:
     real = wedderburn_realize(data, tol)
 
     # Delta(m (x) g) = sum of Delta(m) with g on both legs
-    i, j, k, v = w.coproduct_nonzeros
+    i, j, k, v = w.coproduct
     g = np.arange(ng)[:, None]
     t_abs = tuple(x.ravel() for x in np.broadcast_arrays(idx(i, g), idx(j, g), idx(k, g), v))
     s_abs = np.zeros((dim, dim), dtype=complex)
-    for g in range(ng):
-        ginv = grp.inverse[g]
-        block = w.antipode @ action[ginv]
-        for a in range(dm):
-            s_abs[np.arange(dm) * ng + ginv, idx(a, g)] = block[:, a]
-    eps_abs = np.zeros(dim, dtype=complex)
-    for g in range(ng):
-        eps_abs[np.arange(dm) * ng + g] = w.counit
+    s_abs[rows, cols] = w.antipode @ action.mats[grp.inverse]
+    eps_abs = np.repeat(w.counit, ng)
 
     return transported_weak_kac(
         real, t_abs, s_abs, eps_abs,
@@ -612,23 +579,15 @@ def cube_family(n: int) -> WeakKac:
     alg = make_algebra((n,) * n)
     dim = n ** 3
 
-    def idx(k, i, j):
-        return alg.matrix_unit_index(k % n, i % n, j % n)
+    def idx(k, i, j):  # block k holds the basis indices k n^2 to (k + 1) n^2 - 1
+        return (k % n) * n * n + (i % n) * n + j % n
 
-    t = np.zeros((dim, dim, dim), dtype=complex)
+    k, i, j, r = np.indices((n,) * 4).reshape(4, -1)
+    t = (idx(k, i, j), idx(r, i, j), idx(k - r, i + r, j + r), np.ones(k.size))
     s = np.zeros((dim, dim), dtype=complex)
-    eps = np.zeros(dim, dtype=complex)
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                a = idx(k, i, j)
-                for r in range(n):
-                    t[a, idx(r, i, j), idx(k - r, i + r, j + r)] = 1.0
-                s[idx(-k, j + k, i + k), a] = 1.0
-                if k == 0:
-                    eps[a] = 1.0
-    return WeakKac(alg, t, s, eps, meta={"kind": "cube_family", "n": n,
-                                         "name": f"cube({n})"})
+    s[idx(-k, j + k, i + k), idx(k, i, j)] = 1.0
+    eps = (np.arange(dim) < n * n).astype(complex)  # [k = 0]
+    return WeakKac(alg, t, s, eps, meta={"kind": "cube_family", "n": n, "name": f"cube({n})"})
 
 
 def cube_crossed_isomorphism(n: int, crossed: WeakKac) -> np.ndarray:
@@ -659,9 +618,8 @@ def direct_sum(w1: WeakKac, w2: WeakKac) -> WeakKac:
     a1, a2 = w1.algebra, w2.algebra
     alg = make_algebra(a1.block_shape + a2.block_shape)
     d1, d2 = a1.dim, a2.dim
-    t = np.zeros((d1 + d2,) * 3, dtype=complex)
-    t[:d1, :d1, :d1] = w1.coproduct
-    t[d1:, d1:, d1:] = w2.coproduct
+    t = [np.concatenate([a, b + d1]) for a, b in zip(w1.coproduct[:3], w2.coproduct[:3])]
+    t = (*t, np.concatenate([w1.coproduct.v, w2.coproduct.v]))
     s = np.zeros((d1 + d2, d1 + d2), dtype=complex)
     s[:d1, :d1] = w1.antipode
     s[d1:, d1:] = w2.antipode

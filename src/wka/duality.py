@@ -96,7 +96,7 @@ def dual(w: WeakKac, tol=None, seed=None) -> WeakKac:
 def _realize_dual(w: WeakKac, tol) -> WeakKac:
     alg = w.algebra
     # b^j b^k = sum_i T[i, j, k] b^i: the coproduct's nonzeros are the triples
-    i, j, k, v = w.coproduct_nonzeros
+    i, j, k, v = w.coproduct
     star_hat = w.antipode.T @ alg.star_matrix
     gns = haar_projection(w, tol).coeffs
     data = StarAlgebraData((j, k, i, v), star_hat, w.counit, gns)
@@ -149,7 +149,7 @@ def check_pairing(w: WeakKac, dw: WeakKac, tol=None) -> VerificationReport:
     rep = VerificationReport("pairing with the dual", tol)
     f = _pairing_matrix(dw)
 
-    lhs = np.einsum("imn,am,bn->iab", dw.coproduct, f, f, optimize=True)
+    lhs = f @ dw.pair_leg(f.T, 1)
     p, q, m = alg.products
     rhs = np.zeros((w.dim, w.dim, w.dim), dtype=complex)
     rhs[:, p, q] = f[m].T
@@ -158,7 +158,7 @@ def check_pairing(w: WeakKac, dw: WeakKac, tol=None) -> VerificationReport:
     p, q, m = dw.algebra.products
     lhs = np.zeros((w.dim, w.dim, w.dim), dtype=complex)
     lhs[p, q] = f[:, m].T
-    rhs = np.einsum("cab,ai,bj->ijc", w.coproduct, f, f, optimize=True)
+    rhs = (f.T @ w.pair_leg(f, 1)).transpose(1, 2, 0)
     rep.add("product_pairs_with_coproduct", max_abs(lhs - rhs), scale=10)
 
     rep.add("antipode_transposes", max_abs(f @ dw.antipode - w.antipode.T @ f), scale=10)
@@ -242,9 +242,7 @@ def _convolution_unit_system(w: WeakKac, phi: Functional, tol):
     alg = w.algebra
     dim = alg.dim
     phim = phi.pairing()
-    t = w.coproduct
-    left = np.einsum("acd,dj->jac", t, phim, optimize=True).reshape(dim * dim, dim)
-    right = np.einsum("acd,cj->jad", t, phim, optimize=True).reshape(dim * dim, dim)
+    left, right = (w.pair_leg(phim, leg).transpose(2, 0, 1).reshape(-1, dim) for leg in (1, 0))
     rhs = phim.T.reshape(-1)
     try:
         space = solve_affine_space([(left, rhs), (right, rhs)], tol)

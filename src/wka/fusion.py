@@ -55,7 +55,10 @@ def _character_coordinates(chi: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def counital_character(w: WeakKac) -> np.ndarray:
     """Character of the counital representation, chi_eps = eps o mu o Delta."""
-    return np.einsum("amn,mn->a", w.coproduct, w.eps_mult)
+    i, j, k, v = w.coproduct
+    out = np.zeros(w.dim, dtype=complex)
+    np.add.at(out, i, v * w.eps_mult[j, k])  # eps(b_j b_k) over the terms of Delta(b_i)
+    return out
 
 
 def _support_multiplicities(w: WeakKac, tol):
@@ -195,7 +198,7 @@ def fusion_ring(w: WeakKac, tol=None):
     chi = block_characters(alg)
     nblocks = alg.nblocks
 
-    v = np.einsum("amn,mi,nj->aij", w.coproduct, chi, chi, optimize=True)
+    v = np.einsum("amj,mi->aij", w.pair_leg(chi, 1), chi)
     coeffs = _character_coordinates(chi, v.reshape(alg.dim, -1))
     residual = max_abs(chi @ coeffs - v.reshape(alg.dim, -1))
     rep.add("character_decomposition", residual, scale=10)

@@ -5,6 +5,9 @@ format_version, block_shape, basis, coproduct, antipode, counit (null for
 generalized data) and metadata.  Each tensor is a sparse table of rows
 [indices..., re, im], one row per line, in lexicographic index order with
 exact zeros omitted, so files are diffable and round-trip bit-identically.
+A file that lists an index twice is rejected.  The coproduct table is read
+into, and written from, the nonzeros that WeakKac stores, with no dense
+d^3 array in between.
 The block shape alone fixes the algebra's product and involution.  Version
 1 files also stored them as mult and star tables; such files are still
 read, and their tables must equal the canonical ones.  Loading performs
@@ -50,16 +53,16 @@ FORMAT_VERSION = 2
 _JSON_SAFE = (str, int, float, bool)
 
 
-def _sparse(arr: np.ndarray) -> list:
-    """Rows [indices..., re, im] of the nonzero entries, in index order."""
-    idx = np.nonzero(arr)
-    values = arr[idx]
-    return np.stack([*idx, values.real, values.imag], axis=1, dtype=object).tolist()
+def _sparse(arr) -> list:
+    """Rows [indices..., re, im] of the nonzero entries of an array, or of
+    the entries (i, j, k, v) of a Coproduct, in index order."""
+    *index, values = arr if isinstance(arr, tuple) else (*np.nonzero(arr), arr[np.nonzero(arr)])
+    return np.stack([*index, values.real, values.imag], axis=1, dtype=object).tolist()
 
 
-def _dense(rows, shape, what: str) -> np.ndarray:
-    """Dense array of an entry table, validated in one numpy pass over its
-    cells; an error names the first bad entry by its row number."""
+def _entries(rows, shape, what: str) -> tuple:
+    """COO (index arrays, values) of an entry table, validated in one numpy
+    pass over its cells; an error names the first bad or repeated entry."""
     if not isinstance(rows, list):
         raise ParseError(f"{what} must be a list of entry rows")
     ndim, width = len(shape), len(shape) + 2
@@ -78,8 +81,15 @@ def _dense(rows, shape, what: str) -> np.ndarray:
     with np.errstate(invalid="ignore"):  # and NaN, which compares false
         finite = np.abs(values) <= sys.float_info.max
     bad = ~(idx_ok.all(axis=1) & is_num.all(axis=1) & finite.all(axis=1))
+    # no row before the first bad one may repeat the indices of an earlier row
+    stop = int(np.argmax(bad)) if bad.any() else n
+    index = tuple(idx[:stop].astype(np.int64).T)
+    _, first = np.unique(np.ravel_multi_index(index, shape), return_index=True)
+    if first.size < stop:
+        r = int(np.setdiff1d(np.arange(stop), first)[0])
+        raise ParseError(f"{what} entry {r}: index {list(cells[r, :ndim])} is listed twice")
     if bad.any():
-        r = int(np.argmax(bad))
+        r = stop
         if not idx_ok[r].all():
             axis = int(np.argmin(idx_ok[r]))
             raise IndexOutOfRange(
@@ -91,9 +101,15 @@ def _dense(rows, shape, what: str) -> np.ndarray:
         raise ParseError(f"{what} entry {r}: re/im must be finite, got {re!r}, {im!r}")
     if n < len(rows):
         raise ParseError(f"{what} entry {n}: expected {ndim} indices plus re, im, got {rows[n]!r}")
-    out = np.zeros(shape, dtype=complex)
     # (re, im) pairs of float64 are complex128 values, signed zeros included
-    out[tuple(idx.astype(np.int64).T)] = values.astype(float).view(complex)[:, 0]
+    return (*index, values.astype(float).view(complex)[:, 0])
+
+
+def _dense(rows, shape, what: str) -> np.ndarray:
+    """Dense array of an entry table (see _entries)."""
+    *index, values = _entries(rows, shape, what)
+    out = np.zeros(shape, dtype=complex)
+    out[tuple(index)] = values
     return out
 
 
@@ -191,7 +207,7 @@ def deserialize(f: WkaFile) -> WeakKac:
     dim = alg.dim
     if f.basis and (len(f.basis) != dim or not all(isinstance(x, str) for x in f.basis)):
         raise ParseError(f"basis must list {dim} labels")
-    coproduct = _dense(f.coproduct, (dim, dim, dim), "coproduct")
+    coproduct = _entries(f.coproduct, (dim, dim, dim), "coproduct")
     antipode = _dense(f.antipode, (dim, dim), "antipode")
     counit = None if f.counit is None else _dense(f.counit, (dim,), "counit")
     return WeakKac(alg, coproduct, antipode, counit, dict(f.metadata))

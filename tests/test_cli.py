@@ -11,7 +11,7 @@ from wka import WeakKac, algebra, cli, cube_family, storage
 from wka.cli import main
 from wka.storage import load_wka, save_wka
 
-from conftest import get_example
+from conftest import dense_coproduct, get_example
 
 
 def run(*argv):
@@ -47,7 +47,7 @@ def test_full_pipeline(tmp_path, constructor, params):
 def test_build_writes_loadable_file(cube2_file):
     w = load_wka(cube2_file)
     assert w.dim == 8
-    assert np.abs(w.coproduct - cube_family(2).coproduct).max() == 0.0
+    assert np.abs(dense_coproduct(w) - dense_coproduct(cube_family(2))).max() == 0.0
 
 
 def test_build_function_algebra_from_table_file(tmp_path):
@@ -122,6 +122,21 @@ def test_non_finite_entry_is_input_error(cube2_file, capsys, tensor, value):
     assert run("verify", cube2_file) == 2
     captured = capsys.readouterr()
     assert f"error: {tensor} entry 0: re/im must be finite" in captured.err
+    assert "verdict" not in captured.out
+
+
+def test_repeated_entry_is_input_error(cube2_file, capsys):
+    """A coproduct index listed twice, with another value, is a bad file
+    (exit 2), not a file whose last row silently wins."""
+    with open(cube2_file) as fh:
+        obj = json.load(fh)
+    obj["coproduct"].append(obj["coproduct"][3][:3] + [2.0, 0.0])
+    with open(cube2_file, "w") as fh:
+        json.dump(obj, fh)
+    assert run("verify", cube2_file) == 2
+    captured = capsys.readouterr()
+    assert "error: coproduct entry 16: index [" in captured.err
+    assert "is listed twice" in captured.err
     assert "verdict" not in captured.out
 
 

@@ -26,7 +26,7 @@ from wka.algebra import StarAlgebraData, WedderburnRealization, wedderburn_reali
 from wka.catalog import named_groupoid
 from wka.duality import check_pairing, dual_functional
 
-from conftest import get_example
+from conftest import dense_coproduct, get_example
 
 NAMES = ["group_z3", "fun_k2", "elem_12", "cube2", "twist_11"]
 
@@ -290,7 +290,7 @@ def _moved_along(w, a):
     """w carried along the automorphism a (unitary on coefficients):
     Delta' = (a (x) a) Delta a^-1, S' = a S a^-1, eps' = eps a^-1."""
     ainv = a.conj().T
-    t = np.einsum("gi,gab,pa,qb->ipq", ainv, w.coproduct, a, a, optimize=True)
+    t = np.einsum("gi,gab,pa,qb->ipq", ainv, dense_coproduct(w), a, a, optimize=True)
     return WeakKac(w.algebra, t, a @ w.antipode @ ainv, w.counit @ ainv)
 
 

@@ -28,7 +28,7 @@ from wka.storage import (
     serialize,
 )
 
-from conftest import get_example
+from conftest import dense_coproduct, get_example
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +97,7 @@ def _dense_by_loop(rows, shape, what):
         raise ParseError(f"{what} must be a list of entry rows")
     ndim = len(shape)
     out = np.zeros(shape, dtype=complex)
+    seen = set()
     for r, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != ndim + 2:
             raise ParseError(f"{what} entry {r}: expected {ndim} indices plus re, im, got {row!r}")
@@ -108,6 +109,9 @@ def _dense_by_loop(rows, shape, what):
             raise ParseError(f"{what} entry {r}: re/im must be numbers")
         if not (abs(re) <= sys.float_info.max and abs(im) <= sys.float_info.max):
             raise ParseError(f"{what} entry {r}: re/im must be finite, got {re!r}, {im!r}")
+        if tuple(idx) in seen:
+            raise ParseError(f"{what} entry {r}: index {idx} is listed twice")
+        seen.add(tuple(idx))
         out[tuple(int(i) for i in idx)] = complex(re, im)
     return out
 
@@ -139,8 +143,9 @@ def test_entry_tables_are_read_as_by_a_per_entry_loop():
         expected = _outcome(_dense_by_loop, rows, shape)
         assert _outcome(storage._dense, rows, shape) == expected, rows
         message = "" if expected[0] == "ok" else expected[1]
-        outcomes.add(next((k for k in ("expected", "index", "numbers", "finite") if k in message), "ok"))
-    assert len(outcomes) == 5, outcomes  # accepted, and each of the four row errors
+        kinds = ("twice", "expected", "index", "numbers", "finite")
+        outcomes.add(next((k for k in kinds if k in message), "ok"))
+    assert len(outcomes) == 6, outcomes  # accepted, and each of the five row errors
 
 
 def _version_1(w) -> dict:
@@ -173,7 +178,7 @@ def test_round_trip_preserves_structure(tmp_path):
     path = tmp_path / "c2.wka"
     save_wka(w, path)
     w2 = load_wka(path)
-    assert np.abs(w2.coproduct - w.coproduct).max() == 0.0
+    assert np.abs(dense_coproduct(w2) - dense_coproduct(w)).max() == 0.0
     assert np.abs(w2.antipode - w.antipode).max() == 0.0
     assert np.abs(w2.counit - w.counit).max() == 0.0
     assert tuple(w2.algebra.block_shape) == tuple(w.algebra.block_shape)
@@ -195,7 +200,7 @@ def test_counit_free_round_trip():
     text = serialize(gen).to_text()
     w2 = deserialize(WkaFile.from_text(text))
     assert w2.counit is None
-    assert np.abs(w2.coproduct - w.coproduct).max() == 0.0
+    assert np.abs(dense_coproduct(w2) - dense_coproduct(w)).max() == 0.0
 
 
 def test_reject_bad_json():
@@ -253,6 +258,20 @@ def test_reject_non_finite_entry(tensor, value):
     obj = json.loads(serialize(get_example("fun_z2")).to_text())
     obj[tensor][0][-2] = value
     with pytest.raises(ParseError, match=f"{tensor} entry 0: re/im must be finite"):
+        deserialize(WkaFile.from_text(json.dumps(obj)))
+
+
+@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("tensor", ["coproduct", "antipode", "counit"])
+def test_reject_repeated_entry(version, tensor):
+    """An index listed twice fails with the row of the repeat, whichever
+    value it carries; files written by save_wka list each index once."""
+    w = get_example("fun_k2")
+    obj = _version_1(w) if version == 1 else json.loads(serialize(w).to_text())
+    first = obj[tensor][0]
+    obj[tensor].insert(2, first[:-2] + [first[-2] + 1.0, 0.0])
+    pattern = rf"{tensor} entry 2: index \[.*\] is listed twice"
+    with pytest.raises(ParseError, match=pattern):
         deserialize(WkaFile.from_text(json.dumps(obj)))
 
 

@@ -26,11 +26,12 @@ from wka import (
 )
 from wka import weakkac
 from wka.constructors import validate_action
+from wka.storage import load_wka, save_wka
 from wka.errors import CartanMismatch, InvalidAction
 from wka.report import VerificationReport
 from wka.tensorkit import Tolerance, max_abs, nullspace, singular_values, subspace_distance
 
-from conftest import get_example, moved_entry, with_noise
+from conftest import dense_coproduct, get_example, moved_entry, with_noise
 
 EXAMPLES = [
     "group_z3",
@@ -89,7 +90,8 @@ def test_nan_residual_fails_and_is_reported(position):
 @pytest.mark.parametrize("tensor", ["coproduct", "antipode", "counit"])
 def test_non_finite_structure_arrays_are_rejected(tensor):
     w = get_example("fun_k2")
-    arrays = {k: np.array(getattr(w, k)) for k in ("coproduct", "antipode", "counit")}
+    arrays = {k: np.array(getattr(w, k)) for k in ("antipode", "counit")}
+    arrays["coproduct"] = dense_coproduct(w)
     arrays[tensor].flat[-1] = np.inf if tensor == "counit" else np.nan
     with pytest.raises(ValueError, match=f"{tensor} has non-finite entries"):
         WeakKac(w.algebra, **arrays)
@@ -97,7 +99,7 @@ def test_non_finite_structure_arrays_are_rejected(tensor):
 
 def test_scaled_coproduct_fails_counit_and_weak_unit_axioms():
     w = get_example("cube2")
-    bad = WeakKac(w.algebra, 0.5 * w.coproduct, w.antipode, w.counit, {})
+    bad = WeakKac(w.algebra, 0.5 * dense_coproduct(w), w.antipode, w.counit, {})
     rep = verify_weak_kac(bad)
     assert not rep.passed
     failed = {c.name for c in rep.failures()}
@@ -137,13 +139,12 @@ def test_counit_axioms_evaluated_by_scatters_can_fail(perturbed, failing):
     an imaginary 1e-6 shift of the counit or a zero row of the coproduct
     fails each named axiom evaluated over the nonzeros or by d x d products."""
     w = get_example("cube2")
-    arrays = {"coproduct": w.coproduct, "antipode": w.antipode, "counit": w.counit}
+    arrays = {"coproduct": dense_coproduct(w), "antipode": w.antipode, "counit": w.counit}
     if perturbed == "antipode":
         arrays["antipode"] = np.eye(w.dim)
     elif perturbed == "counit_imaginary":
         arrays["counit"] = w.counit + 1e-6j
     elif perturbed == "coproduct_row":
-        arrays["coproduct"] = np.array(w.coproduct)
         arrays["coproduct"][0] = 0
     else:
         rng = np.random.default_rng(7)
@@ -174,21 +175,21 @@ def _multiplicativity_dense(src, dst, f, anti=False):
 
 def _intertwining_dense(w1, w2, f, flip=False):
     """Residual of (f (x) f) Delta_1 = Delta_2 f, or = flip Delta_2 f."""
-    lhs = np.einsum("ma,iab,nb->imn", f, w1.coproduct, f, optimize=True)
-    rhs = np.einsum("mi,mab->iab", f, w2.coproduct, optimize=True)
+    lhs = np.einsum("ma,iab,nb->imn", f, dense_coproduct(w1), f, optimize=True)
+    rhs = np.einsum("mi,mab->iab", f, dense_coproduct(w2), optimize=True)
     return max_abs(lhs - (rhs.transpose(0, 2, 1) if flip else rhs))
 
 
 def _delta_injectivity_dense(w):
     d = w.dim
-    s, rank = singular_values(w.coproduct.reshape(d, d * d).T)
+    s, rank = singular_values(dense_coproduct(w).reshape(d, d * d).T)
     return rank == d, float(s[-1])
 
 
 def _residuals_dense(w):
     """Every residual of verify_weak_kac evaluated over the nonzeros, other
     than coassociativity and multiplicativity, by dense contractions."""
-    alg, t, s = w.algebra, w.coproduct, w.antipode
+    alg, t, s = w.algebra, dense_coproduct(w), w.antipode
     dim = alg.dim
     star, eps = alg.star_matrix, w.counit
     em, e = w.eps_mult, w.e_matrix
@@ -261,7 +262,7 @@ def test_join_residuals_match_dense_oracles_on_catalog():
         w = entry.build()
         # the exhaustive dense oracle costs d * N^6, a join on a dense
         # coproduct up to d^5 products: keep both to unit-test size
-        if w.dim > 27 or w.coproduct_nonzeros[0].size > 5000:
+        if w.dim > 27 or w.coproduct.nnz > 5000:
             continue
         for name, (join, dense) in _both_paths(w).items():
             assert abs(join - dense) <= 1e-12, (entry.name, name, join, dense)
@@ -294,26 +295,46 @@ def test_injectivity_is_ranked_at_the_cutoff_of_the_full_shape():
     It lies below the rank cutoff of the 64 x 8 shape and above that of the
     16 nonzero rows; the flag follows the full shape, as the dense SVD does."""
     w = get_example("cube2")
-    t = np.array(w.coproduct)
+    t = dense_coproduct(w)
     t[0] *= 3e-8 / np.linalg.norm(t[0])
     scaled = WeakKac(w.algebra, t, w.antipode, w.counit)
     full, smin = weakkac._delta_injectivity(scaled, Tolerance())
-    assert len(np.unique(scaled.coproduct_nonzeros[1] * 8 + scaled.coproduct_nonzeros[2])) == 16
+    assert len(np.unique(scaled.coproduct.j * 8 + scaled.coproduct.k)) == 16
     assert (full, smin) == (False, pytest.approx(3e-8, rel=1e-9))
     assert _delta_injectivity_dense(scaled)[0] is False
 
 
-def test_verify_weak_kac_forms_no_dense_cube():
-    """On a prebuilt cube_family(4) (d = 64) the traced peak of the whole
-    verification stays below one dense d^3 complex array (4.2 MB)."""
-    w = cube_family(4)
+def test_verify_weak_kac_forms_no_dense_cube(tmp_path):
+    """Building cube_family(4) (d = 64), writing it, reading it back and
+    verifying it keep the traced peak below one dense d^3 complex array
+    (4.2 MB): the coproduct never exists as a dense array on this path."""
+    path = tmp_path / "cube4.wka"
     tracemalloc.start()
     try:
-        assert verify_weak_kac(w).passed
+        w = cube_family(4)
+        save_wka(w, path)
+        assert verify_weak_kac(load_wka(path)).passed
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < w.dim ** 3 * 16, peak
+
+
+@pytest.mark.parametrize("entry", catalog(), ids=lambda e: e.name)
+def test_coproduct_store_is_coalesced_row_major_coo(entry):
+    """The stored coproduct has nnz entries, one per index triple, in
+    row-major order, none exactly 0, read-only: the nonzero count that
+    reports and the benchmark read is the number of nonzero structure
+    constants."""
+    w = entry.build()
+    i, j, k, v = w.coproduct
+    assert w.coproduct.nnz == i.size == j.size == k.size == v.size
+    keys = (i * w.dim + j) * w.dim + k
+    assert np.all(np.diff(keys) > 0)
+    assert np.all(v != 0)
+    assert np.count_nonzero(dense_coproduct(w)) == w.coproduct.nnz
+    for array in w.coproduct:
+        assert not array.flags.writeable
 
 
 def _unreachable(*args):
@@ -322,7 +343,7 @@ def _unreachable(*args):
 
 def _doubled_entry(w):
     """w with the first nonzero doubled in the coproduct row of most terms."""
-    t = np.array(w.coproduct)
+    t = dense_coproduct(w)
     i = np.argmax(np.count_nonzero(t, axis=(1, 2)))
     j, k = np.argwhere(t[i] != 0)[0]
     t[i, j, k] *= 2
@@ -391,7 +412,7 @@ def test_cartan_rejects_garbage_coproduct():
     w = get_example("cube2")
     rng = np.random.default_rng(5)
     bad = WeakKac(
-        w.algebra, rng.normal(size=w.coproduct.shape), w.antipode, w.counit, {}
+        w.algebra, rng.normal(size=(w.dim,) * 3), w.antipode, w.counit, {}
     )
     with pytest.raises(CartanMismatch):
         cartan_subalgebras(bad)
@@ -422,7 +443,7 @@ def test_counital_range_checks_follow_the_tolerance():
     w = get_example("cube2")
     rng = np.random.default_rng(3)
     noisy = WeakKac(
-        w.algebra, w.coproduct + 1e-6 * rng.standard_normal(w.coproduct.shape),
+        w.algebra, dense_coproduct(w) + 1e-6 * rng.standard_normal((w.dim,) * 3),
         w.antipode, w.counit,
     )
     rep = counital_maps(noisy, tol=1e-4).report
@@ -433,7 +454,7 @@ def test_counital_range_checks_follow_the_tolerance():
 
 def _counital_matrices_by_columns(w):
     """Oracle: eps_t and eps_s one basis column at a time, as d products."""
-    t, s = w.coproduct, w.antipode
+    t, s = dense_coproduct(w), w.antipode
     eps_t = np.stack([w.mu(t[j] @ s.T) for j in range(w.dim)], axis=1)
     eps_s = np.stack([w.mu(s @ t[j]) for j in range(w.dim)], axis=1)
     return eps_t, eps_s
@@ -517,9 +538,9 @@ def test_three_summands_split_off_the_class_of_block_0():
     for w in (builds[0], builds[0], builds[1]):
         first, rest, rep = decompose_if_split(w)
         assert rep.passed, rep.as_text()
-        assert np.array_equal(first.coproduct, parts[0].coproduct)
+        assert np.array_equal(dense_coproduct(first), dense_coproduct(parts[0]))
         assert rest.algebra.block_shape == parts[1].algebra.block_shape + parts[2].algebra.block_shape
-        assert np.array_equal(rest.coproduct, direct_sum(*parts[1:]).coproduct)
+        assert np.array_equal(dense_coproduct(rest), dense_coproduct(direct_sum(*parts[1:])))
 
 
 def test_restrict_to_blocks_recovers_summand():
@@ -622,9 +643,9 @@ def test_morphism_checks_fail_where_the_map_breaks(name, make_map, failing):
 
 def test_structure_arrays_are_read_only_copies():
     w0 = get_example("fun_k2")
-    given = [np.array(w0.coproduct), np.array(w0.antipode), np.array(w0.counit)]
+    given = [dense_coproduct(w0), np.array(w0.antipode), np.array(w0.counit)]
     w = WeakKac(w0.algebra, *given)
-    for own, arr in zip(given, (w.coproduct, w.antipode, w.counit)):
+    for own, arr in zip(given, (w.coproduct.v, w.antipode, w.counit)):
         with pytest.raises(ValueError):
             arr.flat[0] = 7.0
         own.flat[0] = 7.0  # the caller's array stays writable ...
@@ -677,14 +698,14 @@ def test_kac_bimodule_compressions_are_the_assembled_axioms():
     rep, _ = check_kac_bimodule(w.algebra, w.coproduct, w.antipode)
     assert rep["target_compression"].residual == rep["assembled.axiomA3_doubleprime"].residual
     assert rep["source_compression"].residual == rep["assembled.axiom3"].residual
-    scaled, _ = check_kac_bimodule(w.algebra, 0.5 * w.coproduct, w.antipode)
+    scaled, _ = check_kac_bimodule(w.algebra, 0.5 * dense_coproduct(w), w.antipode)
     assert not scaled["target_compression"].passed
     assert not scaled["source_compression"].passed
 
 
 def test_kac_bimodule_rejects_scaled_coproduct():
     w = get_example("cube2")
-    rep, _ = check_kac_bimodule(w.algebra, 0.5 * w.coproduct, w.antipode)
+    rep, _ = check_kac_bimodule(w.algebra, 0.5 * dense_coproduct(w), w.antipode)
     assert not rep.passed
     assert rep.max_residual >= 0.5
 
@@ -699,8 +720,8 @@ def test_cartan_relations_match_the_dense_stack(name):
     tol = Tolerance()
     for leg in (0, 1):
         dense = np.hstack([
-            (w.coproduct - w.algebra.basis_products(w.e_matrix, leg, left)).reshape(w.dim, -1)
+            (dense_coproduct(w) - w.algebra.basis_products(w.e_matrix, leg, left)).reshape(w.dim, -1)
             for left in (False, True)
         ]).T
-        span = weakkac._cartan_by_relations(w, leg, tol)
+        span = nullspace(weakkac._cartan_relations(w, leg), tol, shape=(2 * w.dim ** 2, w.dim))
         assert subspace_distance(span, nullspace(dense, tol)) < 1e-10

@@ -21,6 +21,7 @@ through the cyclic vector of the unit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -437,23 +438,25 @@ class WedderburnRealization:
     residual: float
 
 
-def _mul(lt: np.ndarray, x, y) -> np.ndarray:
-    """Product x y in a presentation whose left multiplications are lt[a]."""
-    return np.tensordot(x, lt, 1) @ y
+def _mul(products, x, y) -> np.ndarray:
+    """Product x y in a presentation with product triples (a, b, c, v); a
+    matrix x or y is multiplied column by column."""
+    a, b, c, v = products
+    out = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)), dtype=complex)
+    np.add.at(out, c, (v * x[a].T * y[b].T).T)
+    return out
 
 
-def _validate_star_algebra(data: StarAlgebraData, lt: np.ndarray, tol: Tolerance):
-    """Unit, involution and associativity of a presentation whose left
-    multiplications are lt[a]; the last two on three probes drawn from a
-    fixed generator."""
-    dim = data.dim
-    res_unit = max(
-        max_abs(np.tensordot(data.unit, lt, 1) - np.eye(dim)),
-        max_abs(lt @ data.unit - np.eye(dim)),
-    )
+def _validate_star_algebra(data: StarAlgebraData, tol: Tolerance):
+    """Unit, involution and associativity of a presentation, over its
+    product triples; the last two on three probes drawn from a fixed
+    generator."""
+    dim, eye = data.dim, np.eye(data.dim)
+    mul = partial(_mul, data.products)
+    res_unit = max(max_abs(mul(data.unit, eye) - eye), max_abs(mul(eye, data.unit) - eye))
     if res_unit > 100 * tol.abs_tol:
         raise WkaError(f"unit fails by {res_unit:.2e}")
-    res_star = max_abs(data.star @ np.conj(data.star) - np.eye(dim))
+    res_star = max_abs(data.star @ np.conj(data.star) - eye)
     rng = np.random.default_rng((0x5EED, 0))
     probes = rng.standard_normal((3, 2, dim)) + 1j * rng.standard_normal((3, 2, dim))
     res_anti = 0.0
@@ -461,14 +464,10 @@ def _validate_star_algebra(data: StarAlgebraData, lt: np.ndarray, tol: Tolerance
     for x, y in probes:
         res_anti = max(
             res_anti,
-            max_abs(
-                data.star_of(_mul(lt, x, y)) - _mul(lt, data.star_of(y), data.star_of(x))
-            ),
+            max_abs(data.star_of(mul(x, y)) - mul(data.star_of(y), data.star_of(x))),
         )
         z = probes[0][0]
-        res_assoc = max(
-            res_assoc, max_abs(_mul(lt, _mul(lt, x, y), z) - _mul(lt, x, _mul(lt, y, z)))
-        )
+        res_assoc = max(res_assoc, max_abs(mul(mul(x, y), z) - mul(x, mul(y, z))))
     scale = max(1.0, max_abs(data.products[3]))
     if max(res_star, res_anti) > 1e-6 * scale * max(1.0, scale):
         raise NotStarClosed(f"involution fails by {max(res_star, res_anti):.2e}")
@@ -479,10 +478,9 @@ def _validate_star_algebra(data: StarAlgebraData, lt: np.ndarray, tol: Tolerance
 def wedderburn_realize(data: StarAlgebraData, tol=None) -> WedderburnRealization:
     """Find block sizes and explicit matrix units for an abstract *-algebra.
 
-    Both routes first scatter the product triples once into the left
-    multiplications lt[a] = L_{b_a}, check the unit, the involution and
-    associativity, and require the GNS form phi(b_a* b_b) of the supplied
-    positive functional to be hermitian and positive definite.
+    Both routes first check the unit, the involution and associativity over
+    the product triples, and require the GNS form phi(b_a* b_b) of the
+    supplied positive functional to be hermitian and positive definite.
 
     A principal groupoid basis (see _groupoid_matrix_units), such as the
     morphisms of a principal groupoid, the duals of the cube family and of
@@ -512,12 +510,12 @@ def wedderburn_realize(data: StarAlgebraData, tol=None) -> WedderburnRealization
     tol = as_tol(tol)
     dim = data.dim
     a, b, c, val = data.products
-    lt = np.zeros((dim, dim, dim), dtype=complex)
-    np.add.at(lt, (a, c, b), val)  # lt[a] is left multiplication by b_a
-    _validate_star_algebra(data, lt, tol)
+    _validate_star_algebra(data, tol)
 
     # gram[a, b] = phi(b_a* b_b) with b_a* = sum_c star[c, a] b_c
-    gram = data.star.T @ np.tensordot(data.gns, lt, (0, 1))
+    pairing = np.zeros((dim, dim), dtype=complex)
+    np.add.at(pairing, (a, b), val * data.gns[c])
+    gram = data.star.T @ pairing
     herm_res = max_abs(gram - dagger(gram))
     if herm_res > 1e-7 * max(1.0, max_abs(gram)):
         raise NotSemisimple(f"GNS form not hermitian (residual {herm_res:.2e})")
@@ -526,7 +524,13 @@ def wedderburn_realize(data: StarAlgebraData, tol=None) -> WedderburnRealization
     if not ok:
         raise NotSemisimple(f"GNS form degenerate (min eigenvalue {min_eig:.2e})")
 
-    target, wmat, winv = _groupoid_matrix_units(data) or _split_matrix_units(data, lt, gram, tol)
+    # the groupoid route is monomial, so only the split route reads the
+    # table lt[a] of the left multiplications by b_a
+    found, lt = _groupoid_matrix_units(data), None
+    if found is None:
+        lt = np.zeros((dim, dim, dim), dtype=complex)
+        np.add.at(lt, (a, c, b), val)
+    target, wmat, winv = found or _split_matrix_units(data, lt, gram, tol)
     residual = _realization_residual(data, lt, target, wmat, winv)
     if residual > 1e-7:
         raise WkaError(f"realization round-trip residual {residual:.2e}")

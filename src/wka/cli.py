@@ -9,6 +9,7 @@ output is deterministic for a fixed input and tolerance.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -228,6 +229,7 @@ def cmd_report(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="wka",

@@ -114,8 +114,12 @@ def counital_representation(w: WeakKac, tol=None):
             f" (hermiticity {herm:.2e}, min eigenvalue {min_eig:.2e})"
         )
 
-    et = w.eps_t_matrix
-    images = et @ alg.lmat(np.eye(alg.dim)) @ b  # [a, coeff, s]
+    # images[a] = eps_t L_a b: L_a b is row q of b at row m for each
+    # product b_a b_q = b_m, scattered over the triples
+    p, q, m = alg.products
+    lb = np.zeros((alg.dim, alg.dim, k), dtype=complex)
+    lb[p, m] = b[q]
+    images = w.eps_t_matrix @ lb  # [a, coeff, s]
     pis = np.einsum("cr,acs->ars", np.conj(b), images, optimize=True)
     rep.add(
         "action_lands_in_cartan",
@@ -123,7 +127,6 @@ def counital_representation(w: WeakKac, tol=None):
         scale=10,
     )
     rep.add("unital", max_abs(np.tensordot(alg.unit, pis, (0, 0)) - np.eye(k)))
-    p, q, m = alg.products
     prod = np.zeros((alg.dim, alg.dim, k, k), dtype=complex)
     prod[p, q] = pis[m]
     comp = np.einsum("arm,bms->abrs", pis, pis, optimize=True)

@@ -41,10 +41,12 @@ from .tensorkit import (
     numerical_rank,
     orthonormal_columns,
     positive_definite,
+    singular_values,
     solve_affine_space,
     subspace_distance,
 )
-from .weakkac import WeakKac, _cartan_spans, _contract, _join, _nonzero_rows, _residual, _row_starts
+from .weakkac import WeakKac, _basis_products, _cartan_spans, _contract, _join
+from .weakkac import _nonzero_rows, _residual, _row_starts
 
 __all__ = [
     "haar_projection",
@@ -72,10 +74,21 @@ def _target_ideal(w: WeakKac, tol: Tolerance) -> np.ndarray:
     algebra and tolerance."""
 
     def solve():
-        rows = w.algebra.lmat(np.eye(w.dim) - w.eps_t_matrix.T)
-        return nullspace(rows.reshape(w.dim * w.dim, w.dim), tol)
+        rows = _ideal_rows(w.algebra, np.eye(w.dim) - w.eps_t_matrix.T, left=True)
+        return nullspace(rows, tol, shape=(w.dim * w.dim, w.dim))
 
     return w.memo(("target_ideal", tol), solve)
+
+
+def _ideal_rows(alg, x: np.ndarray, left: bool) -> np.ndarray:
+    """The nonzero rows of alg.lmat(x) (left) or alg.rmat(x) for the rows
+    x[a] of x, stacked as the d^2 x d matrix with rows (a, m): one join of
+    the nonzeros x[a, f] with the products whose left (or right) factor is
+    b_f."""
+    p, q, m = alg.products
+    factor, other = (p, q) if left else (q, p)
+    a, other, m, v = _contract((factor, other, m, np.ones(m.size)), x, 0)
+    return _nonzero_rows(a * alg.dim + m, other, v, alg.dim)
 
 
 def _haar_projection_space(w: WeakKac, tol: Tolerance):
@@ -182,8 +195,8 @@ def check_haar_projection(w: WeakKac, tol=None):
     # ideals by their defining relations: I_s = {y : y x = y eps_s(x)},
     # I_t = {y : x y = eps_t(x) y}; they must equal M p and p M, and
     # intersect in p M p.
-    srows = alg.rmat(np.eye(dim) - es.T).reshape(dim * dim, dim)
-    i_s = nullspace(srows, tol)
+    srows = _ideal_rows(alg, np.eye(dim) - es.T, left=False)
+    i_s = nullspace(srows, tol, shape=(dim * dim, dim))
     i_t = _target_ideal(w, tol)
     rep.add("source_ideal_is_mp", subspace_distance(i_s, rmp, tol))
     rep.add("target_ideal_is_pm", subspace_distance(i_t, lmp, tol))
@@ -228,13 +241,14 @@ def _haar_projection_coproduct(w: WeakKac, p: np.ndarray):
 
 
 def _tracial_rows(alg) -> np.ndarray:
-    """Rows (a, b) -> b_a b_b - b_b b_a acting on a functional, scattered
-    over the product triples."""
-    p, q, m = alg.products
-    rows = np.zeros((alg.dim, alg.dim, alg.dim))
-    rows[p, q, m] = 1.0
-    rows[q, p, m] -= 1.0
-    return rows.reshape(alg.dim * alg.dim, alg.dim)
+    """The nonzero rows (a, b) -> b_a b_b - b_b b_a acting on a functional,
+    in row order, scattered over the product triples with a != b (the
+    commutator of a basis element with itself is the only one that
+    vanishes)."""
+    p, q, m = (index[alg.products[0] != alg.products[1]] for index in alg.products)
+    keys = np.concatenate([p * alg.dim + q, q * alg.dim + p])
+    signs = np.repeat([1.0, -1.0], m.size)
+    return _nonzero_rows(keys, np.concatenate([m, m]), signs, alg.dim)
 
 
 def _haar_trace_rows(w: WeakKac, phis: np.ndarray) -> np.ndarray:
@@ -439,14 +453,17 @@ def haar_conditional_expectations(w: WeakKac, phi: Functional | None = None, tol
 
     t, e, smat = w.coproduct, w.e_matrix, w.antipode
 
-    # stacks over the basis b_a: (1 (x) b_a) e and e (1 (x) b_a)
-    one_x_e = alg.basis_products(e, leg=1, left=True)
-    e_one_x = alg.basis_products(e, leg=1, left=False)
+    # the sparse stacks over the basis b_a: (1 (x) b_a) e and e (1 (x) b_a)
+    one_x_e = _basis_products(alg, e, leg=1, left=True)
+    e_one_x = _basis_products(alg, e, leg=1, left=False)
 
     e_t = w.pair_leg(phi.vec, 1).T
     e_s = w.pair_leg(phi.vec, 0).T
     # E_t(b_a) = S (id (x) phi)((1 (x) b_a) e)
-    rep.add("target_formulas_agree", max_abs(e_t - smat @ (one_x_e @ phi.vec).T))
+    a, x, y, v = one_x_e
+    paired = np.zeros((dim, dim), dtype=complex)
+    np.add.at(paired, (x, a), v * phi.vec[y])
+    rep.add("target_formulas_agree", max_abs(e_t - smat @ paired))
 
     ns, nt, _, _ = _cartan_spans(w, tol)
     rep.extend(
@@ -469,7 +486,7 @@ def haar_conditional_expectations(w: WeakKac, phi: Functional | None = None, tol
     span = orthonormal_columns(e_t, tol)
     rep.add("flip_identity", _flip_identity_residual(w, dagger(span) @ e_t), scale=100)
 
-    eo_t = w.mu((smat @ one_x_e).transpose(1, 2, 0))
+    eo_t = _relative_expectation(alg, one_x_e, smat)
     nt_comm = commutant(nt, tol)
     rep.extend(
         check_conditional_expectation(eo_t, nt_comm, tol=tol),
@@ -478,7 +495,7 @@ def haar_conditional_expectations(w: WeakKac, phi: Functional | None = None, tol
     # e (1 (x) b_a) e = e (1 (x) z_a) = (1 (x) z_a) e with z_a = Eo_t(b_a)
     sandwiches = _sandwiches(alg, e)
     for name, stack in (("right", e_one_x), ("left", one_x_e)):
-        residual = max_abs(sandwiches - np.tensordot(eo_t, stack, (0, 0)))
+        residual = _residual(sandwiches, _contract(stack, eo_t.T, 0), dim)
         rep.add(f"relative_{name}_sandwich", residual, scale=10)
 
     cone, _ = haar_trace_cone(w, tol)
@@ -487,11 +504,11 @@ def haar_conditional_expectations(w: WeakKac, phi: Functional | None = None, tol
     )
     rep.add("relative_preserves_cone_traces", worst_cone, scale=10)
 
-    # injectivity of y -> e(1 (x) y) and y -> e(y (x) 1)
-    k1 = e_one_x.reshape(dim, -1).T
-    k2 = alg.basis_products(e, leg=0, left=False).reshape(dim, -1).T
-    for name, k in (("right_leg_injective", k1), ("left_leg_injective", k2)):
-        rank = numerical_rank(k, tol)
+    # injectivity of y -> e(1 (x) y) and y -> e(y (x) 1): the rank of the
+    # d^2 x d matrix with rows (x, y), from its nonzero rows
+    e_x_one = _basis_products(alg, e, leg=0, left=False)
+    for name, (a, x, y, v) in (("right_leg_injective", e_one_x), ("left_leg_injective", e_x_one)):
+        _, rank = singular_values(_nonzero_rows(x * dim + y, a, v, dim), tol, shape=(dim * dim, dim))
         rep.add_flag(name, rank == dim, f"rank {rank} of {dim}")
     return e_t, e_s, eo_t, rep
 
@@ -529,9 +546,22 @@ def _flip_identity_residual(w: WeakKac, v: np.ndarray) -> float:
     return difference_max_abs(left, right)
 
 
-def _sandwiches(alg, c) -> np.ndarray:
+def _relative_expectation(alg, one_x_e, smat: np.ndarray) -> np.ndarray:
+    """Eo_t = mu (S (x) id) ((1 (x) y) e) on the basis, from the sparse stack
+    one_x_e over a of (1 (x) b_a) e: each term v b_x (x) b_y of it meets the
+    nonzeros S[c, x], and b_c b_y, when nonzero, adds v S[c, x] at row
+    b_c b_y, column a."""
+    a, x, y, v = _contract(one_x_e, smat, 1)
+    m = alg.prod_table[x, y]
+    out = np.zeros((alg.dim, alg.dim), dtype=complex)
+    np.add.at(out, (m[m >= 0], a[m >= 0]), v[m >= 0])
+    return out
+
+
+def _sandwiches(alg, c):
     """Stack over the basis of C (1 (x) b_a) C for an element C of M (x) M,
-    given as its coefficient matrix, by one join over the nonzeros of C.
+    given as its coefficient matrix, as a sparse 3-tensor (a, x, y, value)
+    with repeated triples, by one join over the nonzeros of C.
 
     Terms v b_i (x) b_j and v' b_k (x) b_l of C meet where col(b_i) =
     row(b_k); then b_j b_a b_l is nonzero for the one matrix unit b_a from
@@ -545,10 +575,8 @@ def _sandwiches(alg, c) -> np.ndarray:
     s = order[s]
     a = units[cols[j[f]], rows[j[s]]]
     f, s, a = f[a >= 0], s[a >= 0], a[a >= 0]
-    out = np.zeros((alg.dim, alg.dim, alg.dim), dtype=complex)
-    keys = (a, units[rows[i[f]], cols[i[s]]], units[rows[j[f]], cols[j[s]]])
-    np.add.at(out, keys, c[i[f], j[f]] * c[i[s], j[s]])
-    return out
+    x, y = units[rows[i[f]], cols[i[s]]], units[rows[j[f]], cols[j[s]]]
+    return a, x, y, c[i[f], j[f]] * c[i[s], j[s]]
 
 
 def check_generalized_kac(data, phi: Functional, tol=None) -> VerificationReport:

@@ -21,10 +21,10 @@ from wka import (
     regular_trace,
     wedderburn_realize,
 )
-from wka.algebra import _groupoid_matrix_units, monomial_rows, regular_trace_of
+from wka.algebra import _groupoid_matrix_units, _mul, monomial_rows, regular_trace_of
 from wka.constructors import cyclic_groupoid, disjoint_union, pair_groupoid
 from wka.errors import NotSemisimple, NotStarClosed, WkaError
-from wka.haar import _sandwiches, _tracial_rows
+from wka.haar import _ideal_rows, _sandwiches, _tracial_rows
 from wka.tensorkit import dagger, max_abs, subspace_distance
 
 SHAPES = [(1,), (2,), (1, 1), (1, 2), (2, 2), (1, 1, 3)]
@@ -60,15 +60,30 @@ def test_product_scatters_match_dense_structure_constants(shape):
     }
     for (leg, left), dense in stacks.items():
         assert np.array_equal(alg.basis_products(c, leg, left), dense), (leg, left)
+    # the compact tracial rows are the nonzero rows of the dense stack, in order
     commutators = (mult - mult.transpose(1, 0, 2)).reshape(alg.dim * alg.dim, alg.dim)
-    assert np.array_equal(_tracial_rows(alg), commutators)
+    assert np.array_equal(_tracial_rows(alg), commutators[np.any(commutators != 0, axis=1)])
     # the join C (1 (x) b_a) C against the product of concrete N^2 x N^2
     # matrices; integer coefficients make every sum exact in any order
     c = rng.integers(-3, 4, (alg.dim, alg.dim)) + 1j * rng.integers(-3, 4, (alg.dim, alg.dim))
     c[rng.random(c.shape) < 0.3] = 0
     c_one_x = alg.basis_products(c, leg=1, left=False)
     concrete = [alg.from_matrix2(alg.to_matrix2(c_one_x[a]) @ alg.to_matrix2(c)) for a in range(alg.dim)]
-    assert np.array_equal(_sandwiches(alg, c), np.stack(concrete))
+    *index, v = _sandwiches(alg, c)
+    sandwiches = np.zeros((alg.dim,) * 3, dtype=complex)
+    np.add.at(sandwiches, tuple(index), v)
+    assert np.array_equal(sandwiches, np.stack(concrete))
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_ideal_rows_are_the_nonzero_rows_of_lmat_and_rmat(shape):
+    alg = make_algebra(shape)
+    rng = np.random.default_rng(12)
+    x = rng.integers(-3, 4, (alg.dim, alg.dim)) + 1j * rng.integers(-3, 4, (alg.dim, alg.dim))
+    x[rng.random(x.shape) < 0.4] = 0
+    for left, dense in ((True, alg.lmat(x)), (False, alg.rmat(x))):
+        dense = dense.reshape(alg.dim * alg.dim, alg.dim)
+        assert np.array_equal(_ideal_rows(alg, x, left), dense[np.any(dense != 0, axis=1)]), left
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -207,6 +222,23 @@ def _scrambled_data(shape, seed):
     unit = ginv @ alg.unit
     trace = g.T @ regular_trace(alg).vec
     return _presentation(mult, star, unit, trace), mult
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_product_of_the_triples_is_the_dense_left_multiplication(shape):
+    data, mult = _scrambled_data(shape, 4)
+    lt = mult.transpose(0, 2, 1)  # lt[a] is the left multiplication by b_a
+    rng = np.random.default_rng(4)
+    x, y = rng.standard_normal((2, data.dim)) + 1j * rng.standard_normal((2, data.dim))
+    eye = np.eye(data.dim)
+    # the same terms summed in another order; a matrix operand column by
+    # column, as the unit check reads L_1 and R_1
+    for got, dense in (
+        (_mul(data.products, x, y), np.tensordot(x, lt, 1) @ y),
+        (_mul(data.products, data.unit, eye), np.tensordot(data.unit, lt, 1)),
+        (_mul(data.products, eye, data.unit), (lt @ data.unit).T),
+    ):
+        assert max_abs(got - dense) <= 1e-12 * max(1.0, max_abs(dense))
 
 
 @pytest.mark.parametrize("shape", [(2,), (1, 2), (2, 1, 1)])

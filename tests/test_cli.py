@@ -190,6 +190,22 @@ def test_tol_env_var(tmp_path, monkeypatch):
     assert run("verify", "--tol", "1e-3", path) == 0
 
 
+def test_cached_parser_parses_each_call_on_its_own(cube2_file, monkeypatch, capsys):
+    # the parser is built once per process; each call still reads its own
+    # command and --tol, and a call without --tol falls back to the default
+    monkeypatch.delenv("WKA_TOL", raising=False)
+    assert cli._parser() is cli._parser()
+    assert run("verify", "--tol", "1e-6", cube2_file) == 0
+    first = capsys.readouterr().out
+    assert run("derive", "--what", "cartan", "--tol", "1e-8", cube2_file) == 0
+    second = capsys.readouterr().out
+    assert run("derive", "--what", "cartan", cube2_file) == 0
+    third = capsys.readouterr().out
+    assert "abs_tol=1e-06" in first and "cartan:" not in first
+    assert "abs_tol=1e-08" in second and "cartan:" in second
+    assert "abs_tol=1e-09" in third and "abs_tol=1e-08" not in third
+
+
 # ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------

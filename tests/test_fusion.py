@@ -42,6 +42,18 @@ def test_counital_representation_support(name):
     assert tuple(np.nonzero(cr.multiplicities)[0]) == support
 
 
+@pytest.mark.parametrize("name", ["group_z3", "fun_k2", "elem_12", "dualelem_12", "cube3"])
+def test_counital_matrices_match_the_dense_left_multiplications(name):
+    # the images eps_t L_a b, scattered over the product triples, against
+    # the dense stack of left multiplications; the same terms summed in
+    # another order
+    w = get_example(name)
+    cr, _ = counital_representation(w)
+    b = cr.basis
+    dense = np.conj(b).T @ w.eps_t_matrix @ w.algebra.lmat(np.eye(w.dim)) @ b
+    assert np.abs(cr.matrices - dense).max() <= 1e-12
+
+
 @pytest.mark.parametrize("name", sorted(ORACLE))
 def test_counital_quotient_dimension(name):
     w = get_example(name)

@@ -25,7 +25,7 @@ from wka.haar import (
     counit_support_projection,
     haar_conditional_expectations,
 )
-from wka.tensorkit import dagger, max_abs, orthonormal_columns
+from wka.tensorkit import dagger, max_abs, numerical_rank, orthonormal_columns
 from wka.weakkac import WeakKac, cartan_subalgebras
 
 from conftest import dense_coproduct, get_example, moved_entry, with_noise
@@ -83,7 +83,9 @@ def test_target_ideal_is_solved_once(monkeypatch):
     # Haar projection is solved in and that its check compares with p M
     w = cube_family(2)
     dim = w.dim
+    # the solve sees the nonzero rows of the d^2 x d stack, in order
     rows = w.algebra.lmat(np.eye(dim) - w.eps_t_matrix.T).reshape(dim * dim, dim)
+    rows = rows[np.any(rows != 0, axis=1)]
     real_null, real_solve, solves = haar.nullspace, haar.solve_affine_space, []
 
     def holds_rows(a):
@@ -256,6 +258,75 @@ def test_skewed_trace_fails_expectations():
     assert not rep.passed
     assert rep.max_residual > 0.1
     assert rep["flip_identity"].residual > 0.1
+
+
+def _dense_leg_stack(w, leg):
+    """Oracle: the d^2 x d matrix of y -> e(1 (x) y) (leg 1) or e(y (x) 1)
+    (leg 0) from the dense stack of basis products."""
+    return w.algebra.basis_products(w.e_matrix, leg, False).reshape(w.dim, -1).T
+
+
+@pytest.mark.parametrize("name", ["group_z3", "fun_k2", "elem_12", "dualelem_12", "cube2", "twist_12"])
+def test_expectation_joins_match_the_dense_stacks(name):
+    w = get_example(name)
+    alg, d, e, s = w.algebra, w.dim, w.e_matrix, w.antipode
+    for left, dense, counital in ((True, alg.lmat, w.eps_t_matrix), (False, alg.rmat, w.eps_s_matrix)):
+        x = np.eye(d) - counital.T
+        rows = dense(x).reshape(d * d, d)
+        assert np.array_equal(haar._ideal_rows(alg, x, left), rows[np.any(rows != 0, axis=1)])
+    # Eo_t = mu (S (x) id) ((1 (x) y) e), the same terms summed in another order
+    dense = w.mu((s @ alg.basis_products(e, 1, True)).transpose(1, 2, 0))
+    joined = haar._relative_expectation(alg, weakkac._basis_products(alg, e, 1, True), s)
+    assert max_abs(joined - dense) <= 1e-12
+    *_, rep = haar_conditional_expectations(w)
+    assert rep.passed, rep.as_text()
+    for check, leg in (("right_leg_injective", 1), ("left_leg_injective", 0)):
+        assert rep[check].note == f"rank {numerical_rank(_dense_leg_stack(w, leg))} of {d}"
+
+
+def _e_without_block(leg):
+    """Mutation: e = Delta(1) without its terms whose leg `leg` lies in
+    block 0, so y -> e(1 (x) y) (leg 1) or e(y (x) 1) (leg 0) kills block 0."""
+
+    def mutate(w):
+        t, in_block = dense_coproduct(w), w.algebra.basis_block == 0
+        for u in np.flatnonzero(w.algebra.unit):
+            t[u][(slice(None), in_block) if leg else in_block] = 0
+        return WeakKac(w.algebra, t, w.antipode, w.counit)
+
+    return mutate
+
+
+def _scaled_e(w):
+    """Mutation: e = Delta(1) perturbed by scaling Delta of one diagonal unit."""
+    t = dense_coproduct(w)
+    t[np.flatnonzero(w.algebra.unit)[0]] *= 1.5
+    return WeakKac(w.algebra, t, w.antipode, w.counit)
+
+
+SANDWICH_CHECKS = ["target_formulas_agree", "relative_left_sandwich", "relative_right_sandwich"]
+EXPECTATION_MUTATIONS = {
+    "moved_entry": (moved_entry, SANDWICH_CHECKS),
+    "scaled_e": (_scaled_e, SANDWICH_CHECKS),
+    "e_off_block_on_leg_1": (_e_without_block(1), ["right_leg_injective"]),
+    "e_off_block_on_leg_0": (_e_without_block(0), ["left_leg_injective"]),
+}
+
+
+@pytest.mark.parametrize("mutation", EXPECTATION_MUTATIONS)
+@pytest.mark.parametrize("name", ["cube2", "fun_k2", "dualelem_12"])
+def test_mutations_fail_the_joined_expectation_checks(name, mutation, monkeypatch):
+    # the Haar trace of the member, on the mutated member; its trace cone
+    # would need a dual that the mutated member does not have
+    w = get_example(name)
+    phi = normalized_haar_trace(w)
+    monkeypatch.setattr(haar, "haar_trace_cone", lambda w, tol=None: ([], None))
+    mutate, fails = EXPECTATION_MUTATIONS[mutation]
+    bad = mutate(w)
+    *_, rep = haar_conditional_expectations(bad, phi=phi)
+    assert [c for c in fails if rep[c].passed] == [], rep.as_text()
+    for check, leg in (("right_leg_injective", 1), ("left_leg_injective", 0)):
+        assert rep[check].note == f"rank {numerical_rank(_dense_leg_stack(bad, leg))} of {bad.dim}"
 
 
 def _flip_identity_by_triples(w, v):

@@ -111,7 +111,6 @@ class FdAlgebra:
         self.star_matrix[self.star_index, np.arange(self.dim)] = 1.0
         self.unit = np.zeros(self.dim, dtype=complex)
         self.unit[self.basis_row == self.basis_col] = 1.0
-        self._mult = None
 
     # -- canonical structure data -------------------------------------
 
@@ -119,15 +118,6 @@ class FdAlgebra:
     def prod_table(self) -> np.ndarray:
         """prod_table[a, b] = basis index of b_a b_b, or -1 when zero."""
         return self._prod
-
-    def mult_tensor(self) -> np.ndarray:
-        """Dense structure constants mult[a, b, c] with b_a b_b = sum_c mult[a,b,c] b_c."""
-        if self._mult is None:
-            p, q, m = self.products
-            mult = np.zeros((self.dim, self.dim, self.dim))
-            mult[p, q, m] = 1.0
-            self._mult = _read_only(mult)
-        return self._mult
 
     # -- conversions ----------------------------------------------------
 
@@ -179,21 +169,6 @@ class FdAlgebra:
         p, q, m = self.products
         out = np.zeros((*x.shape[:-1], self.dim, self.dim), dtype=complex)
         out[..., m, p] = x[..., q]
-        return out
-
-    def basis_products(self, c, leg: int, left: bool) -> np.ndarray:
-        """Stack over the basis of an element C of M (x) M, given as its
-        coefficient matrix, with one leg multiplied by b_j: out[j] is
-        (b_j (x) 1) C, C (b_j (x) 1), (1 (x) b_j) C or C (1 (x) b_j) for
-        (leg, left) = (0, True), (0, False), (1, True) or (1, False)."""
-        c = np.asarray(c, dtype=complex)
-        p, q, m = self.products
-        j, k = (p, q) if left else (q, p)
-        out = np.zeros((self.dim, self.dim, self.dim), dtype=complex)
-        if leg == 0:
-            out[j, m, :] = c[k, :]
-        else:
-            out[j, :, m] = c[:, k].T
         return out
 
     # -- distinguished elements ------------------------------------------

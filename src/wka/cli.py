@@ -18,7 +18,7 @@ import numpy as np
 
 from .algebra import regular_trace
 from .catalog import CONSTRUCTOR_NAMES, build_named
-from .duality import counit_from_haar, dual, generalized_to_weak
+from .duality import dual, generalized_to_weak
 from .errors import (
     IndexOutOfRange,
     InvalidAction,
@@ -188,13 +188,11 @@ def cmd_check_gen_kac(args) -> int:
 def cmd_recover_counit(args) -> int:
     w = load_wka(args.file)
     tol = _tolerance(args)
-    phi = normalized_haar_trace(w, tol)
-    eps = counit_from_haar(w, phi, tol)
-    rows = " ".join(f"{v.real:.12g}{v.imag:+.12g}j" for v in eps.vec)
+    recovered = generalized_to_weak(w, normalized_haar_trace(w, tol), tol)
+    rows = " ".join(f"{v.real:.12g}{v.imag:+.12g}j" for v in recovered.counit)
     print(f"recovered counit: {rows}")
     if w.counit is not None:
-        print(f"stored counit deviation: {max_abs(eps.vec - w.counit):.3e}")
-    recovered = generalized_to_weak(w, phi, tol)
+        print(f"stored counit deviation: {max_abs(recovered.counit - w.counit):.3e}")
     rep = verify_weak_kac(recovered, tol)
     print(rep.as_text())
     if args.output:

@@ -475,7 +475,7 @@ def validate_action(w: WeakKac, action: GroupAction, tol=None):
             raise InvalidAction(f"action of {g} does not preserve *")
         if _multiplicativity_residual(alg, alg, ag) > limit:
             raise InvalidAction(f"action of {g} is not multiplicative")
-        if _intertwining_residual(w, w, ag) > limit:
+        if _intertwining_residual(w.coproduct, w.coproduct, ag) > limit:
             raise InvalidAction(f"action of {g} does not commute with the coproduct")
         if max_abs(ag @ w.antipode - w.antipode @ ag) > limit:
             raise InvalidAction(f"action of {g} does not commute with the antipode")

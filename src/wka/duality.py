@@ -10,14 +10,16 @@ permutation of a primal one, and the dual Haar trace is evaluation at the
 primal Haar projection.  `dual` realizes this abstract presentation
 concretely as block matrices and keeps the change of basis in `meta`, so
 the pairing between the dual and its primal stays available; `check_pairing`
-verifies all of the defining identities through that pairing.
+verifies all of the defining identities through that pairing, the two in
+M (x) M as joins over the nonzeros.
 
 The reverse direction starts from a generalized Kac algebra (M, Delta, S)
 with a normalized Haar trace phi and no counit: the convolution algebra
 carried by M^ then has a unit, and evaluating it recovers the counit.
 `convolution_unit`, `counit_from_haar` and `generalized_to_weak` implement
-that recovery, and `biduality_isomorphism` exhibits the canonical
-isomorphism of a weak Kac algebra with its double dual.
+that recovery from a linear system joined from the nonzeros, and
+`biduality_isomorphism` exhibits the canonical isomorphism of a weak Kac
+algebra with its double dual.
 """
 
 from dataclasses import dataclass
@@ -35,7 +37,8 @@ from .errors import NotCounital, NoUnit
 from .haar import _as_weak_kac, haar_projection, normalized_haar_trace
 from .report import VerificationReport
 from .tensorkit import Inconsistent, as_tol, max_abs, numerical_rank, solve_affine_space
-from .weakkac import WeakKac, check_morphism, _cartan_spans
+from .weakkac import WeakKac, check_morphism, _cartan_spans, _contract, _intertwining_residual
+from .weakkac import _nonzero_rows
 
 __all__ = [
     "dual",
@@ -101,11 +104,14 @@ def _realize_dual(w: WeakKac, tol) -> WeakKac:
     gns = haar_projection(w, tol).coeffs
     data = StarAlgebraData((j, k, i, v), star_hat, w.counit, gns)
     realization = wedderburn_realize(data, tol)
-    # Delta^(b^m) = sum over b_p b_q = b_m of b^p (x) b^q
-    p, q, m = alg.products
-    t_abs = (m, p, q, np.ones(m.size))
     meta = {"kind": "dual", "primal_algebra": w.algebra}
-    return transported_weak_kac(realization, t_abs, w.antipode.T, alg.unit, meta)
+    return transported_weak_kac(realization, _transposed_product(alg), w.antipode.T, alg.unit, meta)
+
+
+def _transposed_product(alg: FdAlgebra) -> tuple:
+    """The transposed product Delta^(b^m) = sum over b_p b_q = b_m of b^p (x) b^q."""
+    p, q, m = alg.products
+    return m, p, q, np.ones(m.size)
 
 
 def _pairing_matrix(dw: WeakKac) -> np.ndarray:
@@ -149,17 +155,12 @@ def check_pairing(w: WeakKac, dw: WeakKac, tol=None) -> VerificationReport:
     rep = VerificationReport("pairing with the dual", tol)
     f = _pairing_matrix(dw)
 
-    lhs = f @ dw.pair_leg(f.T, 1)
-    p, q, m = alg.products
-    rhs = np.zeros((w.dim, w.dim, w.dim), dtype=complex)
-    rhs[:, p, q] = f[m].T
-    rep.add("coproduct_pairs_with_product", max_abs(lhs - rhs), scale=10)
-
-    p, q, m = dw.algebra.products
-    lhs = np.zeros((w.dim, w.dim, w.dim), dtype=complex)
-    lhs[p, q] = f[:, m].T
-    rhs = (f.T @ w.pair_leg(f, 1)).transpose(1, 2, 0)
-    rep.add("product_pairs_with_coproduct", max_abs(lhs - rhs), scale=10)
+    # F carries the dual coproduct onto the transposed product of M, and F^T
+    # the coproduct of M onto the transposed product of the dual
+    residual = _intertwining_residual(dw.coproduct, _transposed_product(alg), f)
+    rep.add("coproduct_pairs_with_product", residual, scale=10)
+    residual = _intertwining_residual(w.coproduct, _transposed_product(dw.algebra), f.T)
+    rep.add("product_pairs_with_coproduct", residual, scale=10)
 
     rep.add("antipode_transposes", max_abs(f @ dw.antipode - w.antipode.T @ f), scale=10)
     rep.add(
@@ -234,7 +235,10 @@ def _convolution_unit_system(w: WeakKac, phi: Functional, tol):
         sum_{c,d} T[a,c,d] v_c Phi[d,j] = Phi[a,j]   (left)
         sum_{c,d} T[a,c,d] Phi[c,j] v_d = Phi[a,j]   (right)
 
-    for the value vector v_a = 1^(b_a), with Phi[a,b] = phi(b_a b_b).
+    for the value vector v_a = 1^(b_a), with Phi[a,b] = phi(b_a b_b).  Its
+    rows (left or right, j, a) are joins of the coproduct's nonzeros with
+    Phi; a row zero on both sides is left out, and the rest are ranked at
+    the cutoff of the full (2 d^2, d) shape.
     Returns (u, v) where u solves Phi u = v, the element of M representing
     the unit through phi.  Raises NoUnit when the system is inconsistent,
     underdetermined, or the resulting element is not S- and *-fixed.
@@ -242,10 +246,18 @@ def _convolution_unit_system(w: WeakKac, phi: Functional, tol):
     alg = w.algebra
     dim = alg.dim
     phim = phi.pairing()
-    left, right = (w.pair_leg(phim, leg).transpose(2, 0, 1).reshape(-1, dim) for leg in (1, 0))
-    rhs = phim.T.reshape(-1)
+    # [A | b]: left rows pair leg 2, right rows leg 1, column dim holds Phi[a, j]
+    j, a = np.nonzero(phim.T)
+    keys, cols, vals = [], [], []
+    for half, leg in enumerate((2, 1)):
+        i, *pair, v = _contract(w.coproduct, phim.T, leg)
+        col, row = pair if leg == 2 else pair[::-1]
+        keys += [(half * dim + row) * dim + i, (half * dim + j) * dim + a]
+        cols += [col, np.full(j.size, dim)]
+        vals += [v, phim.T[j, a]]
+    ab = _nonzero_rows(*(np.concatenate(c) for c in (keys, cols, vals)), dim + 1)
     try:
-        space = solve_affine_space([(left, rhs), (right, rhs)], tol)
+        space = solve_affine_space([(ab[:, :dim], ab[:, dim])], tol, shape=(2 * dim * dim, dim))
     except Inconsistent as exc:
         raise NoUnit(f"convolution algebra has no unit: {exc}") from exc
     if not space.unique:

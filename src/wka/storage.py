@@ -36,7 +36,7 @@ import numpy as np
 from .algebra import make_algebra
 from .constructors import Groupoid
 from .errors import IndexOutOfRange, ParseError
-from .weakkac import WeakKac
+from .weakkac import WeakKac, _coalesce
 
 __all__ = [
     "WkaFile",
@@ -164,9 +164,13 @@ class WkaFile:
         ):
             raise ParseError("block_shape must be a nonempty list of positive integers")
         if obj["format_version"] == 1:  # its mult and star tables must be canonical
-            alg = make_algebra(shape)
-            for key, table in (("mult", alg.mult_tensor()), ("star", alg.star_matrix)):
-                if np.any(_dense(obj[key], table.shape, key) != table):
+            alg = make_algebra(shape)  # 1 at each product triple and each (*a, a), else 0
+            for key, ones in (("mult", alg.products), ("star", (alg.star_index, range(alg.dim)))):
+                dims = (alg.dim,) * len(ones)
+                *index, values = _entries(obj[key], dims, key)
+                keys, values = _coalesce(np.ravel_multi_index(index, dims), values)
+                canonical = np.sort(np.ravel_multi_index(ones, dims))
+                if not np.array_equal(keys, canonical) or np.any(values != 1):
                     raise ParseError(f"{key} does not match the canonical algebra of block_shape")
         return cls(
             block_shape=tuple(shape),

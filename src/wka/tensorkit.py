@@ -243,7 +243,7 @@ class AffineSpace:
         return self.null.shape[1] == 0
 
 
-def solve_affine_space(constraints, tol: Tolerance | None = None) -> AffineSpace:
+def solve_affine_space(constraints, tol: Tolerance | None = None, shape=None) -> AffineSpace:
     """Solve a stacked affine system A_i x = b_i in the least-squares sense.
 
     constraints: iterable of (A, b) with A of shape (m_i, n), b of shape
@@ -251,8 +251,10 @@ def solve_affine_space(constraints, tol: Tolerance | None = None) -> AffineSpace
     once: its zero rows are dropped, a tall system is reduced to the R
     factor of [A | b], whose last column is Q^H b, and the SVD of the rest
     of R (or of A itself) gives the least-norm point and the null space,
-    the rank counted at the shape of A.  Raises Inconsistent, carrying the
-    least-squares solution, when the residual exceeds 10 * abs_tol.
+    the rank counted at the cutoff of `shape`: by default the shape of A,
+    for a system given by its nonzero rows the shape of the full system.
+    Raises Inconsistent, carrying the least-squares solution, when the
+    residual exceeds 10 * abs_tol.
     """
     tol = as_tol(tol)
     blocks = []
@@ -268,7 +270,7 @@ def solve_affine_space(constraints, tol: Tolerance | None = None) -> AffineSpace
         row += a.shape[0]
     r = _r_factor(ab)
     u, s, vh = np.linalg.svd(r[:, :n])
-    rank = _rank(s, (ab.shape[0], n), tol)
+    rank = _rank(s, (ab.shape[0], n) if shape is None else shape, tol)
     x = dagger(vh[:rank]) @ ((dagger(u[:, :rank]) @ r[:, n]) / s[:rank])
     space = AffineSpace(x, dagger(vh[rank:]), residual=max_abs(ab[:, :n] @ x - ab[:, n]))
     if space.residual > 10.0 * tol.abs_tol:

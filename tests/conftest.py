@@ -20,6 +20,11 @@ from wka import (
     pair_groupoid,
     random_cocycle,
 )
+from wka.tensorkit import numerical_rank
+
+
+# block shapes of the multimatrix algebras that the algebra-level tests run on
+SHAPES = [(1,), (2,), (1, 1), (1, 2), (2, 2), (1, 1, 3)]
 
 
 @lru_cache(maxsize=None)
@@ -51,6 +56,117 @@ def get_example(name):
 def dense_coproduct(w):
     """The coproduct of w as a dense (d, d, d) array: (id (x) id) Delta."""
     return w.pair_leg(np.eye(w.dim), 1)
+
+
+def mult_tensor(alg):
+    """Dense structure constants mult[a, b, c] with b_a b_b = sum_c mult[a, b, c] b_c."""
+    p, q, m = alg.products
+    mult = np.zeros((alg.dim,) * 3)
+    mult[p, q, m] = 1.0
+    return mult
+
+
+def basis_products(alg, c, leg, left):
+    """Dense stack over the basis of an element C of M (x) M, given as its
+    coefficient matrix, with one leg multiplied by b_j: out[j] is
+    (b_j (x) 1) C, C (b_j (x) 1), (1 (x) b_j) C or C (1 (x) b_j) for
+    (leg, left) = (0, True), (0, False), (1, True) or (1, False)."""
+    c = np.asarray(c, dtype=complex)
+    p, q, m = alg.products
+    j, k = (p, q) if left else (q, p)
+    out = np.zeros((alg.dim,) * 3, dtype=complex)
+    if leg == 0:
+        out[j, m, :] = c[k, :]
+    else:
+        out[j, :, m] = c[:, k].T
+    return out
+
+
+def dense_haar_trace_identity(w, pairing):
+    """Oracle of `haar_trace_identity`: (id (x) phi(b_b .)) Delta(b_a) against
+    S (id (x) phi(. b_a)) Delta(b_b) at [a, m, b], as dense d^3 arrays."""
+    lhs = w.pair_leg(pairing.T, 1)
+    rhs = (w.antipode @ w.pair_leg(pairing, 1)).transpose(2, 1, 0)
+    return np.abs(lhs - rhs).max()
+
+
+def dense_regular_trace_identity(w, theta):
+    """Oracle of `regular_trace_identity`, through the dense stack e (b_a (x) 1)."""
+    e_x_one = basis_products(w.algebra, w.e_matrix, leg=0, left=False)
+    return np.abs(w.pair_leg(theta, 0) - (theta @ e_x_one) @ w.antipode.T).max()
+
+
+def dense_absorption(alg, et):
+    """Oracle of `absorbs_right_factor`: the d^3 stacks over a of the
+    matrices of y -> eps_t(b_a y) and y -> eps_t(b_a eps_t(y))."""
+    p, q, m = alg.products
+    lhs = np.zeros((alg.dim,) * 3, dtype=complex)
+    lhs[p, :, q] = et[:, m].T
+    return np.abs(lhs - et @ basis_products(alg, et, leg=0, left=True)).max()
+
+
+def dense_target_bimodule_map(w, nt):
+    """Oracle of `target_bimodule_map`: eps_t(n S(n') x) against n eps_t(x) n'
+    over the pairs of basis elements n, n' of N_t, as one k^2 d^2 stack."""
+    alg, et = w.algebra, w.eps_t_matrix
+    ln, rn, lsn = alg.lmat(nt.T), alg.rmat(nt.T), alg.lmat((w.antipode @ nt).T)
+    return np.abs(et @ ln[:, None] @ lsn[None] - ln[:, None] @ rn[None] @ et).max()
+
+
+def dense_pairing_identities(w, dw):
+    """Oracles of `coproduct_pairs_with_product` and
+    `product_pairs_with_coproduct`: the pairing tensors as dense d^3 arrays."""
+    f = dw.meta["from_canonical"]
+    lhs = f @ dw.pair_leg(f.T, 1)
+    p, q, m = w.algebra.products
+    rhs = np.zeros((w.dim,) * 3, dtype=complex)
+    rhs[:, p, q] = f[m].T
+    coproduct_pairs = np.abs(lhs - rhs).max()
+    p, q, m = dw.algebra.products
+    lhs = np.zeros((w.dim,) * 3, dtype=complex)
+    lhs[p, q] = f[:, m].T
+    rhs = (f.T @ w.pair_leg(f, 1)).transpose(1, 2, 0)
+    return coproduct_pairs, np.abs(lhs - rhs).max()
+
+
+def dense_convolution_unit_system(w, phim):
+    """Oracle of the convolution unit system: both halves stacked densely
+    over all 2 d^2 rows (j, a), with the right side Phi[a, j]."""
+    left, right = (w.pair_leg(phim, leg).transpose(2, 0, 1).reshape(-1, w.dim) for leg in (1, 0))
+    rhs = phim.T.reshape(-1)
+    return [(left, rhs), (right, rhs)]
+
+
+def dense_block_ranks(w, c, tol):
+    """Oracle of `coproduct_block_ranks`: the rank of each (i, j) block of
+    Delta(p), sliced out of its concrete N^2 x N^2 matrix."""
+    alg = w.algebra
+    mat2, n = alg.to_matrix2(c), alg.matrix_size
+    ranks = {}
+    for i in range(alg.nblocks):
+        rows_i = alg.row_offsets[i] + np.arange(alg.block_shape[i])
+        for j in range(alg.nblocks):
+            rows_j = alg.row_offsets[j] + np.arange(alg.block_shape[j])
+            idx = (rows_i[:, None] * n + rows_j[None, :]).reshape(-1)
+            ranks[i, j] = numerical_rank(mat2[np.ix_(idx, idx)], tol)
+    return ranks
+
+
+def dense_multiplicative(alg, pis):
+    """Oracle of the counital representation's `multiplicative`: the dense
+    d^2 k^2 arrays of pi(b_a b_b) and pi(b_a) pi(b_b)."""
+    p, q, m = alg.products
+    prod = np.zeros((alg.dim, alg.dim, *pis.shape[1:]), dtype=complex)
+    prod[p, q] = pis[m]
+    return np.abs(prod - np.einsum("arm,bms->abrs", pis, pis)).max()
+
+
+def densify(coo, d):
+    """The (d, d, d) array of a sparse 3-tensor (i, j, k, values), repeated
+    triples summed."""
+    out = np.zeros((d,) * 3, dtype=complex)
+    np.add.at(out, tuple(coo[:3]), coo[3])
+    return out
 
 
 def moved_entry(w):

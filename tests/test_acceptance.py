@@ -42,7 +42,7 @@ from wka.haar import (
     haar_conditional_expectations,
 )
 
-from conftest import dense_coproduct
+from conftest import dense_coproduct, mult_tensor
 
 _build_seconds = {}
 
@@ -228,7 +228,7 @@ def test_criterion_11_fusion():
 
 
 def _commutation_residuals(w):
-    mult = w.algebra.mult_tensor()
+    mult = mult_tensor(w.algebra)
     comm = np.abs(mult - mult.transpose(1, 0, 2)).max()
     t = dense_coproduct(w)
     cocomm = np.abs(t - t.transpose(0, 2, 1)).max()

@@ -26,14 +26,15 @@ from wka.constructors import cyclic_groupoid, disjoint_union, pair_groupoid
 from wka.errors import NotSemisimple, NotStarClosed, WkaError
 from wka.haar import _ideal_rows, _sandwiches, _tracial_rows
 from wka.tensorkit import dagger, max_abs, subspace_distance
+from wka.weakkac import _basis_products
 
-SHAPES = [(1,), (2,), (1, 1), (1, 2), (2, 2), (1, 1, 3)]
+from conftest import SHAPES, basis_products, densify, mult_tensor
 
 
 @pytest.mark.parametrize("shape", SHAPES)
 def test_associativity_all_basis_triples(shape):
     alg = make_algebra(shape)
-    mult = alg.mult_tensor()
+    mult = mult_tensor(alg)
     lhs = np.einsum("abx,xcy->abcy", mult, mult)
     rhs = np.einsum("bcx,axy->abcy", mult, mult)
     assert max_abs(lhs - rhs) == 0.0
@@ -41,10 +42,10 @@ def test_associativity_all_basis_triples(shape):
 
 @pytest.mark.parametrize("shape", SHAPES)
 def test_product_scatters_match_dense_structure_constants(shape):
-    """lmat, rmat, basis_products and the pairing gather equal the dense
-    contractions with mult_tensor() exactly."""
+    """lmat, rmat, the sparse basis products and the pairing gather equal
+    the dense contractions with the structure constants exactly."""
     alg = make_algebra(shape)
-    mult = alg.mult_tensor()
+    mult = mult_tensor(alg)
     rng = np.random.default_rng(11)
     x = rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim)
     c = rng.standard_normal((alg.dim, alg.dim)) + 1j * rng.standard_normal((alg.dim, alg.dim))
@@ -59,7 +60,8 @@ def test_product_scatters_match_dense_structure_constants(shape):
         (1, False): np.einsum("kjm,ak->jam", mult, c),
     }
     for (leg, left), dense in stacks.items():
-        assert np.array_equal(alg.basis_products(c, leg, left), dense), (leg, left)
+        assert np.array_equal(densify(_basis_products(alg, c, leg, left), alg.dim), dense), (leg, left)
+        assert np.array_equal(basis_products(alg, c, leg, left), dense), (leg, left)
     # the compact tracial rows are the nonzero rows of the dense stack, in order
     commutators = (mult - mult.transpose(1, 0, 2)).reshape(alg.dim * alg.dim, alg.dim)
     assert np.array_equal(_tracial_rows(alg), commutators[np.any(commutators != 0, axis=1)])
@@ -67,12 +69,9 @@ def test_product_scatters_match_dense_structure_constants(shape):
     # matrices; integer coefficients make every sum exact in any order
     c = rng.integers(-3, 4, (alg.dim, alg.dim)) + 1j * rng.integers(-3, 4, (alg.dim, alg.dim))
     c[rng.random(c.shape) < 0.3] = 0
-    c_one_x = alg.basis_products(c, leg=1, left=False)
+    c_one_x = basis_products(alg, c, leg=1, left=False)
     concrete = [alg.from_matrix2(alg.to_matrix2(c_one_x[a]) @ alg.to_matrix2(c)) for a in range(alg.dim)]
-    *index, v = _sandwiches(alg, c)
-    sandwiches = np.zeros((alg.dim,) * 3, dtype=complex)
-    np.add.at(sandwiches, tuple(index), v)
-    assert np.array_equal(sandwiches, np.stack(concrete))
+    assert np.array_equal(densify(_sandwiches(alg, c), alg.dim), np.stack(concrete))
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -216,7 +215,7 @@ def _scrambled_data(shape, seed):
     # change of basis: new basis vectors b'_a = sum_m g[m, a] b_m
     ginv = np.linalg.inv(g)
     mult = np.einsum(
-        "ma,nb,mnk,ck->abc", g, g, alg.mult_tensor(), ginv, optimize=True
+        "ma,nb,mnk,ck->abc", g, g, mult_tensor(alg), ginv, optimize=True
     )
     star = ginv @ alg.star_matrix @ np.conj(g)
     unit = ginv @ alg.unit

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from wka import WeakKac, algebra, cli, cube_family, storage
+from wka import WeakKac, algebra, cli, cube_family, duality, storage
 from wka.cli import main
 from wka.storage import load_wka, save_wka
 
@@ -157,6 +157,25 @@ def test_counit_free_file_requires_recovery(tmp_path):
     assert run("recover-counit", str(path), "-o", out_path) == 0
     rec = load_wka(out_path)
     assert np.abs(rec.counit - w.counit).max() < 1e-7
+
+
+def test_recover_counit_solves_the_unit_system_once(cube2_file, monkeypatch, capsys):
+    """The printed counit is the counit of the written algebra, from one
+    solve of the convolution unit system."""
+    solves = []
+    real = duality._convolution_unit_system
+
+    def counting(*args):
+        solves.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(duality, "_convolution_unit_system", counting)
+    out_path = cube2_file + ".rec"
+    assert run("recover-counit", cube2_file, "-o", out_path) == 0
+    assert len(solves) == 1
+    printed = capsys.readouterr().out.splitlines()[0].removeprefix("recovered counit: ")
+    written = " ".join(f"{v.real:.12g}{v.imag:+.12g}j" for v in load_wka(out_path).counit)
+    assert printed == written
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from wka.haar import (
 from wka.tensorkit import dagger, max_abs, numerical_rank, orthonormal_columns
 from wka.weakkac import WeakKac, cartan_subalgebras
 
-from conftest import dense_coproduct, get_example, moved_entry, with_noise
+from conftest import basis_products, dense_coproduct, get_example, moved_entry, mult_tensor, with_noise
 
 EXAMPLES = ["group_z3", "fun_k2", "elem_12", "dualelem_12", "cube2", "twist_12"]
 
@@ -263,7 +263,7 @@ def test_skewed_trace_fails_expectations():
 def _dense_leg_stack(w, leg):
     """Oracle: the d^2 x d matrix of y -> e(1 (x) y) (leg 1) or e(y (x) 1)
     (leg 0) from the dense stack of basis products."""
-    return w.algebra.basis_products(w.e_matrix, leg, False).reshape(w.dim, -1).T
+    return basis_products(w.algebra, w.e_matrix, leg, False).reshape(w.dim, -1).T
 
 
 @pytest.mark.parametrize("name", ["group_z3", "fun_k2", "elem_12", "dualelem_12", "cube2", "twist_12"])
@@ -275,7 +275,7 @@ def test_expectation_joins_match_the_dense_stacks(name):
         rows = dense(x).reshape(d * d, d)
         assert np.array_equal(haar._ideal_rows(alg, x, left), rows[np.any(rows != 0, axis=1)])
     # Eo_t = mu (S (x) id) ((1 (x) y) e), the same terms summed in another order
-    dense = w.mu((s @ alg.basis_products(e, 1, True)).transpose(1, 2, 0))
+    dense = w.mu((s @ basis_products(alg, e, 1, True)).transpose(1, 2, 0))
     joined = haar._relative_expectation(alg, weakkac._basis_products(alg, e, 1, True), s)
     assert max_abs(joined - dense) <= 1e-12
     *_, rep = haar_conditional_expectations(w)
@@ -459,7 +459,7 @@ def _product_exchange_by_pairs(w):
     eye = np.eye(d)
     conv = np.stack([Functional(alg, f).pairing() for f in eye])  # [f, n, d]
     rstar = np.einsum("bmn,fn->fmb", t, eye)  # R*_f as [f, m, b]
-    mult = alg.mult_tensor().reshape(d * d, d).T  # [o, (m, r)]
+    mult = mult_tensor(alg).reshape(d * d, d).T  # [o, (m, r)]
     worst = 0.0
     for x in eye:
         lhs = rstar @ alg.lmat(x)

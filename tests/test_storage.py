@@ -28,7 +28,7 @@ from wka.storage import (
     serialize,
 )
 
-from conftest import dense_coproduct, get_example
+from conftest import dense_coproduct, get_example, mult_tensor
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +152,7 @@ def _version_1(w) -> dict:
     """A version 1 file: the version 2 fields plus the canonical tables."""
     obj = json.loads(serialize(w).to_text())
     obj["format_version"] = 1
-    obj["mult"] = _table_rows(w.algebra.mult_tensor())
+    obj["mult"] = _table_rows(mult_tensor(w.algebra))
     obj["star"] = _table_rows(w.algebra.star_matrix)
     return obj
 
@@ -241,6 +241,37 @@ def test_reject_tampered_mult_table():
     obj["mult"][0][-2] = 2.0
     with pytest.raises(ParseError, match="mult does not match"):
         deserialize(WkaFile.from_text(json.dumps(obj)))
+
+
+V1_TABLE_EDITS = {  # each edit of the rows of a table, given a position where it is 0
+    "reordered": lambda rows, zero: rows[::-1],
+    "signed_zero_imag": lambda rows, zero: [[*r[:-1], -0.0] for r in rows],
+    "explicit_zero": lambda rows, zero: rows + [[*zero, 0.0, -0.0]],
+    "dropped": lambda rows, zero: rows[1:],
+    "extra_one": lambda rows, zero: rows + [[*zero, 1.0, 0.0]],
+    "imaginary_part": lambda rows, zero: [[*rows[0][:-1], 1e-300]] + rows[1:],
+}
+
+
+@pytest.mark.parametrize("edit", V1_TABLE_EDITS)
+@pytest.mark.parametrize("key", ["mult", "star"])
+def test_version_1_tables_are_compared_as_dense_tables(key, edit):
+    """The reader compares the entries of a version 1 table with the
+    canonical nonzeros; it accepts exactly the tables whose dense array is
+    the canonical one."""
+    w = get_example("cube2")
+    alg, obj = w.algebra, _version_1(w)
+    canonical = mult_tensor(alg) if key == "mult" else alg.star_matrix
+    zero = [int(i) for i in np.argwhere(canonical == 0)[0]]
+    obj[key] = V1_TABLE_EDITS[edit](obj[key], zero)
+    dense = np.zeros(canonical.shape, dtype=complex)
+    for *index, re, im in obj[key]:
+        dense[tuple(index)] = complex(re, im)
+    if np.array_equal(dense, canonical):
+        assert WkaFile.from_text(json.dumps(obj)).block_shape == alg.block_shape
+    else:
+        with pytest.raises(ParseError, match=f"{key} does not match"):
+            WkaFile.from_text(json.dumps(obj))
 
 
 def test_reject_tampered_star_table():

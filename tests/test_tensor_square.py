@@ -1,0 +1,222 @@
+"""Identities in M (x) M outside the axiom suite, as joins over the nonzeros:
+the generalized Kac identities, the counital absorption, the pairing with
+the dual, the convolution unit system, the block ranks of Delta(p) and the
+multiplicativity of the counital representation, each against its dense
+oracle in conftest, and mutations that each of the joined checks fails."""
+
+from functools import reduce
+
+import numpy as np
+import pytest
+
+from wka import (
+    WeakKac,
+    check_pairing,
+    convolution_unit,
+    disjoint_union,
+    dual,
+    groupoid_algebra,
+    haar_projection,
+    normalized_haar_trace,
+    pair_groupoid,
+    regular_trace,
+)
+from wka import duality, haar
+from wka.algebra import block_trace
+from wka.errors import NoUnit
+from wka.fusion import counital_representation
+from wka.haar import check_generalized_kac, check_haar_projection
+from wka.tensorkit import Inconsistent, Tolerance, solve_affine_space
+from wka.weakkac import _cartan_spans, counital_maps
+
+from conftest import (
+    SHAPES,
+    dense_absorption,
+    dense_block_ranks,
+    dense_convolution_unit_system,
+    dense_haar_trace_identity,
+    dense_multiplicative,
+    dense_pairing_identities,
+    dense_regular_trace_identity,
+    dense_target_bimodule_map,
+    get_example,
+    moved_entry,
+)
+
+MEMBERS = ["cube2", "group_z3", "fun_k2", "elem_12", "dualelem_12", "twist_12"]
+INPUTS = [f"shape{''.join(map(str, s))}" for s in SHAPES] + MEMBERS
+
+
+def _build(name):
+    """A catalog member, or the algebra of pair groupoids whose block shape
+    is the named entry of SHAPES."""
+    if not name.startswith("shape"):
+        return get_example(name)
+    shape = next(s for s in SHAPES if name == f"shape{''.join(map(str, s))}")
+    return groupoid_algebra(reduce(disjoint_union, [pair_groupoid(n) for n in shape]))
+
+
+def _agree(joined, dense):
+    assert abs(joined - dense) <= 1e-12 * max(1.0, dense), (joined, dense)
+
+
+@pytest.mark.parametrize("moved", [False, True], ids=["exact", "moved"])
+@pytest.mark.parametrize("name", INPUTS)
+def test_tensor_square_checks_match_their_dense_oracles(name, moved, monkeypatch):
+    """haar_trace_identity, regular_trace_identity, absorbs_right_factor and
+    target_bimodule_map on each member and on the member with one coproduct
+    entry moved; the moved member keeps the trace and the Haar projection
+    of the member."""
+    w = _build(name)
+    if moved and w.coproduct.nnz == w.dim ** 3:
+        pytest.skip("the coproduct has no zero entry to move to")
+    phi, p = normalized_haar_trace(w), haar_projection(w)
+    if moved:
+        w = moved_entry(w)
+        monkeypatch.setattr(haar, "haar_projection", lambda w, tol=None: p)
+    theta = regular_trace(w.algebra)
+    for trace in (phi, theta):
+        rep = check_generalized_kac(w, trace)
+        _agree(rep["haar_trace_identity"].residual, dense_haar_trace_identity(w, trace.pairing()))
+        _agree(rep["regular_trace_identity"].residual, dense_regular_trace_identity(w, theta.vec))
+    rep = counital_maps(w).report
+    _agree(rep["absorbs_right_factor"].residual, dense_absorption(w.algebra, w.eps_t_matrix))
+    nt = _cartan_spans(w, Tolerance())[1].basis
+    _agree(rep["target_bimodule_map"].residual, dense_target_bimodule_map(w, nt))
+
+
+@pytest.mark.parametrize("name", INPUTS)
+def test_pairing_unit_and_representation_match_their_dense_oracles(name, monkeypatch):
+    w = _build(name)
+    rep = check_pairing(w, dual(w))
+    for check, dense in zip(
+        ("coproduct_pairs_with_product", "product_pairs_with_coproduct"),
+        dense_pairing_identities(w, dual(w)),
+    ):
+        _agree(rep[check].residual, dense)
+    # the joined rows are the nonzero rows of the dense system, in order,
+    # ranked at its full shape
+    phi = normalized_haar_trace(w)
+    system = dense_convolution_unit_system(w, phi.pairing())
+    ab = np.vstack([np.column_stack([a, b]) for a, b in system])
+    systems = []
+
+    def solve(constraints, tol, shape=None):
+        systems.append((constraints, shape))
+        return solve_affine_space(constraints, tol, shape)
+
+    monkeypatch.setattr(duality, "solve_affine_space", solve)
+    u = convolution_unit(w, phi).coeffs
+    [([(a, b)], shape)] = systems
+    assert shape == (2 * w.dim ** 2, w.dim)
+    assert np.array_equal(np.column_stack([a, b]), ab[np.any(ab != 0, axis=1)])
+    space = solve_affine_space(system)
+    assert np.abs(np.linalg.solve(phi.pairing(), space.particular) - u).max() <= 1e-12
+    data, rep = counital_representation(w)
+    _agree(rep["multiplicative"].residual, dense_multiplicative(w.algebra, data.matrices))
+
+
+@pytest.mark.parametrize("name", INPUTS)
+def test_block_ranks_match_the_dense_oracle(name, monkeypatch):
+    """coproduct_block_ranks on Delta(p), and on a random integer element of
+    M (x) M in its place whose blocks have ranks above 1: the failing
+    blocks and their ranks are those of the concrete N^2 x N^2 matrix."""
+    w, tol = _build(name), Tolerance()
+    alg = w.algebra
+    units = [alg.matrix_unit_index(i, 0, 0) for i in range(alg.nblocks)]
+    sigma = alg.basis_block[np.argmax(np.abs(w.antipode[:, units]), axis=0)]
+    rng = np.random.default_rng(3)
+    c = rng.integers(-2, 3, (w.dim, w.dim)) * (rng.random((w.dim, w.dim)) < 0.4)
+    real = haar._haar_projection_coproduct
+    for fake in (False, True):
+        if fake:
+            monkeypatch.setattr(haar, "_haar_projection_coproduct", lambda w, p: (c, 0.0, 0.0))
+        _, rep = check_haar_projection(w)
+        delta_p = c if fake else real(w, haar_projection(w).coeffs)[0]
+        want = [
+            f"block ({i},{j}) rank {r} want {int(j == sigma[i])}"
+            for (i, j), r in dense_block_ranks(w, delta_p, tol).items()
+            if r != int(j == sigma[i])
+        ]
+        assert rep["coproduct_block_ranks"].note == "; ".join(want)
+        assert rep["coproduct_block_ranks"].passed == (not want)
+
+
+def _skewed_trace(monkeypatch):
+    """check_generalized_kac with a faithful trace that is not a Haar trace."""
+    w = get_example("cube2")
+    return check_generalized_kac(w, block_trace(w.algebra, [0.3, 0.7]))
+
+
+def _moved_generalized(name):
+    """check_generalized_kac on the member with one coproduct entry moved,
+    with the regular trace and the member's Haar projection."""
+
+    def run(monkeypatch):
+        w = get_example(name)
+        p = haar_projection(w)
+        monkeypatch.setattr(haar, "haar_projection", lambda w, tol=None: p)
+        return check_generalized_kac(moved_entry(w), regular_trace(w.algebra))
+
+    return run
+
+
+def _moved_counital(name):
+    return lambda monkeypatch: counital_maps(moved_entry(get_example(name))).report
+
+
+def _mismatched_dual(primal, other):
+    return lambda monkeypatch: check_pairing(get_example(primal), dual(get_example(other)))
+
+
+MUTATIONS = {
+    "skewed_trace": (_skewed_trace, {"haar_trace_identity"}),
+    "moved_cube2": (_moved_generalized("cube2"), {"haar_trace_identity", "regular_trace_identity"}),
+    "moved_elem_12": (
+        _moved_generalized("elem_12"),
+        {"haar_trace_identity", "regular_trace_identity"},
+    ),
+    "counital_moved_cube2": (_moved_counital("cube2"), {"absorbs_right_factor"}),
+    "counital_moved_fun_k2": (_moved_counital("fun_k2"), {"absorbs_right_factor"}),
+    # the dual of the matrix algebra M_2 against the functions on K_2, both
+    # of dimension 4: neither the product nor the coproduct pairs
+    "dual_of_group_k2": (
+        _mismatched_dual("fun_k2", "group_k2"),
+        {"coproduct_pairs_with_product", "product_pairs_with_coproduct"},
+    ),
+    # a twist keeps the algebra and changes the coproduct: only the dual
+    # product, the transposed coproduct of the twist, fails to pair
+    "dual_of_twist": (_mismatched_dual("elem_11", "twist_11"), {"product_pairs_with_coproduct"}),
+}
+CHECKS = [
+    "haar_trace_identity",
+    "regular_trace_identity",
+    "absorbs_right_factor",
+    "coproduct_pairs_with_product",
+    "product_pairs_with_coproduct",
+]
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS)
+def test_mutations_fail_the_tensor_square_checks(mutation, monkeypatch):
+    build, fails = MUTATIONS[mutation]
+    rep = build(monkeypatch)
+    failed = {c.name for c in rep.checks if c.name in CHECKS and not c.passed}
+    assert failed == fails, rep.as_text()
+    for name in fails:
+        assert rep[name].residual > 1e-3
+
+
+def test_unit_system_keeps_the_rows_with_only_a_right_side():
+    """With Delta(b_i) = 0 the rows (j, i) of the unit system are zero and
+    their right side Phi[i, j] is not: the system is inconsistent, densely
+    and joined."""
+    w = get_example("cube2")
+    phi = normalized_haar_trace(w)
+    i, j, k, v = w.coproduct
+    keep = i != i[0]
+    cut = WeakKac(w.algebra, (i[keep], j[keep], k[keep], v[keep]), w.antipode, None)
+    with pytest.raises(Inconsistent):
+        solve_affine_space(dense_convolution_unit_system(cut, phi.pairing()))
+    with pytest.raises(NoUnit, match="no unit"):
+        convolution_unit(cut, phi)

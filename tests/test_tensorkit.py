@@ -150,6 +150,36 @@ def test_zero_rows_change_the_cutoff_but_not_the_factorization(monkeypatch):
     assert max_abs(space.particular - x_ref) < 1e-12
 
 
+@pytest.mark.parametrize("consistent", [True, False], ids=["consistent", "inconsistent"])
+def test_nonzero_rows_solved_at_the_padded_shape_match_the_padded_system(consistent):
+    # singular values 1, 1e-8 and 0, as above: rank 2 at the 4 x 3 shape,
+    # rank 1 at the 40 x 3 shape of the system padded with zero rows
+    u, _ = np.linalg.qr(rand_c(4, 4))
+    v, _ = np.linalg.qr(rand_c(3, 3))
+    a = (u[:, :3] * [1.0, 1e-8, 0.0]) @ dagger(v)
+    b = (2.0 - 1.0j) * u[:, 0] + (0.0 if consistent else 0.5) * u[:, 3]
+    padded = np.zeros((40, 3), dtype=complex)
+    padded[::10] = a
+    padded_b = np.zeros(40, dtype=complex)
+    padded_b[::10] = b
+
+    def solve(system, shape=None):
+        try:
+            return True, solve_affine_space([system], shape=shape)
+        except Inconsistent as exc:
+            return False, exc.space
+
+    ok, rows = solve((a, b), shape=(40, 3))
+    ok_padded, full = solve((padded, padded_b))
+    assert ok == ok_padded == consistent
+    assert rows.null.shape == full.null.shape == (3, 2)
+    assert np.array_equal(rows.particular, full.particular)
+    assert np.array_equal(rows.null, full.null)
+    assert rows.residual == full.residual
+    # at its own shape the same rows keep the direction at 1e-8
+    assert solve((a, b))[1].null.shape == (3, 1)
+
+
 def test_solver_residual_below_threshold_for_solvable_systems():
     for trial in range(50):
         rng = np.random.default_rng(trial)

@@ -10,9 +10,11 @@ from wka import (
     WeakKac,
     cartan_subalgebras,
     catalog,
+    check_generalized_kac,
     check_kac_bimodule,
     cube_family,
     check_morphism,
+    check_pairing,
     counital_maps,
     counital_quotient,
     cyclic_shift_action,
@@ -31,7 +33,7 @@ from wka.errors import CartanMismatch, InvalidAction
 from wka.report import VerificationReport
 from wka.tensorkit import Tolerance, max_abs, nullspace, singular_values, subspace_distance
 
-from conftest import dense_coproduct, get_example, moved_entry, with_noise
+from conftest import basis_products, dense_coproduct, get_example, moved_entry, with_noise
 
 EXAMPLES = [
     "group_z3",
@@ -196,7 +198,7 @@ def _residuals_dense(w):
     es, et = w.eps_s_matrix, w.eps_t_matrix
     eye = np.eye(dim)
     p, q, m = alg.products
-    one_x_e = alg.basis_products(e, leg=1, left=True)
+    one_x_e = basis_products(alg, e, leg=1, left=True)
     lhs_a2 = np.zeros((dim, dim, dim), dtype=complex)
     lhs_a2[:, q, m] = (em @ e)[:, p]
     return {
@@ -211,14 +213,14 @@ def _residuals_dense(w):
         "axiom3": max_abs(np.einsum("ma,jab->jmb", es, t) - one_x_e),
         "axiomA2": max_abs(lhs_a2 - np.einsum("ac,bcn->abn", em, t)),
         "axiomA3": max_abs(
-            np.einsum("ac,jcn->jan", e @ em, t) - alg.basis_products(e, leg=1, left=False)
+            np.einsum("ac,jcn->jan", e @ em, t) - basis_products(alg, e, leg=1, left=False)
         ),
         "axiomA2_prime": max_abs(
-            alg.basis_products(em.T @ e, leg=1, left=True) - np.einsum("cb,acn->abn", em, t)
+            basis_products(alg, em.T @ e, leg=1, left=True) - np.einsum("cb,acn->abn", em, t)
         ),
         "axiomA3_prime": max_abs(np.einsum("ac,jcd->jad", e @ em.T, t) - one_x_e),
         "axiomA3_doubleprime": max_abs(
-            np.einsum("jab,mb->jam", t, et) - alg.basis_products(e, leg=0, left=False)
+            np.einsum("jab,mb->jam", t, et) - basis_products(alg, e, leg=0, left=False)
         ),
     }
 
@@ -314,6 +316,27 @@ def test_verify_weak_kac_forms_no_dense_cube(tmp_path):
         w = cube_family(4)
         save_wka(w, path)
         assert verify_weak_kac(load_wka(path)).passed
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < w.dim ** 3 * 16, peak
+
+
+@pytest.mark.parametrize("check", ["check_generalized_kac", "counital_maps", "check_pairing"])
+def test_tensor_square_checks_form_no_dense_cube(check):
+    """The checks in M (x) M outside the axiom suite keep the traced peak of
+    one call on cube_family(4), with its trace and dual given, below one
+    dense d^3 complex array (4.2 MB)."""
+    w = cube_family(4)
+    phi, dw = normalized_haar_trace(w), dual(w)
+    run = {
+        "check_generalized_kac": lambda: check_generalized_kac(w, phi),
+        "counital_maps": lambda: counital_maps(w),
+        "check_pairing": lambda: check_pairing(w, dw),
+    }[check]
+    tracemalloc.start()
+    try:
+        run()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -720,7 +743,7 @@ def test_cartan_relations_match_the_dense_stack(name):
     tol = Tolerance()
     for leg in (0, 1):
         dense = np.hstack([
-            (dense_coproduct(w) - w.algebra.basis_products(w.e_matrix, leg, left)).reshape(w.dim, -1)
+            (dense_coproduct(w) - basis_products(w.algebra, w.e_matrix, leg, left)).reshape(w.dim, -1)
             for left in (False, True)
         ]).T
         span = nullspace(weakkac._cartan_relations(w, leg), tol, shape=(2 * w.dim ** 2, w.dim))

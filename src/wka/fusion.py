@@ -235,9 +235,7 @@ def fusion_ring(w: WeakKac, tol=None):
         bool(np.array_equal(table, table[np.ix_(inv, inv)].transpose(1, 0, 2)[:, :, inv])),
     )
 
-    assoc_l = np.einsum("ijm,mkl->ijkl", table, table)
-    assoc_r = np.einsum("jkm,iml->ijkl", table, table)
-    rep.add_flag("associative", bool(np.array_equal(assoc_l, assoc_r)))
+    rep.add_flag("associative", _associative(table))
 
     nu, chi_res, _ = _support_multiplicities(w, tol)
     support = tuple(int(i) for i in np.nonzero(np.round(np.real(nu)).astype(int))[0])
@@ -249,6 +247,15 @@ def fusion_ring(w: WeakKac, tol=None):
     rep.add_flag("unit_right", bool(np.array_equal(unit_cols, eye)))
 
     return FusionRing(table, support, tuple(involution), chi), rep
+
+
+def _associative(table: np.ndarray) -> bool:
+    """sum_m N_ij^m N_mk^l = sum_m N_jk^m N_im^l, one i at a time; exact in
+    float64 while the sums stay below 2^53, and in int64 past that."""
+    n = table.shape[0]
+    table = table.astype(float if n * int(table.max(initial=0)) ** 2 < 2**53 else np.int64)
+    wide, tall = table.reshape(n, n * n), table.reshape(n * n, n)
+    return all(np.array_equal(t @ wide, (tall @ t).reshape(n, n * n)) for t in table)
 
 
 def counital_quotient(w: WeakKac, tol=None):

@@ -507,6 +507,12 @@ def haar_conditional_expectations(w: WeakKac, phi: Functional | None = None, tol
     return e_t, e_s, eo_t, rep
 
 
+# Block entries, both sides together, that one chunk of the flip identity
+# join forms at once: 32 MB of complex values.  Cube-family 5 and smaller
+# run as one chunk.
+_FLIP_CHUNK = 1 << 21
+
+
 def _flip_identity_residual(w: WeakKac, v: np.ndarray) -> float:
     """Max over basis triples (x, y, z) of the flip identity
     (E_t (x) E_t)(Delta(x)(y (x) z)) = flip (E_t (x) E_t)((S(y) (x) x) Delta(z)),
@@ -518,6 +524,9 @@ def _flip_identity_residual(w: WeakKac, v: np.ndarray) -> float:
     the right each t[z,m,n] meets the nonzeros S[c,y] with col(c) = row(m)
     and the units x with col(x) = row(n) and adds t[z,m,n] S[c,y]
     v[:, b_x b_n] (x) v[:, b_c b_m].  The k x k blocks are summed per key.
+
+    Both keys lead with x, so the blocks are formed and compared for one
+    range of x at a time, each range holding about _FLIP_CHUNK entries.
     """
     alg, d, vt = w.algebra, w.dim, v.T
     rows, cols, units, size = alg.basis_row, alg.basis_col, alg.unit_index, alg.matrix_size
@@ -527,7 +536,7 @@ def _flip_identity_residual(w: WeakKac, v: np.ndarray) -> float:
     g, z = _join(cols[n[f]], by_row)
     f, y = f[g], y[g]
     a, b = units[rows[m[f]], cols[y]], units[rows[n[f]], cols[z]]
-    left = ((i[f] * d + y) * d + z, t[f, None, None] * vt[a, :, None] * vt[b, None, :])
+    left = (i[f], (i[f] * d + y) * d + z, t[f], a, b)
     c, y = np.nonzero(w.antipode)
     order = np.argsort(cols[c], kind="stable")
     f, r = _join(rows[m], _row_starts(cols[c[order]], size))
@@ -535,9 +544,22 @@ def _flip_identity_residual(w: WeakKac, v: np.ndarray) -> float:
     g, x = _join(rows[n[f]], _row_starts(cols[by_col], size))
     f, c, y, x = f[g], c[order[r[g]]], y[order[r[g]]], by_col[x]
     a, b = units[rows[x], cols[n[f]]], units[rows[c], cols[m[f]]]
-    coeff = t[f] * w.antipode[c, y]
-    right = ((x * d + y) * d + i[f], coeff[:, None, None] * vt[a, :, None] * vt[b, None, :])
-    return difference_max_abs(left, right)
+    right = (x, (x * d + y) * d + i[f], t[f] * w.antipode[c, y], a, b)
+
+    def blocks(side, lo, hi):  # keys and k x k blocks of the terms with lo <= x < hi
+        lead, keys, coeff, a, b = side
+        s = (lo <= lead) & (lead < hi)
+        return keys[s], coeff[s, None, None] * vt[a[s], :, None] * vt[b[s], None, :]
+
+    # block entries up to each x, cut into ranges of about _FLIP_CHUNK
+    upto = np.cumsum(np.bincount(left[0], minlength=d) + np.bincount(right[0], minlength=d))
+    upto *= vt.shape[1] ** 2
+    cuts = np.searchsorted(upto, np.arange(_FLIP_CHUNK, upto[-1], _FLIP_CHUNK), side="right")
+    bounds = sorted({0, *cuts.tolist(), d})
+    return max(
+        difference_max_abs(blocks(left, lo, hi), blocks(right, lo, hi))
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    )
 
 
 def _relative_expectation(alg, one_x_e, smat: np.ndarray) -> np.ndarray:

@@ -104,9 +104,8 @@ class WeakKac:
         if self.counit is not None and self.counit.shape != (d,):
             raise ValueError("counit covector has wrong shape")
         for name in ("antipode", "counit"):
-            array = getattr(self, name)
-            if array is not None and not np.isfinite(array).all():
-                raise ValueError(f"{name} has non-finite entries")
+            if getattr(self, name) is not None:
+                _check_entries(name, getattr(self, name))
         self.meta = dict(meta or {})
         self._memo = {}
 
@@ -199,10 +198,23 @@ def _coproduct_coo(coproduct, d: int) -> Coproduct:
             raise ValueError("coproduct tensor has wrong shape")
         index = np.nonzero(dense)
         v = dense[index]
-    if not np.isfinite(v).all():
-        raise ValueError("coproduct has non-finite entries")
+    _check_entries("coproduct", v)
     keys, v = _coalesce(np.ravel_multi_index([a.astype(np.int64) for a in index], (d, d, d)), v)
     return Coproduct(*(_read_only(a) for a in (*np.unravel_index(keys, (d, d, d)), v)))
+
+
+# A product of three entries of this magnitude stays finite in float64.
+_MAX_ENTRY = 1e100
+
+
+def _check_entries(name: str, values: np.ndarray) -> None:
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} has non-finite entries")
+    if values.size and np.abs(values).max() > _MAX_ENTRY:
+        raise ValueError(
+            f"{name} has an entry of magnitude {np.abs(values).max():.3g},"
+            f" above {_MAX_ENTRY:.0e}: products of three entries could overflow"
+        )
 
 
 def _coalesce(keys: np.ndarray, values: np.ndarray):
@@ -735,7 +747,12 @@ class CounitalMaps:
 def counital_maps(w: WeakKac, tol=None) -> CounitalMaps:
     """eps_t = mu (id (x) S) Delta and eps_s = mu (S (x) id) Delta, verified:
     unital idempotents onto the Cartan subalgebras, S eps_t = eps_s S,
-    module properties and the e-compression identities."""
+    module properties and the e-compression identities.
+
+    The bimodule property eps_t(n S(n') x) = n eps_t(x) n' over N_t is
+    checked one side at a time, eps_t L_n = L_n eps_t and eps_t L_S(n) =
+    R_n eps_t for each basis element n of N_t: N_t holds 1 = S(1), so n' = 1
+    or n = 1 gives these, and composing them gives it back."""
     tol = as_tol(tol)
     alg = w.algebra
     et, es = w.eps_t_matrix, w.eps_s_matrix
@@ -767,12 +784,12 @@ def counital_maps(w: WeakKac, tol=None) -> CounitalMaps:
     rhs = _contract(_basis_products(alg, et, leg=0, left=True), et, 1)
     rep.add("absorbs_right_factor", _residual(lhs, rhs, alg.dim), scale=100)
 
-    # eps_t(n S(n') x) = n eps_t(x) n' and eps_t(x n) = eps_t(x S(n)) over
-    # the pairs of basis elements n, n' of N_t, one n at a time
-    snt = (w.antipode @ nt.basis).T
-    ln, rn, lsn = alg.lmat(nt.basis.T), alg.rmat(nt.basis.T), alg.lmat(snt)
-    worst_right = max_abs(et @ rn - et @ alg.rmat(snt))
-    worst_mod = max((max_abs(et @ l @ lsn - l @ rn @ et) for l in ln), default=0.0)
+    # the two halves of the bimodule property, and eps_t R_n = eps_t R_S(n)
+    worst_mod = worst_right = 0.0
+    for n, sn in zip(nt.basis.T, (w.antipode @ nt.basis).T):
+        ln, rn, lsn = alg.lmat(n), alg.rmat(n), alg.lmat(sn)
+        worst_mod = max(worst_mod, max_abs(et @ ln - ln @ et), max_abs(et @ lsn - rn @ et))
+        worst_right = max(worst_right, max_abs(et @ rn - et @ alg.rmat(sn)))
     rep.add("target_bimodule_map", worst_mod, scale=100)
     rep.add("right_antipode_absorption", worst_right, scale=100)
     return CounitalMaps(et, es, rep)

@@ -113,6 +113,44 @@ def dense_target_bimodule_map(w, nt):
     return np.abs(et @ ln[:, None] @ lsn[None] - ln[:, None] @ rn[None] @ et).max()
 
 
+def dense_bimodular(emat, target):
+    """Oracle of `bimodular`: E(a x b) against a E(x) b over the pairs of
+    target basis elements a, b, one pair at a time."""
+    alg = target.parent
+    worst = 0.0
+    for a in target.basis.T:
+        for b in target.basis.T:
+            la, rb = alg.lmat(a), alg.rmat(b)
+            worst = max(worst, np.abs(emat @ la @ rb - la @ rb @ emat).max())
+    return worst
+
+
+def assert_pair_bounds(one_sided, pair, lefts, rights, unit_coords):
+    """The bounds between a two-sided residual, the max over pairs (a, b) of
+    |X_a B_b + A_a Y_b| (for bimodularity, [E, L_a R_b] with X_a = [E, L_a],
+    Y_b = [E, R_b]), and the one-sided residual max(|X_a|, |Y_b|):
+        pair <= one_sided (max_a ||A_a||_inf + max_b ||B_b||_1),
+        one_sided <= ||c||_1 pair,
+    the second because 1 = sum_b c_b n_b in the target turns the sum over
+    b (or a) of c_b times the pair terms into X_a (or Y_b), and is skipped
+    when unit_coords is None.  Up to rounding.
+    """
+    spread = max(np.linalg.norm(a, np.inf) for a in lefts) + max(
+        np.linalg.norm(b, 1) for b in rights
+    )
+    assert pair <= one_sided * spread * (1 + 1e-12) + 1e-14, (pair, one_sided, spread)
+    if unit_coords is not None:
+        c1 = np.abs(unit_coords).sum()
+        assert one_sided <= c1 * pair * (1 + 1e-12) + 1e-14, (one_sided, pair, c1)
+
+
+def unit_coordinates(alg, basis):
+    """The coordinates c of 1 in the columns of basis, 1 = basis @ c, or
+    None when 1 is not in their span."""
+    c = np.linalg.lstsq(basis, alg.unit, rcond=None)[0]
+    return c if np.abs(basis @ c - alg.unit).max() < 1e-12 else None
+
+
 def dense_pairing_identities(w, dw):
     """Oracles of `coproduct_pairs_with_product` and
     `product_pairs_with_coproduct`: the pairing tensors as dense d^3 arrays."""

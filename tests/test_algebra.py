@@ -1,5 +1,7 @@
 """Multimatrix algebras: structure constants, involution, Wedderburn."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from wka import (
     SubalgebraBasis,
     block_trace,
     cartan_subalgebras,
+    catalog,
     center,
     check_conditional_expectation,
     commutant,
@@ -24,11 +27,19 @@ from wka import (
 from wka.algebra import _groupoid_matrix_units, _mul, monomial_rows, regular_trace_of
 from wka.constructors import cyclic_groupoid, disjoint_union, pair_groupoid
 from wka.errors import NotSemisimple, NotStarClosed, WkaError
-from wka.haar import _ideal_rows, _sandwiches, _tracial_rows
-from wka.tensorkit import dagger, max_abs, subspace_distance
-from wka.weakkac import _basis_products
+from wka.haar import _ideal_rows, _sandwiches, _tracial_rows, haar_conditional_expectations
+from wka.tensorkit import Tolerance, dagger, max_abs, subspace_distance
+from wka.weakkac import _basis_products, _cartan_spans
 
-from conftest import SHAPES, basis_products, densify, mult_tensor
+from conftest import (
+    SHAPES,
+    assert_pair_bounds,
+    basis_products,
+    dense_bimodular,
+    densify,
+    mult_tensor,
+    unit_coordinates,
+)
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -492,19 +503,81 @@ def test_check_conditional_expectation_bimodular_can_fail_alone():
     assert rep["bimodular"].residual == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_bimodular_fails_a_one_sided_module_map(side):
+    # with u = 1 + e_01 and D the diagonal part on M_2, E(x) = D(x u) is
+    # unital, the identity on the diagonal and left-modular, but
+    # E(e_10 e_00) = e_11 while E(e_10) e_00 = 0; E(x) = D(u x) is the mirror
+    alg = make_algebra((2,))
+    e00, e01, e10, e11 = (alg.matrix_unit_index(0, i, j) for i in range(2) for j in range(2))
+    target = SubalgebraBasis(alg, np.eye(4, dtype=complex)[:, [e00, e11]])
+    u = alg.unit.copy()
+    u[e01] = 1.0
+    emat = target.basis @ target.basis.T @ (alg.rmat(u) if side == "left" else alg.lmat(u))
+    rep = check_conditional_expectation(emat, target)
+    for name in ("unital", "idempotent", "identity_on_target"):
+        assert rep[name].passed, name
+    assert not rep["bimodular"].passed
+    assert rep["bimodular"].residual == pytest.approx(1.0)
+
+
 def test_bimodular_matches_the_pair_loop():
     # a random map against the 9-dimensional commutant of N_t in
-    # cube_family(3): more target elements than one batch of rows holds
+    # cube_family(3): the one-sided residual lies within the bounds of the
+    # pair loop (on this map the two maxima happen to be equal)
     w = cube_family(3)
     alg = w.algebra
     target = commutant(cartan_subalgebras(w).target)
     rng = np.random.default_rng(3)
     emat = rng.standard_normal((alg.dim, alg.dim)) + 1j * rng.standard_normal((alg.dim, alg.dim))
     assert target.dim > 4
-    worst = 0.0
-    for a in target.basis.T:
-        for b in target.basis.T:
-            la, rb = alg.lmat(a), alg.rmat(b)
-            worst = max(worst, max_abs(emat @ la @ rb - la @ rb @ emat))
     residual = check_conditional_expectation(emat, target)["bimodular"].residual
-    assert residual == pytest.approx(worst, rel=1e-12)
+    assert_pair_bounds(
+        residual,
+        dense_bimodular(emat, target),
+        alg.lmat(target.basis.T),
+        alg.rmat(target.basis.T),
+        unit_coordinates(alg, target.basis),
+    )
+
+
+def _expectations(w):
+    """The three Haar conditional expectations of w with their targets."""
+    tol = Tolerance()
+    e_t, e_s, eo_t, _ = haar_conditional_expectations(w, tol=tol)
+    ns, nt, _, _ = _cartan_spans(w, tol)
+    return [(e_t, nt), (e_s, ns), (eo_t, commutant(nt, tol))]
+
+
+def test_bimodular_verdicts_match_the_pair_loop_on_the_catalog():
+    """On the three expectations of every catalog member, and on each moved
+    by a fixed map at 1e-13 and at 1e-3, the one-sided check passes exactly
+    when the pair loop stays within the same limit."""
+    limit = 100 * Tolerance().abs_tol
+    rng = np.random.default_rng(0)
+    verdicts = set()
+    for entry in catalog():
+        for emat, target in _expectations(entry.build()):
+            move = rng.standard_normal(emat.shape)
+            for size in (0.0, 1e-13, 1e-3):
+                moved = emat + size * move
+                passed = check_conditional_expectation(moved, target)["bimodular"].passed
+                assert passed == (dense_bimodular(moved, target) <= limit), (entry.name, size)
+                verdicts.add(passed)
+    assert verdicts == {True, False}
+
+
+def test_bimodular_holds_no_stack_of_target_operators():
+    """The check on the relative expectation of cube_family(5), onto the
+    commutant of N_t (k = 25, d = 125), keeps its traced peak below one
+    stack of k d x d complex matrices (6.25 MB)."""
+    w = cube_family(5)
+    emat, target = _expectations(w)[2]
+    assert (target.dim, w.dim) == (25, 125)
+    tracemalloc.start()
+    try:
+        check_conditional_expectation(emat, target)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < target.dim * w.dim ** 2 * 16, peak

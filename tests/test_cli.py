@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -122,6 +123,27 @@ def test_non_finite_entry_is_input_error(cube2_file, capsys, tensor, value):
     assert run("verify", cube2_file) == 2
     captured = capsys.readouterr()
     assert f"error: {tensor} entry 0: re/im must be finite" in captured.err
+    assert "verdict" not in captured.out
+
+
+@pytest.mark.parametrize("tensor", ["coproduct", "antipode", "counit"])
+@pytest.mark.parametrize(
+    "argv", [["verify"], ["derive", "--what", "all"], ["recover-counit"]], ids=lambda a: a[0]
+)
+def test_oversized_entry_is_input_error(cube2_file, capsys, tensor, argv):
+    """An entry of 1e300, whose products overflow, is a bad file: exit 2
+    with a message that names the array, and no numpy overflow warning."""
+    with open(cube2_file) as fh:
+        obj = json.load(fh)
+    obj[tensor][0][-2] = 1e300
+    with open(cube2_file, "w") as fh:
+        json.dump(obj, fh)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(*argv, cube2_file) == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    captured = capsys.readouterr()
+    assert f"error: {tensor} has an entry of magnitude 1e+300, above 1e+100" in captured.err
     assert "verdict" not in captured.out
 
 

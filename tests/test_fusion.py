@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from wka import direct_sum
+from wka import catalog, direct_sum
 from wka.fusion import (
+    _associative,
     block_characters,
     counital_character,
     counital_quotient,
@@ -123,6 +124,33 @@ def test_fusion_ring_verifies(name):
     # entries are nonnegative integers
     assert np.abs(fr.table - np.round(fr.table)).max() < 1e-6
     assert fr.table.min() > -1e-6
+
+
+def _einsum_associative(table):
+    """The associativity of a fusion table as two n^4 integer arrays."""
+    left = np.einsum("ijm,mkl->ijkl", table, table)
+    right = np.einsum("jkm,iml->ijkl", table, table)
+    return bool(np.array_equal(left, right))
+
+
+def test_associativity_matches_the_einsum_comparison():
+    """The per-row products agree with the einsum comparison on the fusion
+    tables of the catalog and on tables that are not associative: one that
+    fails at the first row, one whose [0] is a unit so that only a later
+    row fails, and one with counts near 2^27 whose two sides differ by less
+    than float64 resolves, so it must be compared in int64."""
+    tables = [fusion_ring(entry.build())[0].table for entry in catalog()]
+    z2 = np.zeros((2, 2, 2), dtype=int)
+    z2[[0, 0, 1, 1], [0, 1, 0, 1], [0, 1, 1, 0]] = 1
+    skewed = z2.copy()
+    skewed[0, 1, 1] = 2  # ([0][0])[1] = [0][1] = 2 [1], but [0]([0][1]) = 4 [1]
+    late = np.array([[[1, 0], [0, 1]], [[1, 1], [0, 2]]])
+    a = 2**27
+    large = np.array([[[a, 1], [1, a]], [[1, a], [a, 0]]])
+    for table in (skewed, late, large):
+        assert not _einsum_associative(table)
+    for table in [*tables, z2, z2 << 27, skewed, late, large]:
+        assert _associative(table) == _einsum_associative(table)
 
 
 def test_cube2_fusion_has_two_blocks():

@@ -25,7 +25,13 @@ from wka.haar import (
     counit_support_projection,
     haar_conditional_expectations,
 )
-from wka.tensorkit import dagger, max_abs, numerical_rank, orthonormal_columns
+from wka.tensorkit import (
+    dagger,
+    difference_max_abs,
+    max_abs,
+    numerical_rank,
+    orthonormal_columns,
+)
 from wka.weakkac import WeakKac, cartan_subalgebras
 
 from conftest import basis_products, dense_coproduct, get_example, moved_entry, mult_tensor, with_noise
@@ -369,6 +375,31 @@ def test_flip_identity_matches_the_triple_loop(name, weights, moved):
     exact = haar._flip_identity_residual(w, v)
     assert abs(exact - _flip_identity_by_triples(w, v)) <= 1e-12
     assert (exact > 0.1) == (weights is not None or moved)
+
+
+def test_flip_identity_runs_in_chunks_of_x(monkeypatch):
+    """cube_family(4) forms its blocks as one chunk; with an eighth of that
+    as the chunk size it forms at least eight, none larger than the chunk
+    size and the entries of one x, and the residual keeps its value."""
+    w = cube_family(4)
+    weights = np.arange(1.0, w.algebra.nblocks + 1)
+    e_t = w.pair_leg(block_trace(w.algebra, weights / weights.sum()).vec, 1).T
+    v = dagger(orthonormal_columns(e_t)) @ e_t
+    sizes = []
+
+    def record(left, right):
+        sizes.append(left[1].size + right[1].size)
+        return difference_max_abs(left, right)
+
+    monkeypatch.setattr(haar, "difference_max_abs", record)
+    whole = haar._flip_identity_residual(w, v)
+    [total] = sizes
+    assert whole > 0.1 and total <= haar._FLIP_CHUNK
+    sizes.clear()
+    monkeypatch.setattr(haar, "_FLIP_CHUNK", total // 8)
+    assert haar._flip_identity_residual(w, v) == pytest.approx(whole, rel=1e-12)
+    assert len(sizes) >= 8 and sum(sizes) == total
+    assert max(sizes) <= total // 8 + total // w.dim  # the x carry equal shares here
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from wka.weakkac import _cartan_spans, counital_maps
 
 from conftest import (
     SHAPES,
+    assert_pair_bounds,
     dense_absorption,
     dense_block_ranks,
     dense_convolution_unit_system,
@@ -41,6 +42,7 @@ from conftest import (
     dense_target_bimodule_map,
     get_example,
     moved_entry,
+    unit_coordinates,
 )
 
 MEMBERS = ["cube2", "group_z3", "fun_k2", "elem_12", "dualelem_12", "twist_12"]
@@ -63,8 +65,9 @@ def _agree(joined, dense):
 @pytest.mark.parametrize("moved", [False, True], ids=["exact", "moved"])
 @pytest.mark.parametrize("name", INPUTS)
 def test_tensor_square_checks_match_their_dense_oracles(name, moved, monkeypatch):
-    """haar_trace_identity, regular_trace_identity, absorbs_right_factor and
-    target_bimodule_map on each member and on the member with one coproduct
+    """haar_trace_identity, regular_trace_identity and absorbs_right_factor
+    equal their oracles, and target_bimodule_map lies within the bounds of
+    its pair loop, on each member and on the member with one coproduct
     entry moved; the moved member keeps the trace and the Haar projection
     of the member."""
     w = _build(name)
@@ -81,8 +84,43 @@ def test_tensor_square_checks_match_their_dense_oracles(name, moved, monkeypatch
         _agree(rep["regular_trace_identity"].residual, dense_regular_trace_identity(w, theta.vec))
     rep = counital_maps(w).report
     _agree(rep["absorbs_right_factor"].residual, dense_absorption(w.algebra, w.eps_t_matrix))
+    # the one-sided residual against the pair loop, through the bounds
+    # between them
+    nt, alg = _cartan_spans(w, Tolerance())[1].basis, w.algebra
+    assert_pair_bounds(
+        rep["target_bimodule_map"].residual,
+        dense_target_bimodule_map(w, nt),
+        alg.lmat(nt.T),
+        alg.lmat((w.antipode @ nt).T),
+        unit_coordinates(alg, nt),
+    )
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("name", ["cube2", "elem_12", "twist_12"])
+def test_target_bimodule_map_fails_each_half_alone(name, side):
+    """For v outside the commutant of N_t, L_v eps_t keeps the half
+    eps_t L_S(n) = R_n eps_t of the bimodule property and breaks
+    eps_t L_n = L_n eps_t, and R_v eps_t the other way round: the check
+    fails, within the bounds of its pair loop, both of which hold here."""
+    w = _build(name)
+    w = WeakKac(w.algebra, w.coproduct, w.antipode, w.counit)  # a fresh cache
+    alg = w.algebra
     nt = _cartan_spans(w, Tolerance())[1].basis
-    _agree(rep["target_bimodule_map"].residual, dense_target_bimodule_map(w, nt))
+    v = next(
+        u for u in np.eye(w.dim) if np.abs(alg.lmat(u) @ nt - alg.rmat(u) @ nt).max() > 0.5
+    )
+    # the cached eps_t_matrix is read from the instance dict
+    w.__dict__["eps_t_matrix"] = (alg.lmat(v) if side == "left" else alg.rmat(v)) @ w.eps_t_matrix
+    rep = counital_maps(w).report
+    assert not rep["target_bimodule_map"].passed
+    assert_pair_bounds(
+        rep["target_bimodule_map"].residual,
+        dense_target_bimodule_map(w, nt),
+        alg.lmat(nt.T),
+        alg.lmat((w.antipode @ nt).T),
+        unit_coordinates(alg, nt),
+    )
 
 
 @pytest.mark.parametrize("name", INPUTS)

@@ -21,7 +21,7 @@ through the cyclic vector of the unit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -35,11 +35,12 @@ from .report import VerificationReport
 from .tensorkit import (
     Tolerance,
     as_tol,
+    block_nullspace,
+    block_positive_definite,
     dagger,
     difference_max_abs,
     eigenspaces,
     max_abs,
-    nullspace,
     numerical_rank,
     orthonormal_columns,
     positive_definite,
@@ -114,6 +115,21 @@ class FdAlgebra:
 
     # -- canonical structure data -------------------------------------
 
+    @cached_property
+    def size_classes(self) -> tuple:
+        """(n, blocks, units) per block size n, ascending: the blocks of
+        that size and the indices of their matrix units."""
+        sizes = np.asarray(self.block_shape)
+        return tuple(
+            (n, np.flatnonzero(sizes == n), np.flatnonzero(sizes[self.basis_block] == n))
+            for n in sorted(set(self.block_shape))
+        )
+
+    @cached_property
+    def block_order(self) -> np.ndarray:
+        """The blocks by size, then by index: the order of block_stacks."""
+        return np.concatenate([blocks for _, blocks, _ in self.size_classes])
+
     @property
     def prod_table(self) -> np.ndarray:
         """prod_table[a, b] = basis index of b_a b_b, or -1 when zero."""
@@ -170,6 +186,38 @@ class FdAlgebra:
         out = np.zeros((*x.shape[:-1], self.dim, self.dim), dtype=complex)
         out[..., m, p] = x[..., q]
         return out
+
+    def block_stacks(self, coeffs) -> list:
+        """The n_i x n_i blocks of an element, or of each row of a matrix of
+        elements coeffs[j, :], as one stack per block size: stack[x] (or
+        stack[x, j]) is block x of that size, so that the blocks come in
+        block_order."""
+        x = np.asarray(coeffs)
+        stacks = [x[..., units].reshape(*x.shape[:-1], blocks.size, n, n) for n, blocks, units in self.size_classes]
+        return stacks if x.ndim == 1 else [s.swapaxes(0, 1) for s in stacks]
+
+    def block_columns(self, parts) -> np.ndarray:
+        """The d x sum(r_i) matrix that holds in the rows of block i the
+        n_i^2 x r_i matrix of parts, one per block in block_order: a basis
+        given block by block, written over the whole basis."""
+        out = np.zeros((self.dim, sum(part.shape[1] for part in parts)), dtype=complex)
+        col = 0
+        for i, part in zip(self.block_order, parts):
+            o = self.basis_offsets[i]
+            out[o : o + part.shape[0], col : col + part.shape[1]] = part
+            col += part.shape[1]
+        return out
+
+    def tensor_blocks(self, c):
+        """The parts of an element C of M (x) M, given as its coefficient
+        matrix, in the blocks M_{n_i} (x) M_{n_j} of its concrete matrix,
+        part[(k, k'), (l, l')] = C[e^i_kl, e^j_k'l']: one (bi, bj, stack) per
+        pair of block sizes (n, m), with bi, bj the blocks of those sizes and
+        stack[x, y] the nm x nm part of the blocks (bi[x], bj[y])."""
+        for n, bi, rows in self.size_classes:
+            for m, bj, cols in self.size_classes:
+                part = c[np.ix_(rows, cols)].reshape(bi.size, n, n, bj.size, m, m)
+                yield bi, bj, part.transpose(0, 3, 1, 4, 2, 5).reshape(bi.size, bj.size, n * m, n * m)
 
     # -- distinguished elements ------------------------------------------
 
@@ -266,15 +314,21 @@ class Functional:
         out[p, q] = self.vec[m]
         return out
 
-    def gram(self) -> np.ndarray:
-        """Gram[a, b] = phi(b_a* b_b); Hermitian PSD iff phi is positive."""
-        return self.pairing()[self.parent.star_index]
+    def gram_blocks(self) -> list:
+        """The Gram matrix G[a, b] = phi(b_a* b_b), hermitian PSD iff phi is
+        positive, by its blocks: on matrix units G is the direct sum of
+        1 (x) Phi_i with Phi_i[l, l'] = phi(e^i_ll'), one stack of the Phi_i
+        per block size."""
+        return self.parent.block_stacks(self.vec)
+
+    def positive_definite(self, tol=None):
+        """(ok, min_eig) of the Gram matrix, from its blocks Phi_i at its
+        full shape (d, d)."""
+        return block_positive_definite(self.gram_blocks(), tol, shape=(self.parent.dim,) * 2)
 
     def is_faithful_positive(self, tol=None) -> bool:
-        g = self.gram()
-        if max_abs(g - dagger(g)) > as_tol(tol).abs_tol * 100:
-            return False
-        return positive_definite(g, tol)[0]
+        herm = max(max_abs(g - g.conj().swapaxes(1, 2)) for g in self.gram_blocks())
+        return herm <= as_tol(tol).abs_tol * 100 and self.positive_definite(tol)[0]
 
 
 def regular_trace(alg: FdAlgebra) -> Functional:
@@ -343,10 +397,18 @@ class SubalgebraBasis:
 
 
 def commutant(sub: SubalgebraBasis, tol=None) -> SubalgebraBasis:
-    """Elements commuting with every generator of the given subspace."""
+    """Elements commuting with every generator of the given subspace: the
+    null space of the k d x d stack of L_b - R_b over its basis, which on
+    matrix units is (+) B_i (x) 1 - 1 (x) B_i^T, solved block by block at
+    the cutoff of the whole stack."""
     alg, b = sub.parent, sub.basis
-    rows = (alg.lmat(b.T) - alg.rmat(b.T)).reshape(-1, alg.dim)
-    return SubalgebraBasis(alg, nullspace(rows, as_tol(tol)), tol, orthonormalize=False)
+    blocks = []
+    for bs in alg.block_stacks(b.T):  # bs[x, j] = block x of the j-th generator
+        eye = np.eye(bs.shape[-1])
+        ops = np.einsum("xjkq,lm->xjklqm", bs, eye) - np.einsum("kq,xjml->xjklqm", eye, bs)
+        blocks.append(ops.reshape(bs.shape[0], -1, eye.size))
+    kernels = block_nullspace(blocks, tol, shape=(b.shape[1] * alg.dim, alg.dim))
+    return SubalgebraBasis(alg, alg.block_columns(kernels), tol, orthonormalize=False)
 
 
 def center(alg: FdAlgebra) -> SubalgebraBasis:
@@ -614,8 +676,9 @@ def _split_matrix_units(data, lt, gram, tol):
             # q_0 pi(b_a) q_k in range coordinates; a nonzero one is lambda
             # times a unitary, so dividing by |lambda| leaves the isometry
             links = dagger(v0) @ pis @ v
-            hit = next((link for link in links if numerical_rank(link, tol)), None)
-            if hit is not None:
+            ranks = numerical_rank(links, tol)
+            if ranks.any():
+                hit = links[np.argmax(ranks > 0)]
                 us.append(v0 @ hit @ dagger(v) * np.sqrt(v.shape[1]) / np.linalg.norm(hit))
                 break
         else:
@@ -729,23 +792,16 @@ def check_conditional_expectation(
     )
     rep.add("bimodular", max(worst, default=0.0), scale=100)
 
-    min_eig = min(positive_definite(choi, tol)[1] for choi in _choi_matrices(alg, emat))
+    # the Choi matrices sum_kl e_kl (x) E(e_kl), one per block, are the rows
+    # of blocks of the concrete matrix of sum_a b_a (x) E(b_a), of
+    # coefficient matrix emat^T; each is the direct sum of its blocks
+    choi = [stack for *_, stack in alg.tensor_blocks(emat.T)]
+    _, min_eig = block_positive_definite(choi, tol)
     rep.add("completely_positive", max(0.0, -min_eig), note=f"min eig {min_eig:.2e}", scale=100)
 
-    ok, min_eig = positive_definite(Functional(alg, block_trace(alg).vec @ emat).gram(), tol)
+    ok, min_eig = Functional(alg, block_trace(alg).vec @ emat).positive_definite(tol)
     rep.add_flag("faithful", ok, f"min eig {min_eig:.2e}")
     if trace is not None:
         rep.add("trace_preserving", max_abs(trace.vec @ emat - trace.vec))
     return rep
 
-
-def _choi_matrices(alg: FdAlgebra, emat: np.ndarray):
-    """Choi matrix sum_kl e_kl (x) E(e_kl) of the map emat on each block of
-    alg, over the matrix units e_kl of that block; E is completely
-    positive iff every one is positive semidefinite."""
-    n = alg.matrix_size
-    for b, d in enumerate(alg.block_shape):
-        images = emat[:, alg.basis_offsets[b] + np.arange(d * d)]  # E(e_kl), column k d + l
-        mats = np.zeros((d * d, n, n), dtype=complex)
-        mats[:, alg.basis_row, alg.basis_col] = images.T
-        yield mats.reshape(d, d, n, n).transpose(0, 2, 1, 3).reshape(d * n, d * n)

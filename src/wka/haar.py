@@ -9,10 +9,16 @@ matrix-unit basis.
 Each structure is solved once per algebra and tolerance: the target
 ideal that the Haar projection equations are solved in, and the null
 space of the Haar trace conditions that the normalized trace, its check
-and the trace cone all read.  No check draws a random input: the flip
-identity is trilinear and is evaluated on every basis triple, as a join
-over the coproduct's nonzeros whose cost follows nnz(Delta) times the
-square of the block size, not dim^3.
+and the trace cone all read.
+
+The ideals, their comparisons with M p, p M and p M p, and the
+definiteness tests factor block-diagonal operators: on matrix units left
+multiplication is (+) X_i (x) 1 and right multiplication (+) 1 (x) X_i^T.
+They are decided on the n_i x n_i blocks, at the cutoff of the whole
+operator.  No check draws a random input: the flip identity is trilinear
+and is evaluated on every basis triple, as a join over the coproduct's
+nonzeros whose cost follows nnz(Delta) times the square of the block
+size, not dim^3.
 """
 
 from __future__ import annotations
@@ -33,14 +39,14 @@ from .tensorkit import (
     Inconsistent,
     Tolerance,
     as_tol,
+    block_nullspace,
+    block_range,
     dagger,
     difference_max_abs,
-    intersect_subspaces,
     max_abs,
     nullspace,
     numerical_rank,
     orthonormal_columns,
-    positive_definite,
     singular_values,
     solve_affine_space,
     subspace_distance,
@@ -68,27 +74,31 @@ def _as_weak_kac(data) -> WeakKac:
     return WeakKac(algebra, coproduct, antipode, counit=None)
 
 
-def _target_ideal(w: WeakKac, tol: Tolerance) -> np.ndarray:
-    """Orthonormal basis of I_t = {y : x y = eps_t(x) y for every basis x},
-    the null space of the stack L_{b_a} - L_{eps_t(b_a)}, solved once per
-    algebra and tolerance."""
+def _target_ideal(w: WeakKac, tol: Tolerance) -> list:
+    """I_t = {y : x y = eps_t(x) y for every basis x}, the null space of
+    the stack L_{b_a} - L_{eps_t(b_a)}, as its kernels K_i, one per block in
+    block_order (see _ideal_blocks), solved once per algebra and tolerance:
+    I_t = (+) K_i (x) C^{n_i}."""
 
     def solve():
-        rows = _ideal_rows(w.algebra, np.eye(w.dim) - w.eps_t_matrix.T, left=True)
-        return nullspace(rows, tol, shape=(w.dim * w.dim, w.dim))
+        blocks = _ideal_blocks(w.algebra, np.eye(w.dim) - w.eps_t_matrix.T, left=True)
+        return block_nullspace(blocks, tol, shape=(w.dim * w.dim, w.dim))
 
     return w.memo(("target_ideal", tol), solve)
 
 
-def _ideal_rows(alg, x: np.ndarray, left: bool) -> np.ndarray:
-    """The nonzero rows of alg.lmat(x) (left) or alg.rmat(x) for the rows
-    x[a] of x, stacked as the d^2 x d matrix with rows (a, m): one join of
-    the nonzeros x[a, f] with the products whose left (or right) factor is
-    b_f."""
-    p, q, m = alg.products
-    factor, other = (p, q) if left else (q, p)
-    a, other, m, v = _contract((factor, other, m, np.ones(m.size)), x, 0)
-    return _nonzero_rows(a * alg.dim + m, other, v, alg.dim)
+def _ideal_blocks(alg, x: np.ndarray, left: bool) -> list:
+    """The diagonal blocks A_i of the d^2 x d stack over a of L_{x[a]}
+    (left) or of R_{x[a]}, one stack per block size, blocks in block_order:
+    A_i is the stack over a of the blocks X_ai of x[a] (or of their
+    transposes).  On matrix units L_x = (+) X_i (x) 1 and
+    R_x = (+) 1 (x) X_i^T, so with its rows reordered the stack is
+    (+) A_i (x) 1 (or (+) 1 (x) A_i), whose null space is (+) K_i (x) C^{n_i}
+    (or (+) C^{n_i} (x) K_i) for K_i the null space of A_i."""
+    return [
+        (xs if left else xs.swapaxes(2, 3)).reshape(xs.shape[0], -1, xs.shape[3])
+        for xs in alg.block_stacks(x)
+    ]
 
 
 def _haar_projection_space(w: WeakKac, tol: Tolerance):
@@ -100,7 +110,12 @@ def _haar_projection_space(w: WeakKac, tol: Tolerance):
     """
 
     def solve():
-        ideal = _target_ideal(w, tol)
+        alg = w.algebra
+        # the columns K_i (x) e_c of the target ideal, block by block
+        parts = []
+        for k, n in zip(_target_ideal(w, tol), np.asarray(alg.block_shape)[alg.block_order]):
+            parts.append((k[:, None, :, None] * np.eye(n)[None, :, None, :]).reshape(n * n, -1))
+        ideal = alg.block_columns(parts)
         if ideal.shape[1] == 0:
             raise Inconsistent("the target ideal is zero")
         constraints = [
@@ -184,8 +199,19 @@ def check_haar_projection(w: WeakKac, tol=None):
         rep.add("counit_right_invariant", max_abs(eps @ rmp - eps))
         rep.add("counit_left_invariant", max_abs(eps @ lmp - eps))
 
+    # p = (+) P_i, so on matrix units L_p = (+) P_i (x) 1, R_p = (+) 1 (x) P_i^T
+    # and L_p R_p = (+) P_i (x) P_i^T: their ranges are ranked from these
+    # blocks, in block_order, at the full shape (d, d)
+    ps = alg.block_stacks(p.coeffs)
+    pts = [s.swapaxes(1, 2) for s in ps]
+    pm = block_range(ps, tol, shape=(dim, dim))
+    mp = block_range(pts, tol, shape=(dim, dim))
+    krons = [(s[:, :, None, :, None] * t[:, None, :, None, :]) for s, t in zip(ps, pts)]
+    pmp = block_range([k.reshape(len(k), k.shape[1] ** 2, -1) for k in krons], tol)
+
     ns, nt, _, _ = _cartan_spans(w, tol)
-    rank_mp = numerical_rank(rmp, tol)
+    sizes = np.asarray(alg.block_shape)[alg.block_order]
+    rank_mp = int(sum(n * u.shape[1] for n, u in zip(sizes, mp)))
     rep.add_flag(
         "right_ideal_dim_matches_target",
         rank_mp == nt.dim,
@@ -194,15 +220,17 @@ def check_haar_projection(w: WeakKac, tol=None):
 
     # ideals by their defining relations: I_s = {y : y x = y eps_s(x)},
     # I_t = {y : x y = eps_t(x) y}; they must equal M p and p M, and
-    # intersect in p M p.
-    srows = _ideal_rows(alg, np.eye(dim) - es.T, left=False)
-    i_s = nullspace(srows, tol, shape=(dim * dim, dim))
+    # intersect in p M p.  Per block, I_s = 1 (x) K^s_i, I_t = K^t_i (x) 1
+    # and their intersection is K^t_i (x) K^s_i; a projector difference
+    # A (x) 1 has the max-abs of A.
+    sblocks = _ideal_blocks(alg, np.eye(dim) - es.T, left=False)
+    i_s = block_nullspace(sblocks, tol, shape=(dim * dim, dim))
     i_t = _target_ideal(w, tol)
-    rep.add("source_ideal_is_mp", subspace_distance(i_s, rmp, tol))
-    rep.add("target_ideal_is_pm", subspace_distance(i_t, lmp, tol))
+    rep.add("source_ideal_is_mp", max(map(_projector_distance, i_s, mp)))
+    rep.add("target_ideal_is_pm", max(map(_projector_distance, i_t, pm)))
     rep.add(
         "ideal_intersection_is_pmp",
-        subspace_distance(intersect_subspaces([i_s, i_t], tol), lmp @ rmp, tol),
+        max(_projector_distance(np.kron(kt, ks), u) for kt, ks, u in zip(i_t, i_s, pmp)),
     )
 
     # coproduct of p: evaluation formula over matrix units, flip symmetry,
@@ -214,16 +242,25 @@ def check_haar_projection(w: WeakKac, tol=None):
     # sigma[i]: the block that S carries the unit e^i_00 into
     units = [alg.matrix_unit_index(i, 0, 0) for i in range(alg.nblocks)]
     sigma = alg.basis_block[np.argmax(np.abs(w.antipode[:, units]), axis=0)]
-    detail = []
-    for i, (di, oi) in enumerate(zip(alg.block_shape, alg.basis_offsets)):
-        for j, (dj, oj) in enumerate(zip(alg.block_shape, alg.basis_offsets)):
-            # the (i, j) part of Delta(p) as a matrix of M_{d_i} (x) M_{d_j}
-            part = c[oi : oi + di * di, oj : oj + dj * dj].reshape(di, di, dj, dj)
-            r = numerical_rank(part.transpose(0, 2, 1, 3).reshape(di * dj, di * dj), tol)
-            if r != int(j == sigma[i]):
-                detail.append(f"block ({i},{j}) rank {r} want {int(j == sigma[i])}")
+    # ranks[i, j]: the rank of the (i, j) part of Delta(p) as a matrix of
+    # M_{n_i} (x) M_{n_j}, one stacked SVD per pair of block sizes
+    ranks = np.zeros((alg.nblocks, alg.nblocks), dtype=int)
+    for bi, bj, stack in alg.tensor_blocks(c):
+        ranks[np.ix_(bi, bj)] = numerical_rank(stack, tol)
+    want = np.arange(alg.nblocks)[None, :] == sigma[:, None]
+    detail = [
+        f"block ({i},{j}) rank {ranks[i, j]} want {int(want[i, j])}"
+        for i, j in np.argwhere(ranks != want)
+    ]
     rep.add_flag("coproduct_block_ranks", not detail, "; ".join(detail))
     return p, rep
+
+
+def _projector_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Max-abs difference of the projectors onto the spans of the
+    orthonormal columns a and b (subspace_distance without ranking them
+    again)."""
+    return max_abs(a @ dagger(a) - b @ dagger(b))
 
 
 def _haar_projection_coproduct(w: WeakKac, p: np.ndarray):
@@ -412,7 +449,7 @@ def _haar_trace_cone(w: WeakKac, tol: Tolerance):
         rep.add("rays_satisfy_trace_conditions", max_abs(_haar_trace_rows(w, stack)), scale=10)
         rep.add("rays_span_solution_space", subspace_distance(stack, solution, tol))
         for k, r in enumerate(rays):
-            _, min_eig = positive_definite(r.gram(), tol)
+            _, min_eig = r.positive_definite(tol)
             rep.add(f"ray_{k}_positive", max(0.0, -min_eig), scale=10)
 
         phi = normalized_haar_trace(w, tol)
@@ -612,10 +649,8 @@ def check_generalized_kac(data, phi: Functional, tol=None) -> VerificationReport
     asym = max_abs(pairing - pairing.T)
     if asym > 100 * tol.abs_tol:
         raise NotTracial(f"phi(xy) - phi(yx) reaches {asym:.3e}")
-    g = phi.gram()
-    ok, min_eig = positive_definite(g, tol)
-    if max_abs(g - dagger(g)) > 100 * tol.abs_tol or not ok:
-        raise NotFaithful(f"Gram matrix spectrum starts at {min_eig:.3e}")
+    if not phi.is_faithful_positive(tol):
+        raise NotFaithful(f"Gram matrix spectrum starts at {phi.positive_definite(tol)[1]:.3e}")
 
     rep = VerificationReport("generalized Kac algebra", tol)
     rep.add("tracial", asym)

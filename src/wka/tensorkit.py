@@ -13,6 +13,15 @@ dropped and a tall one is reduced to its R factor; neither changes the
 singular values or right singular vectors, and the rank is counted at the
 full shape.
 
+A block-diagonal operator, such as left or right multiplication on the
+matrix units of M = (+) M_{n_i}, is decided from its diagonal blocks
+(block_nullspace, block_range, block_positive_definite): blocks of one
+shape are factored in one stacked call, and every block is counted at the
+cutoff of the whole operator, its full shape and sigma_max (or largest
+eigenvalue) over all blocks, so each rank, dimension and verdict is the
+one the whole matrix gives.  A stack of unrelated matrices is ranked by
+numerical_rank in one stacked SVD, each matrix at its own cutoff.
+
 Index conventions used throughout the package:
   * elements of an algebra M are coefficient vectors over a fixed basis,
   * elements of M (x) M are coefficient matrices C with C[a, b] the
@@ -33,6 +42,9 @@ from .errors import Inconsistent
 __all__ = [
     "Tolerance",
     "AffineSpace",
+    "block_nullspace",
+    "block_positive_definite",
+    "block_range",
     "dagger",
     "difference_max_abs",
     "eigenspaces",
@@ -58,12 +70,14 @@ class Tolerance:
 
     abs_tol: float = DEFAULT_ABS_TOL
 
-    def rank_cutoff(self, shape, smax: float) -> float:
+    def rank_cutoff(self, shape, smax):
         # Singular values at or below dim * abs_tol * sigma_max are noise.
         # sigma_max is floored at 1 so a matrix that is itself numerical
         # noise (for example the commutator map of a commutative algebra)
-        # is treated as zero rather than as full rank.
-        return max(shape) * self.abs_tol * max(smax, 1.0)
+        # is treated as zero rather than as full rank.  smax may be an
+        # array, one sigma_max per matrix of a stack.
+        floor = np.maximum(smax, 1.0) if isinstance(smax, np.ndarray) else max(smax, 1.0)
+        return max(shape) * self.abs_tol * floor
 
 
 def as_tol(tol) -> Tolerance:
@@ -133,9 +147,15 @@ def singular_values(a: np.ndarray, tol: Tolerance | None = None, shape=None):
     return s, _rank(s, a.shape if shape is None else shape, as_tol(tol))
 
 
-def numerical_rank(a: np.ndarray, tol: Tolerance | None = None) -> int:
-    """Number of singular values of a above the rank cutoff."""
-    return singular_values(a, tol)[1]
+def numerical_rank(a: np.ndarray, tol: Tolerance | None = None):
+    """Number of singular values of a above the rank cutoff.  For a stack
+    (..., m, n) the array of the ranks of its matrices, from one stacked
+    SVD, each counted at the cutoff of its own shape and sigma_max."""
+    a = np.asarray(a)
+    if a.ndim == 2:
+        return singular_values(a, tol)[1]
+    s = np.linalg.svd(a, compute_uv=False)
+    return np.count_nonzero(s > as_tol(tol).rank_cutoff(a.shape[-2:], s[..., :1]), axis=-1)
 
 
 def eigenspaces(h: np.ndarray, tol: Tolerance | None = None) -> list:
@@ -153,6 +173,77 @@ def positive_definite(g: np.ndarray, tol: Tolerance | None = None):
     g = np.asarray(g, dtype=complex)
     w = np.linalg.eigvalsh((g + dagger(g)) / 2)
     return bool(w[0] > as_tol(tol).rank_cutoff(g.shape, w[-1])), float(w[0])
+
+
+def _by_shape(blocks):
+    """The matrices of blocks (each a matrix or a stack of matrices) in one
+    stack per shape, as (positions, stack) pairs with positions the places
+    of the stack's matrices in the order of blocks, stacks flattened; the
+    shape of the block-diagonal matrix with each of them once on its
+    diagonal; and the number of matrices."""
+    groups, count, rows, cols = {}, 0, 0, 0
+    for b in blocks:
+        b = np.asarray(b)
+        stack = b.reshape(-1, *b.shape[-2:])
+        k, m, n = stack.shape
+        positions, parts = groups.setdefault((m, n), ([], []))
+        positions.extend(range(count, count + k))
+        parts.append(stack)
+        count, rows, cols = count + k, rows + k * m, cols + k * n
+    stacks = [(p, np.concatenate(m).astype(complex, copy=False)) for p, m in groups.values()]
+    return stacks, (rows, cols), count
+
+
+def block_nullspace(blocks, tol: Tolerance | None = None, shape=None) -> list:
+    """Orthonormal bases (as columns) of the right null spaces of the
+    matrices of blocks (each a matrix or a stack of matrices), the diagonal
+    blocks of a block-diagonal matrix of `shape` (by default each block
+    once), whose null space is their direct sum; one basis per matrix,
+    stacks flattened.  Blocks of one shape make one stacked QR (of their
+    rows that are nonzero in any of them, when tall) and one stacked SVD."""
+    groups, full, count = _by_shape(blocks)
+    svds = []
+    for _, a in groups:
+        a = a[:, np.any(a != 0, axis=(0, 2))]
+        svds.append(np.linalg.svd(np.linalg.qr(a, mode="r") if a.shape[1] > a.shape[2] else a))
+    smax = max((max_abs(s) for _, s, _ in svds), default=0.0)
+    cut = as_tol(tol).rank_cutoff(full if shape is None else shape, smax)
+    out = [None] * count
+    for (positions, _), (_, s, vh) in zip(groups, svds):
+        null = vh.conj().swapaxes(1, 2)
+        for k, rank, v in zip(positions, np.count_nonzero(s > cut, axis=1).tolist(), null):
+            out[k] = v[:, rank:]
+    return out
+
+
+def block_range(blocks, tol: Tolerance | None = None, shape=None) -> list:
+    """Orthonormal bases (as columns) of the column spans of the matrices
+    of blocks (each a matrix or a stack of matrices), the diagonal blocks of
+    a block-diagonal matrix of `shape` (by default each block once); one
+    basis per matrix, stacks flattened, from one stacked SVD per shape."""
+    groups, full, count = _by_shape(blocks)
+    svds = [np.linalg.svd(a, full_matrices=False)[:2] for _, a in groups]
+    smax = max((max_abs(s) for _, s in svds), default=0.0)
+    cut = as_tol(tol).rank_cutoff(full if shape is None else shape, smax)
+    out = [None] * count
+    for (positions, _), (u, s) in zip(groups, svds):
+        for k, rank, uk in zip(positions, np.count_nonzero(s > cut, axis=1).tolist(), u):
+            out[k] = uk[:, :rank]
+    return out
+
+
+def block_positive_definite(blocks, tol: Tolerance | None = None, shape=None):
+    """(ok, min_eig) for the hermitian part of the block-diagonal matrix of
+    `shape` (by default each block once) with diagonal blocks the square
+    matrices of blocks (each a matrix or a stack of matrices): ok when the
+    smallest eigenvalue over all blocks lies above the rank cutoff of the
+    largest.  One stacked eigvalsh per block size."""
+    groups, full, _ = _by_shape(blocks)
+    w = np.concatenate(
+        [np.linalg.eigvalsh((g + g.conj().swapaxes(1, 2)) / 2).ravel() for _, g in groups]
+    )
+    cut = as_tol(tol).rank_cutoff(full if shape is None else shape, w.max())
+    return bool(w.min() > cut), float(w.min())
 
 
 def subspace_contains(basis: np.ndarray, vectors: np.ndarray, tol: Tolerance | None = None) -> float:

@@ -20,7 +20,19 @@ from wka import (
     pair_groupoid,
     random_cocycle,
 )
-from wka.tensorkit import numerical_rank
+from wka.haar import _ideal_blocks
+from wka.tensorkit import (
+    Tolerance,
+    block_nullspace,
+    block_positive_definite,
+    dagger,
+    intersect_subspaces,
+    max_abs,
+    nullspace,
+    numerical_rank,
+    positive_definite,
+    subspace_distance,
+)
 
 
 # block shapes of the multimatrix algebras that the algebra-level tests run on
@@ -190,6 +202,57 @@ def dense_block_ranks(w, c, tol):
     return ranks
 
 
+def dense_ideal(alg, x, left, tol=None):
+    """Oracle of an ideal solve: the null space of the d^2 x d stack over
+    the rows x[a] of x of L_{x[a]} (left) or R_{x[a]}, at its own shape."""
+    ops = alg.lmat(x) if left else alg.rmat(x)
+    return nullspace(ops.reshape(alg.dim * alg.dim, alg.dim), tol)
+
+
+def dense_commutant(sub, tol=None):
+    """Oracle of `commutant`: the null space of the k d x d stack of
+    L_b - R_b over the basis b of sub, at its own shape."""
+    alg, b = sub.parent, sub.basis
+    return nullspace((alg.lmat(b.T) - alg.rmat(b.T)).reshape(-1, alg.dim), tol)
+
+
+def dense_gram(phi):
+    """Oracle of the Gram matrix G[a, b] = phi(b_a* b_b), dense d x d."""
+    return phi.pairing()[phi.parent.star_index]
+
+
+def dense_choi_matrices(alg, emat):
+    """Oracle of the Choi blocks: the dense Choi matrix sum_kl e_kl (x) E(e_kl)
+    of the map emat for each block of alg, of size n_b N, N the size of the
+    concrete realization."""
+    n = alg.matrix_size
+    out = []
+    for b, d in enumerate(alg.block_shape):
+        images = emat[:, alg.basis_offsets[b] + np.arange(d * d)]  # E(e_kl), column k d + l
+        mats = np.zeros((d * d, n, n), dtype=complex)
+        mats[:, alg.basis_row, alg.basis_col] = images.T
+        out.append(mats.reshape(d, d, n, n).transpose(0, 2, 1, 3).reshape(d * n, d * n))
+    return out
+
+
+def inner_automorphism(alg, rng):
+    """Coefficient matrix of x -> U x U* for a random block-unitary U."""
+    u = np.zeros((alg.matrix_size, alg.matrix_size), dtype=complex)
+    for start, d in zip(alg.row_offsets, alg.block_shape):
+        z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        u[start : start + d, start : start + d] = np.linalg.qr(z)[0]
+    images = [u @ alg.to_matrix(b) @ u.conj().T for b in np.eye(alg.dim)]
+    return np.stack([alg.from_matrix(x) for x in images], axis=1)
+
+
+def moved_along(w, a):
+    """w carried along the automorphism a (unitary on coefficients):
+    Delta' = (a (x) a) Delta a^-1, S' = a S a^-1, eps' = eps a^-1."""
+    ainv = a.conj().T
+    t = np.einsum("gi,gab,pa,qb->ipq", ainv, dense_coproduct(w), a, a, optimize=True)
+    return WeakKac(w.algebra, t, a @ w.antipode @ ainv, w.counit @ ainv)
+
+
 def dense_multiplicative(alg, pis):
     """Oracle of the counital representation's `multiplicative`: the dense
     d^2 k^2 arrays of pi(b_a b_b) and pi(b_a) pi(b_b)."""
@@ -224,6 +287,46 @@ def with_noise(w, density=0.0, seed=5):
     noise = 1e-3 * (rng.standard_normal(t.shape) + 1j * rng.standard_normal(t.shape))
     noise[(t == 0) & (rng.random(t.shape) >= density)] = 0
     return WeakKac(w.algebra, t + noise, w.antipode, w.counit)
+
+
+def assert_block_ideals_match_dense(alg, xt, xs, tol=None):
+    """The block kernels of the target (left, rows xt) and source (right,
+    rows xs) ideals and of their intersection against the dense null spaces
+    of the d^2 x d stacks: equal dimensions, spans within 1e-12."""
+    kernels = []
+    for x, left in ((xt, True), (xs, False)):
+        blocks = _ideal_blocks(alg, x, left)
+        kernels.append(block_nullspace(blocks, tol, shape=(alg.dim * alg.dim, alg.dim)))
+    kt, ks = kernels
+    eyes = [np.eye(alg.block_shape[i]) for i in alg.block_order]
+    i_t = alg.block_columns([np.kron(k, e) for k, e in zip(kt, eyes)])
+    i_s = alg.block_columns([np.kron(e, k) for k, e in zip(ks, eyes)])
+    both = alg.block_columns([np.kron(a, b) for a, b in zip(kt, ks)])
+    dense_t, dense_s = dense_ideal(alg, xt, True, tol), dense_ideal(alg, xs, False, tol)
+    dense_both = intersect_subspaces([dense_s, dense_t], tol)
+    for block, dense in ((i_t, dense_t), (i_s, dense_s), (both, dense_both)):
+        assert block.shape == dense.shape
+        assert subspace_distance(block, dense) < 1e-12
+
+
+def assert_definiteness_matches_dense(alg, emats, functionals, tol=None):
+    """Complete positivity of each map of emats from its Choi blocks, and
+    definiteness and faithfulness of each functional from its Gram blocks,
+    against the dense Choi and Gram matrices: equal verdicts, smallest
+    eigenvalues within 1e-12 of the largest magnitude."""
+    for emat in emats:
+        dense = [np.linalg.eigvalsh((c + dagger(c)) / 2) for c in dense_choi_matrices(alg, emat)]
+        low, scale = min(w[0] for w in dense), max(np.abs(w).max() for w in dense)
+        _, min_eig = block_positive_definite([s for *_, s in alg.tensor_blocks(emat.T)], tol)
+        assert abs(min_eig - low) <= 1e-12 * max(scale, 1.0)
+    for phi in functionals:
+        g = dense_gram(phi)
+        ok, low = positive_definite(g, tol)
+        block_ok, min_eig = phi.positive_definite(tol)
+        assert block_ok == ok
+        assert abs(min_eig - low) <= 1e-12 * max(np.abs(g).max(), 1.0)
+        hermitian = max_abs(g - dagger(g)) <= 100 * (tol or Tolerance()).abs_tol
+        assert phi.is_faithful_positive(tol) == (hermitian and ok)
 
 
 @pytest.fixture

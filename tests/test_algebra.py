@@ -27,16 +27,22 @@ from wka import (
 from wka.algebra import _groupoid_matrix_units, _mul, monomial_rows, regular_trace_of
 from wka.constructors import cyclic_groupoid, disjoint_union, pair_groupoid
 from wka.errors import NotSemisimple, NotStarClosed, WkaError
-from wka.haar import _ideal_rows, _sandwiches, _tracial_rows, haar_conditional_expectations
+from wka.haar import _ideal_blocks, _sandwiches, _tracial_rows, haar_conditional_expectations
 from wka.tensorkit import Tolerance, dagger, max_abs, subspace_distance
 from wka.weakkac import _basis_products, _cartan_spans
 
 from conftest import (
     SHAPES,
+    assert_block_ideals_match_dense,
+    assert_definiteness_matches_dense,
     assert_pair_bounds,
     basis_products,
     dense_bimodular,
+    dense_commutant,
+    dense_gram,
     densify,
+    inner_automorphism,
+    moved_along,
     mult_tensor,
     unit_coordinates,
 )
@@ -85,15 +91,113 @@ def test_product_scatters_match_dense_structure_constants(shape):
     assert np.array_equal(densify(_sandwiches(alg, c), alg.dim), np.stack(concrete))
 
 
-@pytest.mark.parametrize("shape", SHAPES)
+def _sorted_rows(m):
+    """The nonzero rows of m in lexicographic order of (real, imag) parts."""
+    m = m[np.any(m != 0, axis=1)]
+    return m[np.lexsort(np.concatenate([m.real, m.imag], axis=1).T[::-1])]
+
+
+# block shapes not in ascending order, where block_order moves blocks
+UNSORTED = [(2, 1), (2, 1, 3, 1)]
+
+
+@pytest.mark.parametrize("shape", SHAPES + UNSORTED)
 def test_ideal_rows_are_the_nonzero_rows_of_lmat_and_rmat(shape):
+    # with its rows reordered, the d^2 x d stack of L_{x[a]} is the direct
+    # sum of A_i (x) 1 over the blocks, and that of R_{x[a]} of 1 (x) A_i
     alg = make_algebra(shape)
     rng = np.random.default_rng(12)
     x = rng.integers(-3, 4, (alg.dim, alg.dim)) + 1j * rng.integers(-3, 4, (alg.dim, alg.dim))
     x[rng.random(x.shape) < 0.4] = 0
     for left, dense in ((True, alg.lmat(x)), (False, alg.rmat(x))):
+        parts = []
+        blocks = [a for stack in _ideal_blocks(alg, x, left) for a in stack]
+        for i, a in zip(alg.block_order, blocks):
+            n, o = alg.block_shape[i], alg.basis_offsets[i]
+            part = np.zeros((a.shape[0] * n, alg.dim), dtype=complex)
+            part[:, o : o + n * n] = np.kron(a, np.eye(n)) if left else np.kron(np.eye(n), a)
+            parts.append(part)
         dense = dense.reshape(alg.dim * alg.dim, alg.dim)
-        assert np.array_equal(_ideal_rows(alg, x, left), dense[np.any(dense != 0, axis=1)]), left
+        assert np.array_equal(_sorted_rows(np.vstack(parts)), _sorted_rows(dense)), left
+
+
+def _ideal_input(alg, rng):
+    """Rows x[a] = (1 - q) y_a (1 - q), q the sum of the units e^i_00, so
+    that both ideals of the stacks of L_{x[a]} and R_{x[a]} are nonzero."""
+    q = np.zeros(alg.dim, dtype=complex)
+    q[[alg.matrix_unit_index(i, 0, 0) for i in range(alg.nblocks)]] = 1.0
+    y = rng.standard_normal((alg.dim, alg.dim)) + 1j * rng.standard_normal((alg.dim, alg.dim))
+    cut = alg.lmat(alg.unit - q) @ alg.rmat(alg.unit - q)
+    return y @ cut.T
+
+
+@pytest.mark.parametrize("shape", SHAPES + UNSORTED)
+def test_block_ideals_match_the_dense_null_spaces(shape):
+    alg = make_algebra(shape)
+    rng = np.random.default_rng(shape)
+    assert_block_ideals_match_dense(alg, _ideal_input(alg, rng), _ideal_input(alg, rng))
+
+
+def assert_commutant_matches_dense(sub):
+    """commutant(sub) against the dense null space of its k d x d stack:
+    equal dimension, spans within 1e-12."""
+    block, dense = commutant(sub).basis, dense_commutant(sub)
+    assert block.shape == dense.shape
+    assert subspace_distance(block, dense) < 1e-12
+
+
+@pytest.mark.parametrize("shape", SHAPES + UNSORTED)
+def test_block_commutant_matches_the_dense_null_space(shape):
+    # the commutant of the diagonal is the diagonal, that of two random
+    # elements the centre, and that of the centre everything
+    alg = make_algebra(shape)
+    rng = np.random.default_rng(shape)
+    diag = np.eye(alg.dim)[:, alg.basis_row == alg.basis_col]
+    pair = rng.standard_normal((alg.dim, 2)) + 1j * rng.standard_normal((alg.dim, 2))
+    for vectors, dim in ((diag, diag.shape[1]), (pair, alg.nblocks), (center(alg).basis, alg.dim)):
+        sub = SubalgebraBasis(alg, vectors)
+        assert commutant(sub).dim == dim
+        assert_commutant_matches_dense(sub)
+
+
+@pytest.mark.parametrize("moved", [False, True], ids=["catalog", "moved"])
+def test_block_ideals_and_definiteness_match_dense_on_catalog_members(moved):
+    """The Haar ideals of eps_t and eps_s, the commutants of N_s and N_t,
+    the Choi blocks of eps_t, eps_s and S and the Gram blocks of the regular
+    trace, the counit and a block trace, on every catalog member of
+    dimension <= 27, as given or moved along a seeded inner automorphism
+    (every coproduct dense)."""
+    rng = np.random.default_rng(0x1DEA)
+    checked = 0
+    for entry in catalog():
+        w = entry.build()
+        if w.dim > 27:
+            continue
+        if moved:
+            w = moved_along(w, inner_automorphism(w.algebra, rng))
+        alg, eye = w.algebra, np.eye(w.dim)
+        assert_block_ideals_match_dense(alg, eye - w.eps_t_matrix.T, eye - w.eps_s_matrix.T)
+        for sub in _cartan_spans(w, Tolerance())[:2]:
+            assert_commutant_matches_dense(sub)
+        weights = np.arange(alg.nblocks, dtype=float)
+        functionals = [regular_trace(alg), Functional(alg, w.counit), block_trace(alg, weights)]
+        assert_definiteness_matches_dense(alg, [w.eps_t_matrix, w.eps_s_matrix, w.antipode], functionals)
+        checked += 1
+    assert checked == 52
+
+
+@pytest.mark.parametrize("shape", SHAPES + UNSORTED)
+def test_block_definiteness_matches_the_dense_matrices(shape):
+    alg = make_algebra(shape)
+    rng = np.random.default_rng(shape)
+    diag = np.flatnonzero(alg.basis_row == alg.basis_col)
+    compression = np.zeros((alg.dim, alg.dim), dtype=complex)
+    compression[diag, diag] = 1.0
+    noise = rng.standard_normal((alg.dim, alg.dim)) + 1j * rng.standard_normal((alg.dim, alg.dim))
+    emats = [np.eye(alg.dim), alg.star_matrix, compression, noise]
+    vecs = [alg.unit, np.eye(alg.dim)[0], rng.standard_normal(alg.dim)]
+    functionals = [regular_trace(alg), *(Functional(alg, v) for v in vecs)]
+    assert_definiteness_matches_dense(alg, emats, functionals)
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -417,7 +521,7 @@ def test_block_trace_weights():
 def test_functional_gram_and_faithfulness():
     alg = make_algebra((2,))
     tau = regular_trace(alg)
-    g = tau.gram()
+    g = dense_gram(tau)
     assert max_abs(g - dagger(g)) < 1e-12
     assert np.linalg.eigvalsh(g)[0] > 0.5
     assert tau.is_faithful_positive()
@@ -456,6 +560,33 @@ def test_complete_positivity_is_exact_on_the_transpose():
     assert not rep["completely_positive"].passed
     assert rep["completely_positive"].residual == pytest.approx(1.0)
     assert rep["completely_positive"].note == "min eig -1.00e+00"
+
+
+def test_complete_positivity_fails_on_a_transpose_of_one_block():
+    # on M_1 + M_2 + M_2, the transpose of the last block (the identity
+    # elsewhere) is positive but not completely positive: among the Choi
+    # blocks, the one of that block with itself is the swap, spectrum +-1
+    alg = make_algebra((1, 2, 2))
+    emat = np.eye(alg.dim, dtype=complex)
+    last = np.flatnonzero(alg.basis_block == 2)
+    emat[np.ix_(last, last)] = alg.star_matrix[np.ix_(last, last)]
+    rep = check_conditional_expectation(emat, SubalgebraBasis(alg, np.eye(alg.dim)))
+    assert not rep["completely_positive"].passed
+    assert rep["completely_positive"].residual == pytest.approx(1.0)
+    for name in ("unital", "star_preserving", "faithful"):
+        assert rep[name].passed, name
+
+
+def test_faithful_fails_alone_on_a_rank_deficient_state():
+    # E(x) = phi(x) 1 for the vector state phi(x) = x_00 of M_2 is a
+    # conditional expectation onto C 1, completely positive, but the Gram
+    # matrix of tau o E = 2 phi is singular
+    alg = make_algebra((2,))
+    phi = np.zeros(alg.dim, dtype=complex)
+    phi[alg.matrix_unit_index(0, 0, 0)] = 1.0
+    rep = check_conditional_expectation(np.outer(alg.unit, phi), SubalgebraBasis(alg, alg.unit))
+    assert [c.name for c in rep.checks if not c.passed] == ["faithful"]
+    assert not Functional(alg, phi).is_faithful_positive()
 
 
 def test_complete_positivity_passes_a_compression_of_two_blocks():

@@ -26,6 +26,7 @@ from wka.haar import (
     haar_conditional_expectations,
 )
 from wka.tensorkit import (
+    Tolerance,
     dagger,
     difference_max_abs,
     max_abs,
@@ -34,7 +35,17 @@ from wka.tensorkit import (
 )
 from wka.weakkac import WeakKac, cartan_subalgebras
 
-from conftest import basis_products, dense_coproduct, get_example, moved_entry, mult_tensor, with_noise
+from conftest import (
+    assert_block_ideals_match_dense,
+    assert_definiteness_matches_dense,
+    basis_products,
+    dense_coproduct,
+    dense_gram,
+    get_example,
+    moved_entry,
+    mult_tensor,
+    with_noise,
+)
 
 EXAMPLES = ["group_z3", "fun_k2", "elem_12", "dualelem_12", "cube2", "twist_12"]
 
@@ -85,34 +96,80 @@ def test_haar_projection_unique_flag_fails_on_a_solution_family():
 
 
 def test_target_ideal_is_solved_once(monkeypatch):
-    # x p = eps_t(x) p is decomposed once, as the target ideal that the
-    # Haar projection is solved in and that its check compares with p M
+    # x p = eps_t(x) p is decomposed once per algebra and tolerance, as the
+    # block kernels of the target ideal that the Haar projection is solved
+    # in and that its check compares with p M
     w = cube_family(2)
-    dim = w.dim
-    # the solve sees the nonzero rows of the d^2 x d stack, in order
-    rows = w.algebra.lmat(np.eye(dim) - w.eps_t_matrix.T).reshape(dim * dim, dim)
-    rows = rows[np.any(rows != 0, axis=1)]
-    real_null, real_solve, solves = haar.nullspace, haar.solve_affine_space, []
+    target = haar._ideal_blocks(w.algebra, np.eye(w.dim) - w.eps_t_matrix.T, left=True)
+    real_null, solves = haar.block_nullspace, []
 
-    def holds_rows(a):
-        a = np.asarray(a).reshape(-1, dim)
-        return a.shape[0] >= rows.shape[0] and np.array_equal(a[: rows.shape[0]], rows)
+    def counting_null(blocks, *args, **kwargs):
+        if len(blocks) == len(target) and all(map(np.array_equal, blocks, target)):
+            solves.append(kwargs.get("tol", args[0] if args else None))
+        return real_null(blocks, *args, **kwargs)
 
-    def counting_null(a, *args, **kwargs):
-        solves.extend([1] if holds_rows(a) else [])
-        return real_null(a, *args, **kwargs)
-
-    def counting_solve(constraints, *args, **kwargs):
-        solves.extend(1 for a, _ in constraints if holds_rows(a))
-        return real_solve(constraints, *args, **kwargs)
-
-    monkeypatch.setattr(haar, "nullspace", counting_null)
-    monkeypatch.setattr(haar, "solve_affine_space", counting_solve)
+    monkeypatch.setattr(haar, "block_nullspace", counting_null)
     haar_projection(w)
     _, rep = check_haar_projection(w)
     check_haar_projection(w)
     assert rep.passed, rep.as_text()
     assert len(solves) == 1
+    loose = Tolerance(abs_tol=1e-8)
+    haar_projection(w, loose)
+    check_haar_projection(w, loose)
+    assert solves == [Tolerance(), loose]
+
+
+@pytest.mark.parametrize("name", ["cube2", "elem_12", "twist_12", "dualelem_12"])
+@pytest.mark.parametrize("side", ["target", "source"])
+def test_ideal_checks_fail_under_a_perturbed_counital_map(name, side):
+    # eps_t (or eps_s) scaled by 1 + 1e-3 after p is solved: the target (or
+    # source) ideal of its relations is no longer p M (or M p), and neither
+    # is their intersection p M p; the other ideal is untouched
+    w = get_example(name)
+    w = WeakKac(w.algebra, w.coproduct, w.antipode, w.counit)  # a fresh cache
+    haar_projection(w)
+    key = "eps_t_matrix" if side == "target" else "eps_s_matrix"
+    # the cached counital maps are read from the instance dict
+    w.__dict__[key] = (1 + 1e-3) * getattr(w, key)
+    w._memo.pop(("target_ideal", Tolerance()))
+    _, rep = check_haar_projection(w)
+    moved, kept = ("target_ideal_is_pm", "source_ideal_is_mp")[:: 1 if side == "target" else -1]
+    assert not rep[moved].passed
+    assert not rep["ideal_intersection_is_pmp"].passed
+    assert rep[kept].passed
+    assert rep["unique"].passed and rep["coproduct_block_ranks"].passed
+
+
+def test_faithful_positive_fails_on_a_rank_deficient_trace(monkeypatch):
+    # a tracial functional that vanishes on block 1: its Gram blocks are
+    # singular there, so the definiteness flag fails while `tracial` holds
+    w = get_example("cube2")
+    tau = block_trace(w.algebra, [1.0, 0.0])
+    space = haar.AffineSpace(tau.vec, np.zeros((w.dim, 0)), 0.0)
+    monkeypatch.setattr(haar, "_normalized_haar_trace_space", lambda w, tol: space)
+    _, rep = check_normalized_haar_trace(w)
+    assert rep["tracial"].passed
+    assert not rep["faithful_positive"].passed
+
+
+@pytest.mark.parametrize(
+    "parts", [("cube2", "group_z2"), ("elem_12", "fun_k2"), ("twist_12", "group_z3")]
+)
+def test_block_forms_hold_on_blocks_out_of_size_order(parts):
+    # direct sums whose block sizes do not ascend, so block_order moves
+    # blocks: the Haar checks pass, and the block ideals and definiteness
+    # match their dense oracles
+    w = direct_sum(*map(get_example, parts))
+    alg, eye = w.algebra, np.eye(w.dim)
+    assert list(alg.block_order) != list(range(alg.nblocks))
+    _, rep = check_haar_projection(w)
+    assert rep.passed, rep.as_text()
+    assert_block_ideals_match_dense(alg, eye - w.eps_t_matrix.T, eye - w.eps_s_matrix.T)
+    *_, rep = haar_conditional_expectations(w)
+    assert rep.passed, rep.as_text()
+    functionals = [normalized_haar_trace(w), Functional(alg, w.counit), regular_trace(alg)]
+    assert_definiteness_matches_dense(alg, [w.eps_t_matrix, w.eps_s_matrix, w.antipode], functionals)
 
 
 def test_support_oracle_equals_equation_solution():
@@ -234,7 +291,7 @@ def test_rays_are_antipode_invariant_traces():
     rays, _ = haar_trace_cone(w)
     for r in rays:
         assert np.abs(r.vec @ w.antipode - r.vec).max() < 1e-9
-        gram = r.gram()
+        gram = dense_gram(r)
         assert np.abs(gram - np.conj(gram.T)).max() < 1e-9
 
 
@@ -276,10 +333,6 @@ def _dense_leg_stack(w, leg):
 def test_expectation_joins_match_the_dense_stacks(name):
     w = get_example(name)
     alg, d, e, s = w.algebra, w.dim, w.e_matrix, w.antipode
-    for left, dense, counital in ((True, alg.lmat, w.eps_t_matrix), (False, alg.rmat, w.eps_s_matrix)):
-        x = np.eye(d) - counital.T
-        rows = dense(x).reshape(d * d, d)
-        assert np.array_equal(haar._ideal_rows(alg, x, left), rows[np.any(rows != 0, axis=1)])
     # Eo_t = mu (S (x) id) ((1 (x) y) e), the same terms summed in another order
     dense = w.mu((s @ basis_products(alg, e, 1, True)).transpose(1, 2, 0))
     joined = haar._relative_expectation(alg, weakkac._basis_products(alg, e, 1, True), s)

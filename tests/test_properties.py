@@ -26,7 +26,7 @@ from wka.algebra import StarAlgebraData, WedderburnRealization, wedderburn_reali
 from wka.catalog import named_groupoid
 from wka.duality import check_pairing, dual_functional
 
-from conftest import dense_coproduct, get_example
+from conftest import get_example, inner_automorphism, moved_along
 
 NAMES = ["group_z3", "fun_k2", "elem_12", "cube2", "twist_11"]
 
@@ -276,24 +276,6 @@ def test_verdicts_do_not_depend_on_the_realized_basis(name, monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def _inner_automorphism(alg, rng):
-    """Coefficient matrix of x -> U x U* for a random block-unitary U."""
-    u = np.zeros((alg.matrix_size, alg.matrix_size), dtype=complex)
-    for start, d in zip(alg.row_offsets, alg.block_shape):
-        z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        u[start : start + d, start : start + d] = np.linalg.qr(z)[0]
-    images = [u @ alg.to_matrix(b) @ u.conj().T for b in np.eye(alg.dim)]
-    return np.stack([alg.from_matrix(x) for x in images], axis=1)
-
-
-def _moved_along(w, a):
-    """w carried along the automorphism a (unitary on coefficients):
-    Delta' = (a (x) a) Delta a^-1, S' = a S a^-1, eps' = eps a^-1."""
-    ainv = a.conj().T
-    t = np.einsum("gi,gab,pa,qb->ipq", ainv, dense_coproduct(w), a, a, optimize=True)
-    return WeakKac(w.algebra, t, a @ w.antipode @ ainv, w.counit @ ainv)
-
-
 def _invariants(w):
     rep = verify_weak_kac(w)
     pair = cartan_subalgebras(w)
@@ -319,7 +301,7 @@ def test_inner_automorphisms_keep_verdicts_cartan_shapes_and_fusion():
         if w.dim > 27:
             continue
         found, table = _invariants(w)
-        moved, moved_table = _invariants(_moved_along(w, _inner_automorphism(w.algebra, rng)))
+        moved, moved_table = _invariants(moved_along(w, inner_automorphism(w.algebra, rng)))
         assert moved == found, entry.name
         assert any(
             np.array_equal(table[np.ix_(s, s, s)], moved_table)

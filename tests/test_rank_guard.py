@@ -2,9 +2,10 @@
 
 Rank decisions: every null space, rank, affine solve and definiteness test
 counts singular values or eigenvalues against Tolerance.rank_cutoff inside
-tensorkit.  Any other call of rank_cutoff, of an SVD, of a least-squares
-solve or of a hermitian eigenvalue solver in src/wka must be named in
-ALLOWED with the reason it decides no rank.
+tensorkit.  Any other call of rank_cutoff, of an SVD, of a QR (whose R
+factor would feed one), of a least-squares solve or of a hermitian
+eigenvalue solver in src/wka must be named in ALLOWED with the reason it
+decides no rank.
 
 Random draws: a check that holds on a basis is evaluated on the basis, so
 every random draw in src/wka must be named in ALLOWED_DRAWS with the
@@ -18,7 +19,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "wka"
 
 # attribute names whose calls decide a rank or solve a system
-GUARDED = {"rank_cutoff", "svd", "lstsq", "eigh", "eigvalsh", "matrix_rank", "pinv"}
+GUARDED = {"rank_cutoff", "svd", "qr", "lstsq", "eigh", "eigvalsh", "matrix_rank", "pinv"}
 
 ALLOWED = {
     ("haar.py", "_haar_trace_cone", "rank_cutoff"):

@@ -6,6 +6,9 @@ import pytest
 from wka import Tolerance, rank_factorization, solve_affine_space
 from wka.errors import Inconsistent
 from wka.tensorkit import (
+    block_nullspace,
+    block_positive_definite,
+    block_range,
     dagger,
     max_abs,
     nullspace,
@@ -349,3 +352,85 @@ def test_subspace_helpers_follow_the_tolerance():
     assert subspace_distance(basis, basis[:, :1], loose) < 1e-12
     s, rank = singular_values(basis, loose)
     assert rank == 1 and s[-1] == pytest.approx(1e-6)
+
+
+def _block_diag(blocks):
+    rows, cols = sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)
+    out = np.zeros((rows, cols), dtype=complex)
+    r = c = 0
+    for b in blocks:
+        out[r : r + b.shape[0], c : c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    return out
+
+
+def _with_singular_values(m, n, s):
+    u, _ = np.linalg.qr(rand_c(m, m))
+    v, _ = np.linalg.qr(rand_c(n, n))
+    return (u[:, : len(s)] * s) @ dagger(v[:, : len(s)])
+
+
+def test_block_decisions_are_those_of_the_block_diagonal_matrix(monkeypatch):
+    # 1e-6 lies above the cutoff of its own 6 x 3 block (6e-9) but below
+    # that of the whole 16 x 9 matrix with sigma_max 1e3 (1.6e-5): the
+    # blocks are ranked at the cutoff of the whole matrix
+    blocks = [
+        _with_singular_values(6, 3, [1e3, 1.0]),
+        _with_singular_values(6, 3, [1.0, 1e-6]),
+        _with_singular_values(4, 3, [2.0, 1.0, 1e-7]),
+    ]
+    whole = _block_diag(blocks)
+    shapes = []
+    real_svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        shapes.append(np.shape(args[0]))
+        return real_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    null = block_nullspace(blocks)
+    # one stacked SVD of the R factors of the two 6 x 3 blocks, one of the 4 x 3
+    assert sorted(shapes) == [(1, 3, 3), (2, 3, 3)]
+    assert [k.shape[1] for k in null] == [1, 2, 1]
+    assert subspace_distance(_block_diag(null), nullspace(whole)) < 1e-12
+    spans = block_range(blocks)
+    assert [u.shape[1] for u in spans] == [2, 1, 2]
+    assert subspace_distance(_block_diag(spans), orthonormal_columns(whole)) < 1e-12
+    # at an explicit shape, the cutoff of that shape: 1.5e6 * 1e-9 * 1e3 = 1.5
+    assert [k.shape[1] for k in block_nullspace(blocks, shape=(1_500_000, 9))] == [2, 3, 2]
+
+
+def test_block_positive_definite_is_that_of_the_block_diagonal_matrix():
+    # 3e-6 is above the cutoff of its own 2 x 2 block, below that of the
+    # whole 5 x 5 matrix with largest eigenvalue 1e3 (5e-6)
+    blocks = [np.diag([1e3, 1.0]), np.diag([3e-6, 1.0]), np.array([[2.0 + 1j]])]
+    whole = _block_diag(blocks)
+    assert positive_definite(blocks[1]) == (True, pytest.approx(3e-6))
+    assert block_positive_definite(blocks) == positive_definite(whole)
+    assert block_positive_definite(blocks) == (False, pytest.approx(3e-6))
+    # a stack is a list of blocks; an antihermitian part does not count
+    stacked = [np.stack(blocks[:2]), blocks[2]]
+    assert block_positive_definite(stacked) == positive_definite(whole)
+    assert block_positive_definite(blocks, shape=(1, 1)) == (True, pytest.approx(3e-6))
+
+
+def test_numerical_rank_ranks_each_matrix_of_a_stack_at_its_own_cutoff(monkeypatch):
+    stack = np.stack(
+        [
+            _with_singular_values(5, 4, [1e3, 1.0]),
+            _with_singular_values(5, 4, [1.0, 1e-6, 1e-12]),
+            np.zeros((5, 4)),
+        ]
+    )
+    calls = []
+    real_svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return real_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    ranks = numerical_rank(stack.reshape(3, 1, 5, 4))
+    assert calls == [(3, 1, 5, 4)]
+    assert ranks.tolist() == [[2], [2], [0]]
+    assert ranks.reshape(-1).tolist() == [numerical_rank(m) for m in stack]

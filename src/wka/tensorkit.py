@@ -15,12 +15,15 @@ full shape.
 
 A block-diagonal operator, such as left or right multiplication on the
 matrix units of M = (+) M_{n_i}, is decided from its diagonal blocks
-(block_nullspace, block_range, block_positive_definite): blocks of one
-shape are factored in one stacked call, and every block is counted at the
-cutoff of the whole operator, its full shape and sigma_max (or largest
-eigenvalue) over all blocks, so each rank, dimension and verdict is the
-one the whole matrix gives.  A stack of unrelated matrices is ranked by
-numerical_rank in one stacked SVD, each matrix at its own cutoff.
+(block_nullspace, block_range, block_positive_definite), given as stacks
+of blocks of one shape (one per block size, as FdAlgebra.block_stacks
+returns them), each factored in one stacked call.  Every block is counted
+at the cutoff of the whole operator, its full shape and sigma_max (or
+largest eigenvalue) over all blocks, so each rank, dimension and verdict
+is the one the whole matrix gives; nullspace, orthonormal_columns and
+positive_definite are the case of one block.  A stack of unrelated
+matrices is ranked by numerical_rank in one stacked SVD, each matrix at
+its own cutoff.
 
 Index conventions used throughout the package:
   * elements of an algebra M are coefficient vectors over a fixed basis,
@@ -33,6 +36,7 @@ Index conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,8 +80,7 @@ class Tolerance:
         # noise (for example the commutator map of a commutative algebra)
         # is treated as zero rather than as full rank.  smax may be an
         # array, one sigma_max per matrix of a stack.
-        floor = np.maximum(smax, 1.0) if isinstance(smax, np.ndarray) else max(smax, 1.0)
-        return max(shape) * self.abs_tol * floor
+        return max(shape) * self.abs_tol * np.maximum(smax, 1.0)
 
 
 def as_tol(tol) -> Tolerance:
@@ -117,25 +120,90 @@ def _rank(s: np.ndarray, shape, tol: Tolerance) -> int:
     return int(np.count_nonzero(s > tol.rank_cutoff(shape, s[0] if s.size else 0.0)))
 
 
-def orthonormal_columns(vs: np.ndarray, tol: Tolerance | None = None) -> np.ndarray:
-    """Orthonormal basis (as columns) of the column span of vs."""
-    vs = np.asarray(vs, dtype=complex)
-    u, s, _ = np.linalg.svd(vs, full_matrices=False)
-    return u[:, : _rank(s, vs.shape, as_tol(tol))]
+def _stack(a) -> np.ndarray:
+    """a as a stack (k, m, n) of matrices; a single matrix is a stack of one."""
+    a = np.asarray(a, dtype=complex)
+    return a.reshape(math.prod(a.shape[:-2]), *a.shape[-2:])
+
+
+def _full_shape(stacks, shape):
+    """shape, by default that of the block-diagonal matrix with every matrix
+    of the stacks once on its diagonal."""
+    if shape is not None:
+        return shape
+    return sum(len(a) * a.shape[1] for a in stacks), sum(len(a) * a.shape[2] for a in stacks)
+
+
+def _drop_zero_rows(a: np.ndarray) -> np.ndarray:
+    """The matrices of the stack a (..., m, n) without the rows that are
+    zero in every one of them."""
+    return a[..., np.any(a != 0, axis=tuple(range(a.ndim - 2)) + (a.ndim - 1,)), :]
 
 
 def _r_factor(a: np.ndarray) -> np.ndarray:
-    """a without its zero rows, reduced to its R factor when still tall."""
-    a = a[np.any(a != 0, axis=1)]
-    return np.linalg.qr(a, mode="r") if a.shape[0] > a.shape[1] else a
+    """The stack a without its common zero rows, reduced to its R factors
+    when still tall."""
+    a = _drop_zero_rows(a)
+    return np.linalg.qr(a, mode="r") if a.shape[-2] > a.shape[-1] else a
+
+
+def block_nullspace(stacks, tol: Tolerance | None = None, shape=None) -> list:
+    """Orthonormal bases (as columns) of the right null spaces of the
+    diagonal blocks of a block-diagonal matrix of `shape`, whose null space
+    is their direct sum.  stacks holds the blocks as stacks (..., m, n) of
+    blocks of one shape (a single matrix is a stack of one); one basis per
+    block, in the order of the stacks.  Each stack makes one QR (of its rows
+    that are nonzero in any of its blocks, when tall) and one SVD."""
+    stacks = [_stack(a) for a in stacks]
+    svds = [np.linalg.svd(_r_factor(a)) for a in stacks]
+    smax = max((s.max(initial=0.0) for _, s, _ in svds), default=0.0)
+    cut = as_tol(tol).rank_cutoff(_full_shape(stacks, shape), smax)
+    return [
+        v[:, rank:]
+        for _, s, vh in svds
+        for rank, v in zip((s > cut).sum(axis=1).tolist(), vh.conj().swapaxes(1, 2))
+    ]
+
+
+def block_range(stacks, tol: Tolerance | None = None, shape=None) -> list:
+    """Orthonormal bases (as columns) of the column spans of the diagonal
+    blocks of a block-diagonal matrix of `shape`, given as for
+    block_nullspace; one basis per block, from one SVD per stack."""
+    stacks = [_stack(a) for a in stacks]
+    svds = [np.linalg.svd(a, full_matrices=False)[:2] for a in stacks]
+    smax = max((s.max(initial=0.0) for _, s in svds), default=0.0)
+    cut = as_tol(tol).rank_cutoff(_full_shape(stacks, shape), smax)
+    return [
+        u[:, :rank] for us, s in svds for rank, u in zip((s > cut).sum(axis=1).tolist(), us)
+    ]
+
+
+def block_positive_definite(stacks, tol: Tolerance | None = None, shape=None):
+    """(ok, min_eig) for the hermitian part of the block-diagonal matrix of
+    `shape` with the square diagonal blocks of stacks, given as for
+    block_nullspace: ok when the smallest eigenvalue over all blocks lies
+    above the rank cutoff of the largest.  One eigvalsh per stack."""
+    stacks = [_stack(g) for g in stacks]
+    w = np.concatenate([np.linalg.eigvalsh((g + g.conj().swapaxes(1, 2)) / 2).ravel() for g in stacks])
+    cut = as_tol(tol).rank_cutoff(_full_shape(stacks, shape), w.max())
+    return bool(w.min() > cut), float(w.min())
 
 
 def nullspace(a: np.ndarray, tol: Tolerance | None = None, shape=None) -> np.ndarray:
     """Orthonormal basis (as columns) of the right null space of a, ranked
     at the cutoff of `shape` (by default the shape of a)."""
-    a = np.asarray(a, dtype=complex)
-    _, s, vh = np.linalg.svd(_r_factor(a))
-    return dagger(vh)[:, _rank(s, a.shape if shape is None else shape, as_tol(tol)) :]
+    return block_nullspace([a], tol, shape)[0]
+
+
+def orthonormal_columns(vs: np.ndarray, tol: Tolerance | None = None) -> np.ndarray:
+    """Orthonormal basis (as columns) of the column span of vs."""
+    return block_range([vs], tol)[0]
+
+
+def positive_definite(g: np.ndarray, tol: Tolerance | None = None):
+    """(ok, min_eig) for the hermitian part of g: ok when its smallest
+    eigenvalue lies above the rank cutoff of its largest."""
+    return block_positive_definite([g], tol)
 
 
 def singular_values(a: np.ndarray, tol: Tolerance | None = None, shape=None):
@@ -143,7 +211,7 @@ def singular_values(a: np.ndarray, tol: Tolerance | None = None, shape=None):
     above the rank cutoff.  A matrix given by its nonzero rows is ranked at
     the cutoff of its full `shape` (by default the shape of a)."""
     a = np.asarray(a)
-    s = np.linalg.svd(a[np.any(a != 0, axis=1)], compute_uv=False)
+    s = np.linalg.svd(_drop_zero_rows(a), compute_uv=False)
     return s, _rank(s, a.shape if shape is None else shape, as_tol(tol))
 
 
@@ -152,10 +220,9 @@ def numerical_rank(a: np.ndarray, tol: Tolerance | None = None):
     (..., m, n) the array of the ranks of its matrices, from one stacked
     SVD, each counted at the cutoff of its own shape and sigma_max."""
     a = np.asarray(a)
-    if a.ndim == 2:
-        return singular_values(a, tol)[1]
-    s = np.linalg.svd(a, compute_uv=False)
-    return np.count_nonzero(s > as_tol(tol).rank_cutoff(a.shape[-2:], s[..., :1]), axis=-1)
+    s = np.linalg.svd(_drop_zero_rows(a), compute_uv=False)
+    ranks = np.count_nonzero(s > as_tol(tol).rank_cutoff(a.shape[-2:], s[..., :1]), axis=-1)
+    return int(ranks) if a.ndim == 2 else ranks
 
 
 def eigenspaces(h: np.ndarray, tol: Tolerance | None = None) -> list:
@@ -165,85 +232,6 @@ def eigenspaces(h: np.ndarray, tol: Tolerance | None = None) -> list:
     w, v = np.linalg.eigh(h)
     cut = as_tol(tol).rank_cutoff(h.shape, max_abs(w))
     return np.split(v, np.flatnonzero(np.diff(w) > cut) + 1, axis=1)
-
-
-def positive_definite(g: np.ndarray, tol: Tolerance | None = None):
-    """(ok, min_eig) for the hermitian part of g: ok when its smallest
-    eigenvalue lies above the rank cutoff of its largest."""
-    g = np.asarray(g, dtype=complex)
-    w = np.linalg.eigvalsh((g + dagger(g)) / 2)
-    return bool(w[0] > as_tol(tol).rank_cutoff(g.shape, w[-1])), float(w[0])
-
-
-def _by_shape(blocks):
-    """The matrices of blocks (each a matrix or a stack of matrices) in one
-    stack per shape, as (positions, stack) pairs with positions the places
-    of the stack's matrices in the order of blocks, stacks flattened; the
-    shape of the block-diagonal matrix with each of them once on its
-    diagonal; and the number of matrices."""
-    groups, count, rows, cols = {}, 0, 0, 0
-    for b in blocks:
-        b = np.asarray(b)
-        stack = b.reshape(-1, *b.shape[-2:])
-        k, m, n = stack.shape
-        positions, parts = groups.setdefault((m, n), ([], []))
-        positions.extend(range(count, count + k))
-        parts.append(stack)
-        count, rows, cols = count + k, rows + k * m, cols + k * n
-    stacks = [(p, np.concatenate(m).astype(complex, copy=False)) for p, m in groups.values()]
-    return stacks, (rows, cols), count
-
-
-def block_nullspace(blocks, tol: Tolerance | None = None, shape=None) -> list:
-    """Orthonormal bases (as columns) of the right null spaces of the
-    matrices of blocks (each a matrix or a stack of matrices), the diagonal
-    blocks of a block-diagonal matrix of `shape` (by default each block
-    once), whose null space is their direct sum; one basis per matrix,
-    stacks flattened.  Blocks of one shape make one stacked QR (of their
-    rows that are nonzero in any of them, when tall) and one stacked SVD."""
-    groups, full, count = _by_shape(blocks)
-    svds = []
-    for _, a in groups:
-        a = a[:, np.any(a != 0, axis=(0, 2))]
-        svds.append(np.linalg.svd(np.linalg.qr(a, mode="r") if a.shape[1] > a.shape[2] else a))
-    smax = max((max_abs(s) for _, s, _ in svds), default=0.0)
-    cut = as_tol(tol).rank_cutoff(full if shape is None else shape, smax)
-    out = [None] * count
-    for (positions, _), (_, s, vh) in zip(groups, svds):
-        null = vh.conj().swapaxes(1, 2)
-        for k, rank, v in zip(positions, np.count_nonzero(s > cut, axis=1).tolist(), null):
-            out[k] = v[:, rank:]
-    return out
-
-
-def block_range(blocks, tol: Tolerance | None = None, shape=None) -> list:
-    """Orthonormal bases (as columns) of the column spans of the matrices
-    of blocks (each a matrix or a stack of matrices), the diagonal blocks of
-    a block-diagonal matrix of `shape` (by default each block once); one
-    basis per matrix, stacks flattened, from one stacked SVD per shape."""
-    groups, full, count = _by_shape(blocks)
-    svds = [np.linalg.svd(a, full_matrices=False)[:2] for _, a in groups]
-    smax = max((max_abs(s) for _, s in svds), default=0.0)
-    cut = as_tol(tol).rank_cutoff(full if shape is None else shape, smax)
-    out = [None] * count
-    for (positions, _), (u, s) in zip(groups, svds):
-        for k, rank, uk in zip(positions, np.count_nonzero(s > cut, axis=1).tolist(), u):
-            out[k] = uk[:, :rank]
-    return out
-
-
-def block_positive_definite(blocks, tol: Tolerance | None = None, shape=None):
-    """(ok, min_eig) for the hermitian part of the block-diagonal matrix of
-    `shape` (by default each block once) with diagonal blocks the square
-    matrices of blocks (each a matrix or a stack of matrices): ok when the
-    smallest eigenvalue over all blocks lies above the rank cutoff of the
-    largest.  One stacked eigvalsh per block size."""
-    groups, full, _ = _by_shape(blocks)
-    w = np.concatenate(
-        [np.linalg.eigvalsh((g + g.conj().swapaxes(1, 2)) / 2).ravel() for _, g in groups]
-    )
-    cut = as_tol(tol).rank_cutoff(full if shape is None else shape, w.max())
-    return bool(w.min() > cut), float(w.min())
 
 
 def subspace_contains(basis: np.ndarray, vectors: np.ndarray, tol: Tolerance | None = None) -> float:

@@ -98,17 +98,42 @@ def test_haar_projection_unique_flag_fails_on_a_solution_family():
 def test_target_ideal_is_solved_once(monkeypatch):
     # x p = eps_t(x) p is decomposed once per algebra and tolerance, as the
     # block kernels of the target ideal that the Haar projection is solved
-    # in and that its check compares with p M
+    # in and that its check compares with p M; its relations never reach a
+    # dense null space or an affine solve, whole or as their nonzero rows
     w = cube_family(2)
-    target = haar._ideal_blocks(w.algebra, np.eye(w.dim) - w.eps_t_matrix.T, left=True)
-    real_null, solves = haar.block_nullspace, []
+    d = w.dim
+    target = haar._ideal_blocks(w.algebra, np.eye(d) - w.eps_t_matrix.T, left=True)
+    relations = w.algebra.lmat(np.eye(d) - w.eps_t_matrix.T).reshape(d * d, d)
 
-    def counting_null(blocks, *args, **kwargs):
+    def rows(a):
+        a = np.round(np.asarray(a, dtype=complex), 12) + 0.0
+        return {r.tobytes() for r in a[np.any(a != 0, axis=1)]}
+
+    def holds_relations(a):
+        return np.ndim(a) == 2 and np.shape(a)[1] == d and rows(relations) <= rows(a)
+
+    assert holds_relations(relations) and holds_relations(relations[np.any(relations != 0, axis=1)])
+    real_block_null, real_null, real_affine = haar.block_nullspace, haar.nullspace, haar.solve_affine_space
+    solves, dense = [], []
+
+    def counting_block_null(blocks, *args, **kwargs):
         if len(blocks) == len(target) and all(map(np.array_equal, blocks, target)):
             solves.append(kwargs.get("tol", args[0] if args else None))
-        return real_null(blocks, *args, **kwargs)
+        return real_block_null(blocks, *args, **kwargs)
 
-    monkeypatch.setattr(haar, "block_nullspace", counting_null)
+    def watched_null(a, *args, **kwargs):
+        dense.append(holds_relations(a))
+        return real_null(a, *args, **kwargs)
+
+    def watched_affine(constraints, *args, **kwargs):
+        constraints = list(constraints)
+        stacked = np.vstack([np.reshape(a, (-1, np.shape(a)[-1])) for a, _ in constraints])
+        dense.append(holds_relations(stacked))
+        return real_affine(constraints, *args, **kwargs)
+
+    monkeypatch.setattr(haar, "block_nullspace", counting_block_null)
+    monkeypatch.setattr(haar, "nullspace", watched_null)
+    monkeypatch.setattr(haar, "solve_affine_space", watched_affine)
     haar_projection(w)
     _, rep = check_haar_projection(w)
     check_haar_projection(w)
@@ -118,6 +143,7 @@ def test_target_ideal_is_solved_once(monkeypatch):
     haar_projection(w, loose)
     check_haar_projection(w, loose)
     assert solves == [Tolerance(), loose]
+    assert dense and not any(dense)
 
 
 @pytest.mark.parametrize("name", ["cube2", "elem_12", "twist_12", "dualelem_12"])

@@ -144,9 +144,9 @@ def test_zero_rows_change_the_cutoff_but_not_the_factorization(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     null = nullspace(padded)
     space = solve_affine_space([(padded, padded_b)])
-    # no factorization saw a zero row: the R factor of the 4 nonzero rows,
-    # and the 4 nonzero rows of [A | b]
-    assert shapes == [(3, 3), (4, 3)]
+    # no factorization saw a zero row: the R factor of the 4 nonzero rows
+    # (a stack of one), and the 4 nonzero rows of [A | b]
+    assert shapes == [(1, 3, 3), (4, 3)]
     # the padded results are those of the dense references at the padded shape
     assert null.shape == (3, 2) and subspace_distance(null, null_ref) < 1e-12
     assert subspace_distance(space.null, null_ref) < 1e-12
@@ -326,7 +326,7 @@ def test_nullspace_decomposes_the_r_factor_of_a_tall_system(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     a = rand_c(500, 3) @ rand_c(3, 5)
     assert nullspace(a).shape == (5, 2)
-    assert shapes == [(5, 5)]
+    assert shapes == [(1, 5, 5)]
 
 
 def test_positive_definite_reads_the_hermitian_part():
@@ -388,16 +388,19 @@ def test_block_decisions_are_those_of_the_block_diagonal_matrix(monkeypatch):
         return real_svd(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    null = block_nullspace(blocks)
-    # one stacked SVD of the R factors of the two 6 x 3 blocks, one of the 4 x 3
-    assert sorted(shapes) == [(1, 3, 3), (2, 3, 3)]
+    # the two 6 x 3 blocks as one stack, the 4 x 3 block as a stack of one
+    stacks = [np.stack(blocks[:2]), blocks[2]]
+    null = block_nullspace(stacks)
+    # one SVD per stack, of the R factors of its blocks
+    assert shapes == [(2, 3, 3), (1, 3, 3)]
     assert [k.shape[1] for k in null] == [1, 2, 1]
     assert subspace_distance(_block_diag(null), nullspace(whole)) < 1e-12
-    spans = block_range(blocks)
+    spans = block_range(stacks)
     assert [u.shape[1] for u in spans] == [2, 1, 2]
+    assert [u.shape[1] for u in block_range(blocks)] == [2, 1, 2]
     assert subspace_distance(_block_diag(spans), orthonormal_columns(whole)) < 1e-12
     # at an explicit shape, the cutoff of that shape: 1.5e6 * 1e-9 * 1e3 = 1.5
-    assert [k.shape[1] for k in block_nullspace(blocks, shape=(1_500_000, 9))] == [2, 3, 2]
+    assert [k.shape[1] for k in block_nullspace(stacks, shape=(1_500_000, 9))] == [2, 3, 2]
 
 
 def test_block_positive_definite_is_that_of_the_block_diagonal_matrix():

@@ -214,7 +214,7 @@ def fusion_ring(w: WeakKac, tol=None):
     table = np.round(np.real(n_float)).astype(int)
     drift = max_abs(n_float - table)
     rep.add("multiplicities_integral", drift, scale=1000)
-    if drift > 1e-6 or np.any(table < 0):
+    if not rep["multiplicities_integral"].passed or np.any(table < 0):
         raise NonIntegralMultiplicity(
             f"fusion multiplicities are not nonnegative integers (drift {drift:.2e})"
         )

@@ -9,7 +9,11 @@ matrix-unit basis.
 Each structure is solved once per algebra and tolerance: the target
 ideal that the Haar projection equations are solved in, and the null
 space of the Haar trace conditions that the normalized trace, its check
-and the trace cone all read.
+and the trace cone all read.  A trace on M = (+) M_{n_i} is sum c_i Tr_i,
+so the trace conditions are solved in the nblocks coordinates of the
+block traces.  The extreme rays of the trace cone are the normalized
+Haar trace cut to each hyper-central class of blocks, along which w
+splits as a direct sum.
 
 The ideals, their comparisons with M p, p M and p M p, and the
 definiteness tests factor block-diagonal operators: on matrix units left
@@ -33,6 +37,7 @@ from .algebra import (
     regular_trace,
 )
 from .errors import NonUnique, NoSolution, NotFaithful, NotTracial
+from .fusion import block_characters
 from .report import VerificationReport
 from .tensorkit import (
     AffineSpace,
@@ -51,8 +56,8 @@ from .tensorkit import (
     solve_affine_space,
     subspace_distance,
 )
-from .weakkac import WeakKac, _basis_products, _cartan_spans, _contract, _join
-from .weakkac import _nonzero_rows, _pair, _residual, _row_starts
+from .weakkac import WeakKac, _basis_products, _cartan_spans, _contract, _hyper_central_classes
+from .weakkac import _join, _nonzero_rows, _pair, _residual, _row_starts
 
 __all__ = [
     "haar_projection",
@@ -274,38 +279,30 @@ def _haar_projection_coproduct(w: WeakKac, p: np.ndarray):
     return c, max_abs(c - formula), max_abs(c - c.T)
 
 
-def _tracial_rows(alg) -> np.ndarray:
-    """The nonzero rows (a, b) -> b_a b_b - b_b b_a acting on a functional,
-    in row order, scattered over the product triples with a != b (the
-    commutator of a basis element with itself is the only one that
-    vanishes)."""
-    p, q, m = (index[alg.products[0] != alg.products[1]] for index in alg.products)
-    keys = np.concatenate([p * alg.dim + q, q * alg.dim + p])
-    signs = np.repeat([1.0, -1.0], m.size)
-    return _nonzero_rows(keys, np.concatenate([m, m]), signs, alg.dim)
-
-
 def _haar_trace_rows(w: WeakKac, phis: np.ndarray) -> np.ndarray:
-    """The homogeneous Haar trace conditions on the functionals in the
-    columns of phis; on the identity, their matrix, of 2 d^2 + d rows:
-    (id (x) phi) Delta = (eps_t (x) phi) Delta, phi tracial, phi o S = phi.
+    """The homogeneous Haar trace conditions on the traces in the columns
+    of phis: (id (x) phi) Delta = (eps_t (x) phi) Delta and phi o S = phi.
     The first, rows (a, x) of (1 - eps_t) on leg 1 of Delta(b_a), are a
     join over the coproduct's nonzeros that leaves out the zero rows."""
     dim = w.dim
     a, x, k, v = _contract(w.coproduct, np.eye(dim) - w.eps_t_matrix, 1)
     invariance = _nonzero_rows(a * dim + x, k, v, dim)
-    sinv = w.antipode.T - np.eye(dim)
-    return np.vstack([invariance @ phis, _tracial_rows(w.algebra) @ phis, sinv @ phis])
+    return np.vstack([invariance @ phis, (w.antipode.T - np.eye(dim)) @ phis])
 
 
 def _haar_trace_space(w: WeakKac, tol: Tolerance) -> np.ndarray:
-    """Orthonormal basis of the unnormalized Haar traces, the null space of
-    the trace conditions, solved once per algebra and tolerance."""
+    """Orthonormal basis of the unnormalized Haar traces, solved once per
+    algebra and tolerance: the trace conditions on the orthonormal block
+    traces Tr_i / sqrt(n_i), ranked at the cutoff of the (2 d^2 + d) x d
+    system that also imposed traciality on every functional."""
     d = w.dim
-    return w.memo(
-        ("haar_trace_space", tol),
-        lambda: nullspace(_haar_trace_rows(w, np.eye(d)), tol, shape=(2 * d * d + d, d)),
-    )
+
+    def solve():
+        chi = block_characters(w.algebra)
+        traces = chi / np.sqrt(chi.sum(axis=0))
+        return traces @ nullspace(_haar_trace_rows(w, traces), tol, shape=(2 * d * d + d, d))
+
+    return w.memo(("haar_trace_space", tol), solve)
 
 
 def _normalized_haar_trace_space(w: WeakKac, tol: Tolerance) -> AffineSpace:
@@ -324,7 +321,9 @@ def _normalized_haar_trace_space(w: WeakKac, tol: Tolerance) -> AffineSpace:
 
 
 def normalized_haar_trace(w: WeakKac, tol=None) -> Functional:
-    """Unique tracial S-invariant functional with (id (x) phi)(e) = 1."""
+    """Unique tracial S-invariant functional with (id (x) phi)(e) = 1, a
+    combination of the block traces, so exactly constant on the diagonal
+    of each block and 0 off it."""
     space = _normalized_haar_trace_space(w, as_tol(tol))
     if not space.unique:
         raise NonUnique(
@@ -354,8 +353,6 @@ def check_normalized_haar_trace(w: WeakKac, tol=None):
         else f"null space dimension {space.null.shape[1]}",
     )
 
-    pairing = phi.pairing()
-    rep.add("tracial", max_abs(pairing - pairing.T))
     rep.add("antipode_invariant", max_abs(w.antipode.T @ phi.vec - phi.vec))
     rep.add("normalized", max_abs(w.e_matrix @ phi.vec - alg.unit))
     t_phi = w.pair_leg(phi.vec, 1)  # row a: (id (x) phi) Delta(b_a)
@@ -376,15 +373,14 @@ def check_normalized_haar_trace(w: WeakKac, tol=None):
 def haar_trace_cone(w: WeakKac, tol=None):
     """Extreme rays of the cone of (unnormalized) Haar traces.
 
-    The Haar projection of the dual decomposes into minimal projections
-    with mutually orthogonal central supports; carried back through the
-    pairing these components generate all Haar traces with nonnegative
-    coefficients.  Cocommutativity can couple several components into a
-    single degree of freedom, so the rays are sums of components over the
-    coupled classes, found by solving the trace conditions in the
-    coefficients.  Returns (rays, report) where rays is a list of
-    Functionals summing to the normalized Haar trace; both are computed
-    once per algebra and tolerance and shared by every caller.
+    w is the direct sum of its restrictions to the hyper-central classes
+    of blocks, and each summand has a Haar trace unique up to scale, so the
+    rays are the normalized Haar trace phi cut to each class, phi 1_C;
+    they sum to phi with coefficients exactly one.  The report compares
+    them with the null space of the trace conditions: their number with
+    its dimension, the conditions on the rays, their span, and their
+    positivity.  Returns (rays, report), computed once per algebra and
+    tolerance and shared by every caller.
     """
     tol = as_tol(tol)
     return w.memo(("haar_trace_cone", tol), lambda: _haar_trace_cone(w, tol))
@@ -393,78 +389,24 @@ def haar_trace_cone(w: WeakKac, tol=None):
 def _haar_trace_cone(w: WeakKac, tol: Tolerance):
     alg = w.algebra
     rep = VerificationReport("Haar trace cone", tol)
-
-    from .duality import dual  # deferred: duality builds on this module
-
-    dw = dual(w, tol)
-    p_hat = haar_projection(dw, tol)
-    funcs = []
-    for i in range(dw.algebra.nblocks):
-        r = dw.algebra.mul(dw.algebra.block_identity(i), p_hat.coeffs)
-        if max_abs(r) > tol.abs_tol:
-            funcs.append(Functional(alg, dw.meta["from_canonical"] @ r))
+    phi = normalized_haar_trace(w, tol)
+    classes = _hyper_central_classes(w, tol)
+    rays = [
+        Functional(alg, np.where(classes[alg.basis_block] == c, phi.vec, 0.0))
+        for c in range(classes.max() + 1)
+    ]
     solution = _haar_trace_space(w, tol)
-    rays = []
-    if funcs:
-        gens = np.stack([f.vec for f in funcs], axis=1)
-        m = gens.shape[1]
-        lam_space = nullspace(_haar_trace_rows(w, gens), tol, shape=(2 * alg.dim ** 2 + alg.dim, m))
-        proj = lam_space @ dagger(lam_space)
-        cut = tol.rank_cutoff(proj.shape, max(1.0, max_abs(proj)))
-        # coupled classes = connected components of the coefficient projector,
-        # by squaring its reachability matrix; a class is listed at its least member
-        reach = (np.abs(proj) > cut) | np.eye(m, dtype=bool)
-        for _ in range(m.bit_length()):
-            reach = (reach.astype(int) @ reach) > 0
-        classes = [np.flatnonzero(row).tolist() for i, row in enumerate(reach) if row.argmax() == i]
-        coeffs = []
-        for members in classes:
-            ind = np.zeros(m, dtype=complex)
-            ind[members] = 1.0
-            lam = proj @ ind
-            lam /= lam[members[0]]
-            coeffs.append(lam)
-            rays.append(Functional(alg, gens @ lam))
-        off_support = max(
-            max_abs(np.delete(lam, members))
-            for lam, members in zip(coeffs, classes)
-        )
-        rep.add("classes_have_disjoint_support", off_support)
-        rep.add(
-            "class_coefficients_real_positive",
-            max(
-                max(max_abs(np.imag(lam)), max(0.0, -float(np.min(np.real(lam[members])))))
-                for lam, members in zip(coeffs, classes)
-            ),
-        )
-
     rep.add_flag(
         "ray_count_matches_solution_space",
         len(rays) == solution.shape[1],
-        f"{len(funcs)} generators in {len(rays)} classes,"
-        f" solution space dimension {solution.shape[1]}",
+        f"{len(rays)} hyper-central classes, solution space dimension {solution.shape[1]}",
     )
-    if rays:
-        stack = np.stack([r.vec for r in rays], axis=1)
-        rep.add("rays_satisfy_trace_conditions", max_abs(_haar_trace_rows(w, stack)), scale=10)
-        rep.add("rays_span_solution_space", subspace_distance(stack, solution, tol))
-        for k, r in enumerate(rays):
-            _, min_eig = r.positive_definite(tol)
-            rep.add(f"ray_{k}_positive", max(0.0, -min_eig), scale=10)
-
-        phi = normalized_haar_trace(w, tol)
-        try:
-            coords = solve_affine_space([(stack, phi.vec)], tol)
-        except Inconsistent as exc:
-            coords = exc.space  # the least-squares point, whose residual fails
-        lam = coords.particular
-        rep.add("normalized_trace_in_cone_span", coords.residual)
-        rep.add("cone_coefficients_real", max_abs(np.imag(lam)))
-        rep.add_flag(
-            "cone_coefficients_positive",
-            bool(np.all(np.real(lam) > tol.abs_tol)),
-            f"coefficients {np.round(np.real(lam), 6)}",
-        )
+    stack = np.stack([r.vec for r in rays], axis=1)
+    rep.add("rays_satisfy_trace_conditions", max_abs(_haar_trace_rows(w, stack)), scale=10)
+    rep.add("rays_span_solution_space", subspace_distance(stack, solution, tol))
+    for k, r in enumerate(rays):
+        _, min_eig = r.positive_definite(tol)
+        rep.add(f"ray_{k}_positive", max(0.0, -min_eig), scale=10)
     return rays, rep
 
 

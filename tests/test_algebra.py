@@ -27,7 +27,7 @@ from wka import (
 from wka.algebra import _groupoid_matrix_units, _mul, monomial_rows, regular_trace_of
 from wka.constructors import cyclic_groupoid, disjoint_union, pair_groupoid
 from wka.errors import NotSemisimple, NotStarClosed, WkaError
-from wka.haar import _ideal_blocks, _sandwiches, _tracial_rows, haar_conditional_expectations
+from wka.haar import _ideal_blocks, _sandwiches, haar_conditional_expectations
 from wka.tensorkit import Tolerance, dagger, max_abs, subspace_distance
 from wka.weakkac import _basis_products, _cartan_spans
 
@@ -79,9 +79,6 @@ def test_product_scatters_match_dense_structure_constants(shape):
     for (leg, left), dense in stacks.items():
         assert np.array_equal(densify(_basis_products(alg, c, leg, left), alg.dim), dense), (leg, left)
         assert np.array_equal(basis_products(alg, c, leg, left), dense), (leg, left)
-    # the compact tracial rows are the nonzero rows of the dense stack, in order
-    commutators = (mult - mult.transpose(1, 0, 2)).reshape(alg.dim * alg.dim, alg.dim)
-    assert np.array_equal(_tracial_rows(alg), commutators[np.any(commutators != 0, axis=1)])
     # the join C (1 (x) b_a) C against the product of concrete N^2 x N^2
     # matrices; integer coefficients make every sum exact in any order
     c = rng.integers(-3, 4, (alg.dim, alg.dim)) + 1j * rng.integers(-3, 4, (alg.dim, alg.dim))

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from wka import WeakKac, algebra, cli, cube_family, duality, storage
+from wka import WeakKac, algebra, cli, cube_family, duality, storage, weakkac
 from wka.cli import main
 from wka.storage import load_wka, save_wka
 
@@ -43,6 +43,22 @@ def test_full_pipeline(tmp_path, constructor, params):
     assert run("derive", "--what", "all", path) == 0
     assert run("dual", path, "-o", dual_path) == 0
     assert run("verify", dual_path) == 0
+
+
+def test_hyper_center_is_solved_once_across_derive(tmp_path, monkeypatch):
+    # the hypercenter step and the trace cone's classes read one solve, on
+    # an algebra that splits into two summands
+    path = str(tmp_path / "disc.wka")
+    assert run("build", "group-algebra", "disc", "-o", path) == 0
+    real, solves = weakkac.intersect_subspaces, []
+
+    def counting(*args, **kwargs):
+        solves.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(weakkac, "intersect_subspaces", counting)
+    assert run("derive", "--what", "all", path) == 0
+    assert len(solves) == 1
 
 
 def test_build_writes_loadable_file(cube2_file):

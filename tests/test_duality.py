@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from wka import (
+    Tolerance,
     biduality_isomorphism,
+    catalog,
     check_pairing,
     counit_from_haar,
     cube_family,
@@ -30,7 +32,7 @@ from wka.haar import (
 )
 from wka.weakkac import cartan_subalgebras
 
-from conftest import get_example
+from conftest import get_example, inner_automorphism, moved_along
 
 EXAMPLES = ["group_z3", "fun_k2", "elem_12", "cube2", "crossed2", "twist_11"]
 
@@ -137,19 +139,19 @@ def test_haar_structures_realize_the_dual_once(monkeypatch):
 
 
 def test_haar_trace_cone_is_solved_once(monkeypatch):
-    # the matrix of the trace conditions is formed and solved once, and the
-    # normalized trace, its check and the cone all read that one null space
+    # the trace conditions on the block traces are formed and solved once,
+    # and the normalized trace, its check and the cone all read that one
+    # null space
     w = cube_family(2)
     real_rows, real_null, rows, solves = haar._haar_trace_rows, haar.nullspace, [], []
 
-    def counting_rows(w, *args):
-        out = real_rows(w, *args)
-        if out.shape[1] == w.dim:  # the whole matrix, not a few functionals
-            rows.append(out)
+    def counting_rows(w, phis):
+        out = real_rows(w, phis)
+        rows.append(out)
         return out
 
     def counting_null(a, *args, **kwargs):
-        solves.extend(1 for r in rows if a is r)
+        solves.extend(a.shape for r in rows if a is r)
         return real_null(a, *args, **kwargs)
 
     monkeypatch.setattr(haar, "_haar_trace_rows", counting_rows)
@@ -158,8 +160,35 @@ def test_haar_trace_cone_is_solved_once(monkeypatch):
     check_normalized_haar_trace(w)
     rays, rep = haar_trace_cone(w)
     haar_conditional_expectations(w)
-    assert (len(rows), len(solves)) == (1, 1)
+    assert solves == [(rows[0].shape[0], w.algebra.nblocks)]
     assert haar_trace_cone(w)[1] is rep
+
+
+def test_rays_are_sums_of_the_dual_haar_projection_components():
+    # the duality behind the cone, as an oracle: each dual-block component
+    # of the dual Haar projection, carried back through the pairing, lies
+    # on the blocks of one hyper-central class, and the components of a
+    # class sum to its ray (coefficients 1).  A component alone need not be
+    # a Haar trace: cocommutativity couples several into one ray, as on
+    # elementary[1,2].
+    rng = np.random.default_rng(0x1AA)
+    checked = 0
+    for entry in catalog():
+        w = entry.build()
+        moved = [moved_along(w, inner_automorphism(w.algebra, rng))] if w.dim <= 27 else []
+        for v in [w, *moved]:
+            rays, _ = haar_trace_cone(v)
+            classes = weakkac._hyper_central_classes(v, Tolerance())[v.algebra.basis_block]
+            dv = dual(v)
+            p_hat = haar_projection(dv).coeffs
+            sums = np.zeros((v.dim, len(rays)), dtype=complex)
+            for i in range(dv.algebra.nblocks):
+                part = dv.meta["from_canonical"] @ dv.algebra.mul(dv.algebra.block_identity(i), p_hat)
+                (c,) = set(classes[np.abs(part) > 1e-9]) or {0}
+                sums[:, c] += part
+            assert np.abs(sums - np.stack([r.vec for r in rays], axis=1)).max() <= 1e-9, entry.name
+            checked += 1
+    assert checked == 107
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from wka import catalog, direct_sum
+from wka import Tolerance, WeakKac, catalog, direct_sum
+from wka.errors import NonIntegralMultiplicity
 from wka.fusion import (
     _associative,
     block_characters,
@@ -169,3 +170,24 @@ def test_dual_fusion_consistency(name):
     rep = dual_fusion_consistency(get_example(name))
     assert rep.passed, rep.as_text()
     assert rep.max_residual <= 1e-8
+
+
+def _scaled_coproduct(w, factor):
+    t = w.coproduct
+    return WeakKac(w.algebra, t._replace(v=factor * t.v), w.antipode, w.counit)
+
+
+def test_non_integral_multiplicities_raise():
+    # Delta scaled by 3/2: the multiplicities of Z3 become 3/2
+    with pytest.raises(NonIntegralMultiplicity, match="drift 5.00e-01"):
+        fusion_ring(_scaled_coproduct(get_example("group_z3"), 1.5))
+
+
+def test_multiplicity_raise_follows_the_tolerance():
+    # a drift of 1e-8 lies inside the limit 1000 abs_tol of the default
+    # tolerance, and outside it at abs_tol = 1e-12
+    w = _scaled_coproduct(get_example("group_z3"), 1 + 1e-8)
+    _, rep = fusion_ring(w)
+    assert rep["multiplicities_integral"].passed
+    with pytest.raises(NonIntegralMultiplicity, match="drift 1.00e-08"):
+        fusion_ring(w, Tolerance(abs_tol=1e-12))

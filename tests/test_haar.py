@@ -169,13 +169,12 @@ def test_ideal_checks_fail_under_a_perturbed_counital_map(name, side):
 
 def test_faithful_positive_fails_on_a_rank_deficient_trace(monkeypatch):
     # a tracial functional that vanishes on block 1: its Gram blocks are
-    # singular there, so the definiteness flag fails while `tracial` holds
+    # singular there, so the definiteness flag fails
     w = get_example("cube2")
     tau = block_trace(w.algebra, [1.0, 0.0])
     space = haar.AffineSpace(tau.vec, np.zeros((w.dim, 0)), 0.0)
     monkeypatch.setattr(haar, "_normalized_haar_trace_space", lambda w, tol: space)
     _, rep = check_normalized_haar_trace(w)
-    assert rep["tracial"].passed
     assert not rep["faithful_positive"].passed
 
 
@@ -303,13 +302,16 @@ def test_normalized_trace_is_sum_of_rays():
 
 
 def test_normalized_trace_off_the_ray_span_fails_the_cone(monkeypatch):
+    # a skewed block trace in place of phi: its ray, cut to the one
+    # hyper-central class, is no Haar trace
     w = cube_family(2)  # a fresh algebra: the cone is memoized per algebra
     skew = block_trace(w.algebra, [0.5, -0.5]).vec
     off = Functional(w.algebra, normalized_haar_trace(w).vec + skew)
     monkeypatch.setattr(haar, "normalized_haar_trace", lambda w, tol=None: off)
     _, rep = haar_trace_cone(w)
-    assert not rep["normalized_trace_in_cone_span"].passed
-    assert rep["normalized_trace_in_cone_span"].residual > 0.1
+    assert not rep["rays_satisfy_trace_conditions"].passed
+    assert rep["rays_satisfy_trace_conditions"].residual > 0.1
+    assert rep["ray_count_matches_solution_space"].passed
 
 
 def test_rays_are_antipode_invariant_traces():

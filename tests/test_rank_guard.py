@@ -21,11 +21,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "wka"
 # attribute names whose calls decide a rank or solve a system
 GUARDED = {"rank_cutoff", "svd", "qr", "lstsq", "eigh", "eigvalsh", "matrix_rank", "pinv"}
 
-ALLOWED = {
-    ("haar.py", "_haar_trace_cone", "rank_cutoff"):
-        "entrywise threshold on the coefficient projector that couples"
-        " generators into classes; the projector's rank came from nullspace",
-}
+ALLOWED = {}
 
 # attribute names whose calls draw random numbers
 DRAWS = {"default_rng", "standard_normal", "random"}

@@ -114,24 +114,27 @@ def counital_representation(w: WeakKac, tol=None):
             f" (hermiticity {herm:.2e}, min eigenvalue {min_eig:.2e})"
         )
 
-    # images[a] = eps_t L_a b: L_a b is row q of b at row m for each
-    # product b_a b_q = b_m, scattered over the triples
+    # pis[a] = b^H eps_t L_a b from images[c, (a, s)] = eps_t(b_a y_s), the
+    # products of the basis with the y_s mapped by eps_t, for one range of
+    # a at a time holding ~2^18 entries
+    step = max(1, 2 ** 18 // max(1, alg.dim * k))
+    pis, landed, eye = np.empty((alg.dim, k, k), dtype=complex), 0.0, np.eye(alg.dim)
+    for lo in range(0, alg.dim, step):
+        images = w.eps_t_matrix @ alg.product_stack(eye[:, lo : lo + step], b).reshape(alg.dim, -1)
+        coords = dagger(b) @ images
+        images -= b @ coords
+        landed = max(landed, max_abs(images))
+        pis[lo : lo + step] = coords.reshape(k, -1, k).transpose(1, 0, 2)
+    rep.add("action_lands_in_cartan", landed, scale=10)
     p, q, m = alg.products
-    lb = np.zeros((alg.dim, alg.dim, k), dtype=complex)
-    lb[p, m] = b[q]
-    images = w.eps_t_matrix @ lb  # [a, coeff, s]
-    pis = np.einsum("cr,acs->ars", np.conj(b), images, optimize=True)
-    rep.add(
-        "action_lands_in_cartan",
-        max_abs(np.einsum("cr,ars->acs", b, pis, optimize=True) - images),
-        scale=10,
-    )
     rep.add("unital", max_abs(np.tensordot(alg.unit, pis, (0, 0)) - np.eye(k)))
-    # pi(b_a b_b) = pi(b_a) pi(b_b) on all basis pairs, in row blocks of ~2^18 entries
+    # pi(b_a b_b) = pi(b_a) pi(b_b) on all basis pairs, in row blocks of ~2^18
+    # entries, each one product of the rows (a, r) with the columns (b, t)
     step = max(1, 2 ** 18 // max(1, alg.dim * k * k))
+    columns = pis.transpose(1, 0, 2).reshape(k, -1)
     worst = 0.0
     for lo in range(0, alg.dim, step):
-        defect = pis[lo : lo + step, None] @ pis[None]
+        defect = (pis[lo : lo + step].reshape(-1, k) @ columns).reshape(-1, k, alg.dim, k).transpose(0, 2, 1, 3)
         rows = (p >= lo) & (p < lo + step)
         defect[p[rows] - lo, q[rows]] -= pis[m[rows]]
         worst = max(worst, max_abs(defect))
@@ -298,7 +301,7 @@ def dual_fusion_consistency(w: WeakKac, tol=None) -> VerificationReport:
     carried = dw.meta["to_canonical"].T @ chi_hat  # columns: elements of M
     nb = dw.algebra.nblocks
     alg = w.algebra
-    prods = (alg.lmat(carried.T) @ carried).transpose(0, 2, 1)  # [i, j, coeff]
+    prods = alg.product_stack(carried, carried).transpose(1, 2, 0)  # [i, j, coeff]
     # carried = T^T chi_hat with T = to_canonical and T^-1 = from_canonical:
     # the products are decomposed in the dual's canonical coordinates
     to_dual = dw.meta["from_canonical"].T

@@ -19,10 +19,11 @@ The ideals, their comparisons with M p, p M and p M p, and the
 definiteness tests factor block-diagonal operators: on matrix units left
 multiplication is (+) X_i (x) 1 and right multiplication (+) 1 (x) X_i^T.
 They are decided on the n_i x n_i blocks, at the cutoff of the whole
-operator.  No check draws a random input: the flip identity is trilinear
-and is evaluated on every basis triple, as a join over the coproduct's
-nonzeros whose cost follows nnz(Delta) times the square of the block
-size, not dim^3.
+operator, and so is the injectivity of y -> e(1 (x) y) and e(y (x) 1).
+No check draws a random input: the flip identity is trilinear and is
+evaluated on every basis triple, as a join over the coproduct's nonzeros
+whose cost follows nnz(Delta) times the square of the block size, not
+dim^3.
 """
 
 from __future__ import annotations
@@ -43,6 +44,10 @@ from .tensorkit import (
     AffineSpace,
     Inconsistent,
     Tolerance,
+    _contract,
+    _join,
+    _residual,
+    _row_starts,
     as_tol,
     block_nullspace,
     block_range,
@@ -52,12 +57,11 @@ from .tensorkit import (
     nullspace,
     numerical_rank,
     orthonormal_columns,
-    singular_values,
     solve_affine_space,
     subspace_distance,
 )
-from .weakkac import WeakKac, _basis_products, _cartan_spans, _contract, _hyper_central_classes
-from .weakkac import _join, _nonzero_rows, _pair, _residual, _row_starts
+from .weakkac import WeakKac, _basis_products, _cartan_spans, _hyper_central_classes
+from .weakkac import _pair, _rows_times
 
 __all__ = [
     "haar_projection",
@@ -191,18 +195,22 @@ def check_haar_projection(w: WeakKac, tol=None):
     rep.add("self_adjoint", max_abs(alg.star(p.coeffs) - p.coeffs))
     rep.add("antipode_fixed", max_abs(w.antipode @ p.coeffs - p.coeffs))
 
+    # R_p = R_p eps_t and L_p = L_p eps_s: x p = eps_t(x) p and
+    # p x = p eps_s(x) over the basis x, as joins over the product triples
     et, es = w.eps_t_matrix, w.eps_s_matrix
-    rmp, lmp = alg.rmat(p.coeffs), alg.lmat(p.coeffs)
-    rep.add("right_absorption", max_abs(rmp - rmp @ et))
-    rep.add("left_absorption", max_abs(lmp - lmp @ es))
+    eye, pc = np.eye(dim), p.coeffs[:, None]
+    rep.add("right_absorption", _residual(alg.product_terms(eye, pc), alg.product_terms(et, pc), dim))
+    rep.add("left_absorption", _residual(alg.product_terms(pc, eye), alg.product_terms(pc, es), dim))
     rep.add("eps_t_normalized", max_abs(et @ p.coeffs - alg.unit))
 
     if w.counit is not None:
         q = counit_support_projection(w, tol)
         rep.add("support_oracle_agrees", max_abs(p.coeffs - q.coeffs))
+        # eps(x p) = eps(x) = eps(p x) over the basis x, summed over the
+        # terms of p in turn: row q of eps_mult^T is x -> eps(x b_q)
         eps = w.counit
-        rep.add("counit_right_invariant", max_abs(eps @ rmp - eps))
-        rep.add("counit_left_invariant", max_abs(eps @ lmp - eps))
+        rep.add("counit_right_invariant", max_abs(p.coeffs @ np.ascontiguousarray(w.eps_mult.T) - eps))
+        rep.add("counit_left_invariant", max_abs(p.coeffs @ w.eps_mult - eps))
 
     # p = (+) P_i, so on matrix units L_p = (+) P_i (x) 1, R_p = (+) 1 (x) P_i^T
     # and L_p R_p = (+) P_i (x) P_i^T: their ranges are ranked from these
@@ -283,11 +291,12 @@ def _haar_trace_rows(w: WeakKac, phis: np.ndarray) -> np.ndarray:
     """The homogeneous Haar trace conditions on the traces in the columns
     of phis: (id (x) phi) Delta = (eps_t (x) phi) Delta and phi o S = phi.
     The first, rows (a, x) of (1 - eps_t) on leg 1 of Delta(b_a), are a
-    join over the coproduct's nonzeros that leaves out the zero rows."""
+    join over the coproduct's nonzeros that leaves out the zero rows, each
+    term meeting the row of phis at its second leg."""
     dim = w.dim
     a, x, k, v = _contract(w.coproduct, np.eye(dim) - w.eps_t_matrix, 1)
-    invariance = _nonzero_rows(a * dim + x, k, v, dim)
-    return np.vstack([invariance @ phis, (w.antipode.T - np.eye(dim)) @ phis])
+    invariance = _rows_times(a * dim + x, k, v, phis)
+    return np.vstack([invariance, (w.antipode.T - np.eye(dim)) @ phis])
 
 
 def _haar_trace_space(w: WeakKac, tol: Tolerance) -> np.ndarray:
@@ -477,19 +486,22 @@ def haar_conditional_expectations(w: WeakKac, phi: Functional | None = None, tol
     )
     rep.add("relative_preserves_cone_traces", worst_cone, scale=10)
 
-    # injectivity of y -> e(1 (x) y) and y -> e(y (x) 1): the rank of the
-    # d^2 x d matrix with rows (x, y), from its nonzero rows
-    e_x_one = _basis_products(alg, e, leg=0, left=False)
-    for name, (a, x, y, v) in (("right_leg_injective", e_one_x), ("left_leg_injective", e_x_one)):
-        _, rank = singular_values(_nonzero_rows(x * dim + y, a, v, dim), tol, shape=(dim * dim, dim))
+    # injectivity of y -> e(1 (x) y) and y -> e(y (x) 1), the d^2 x d stacks
+    # over x of L_u for u the rows (or columns) of e: ranked block by block
+    # at the full shape, as sum_i n_i rank(A_i) (see _ideal_blocks)
+    sizes = np.asarray(alg.block_shape)[alg.block_order]
+    for name, rows in (("right_leg_injective", e), ("left_leg_injective", e.T)):
+        kernels = block_nullspace(_ideal_blocks(alg, rows, left=True), tol, shape=(dim * dim, dim))
+        rank = dim - int(sizes @ [k.shape[1] for k in kernels])
         rep.add_flag(name, rank == dim, f"rank {rank} of {dim}")
     return e_t, e_s, eo_t, rep
 
 
-# Block entries, both sides together, that one chunk of the flip identity
-# join forms at once: 32 MB of complex values.  Cube-family 5 and smaller
-# run as one chunk.
+# Products, both sides together, that one chunk of the flip identity forms
+# at once (32 MB of complex values), and the share of the k^2 entries of
+# the blocks of its terms up to which the terms are expanded over v.
 _FLIP_CHUNK = 1 << 21
+_FLIP_EXPAND = 0.5
 
 
 def _flip_identity_residual(w: WeakKac, v: np.ndarray) -> float:
@@ -502,10 +514,13 @@ def _flip_identity_residual(w: WeakKac, v: np.ndarray) -> float:
     row(z) = col(n) and adds t[x,m,n] v[:, b_m b_y] (x) v[:, b_n b_z]; on
     the right each t[z,m,n] meets the nonzeros S[c,y] with col(c) = row(m)
     and the units x with col(x) = row(n) and adds t[z,m,n] S[c,y]
-    v[:, b_x b_n] (x) v[:, b_c b_m].  The k x k blocks are summed per key.
-
-    Both keys lead with x, so the blocks are formed and compared for one
-    range of x at a time, each range holding about _FLIP_CHUNK entries.
+    v[:, b_x b_n] (x) v[:, b_c b_m].  A term c v[:, a] (x) v[:, b] is
+    expanded over the nonzeros of rows a and b of v^T, one product per
+    pair keyed by (x, y, z, alpha, beta), when over all terms these
+    products number at most _FLIP_EXPAND of their k^2 block entries;
+    otherwise, as on a dense v, each term forms its k x k block.  Both
+    keys lead with x, so the products are formed and compared for one
+    range of x at a time, each range holding about _FLIP_CHUNK of them.
     """
     alg, d, vt = w.algebra, w.dim, v.T
     rows, cols, units, size = alg.basis_row, alg.basis_col, alg.unit_index, alg.matrix_size
@@ -525,18 +540,32 @@ def _flip_identity_residual(w: WeakKac, v: np.ndarray) -> float:
     a, b = units[rows[x], cols[n[f]]], units[rows[c], cols[m[f]]]
     right = (x, (x * d + y) * d + i[f], t[f] * w.antipode[c, y], a, b)
 
-    def blocks(side, lo, hi):  # keys and k x k blocks of the terms with lo <= x < hi
-        lead, keys, coeff, a, b = side
-        s = (lo <= lead) & (lead < hi)
-        return keys[s], coeff[s, None, None] * vt[a[s], :, None] * vt[b[s], None, :]
+    k = vt.shape[1]
+    nz_rows, nz_cols = np.nonzero(vt)
+    starts = _row_starts(nz_rows, d)
+    counts = np.diff(starts)
+    sizes = [counts[a] * counts[b] for *_, a, b in (left, right)]
+    expand = sum(s.sum() for s in sizes) <= _FLIP_EXPAND * k * k * (left[0].size + right[0].size)
+    if not expand:
+        sizes = [np.full(side[0].size, k * k) for side in (left, right)]
 
-    # block entries up to each x, cut into ranges of about _FLIP_CHUNK
-    upto = np.cumsum(np.bincount(left[0], minlength=d) + np.bincount(right[0], minlength=d))
-    upto *= vt.shape[1] ** 2
+    def products(side, lo, hi):  # keys and products of the terms with lo <= x < hi
+        s = (lo <= side[0]) & (side[0] < hi)
+        _, keys, coeff, a, b = (part[s] for part in side)
+        if not expand:
+            return keys, coeff[:, None, None] * vt[a, :, None] * vt[b, None, :]
+        f, g = _join(a, starts)
+        h, e = _join(b[f], starts)
+        f, g = f[h], g[h]
+        keys = (keys[f] * k + nz_cols[g]) * k + nz_cols[e]
+        return keys, coeff[f] * vt[a[f], nz_cols[g]] * vt[b[f], nz_cols[e]]
+
+    # products up to each x, cut into ranges of about _FLIP_CHUNK
+    upto = np.cumsum(sum(np.bincount(side[0], size, minlength=d) for side, size in zip((left, right), sizes)))
     cuts = np.searchsorted(upto, np.arange(_FLIP_CHUNK, upto[-1], _FLIP_CHUNK), side="right")
     bounds = sorted({0, *cuts.tolist(), d})
     return max(
-        difference_max_abs(blocks(left, lo, hi), blocks(right, lo, hi))
+        difference_max_abs(products(left, lo, hi), products(right, lo, hi))
         for lo, hi in zip(bounds[:-1], bounds[1:])
     )
 

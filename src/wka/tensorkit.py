@@ -1,5 +1,6 @@
 """Dense complex tensor utilities: tolerances, subspaces, rank factorization,
-affine solves.  All numerics are numpy.
+affine solves, and the joins of sparse 3-tensors (i, j, k, values) that
+the residuals over nonzeros are built from.  All numerics are numpy.
 
 The only module that decides a numerical rank.  Each decision counts the
 singular values (or eigenvalues) above the one Tolerance.rank_cutoff,
@@ -112,6 +113,44 @@ def difference_max_abs(left, right) -> float:
     keys = keys[order]
     first = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
     return max_abs(np.add.reduceat(values[order], first))
+
+
+def _bincount(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """out[i]: the sum from 0 of the complex values at index i, in input
+    order."""
+    return np.bincount(index, values.real, size) + 1j * np.bincount(index, np.imag(values), size)
+
+
+def _row_starts(sorted_keys: np.ndarray, size: int) -> np.ndarray:
+    """starts[r] : starts[r + 1] is the run of key r in sorted_keys."""
+    return np.concatenate([[0], np.cumsum(np.bincount(sorted_keys, minlength=size))])
+
+
+def _join(keys: np.ndarray, starts: np.ndarray):
+    """All pairs (n, m) with m in the run starts[keys[n]] : starts[keys[n] + 1]."""
+    lo = starts[keys]
+    counts = starts[keys + 1] - lo
+    n = np.repeat(np.arange(keys.size), counts)
+    m = np.arange(n.size) - np.repeat(np.cumsum(counts) - counts, counts) + lo[n]
+    return n, m
+
+
+def _contract(coo, mat: np.ndarray, axis: int):
+    """mat applied to one axis of a sparse 3-tensor (i, j, k, values),
+    out[.., x, ..] = sum_a mat[x, a] in[.., a, ..]: one product per pair of
+    a nonzero of the tensor and a nonzero in column a of mat."""
+    a, x = np.nonzero(mat.T.astype(bool))
+    n, r = _join(coo[axis], _row_starts(a, mat.shape[1]))
+    out = [index[n] for index in coo[:3]]
+    out[axis] = x[r]
+    return (*out, coo[3][n] * mat[x, a][r])
+
+
+def _residual(left, right, base: int) -> float:
+    """Max abs difference of two sparse 3-tensors (i, j, k, values) whose
+    indices lie below base, repeated index triples summed."""
+    shape = (base,) * 3
+    return difference_max_abs(*((np.ravel_multi_index(t[:3], shape), t[3]) for t in (left, right)))
 
 
 def _rank(s: np.ndarray, shape, tol: Tolerance) -> int:

@@ -35,6 +35,11 @@ from .errors import CartanMismatch
 from .report import VerificationReport
 from .tensorkit import (
     Tolerance,
+    _bincount,
+    _contract,
+    _join,
+    _residual,
+    _row_starts,
     as_tol,
     dagger,
     difference_max_abs,
@@ -221,8 +226,7 @@ def _coalesce(keys: np.ndarray, values: np.ndarray):
     """Sorted distinct keys, the values of each key summed from 0 in input
     order, and the keys whose sum is exactly 0 left out."""
     keys, inverse = np.unique(keys, return_inverse=True)
-    real, imag = (np.bincount(inverse, part, keys.size) for part in (values.real, np.imag(values)))
-    values = real + 1j * imag
+    values = _bincount(inverse, values, keys.size)
     return keys[values != 0], values[values != 0]
 
 
@@ -368,20 +372,6 @@ def _delta_mult_join(w: WeakKac) -> float:
     return difference_max_abs(left, right)
 
 
-def _row_starts(sorted_keys: np.ndarray, size: int) -> np.ndarray:
-    """starts[r] : starts[r + 1] is the run of key r in sorted_keys."""
-    return np.concatenate([[0], np.cumsum(np.bincount(sorted_keys, minlength=size))])
-
-
-def _join(keys: np.ndarray, starts: np.ndarray):
-    """All pairs (n, m) with m in the run starts[keys[n]] : starts[keys[n] + 1]."""
-    lo = starts[keys]
-    counts = starts[keys + 1] - lo
-    n = np.repeat(np.arange(keys.size), counts)
-    m = np.arange(n.size) - np.repeat(np.cumsum(counts) - counts, counts) + lo[n]
-    return n, m
-
-
 def _nonzero_rows(keys, cols, values, width: int) -> np.ndarray:
     """The matrix of entries (row key, column, value), one row per distinct
     key in key order, the values of repeated entries summed."""
@@ -389,6 +379,15 @@ def _nonzero_rows(keys, cols, values, width: int) -> np.ndarray:
     out = np.zeros((rows.size, width), dtype=complex)
     np.add.at(out, (row, cols), values)
     return out
+
+
+def _rows_times(keys, cols, values, mat: np.ndarray) -> np.ndarray:
+    """The rows of _nonzero_rows times mat, without the d-wide rows: each
+    entry adds its value times row `column` of mat."""
+    rows, row = np.unique(keys, return_inverse=True)
+    k = mat.shape[1]
+    index = (row[:, None] * k + np.arange(k)).ravel()
+    return _bincount(index, (values[:, None] * mat[cols]).ravel(), rows.size * k).reshape(rows.size, k)
 
 
 def _pair(coo, phi, leg: int) -> np.ndarray:
@@ -400,24 +399,6 @@ def _pair(coo, phi, leg: int) -> np.ndarray:
     out = np.zeros((phi.shape[0], phi.shape[0], *phi.shape[1:]), dtype=complex)
     np.add.at(out, (a, kept), v.reshape(-1, *[1] * (phi.ndim - 1)) * phi[paired])
     return out
-
-
-def _residual(left, right, base: int) -> float:
-    """Max abs difference of two sparse 3-tensors (i, j, k, values) whose
-    indices lie below base, repeated index triples summed."""
-    shape = (base,) * 3
-    return difference_max_abs(*((np.ravel_multi_index(t[:3], shape), t[3]) for t in (left, right)))
-
-
-def _contract(coo, mat: np.ndarray, axis: int):
-    """mat applied to one axis of a sparse 3-tensor (i, j, k, values),
-    out[.., x, ..] = sum_a mat[x, a] in[.., a, ..]: one product per pair of
-    a nonzero of the tensor and a nonzero in column a of mat."""
-    a, x = np.nonzero(mat.T)
-    n, r = _join(coo[axis], _row_starts(a, mat.shape[1]))
-    out = [index[n] for index in coo[:3]]
-    out[axis] = x[r]
-    return (*out, coo[3][n] * mat[x, a][r])
 
 
 def _basis_products(alg: FdAlgebra, c: np.ndarray, leg: int, left: bool):
@@ -437,8 +418,7 @@ def _multiplicativity_residual(src: FdAlgebra, dst: FdAlgebra, f, anti: bool = F
     when anti is set: f applied to the products of src, against each
     product b_x b_y = b_z of dst with the nonzeros f[x, i] and f[y, j]."""
     left = _contract((*src.products, np.ones(src.products[0].size)), f, 2)
-    dst_products = (*dst.products, np.ones(dst.products[0].size))
-    i, j, z, v = _contract(_contract(dst_products, f.T, 0), f.T, 1)
+    i, j, z, v = dst.product_terms(f, f)
     return _residual(left, (j, i, z, v) if anti else (i, j, z, v), max(src.dim, dst.dim))
 
 
@@ -656,8 +636,8 @@ def cartan_subalgebras(w: WeakKac, tol=None) -> CartanPair:
         scale=10,
     )
 
-    worst_s, worst_t = (max_abs(_cartan_relations(w, g) @ b.basis) for g, b in ((1, ns), (0, nt)))
-    if max(worst_s, worst_t) > 1e-5:
+    worst_s, worst_t = (max_abs(_rows_times(*_cartan_relations(w, g), b.basis)) for g, b in ((1, ns), (0, nt)))
+    if max(worst_s, worst_t) > 1e4 * tol.abs_tol:
         raise CartanMismatch(
             f"defining relations fail: N_s {worst_s:.2e}, N_t {worst_t:.2e}"
         )
@@ -667,9 +647,9 @@ def cartan_subalgebras(w: WeakKac, tol=None) -> CartanPair:
     rep.add("source_closed", ns.closure_residual(), scale=100)
     rep.add("target_closed", nt.closure_residual(), scale=100)
 
-    # stacks over the basis v of each span: L_v and R_v
-    ls, rs, lt, rt = (op(sub.basis.T) for sub in (ns, nt) for op in (alg.lmat, alg.rmat))
-    rep.add("cartans_commute", max_abs((ls - rs) @ nt.basis), scale=100)
+    # v u against u v over the bases v of N_s and u of N_t
+    i, j, m, v = alg.product_terms(nt.basis, ns.basis)
+    rep.add("cartans_commute", _residual(alg.product_terms(ns.basis, nt.basis), (j, i, m, v), alg.dim), scale=100)
 
     rep.add(
         "antipode_swaps_cartans",
@@ -689,11 +669,14 @@ def cartan_subalgebras(w: WeakKac, tol=None) -> CartanPair:
 
     rep.add("coproduct_of_e", _coproduct_of_e_residual(w), scale=10)
 
-    st = (w.antipode @ nt.basis).T  # S(v) over the basis v of N_t
-    exchange = max(
-        max_abs(alg.rmat(st) @ e - e @ rt.transpose(0, 2, 1)),
-        max_abs(alg.lmat(st) @ e - e @ lt.transpose(0, 2, 1)),
-    )
+    # X_S(v) e against e X_v^T over the basis v of N_t, X = R and L: column c
+    # of R_S(v) e is e_c S(v), row r of e R_v^T is e^r v, e_c and e^r the
+    # columns and rows of e
+    n, sn, d = nt.basis, w.antipode @ nt.basis, alg.dim
+    c, i, r, v = alg.product_terms(e.T, n)
+    exchange = _residual(alg.product_terms(e, sn), (r, i, c, v), d)
+    i, r, c, v = alg.product_terms(n, e.T)
+    exchange = max(exchange, _residual(alg.product_terms(sn, e), (i, c, r, v), d))
     rep.add("e_exchanges_target_factors", exchange, scale=100)
 
     src = _subalgebra_realization(ns, tol)
@@ -752,7 +735,9 @@ def counital_maps(w: WeakKac, tol=None) -> CounitalMaps:
     The bimodule property eps_t(n S(n') x) = n eps_t(x) n' over N_t is
     checked one side at a time, eps_t L_n = L_n eps_t and eps_t L_S(n) =
     R_n eps_t for each basis element n of N_t: N_t holds 1 = S(1), so n' = 1
-    or n = 1 gives these, and composing them gives it back."""
+    or n = 1 gives these, and composing them gives it back.  These and
+    eps_t R_n = eps_t R_S(n) compare products of the basis of N_t with the
+    basis and with the columns of eps_t, joined over the product triples."""
     tol = as_tol(tol)
     alg = w.algebra
     et, es = w.eps_t_matrix, w.eps_s_matrix
@@ -784,13 +769,15 @@ def counital_maps(w: WeakKac, tol=None) -> CounitalMaps:
     rhs = _contract(_basis_products(alg, et, leg=0, left=True), et, 1)
     rep.add("absorbs_right_factor", _residual(lhs, rhs, alg.dim), scale=100)
 
-    # the two halves of the bimodule property, and eps_t R_n = eps_t R_S(n)
-    worst_mod = worst_right = 0.0
-    for n, sn in zip(nt.basis.T, (w.antipode @ nt.basis).T):
-        ln, rn, lsn = alg.lmat(n), alg.rmat(n), alg.lmat(sn)
-        worst_mod = max(worst_mod, max_abs(et @ ln - ln @ et), max_abs(et @ lsn - rn @ et))
-        worst_right = max(worst_right, max_abs(et @ rn - et @ alg.rmat(sn)))
+    # the two halves of the bimodule property, and eps_t R_n = eps_t R_S(n),
+    # on the basis b_c: eps_t(n b_c) = n eps_t(b_c), eps_t(S(n) b_c) =
+    # eps_t(b_c) n and eps_t(b_c n) = eps_t(b_c S(n))
+    n, sn, eye, d = nt.basis, w.antipode @ nt.basis, np.eye(alg.dim), alg.dim
+    l_n, l_sn = (_contract(alg.product_terms(x, eye), et, 2) for x in (n, sn))
+    c, i, m, v = alg.product_terms(et, n)
+    worst_mod = max(_residual(l_n, alg.product_terms(n, et), d), _residual(l_sn, (i, c, m, v), d))
     rep.add("target_bimodule_map", worst_mod, scale=100)
+    worst_right = _residual(*(_contract(alg.product_terms(eye, x), et, 2) for x in (n, sn)), d)
     rep.add("right_antipode_absorption", worst_right, scale=100)
     return CounitalMaps(et, es, rep)
 
@@ -854,7 +841,10 @@ def check_kac_bimodule(algebra: FdAlgebra, coproduct, antipode, tol=None):
     rep.add("eps_t_unital", max_abs(et @ alg.unit - alg.unit), scale=10)
     rep.add("eps_s_unital", max_abs(es @ alg.unit - alg.unit), scale=10)
 
-    nt, ns = (nullspace(_cartan_relations(w, g), tol, shape=(2 * w.dim ** 2, w.dim)) for g in (0, 1))
+    nt, ns = (
+        nullspace(_nonzero_rows(*_cartan_relations(w, g), w.dim), tol, shape=(2 * w.dim ** 2, w.dim))
+        for g in (0, 1)
+    )
     rep.add("eps_t_range_in_cartan", subspace_contains(nt, et, tol), scale=100)
     rep.add("eps_s_range_in_cartan", subspace_contains(ns, es, tol), scale=100)
     rep.add("target_cartan_closed", SubalgebraBasis(alg, nt, tol).closure_residual(), scale=100)
@@ -883,12 +873,12 @@ def check_kac_bimodule(algebra: FdAlgebra, coproduct, antipode, tol=None):
     return rep, func
 
 
-def _cartan_relations(w: WeakKac, leg: int) -> np.ndarray:
+def _cartan_relations(w: WeakKac, leg: int):
     """The defining relations Delta(x) = e (x (x) 1) = (x (x) 1) e of N_t
     (leg 0), or the same on the second leg for N_s (leg 1), whose null
-    space is the subalgebra: one row per relation and basis pair
-    b_m (x) b_n, one column per basis element x, nonzero rows only (of
-    2 d^2 in all)."""
+    space is the subalgebra, as entries (row, column, value) with repeated
+    entries: one row per relation and basis pair b_m (x) b_n (of 2 d^2 in
+    all), one column per basis element x."""
     d = w.dim
     i, j, k, v = w.coproduct
     keys, cols, vals = [], [], []
@@ -897,7 +887,7 @@ def _cartan_relations(w: WeakKac, leg: int) -> np.ndarray:
         keys += [(r * d + j) * d + k, (r * d + m) * d + n]
         cols += [i, x]
         vals += [v, -u]
-    return _nonzero_rows(*(np.concatenate(a) for a in (keys, cols, vals)), d)
+    return tuple(np.concatenate(a) for a in (keys, cols, vals))
 
 
 def _regular_trace_on_span(alg: FdAlgebra, span: np.ndarray) -> np.ndarray:

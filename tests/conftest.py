@@ -23,9 +23,12 @@ from wka import (
 from wka.haar import _ideal_blocks
 from wka.tensorkit import (
     Tolerance,
+    _join,
+    _row_starts,
     block_nullspace,
     block_positive_definite,
     dagger,
+    difference_max_abs,
     intersect_subspaces,
     max_abs,
     nullspace,
@@ -68,6 +71,16 @@ def get_example(name):
 def dense_coproduct(w):
     """The coproduct of w as a dense (d, d, d) array: (id (x) id) Delta."""
     return w.pair_leg(np.eye(w.dim), 1)
+
+
+def rmat(alg, x):
+    """Dense matrix of right multiplication by x on coefficient vectors; for
+    a stack of elements x[..., :] the stack of their matrices."""
+    x = np.asarray(x, dtype=complex)
+    p, q, m = alg.products
+    out = np.zeros((*x.shape[:-1], alg.dim, alg.dim), dtype=complex)
+    out[..., m, p] = x[..., q]
+    return out
 
 
 def mult_tensor(alg):
@@ -121,8 +134,75 @@ def dense_target_bimodule_map(w, nt):
     """Oracle of `target_bimodule_map`: eps_t(n S(n') x) against n eps_t(x) n'
     over the pairs of basis elements n, n' of N_t, as one k^2 d^2 stack."""
     alg, et = w.algebra, w.eps_t_matrix
-    ln, rn, lsn = alg.lmat(nt.T), alg.rmat(nt.T), alg.lmat((w.antipode @ nt).T)
+    ln, rn, lsn = alg.lmat(nt.T), rmat(alg, nt.T), alg.lmat((w.antipode @ nt).T)
     return np.abs(et @ ln[:, None] @ lsn[None] - ln[:, None] @ rn[None] @ et).max()
+
+
+def dense_cartan_operators(w, ns, nt):
+    """Oracles of `cartans_commute` and `e_exchanges_target_factors` for the
+    bases ns, nt of N_s, N_t: the k d x d stacks of L_v and R_v."""
+    alg, e = w.algebra, w.e_matrix
+    ls, rs, lt, rt = alg.lmat(ns.T), rmat(alg, ns.T), alg.lmat(nt.T), rmat(alg, nt.T)
+    st = (w.antipode @ nt).T
+    exchange = max(
+        np.abs(rmat(alg, st) @ e - e @ rt.transpose(0, 2, 1)).max(),
+        np.abs(alg.lmat(st) @ e - e @ lt.transpose(0, 2, 1)).max(),
+    )
+    return np.abs((ls - rs) @ nt).max(), exchange
+
+
+def dense_right_antipode_absorption(w, nt):
+    """Oracle of `right_antipode_absorption`: eps_t R_n against eps_t R_S(n)
+    over the basis n of N_t, one dense d x d pair at a time."""
+    alg, et = w.algebra, w.eps_t_matrix
+    return max(
+        np.abs(et @ rmat(alg, n) - et @ rmat(alg, sn)).max()
+        for n, sn in zip(nt.T, (w.antipode @ nt).T)
+    )
+
+
+def dense_projection_absorption(w, p):
+    """Oracles of `right_absorption` and `left_absorption`: R_p = R_p eps_t
+    and L_p = L_p eps_s as dense d x d matrices."""
+    rp, lp = rmat(w.algebra, p), w.algebra.lmat(p)
+    return np.abs(rp - rp @ w.eps_t_matrix).max(), np.abs(lp - lp @ w.eps_s_matrix).max()
+
+
+def flip_identity_blocks(w, v, chunk=1 << 21):
+    """Oracle of the flip identity: every term of both sides forms its k x k
+    block c v[:, a] (x) v[:, b], summed per key (x, y, z), for one range of
+    x at a time holding about `chunk` block entries."""
+    alg, d, vt = w.algebra, w.dim, v.T
+    rows, cols, units, size = alg.basis_row, alg.basis_col, alg.unit_index, alg.matrix_size
+    i, m, n, t = w.coproduct
+    by_row = _row_starts(rows, size)
+    f, y = _join(cols[m], by_row)
+    g, z = _join(cols[n[f]], by_row)
+    f, y = f[g], y[g]
+    a, b = units[rows[m[f]], cols[y]], units[rows[n[f]], cols[z]]
+    left = (i[f], (i[f] * d + y) * d + z, t[f], a, b)
+    c, y = np.nonzero(w.antipode)
+    order = np.argsort(cols[c], kind="stable")
+    f, r = _join(rows[m], _row_starts(cols[c[order]], size))
+    by_col = np.argsort(cols, kind="stable")
+    g, x = _join(rows[n[f]], _row_starts(cols[by_col], size))
+    f, c, y, x = f[g], c[order[r[g]]], y[order[r[g]]], by_col[x]
+    a, b = units[rows[x], cols[n[f]]], units[rows[c], cols[m[f]]]
+    right = (x, (x * d + y) * d + i[f], t[f] * w.antipode[c, y], a, b)
+
+    def blocks(side, lo, hi):
+        lead, keys, coeff, a, b = side
+        s = (lo <= lead) & (lead < hi)
+        return keys[s], coeff[s, None, None] * vt[a[s], :, None] * vt[b[s], None, :]
+
+    upto = np.cumsum(np.bincount(left[0], minlength=d) + np.bincount(right[0], minlength=d))
+    upto *= vt.shape[1] ** 2
+    cuts = np.searchsorted(upto, np.arange(chunk, upto[-1], chunk), side="right")
+    bounds = sorted({0, *cuts.tolist(), d})
+    return max(
+        difference_max_abs(blocks(left, lo, hi), blocks(right, lo, hi))
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    )
 
 
 def dense_bimodular(emat, target):
@@ -132,7 +212,7 @@ def dense_bimodular(emat, target):
     worst = 0.0
     for a in target.basis.T:
         for b in target.basis.T:
-            la, rb = alg.lmat(a), alg.rmat(b)
+            la, rb = alg.lmat(a), rmat(alg, b)
             worst = max(worst, np.abs(emat @ la @ rb - la @ rb @ emat).max())
     return worst
 
@@ -205,7 +285,7 @@ def dense_block_ranks(w, c, tol):
 def dense_ideal(alg, x, left, tol=None):
     """Oracle of an ideal solve: the null space of the d^2 x d stack over
     the rows x[a] of x of L_{x[a]} (left) or R_{x[a]}, at its own shape."""
-    ops = alg.lmat(x) if left else alg.rmat(x)
+    ops = alg.lmat(x) if left else rmat(alg, x)
     return nullspace(ops.reshape(alg.dim * alg.dim, alg.dim), tol)
 
 
@@ -213,7 +293,7 @@ def dense_commutant(sub, tol=None):
     """Oracle of `commutant`: the null space of the k d x d stack of
     L_b - R_b over the basis b of sub, at its own shape."""
     alg, b = sub.parent, sub.basis
-    return nullspace((alg.lmat(b.T) - alg.rmat(b.T)).reshape(-1, alg.dim), tol)
+    return nullspace((alg.lmat(b.T) - rmat(alg, b.T)).reshape(-1, alg.dim), tol)
 
 
 def dense_gram(phi):

@@ -44,6 +44,7 @@ from conftest import (
     inner_automorphism,
     moved_along,
     mult_tensor,
+    rmat,
     unit_coordinates,
 )
 
@@ -59,15 +60,16 @@ def test_associativity_all_basis_triples(shape):
 
 @pytest.mark.parametrize("shape", SHAPES)
 def test_product_scatters_match_dense_structure_constants(shape):
-    """lmat, rmat, the sparse basis products and the pairing gather equal
-    the dense contractions with the structure constants exactly."""
+    """lmat, rmat, the products of two stacks, the sparse basis products and
+    the pairing gather equal the dense contractions with the structure
+    constants exactly."""
     alg = make_algebra(shape)
     mult = mult_tensor(alg)
     rng = np.random.default_rng(11)
     x = rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim)
     c = rng.standard_normal((alg.dim, alg.dim)) + 1j * rng.standard_normal((alg.dim, alg.dim))
     assert np.array_equal(alg.lmat(x), np.einsum("a,acm->mc", x, mult))
-    assert np.array_equal(alg.rmat(x), np.einsum("a,cam->mc", x, mult))
+    assert np.array_equal(rmat(alg, x), np.einsum("a,cam->mc", x, mult))
     assert np.array_equal(alg.lmat(c), np.einsum("ja,acm->jmc", c, mult))
     assert np.array_equal(Functional(alg, x).pairing(), np.einsum("abm,m->ab", mult, x))
     stacks = {
@@ -79,8 +81,11 @@ def test_product_scatters_match_dense_structure_constants(shape):
     for (leg, left), dense in stacks.items():
         assert np.array_equal(densify(_basis_products(alg, c, leg, left), alg.dim), dense), (leg, left)
         assert np.array_equal(basis_products(alg, c, leg, left), dense), (leg, left)
-    # the join C (1 (x) b_a) C against the product of concrete N^2 x N^2
-    # matrices; integer coefficients make every sum exact in any order
+    # the products of two stacks of elements and the join C (1 (x) b_a) C
+    # against the product of concrete N^2 x N^2 matrices; integer
+    # coefficients make every sum exact in any order
+    xs, ys = (rng.integers(-3, 4, (alg.dim, k)) + 1j * rng.integers(-3, 4, (alg.dim, k)) for k in (3, 2))
+    assert np.array_equal(alg.product_stack(xs, ys), np.einsum("pi,qj,pqm->mij", xs, ys, mult))
     c = rng.integers(-3, 4, (alg.dim, alg.dim)) + 1j * rng.integers(-3, 4, (alg.dim, alg.dim))
     c[rng.random(c.shape) < 0.3] = 0
     c_one_x = basis_products(alg, c, leg=1, left=False)
@@ -106,7 +111,7 @@ def test_ideal_rows_are_the_nonzero_rows_of_lmat_and_rmat(shape):
     rng = np.random.default_rng(12)
     x = rng.integers(-3, 4, (alg.dim, alg.dim)) + 1j * rng.integers(-3, 4, (alg.dim, alg.dim))
     x[rng.random(x.shape) < 0.4] = 0
-    for left, dense in ((True, alg.lmat(x)), (False, alg.rmat(x))):
+    for left, dense in ((True, alg.lmat(x)), (False, rmat(alg, x))):
         parts = []
         blocks = [a for stack in _ideal_blocks(alg, x, left) for a in stack]
         for i, a in zip(alg.block_order, blocks):
@@ -124,7 +129,7 @@ def _ideal_input(alg, rng):
     q = np.zeros(alg.dim, dtype=complex)
     q[[alg.matrix_unit_index(i, 0, 0) for i in range(alg.nblocks)]] = 1.0
     y = rng.standard_normal((alg.dim, alg.dim)) + 1j * rng.standard_normal((alg.dim, alg.dim))
-    cut = alg.lmat(alg.unit - q) @ alg.rmat(alg.unit - q)
+    cut = alg.lmat(alg.unit - q) @ rmat(alg, alg.unit - q)
     return y @ cut.T
 
 
@@ -641,7 +646,7 @@ def test_bimodular_fails_a_one_sided_module_map(side):
     target = SubalgebraBasis(alg, np.eye(4, dtype=complex)[:, [e00, e11]])
     u = alg.unit.copy()
     u[e01] = 1.0
-    emat = target.basis @ target.basis.T @ (alg.rmat(u) if side == "left" else alg.lmat(u))
+    emat = target.basis @ target.basis.T @ (rmat(alg, u) if side == "left" else alg.lmat(u))
     rep = check_conditional_expectation(emat, target)
     for name in ("unital", "idempotent", "identity_on_target"):
         assert rep[name].passed, name
@@ -664,7 +669,7 @@ def test_bimodular_matches_the_pair_loop():
         residual,
         dense_bimodular(emat, target),
         alg.lmat(target.basis.T),
-        alg.rmat(target.basis.T),
+        rmat(alg, target.basis.T),
         unit_coordinates(alg, target.basis),
     )
 

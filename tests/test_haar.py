@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from wka import (
+    catalog,
     cube_family,
     cyclic_groupoid,
     direct_sum,
@@ -41,9 +42,13 @@ from conftest import (
     basis_products,
     dense_coproduct,
     dense_gram,
+    flip_identity_blocks,
     get_example,
+    inner_automorphism,
+    moved_along,
     moved_entry,
     mult_tensor,
+    rmat,
     with_noise,
 )
 
@@ -421,7 +426,7 @@ def _flip_identity_by_triples(w, v):
     triple at a time."""
     alg, t, s = w.algebra, dense_coproduct(w), w.antipode
     eye = np.eye(w.dim)
-    right, left, left_s = alg.rmat(eye), alg.lmat(eye), alg.lmat(s.T)
+    right, left, left_s = rmat(alg, eye), alg.lmat(eye), alg.lmat(s.T)
     worst = 0.0
     for x in range(w.dim):
         for y in range(w.dim):
@@ -459,28 +464,70 @@ def test_flip_identity_matches_the_triple_loop(name, weights, moved):
 
 
 def test_flip_identity_runs_in_chunks_of_x(monkeypatch):
-    """cube_family(4) forms its blocks as one chunk; with an eighth of that
-    as the chunk size it forms at least eight, none larger than the chunk
-    size and the entries of one x, and the residual keeps its value."""
+    """cube_family(4) under a skewed block trace: its terms, expanded over
+    the nonzeros of v, form as many products as their k x k blocks have
+    nonzero entries, in one chunk; with an eighth of that as the chunk size
+    they form at least eight chunks, none larger than the chunk size and
+    the products of one x, and the residual keeps its value."""
     w = cube_family(4)
     weights = np.arange(1.0, w.algebra.nblocks + 1)
     e_t = w.pair_leg(block_trace(w.algebra, weights / weights.sum()).vec, 1).T
     v = dagger(orthonormal_columns(e_t)) @ e_t
-    sizes = []
+    chunks = []
 
     def record(left, right):
-        sizes.append(left[1].size + right[1].size)
+        chunks.append((left, right))
         return difference_max_abs(left, right)
 
     monkeypatch.setattr(haar, "difference_max_abs", record)
+    with monkeypatch.context() as forced:
+        forced.setattr(haar, "_FLIP_EXPAND", 0.0)  # the k x k blocks
+        blocks = haar._flip_identity_residual(w, v)
+    [(left, right)] = chunks
+    entries = left[1].size + right[1].size
+    nonzero = np.count_nonzero(left[1]) + np.count_nonzero(right[1])
+    chunks.clear()
     whole = haar._flip_identity_residual(w, v)
-    [total] = sizes
-    assert whole > 0.1 and total <= haar._FLIP_CHUNK
-    sizes.clear()
+    [(left, right)] = chunks
+    total = left[1].size + right[1].size
+    assert whole > 0.1 and whole == pytest.approx(blocks, rel=1e-12)
+    assert total == nonzero < entries / 2
+    # the products of each x, from the leading digit of the expanded keys
+    per_x = np.bincount(np.concatenate([left[0], right[0]]) // (w.dim * v.shape[0]) ** 2)
+    chunks.clear()
     monkeypatch.setattr(haar, "_FLIP_CHUNK", total // 8)
     assert haar._flip_identity_residual(w, v) == pytest.approx(whole, rel=1e-12)
+    sizes = [left[1].size + right[1].size for left, right in chunks]
     assert len(sizes) >= 8 and sum(sizes) == total
-    assert max(sizes) <= total // 8 + total // w.dim  # the x carry equal shares here
+    assert max(sizes) <= total // 8 + per_x.max()
+
+
+@pytest.mark.parametrize("moved", [False, True], ids=["catalog", "moved"])
+def test_flip_identity_routes_match_the_block_oracle(moved, monkeypatch):
+    """Both routes of the flip identity, the products expanded over the
+    nonzeros of v and the k x k blocks, give the residual of the block
+    oracle within 1e-12, for E_t of the Haar trace and of a skewed block
+    trace, on every catalog member, or on those of dimension <= 12 moved
+    along a seeded inner automorphism (the moved members of dimension 16 to
+    27 take about 50 s per evaluation)."""
+    rng = np.random.default_rng(0xF11)
+    checked = 0
+    for entry in catalog():
+        w = entry.build()
+        if moved and w.dim > 12:
+            continue
+        if moved:
+            w = moved_along(w, inner_automorphism(w.algebra, rng))
+        skewed = block_trace(w.algebra, np.arange(1.0, w.algebra.nblocks + 1))
+        for tau in (normalized_haar_trace(w), skewed):
+            e_t = w.pair_leg(tau.vec, 1).T
+            v = dagger(orthonormal_columns(e_t)) @ e_t
+            oracle = flip_identity_blocks(w, v)
+            for share in (0.0, np.inf):
+                monkeypatch.setattr(haar, "_FLIP_EXPAND", share)
+                assert abs(haar._flip_identity_residual(w, v) - oracle) <= 1e-12, (entry.name, share)
+        checked += 1
+    assert checked == (39 if moved else 55)
 
 
 # ---------------------------------------------------------------------------

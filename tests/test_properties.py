@@ -26,7 +26,7 @@ from wka.algebra import StarAlgebraData, WedderburnRealization, wedderburn_reali
 from wka.catalog import named_groupoid
 from wka.duality import check_pairing, dual_functional
 
-from conftest import get_example, inner_automorphism, moved_along
+from conftest import get_example, inner_automorphism, moved_along, rmat
 
 NAMES = ["group_z3", "fun_k2", "elem_12", "cube2", "twist_11"]
 
@@ -114,7 +114,7 @@ def test_multiplying_e_never_annihilates():
         rng = np.random.default_rng(17)
         for _ in range(20):
             x = random_element(w, rng)
-            rx = alg.rmat(x)
+            rx = rmat(alg, x)
             assert np.abs(e @ rx.T).max() > 1e-6
             assert np.abs(rx @ e).max() > 1e-6
 

@@ -11,6 +11,11 @@ Random draws: a check that holds on a basis is evaluated on the basis, so
 every random draw in src/wka must be named in ALLOWED_DRAWS with the
 reason no exact evaluation replaces it, and every function with a seed
 parameter in ALLOWED_SEEDS.
+
+Multiplication operators: products and the checks with L_a and R_a are
+joins over the product triples (FdAlgebra.product_terms), so every call
+of the dense d x d lmat or rmat in src/wka must be named in
+ALLOWED_OPERATORS with the reason it keeps the dense matrix.
 """
 
 import ast
@@ -45,6 +50,17 @@ ALLOWED_SEEDS = {
         "ignored; kept because the benchmark harness in wkabench/ passes seed=",
     ("weakkac.py", "verify_weak_kac"):
         "ignored; kept because the benchmark harness in wkabench/ passes seed=",
+}
+
+
+# attribute names whose calls form a dense multiplication operator
+OPERATORS = {"lmat", "rmat"}
+
+ALLOWED_OPERATORS = {
+    ("constructors.py", "crossed_product", "lmat"):
+        "the action matrices of the crossed product are read as left multiplications",
+    ("weakkac.py", "_delta_mult_dense", "lmat"):
+        "the dense multiplicativity path, taken where it is cheaper than the join",
 }
 
 
@@ -102,6 +118,16 @@ def test_exact_checks_draw_nothing():
     draws = guarded_calls(DRAWS, skip=())
     assert not {call for call in draws if call[0] == "haar.py"}
     assert not {call for call in draws if call[1] == "decompose_if_split"}
+
+
+def test_every_dense_multiplication_operator_is_named():
+    unexpected = guarded_calls(OPERATORS, skip=()) - set(ALLOWED_OPERATORS)
+    assert not unexpected, f"dense L_a / R_a in src/wka: {sorted(unexpected)}"
+
+
+def test_operator_allow_list_has_no_stale_entries():
+    stale = set(ALLOWED_OPERATORS) - guarded_calls(OPERATORS, skip=())
+    assert not stale, f"allow-list entries with no call left: {sorted(stale)}"
 
 
 def seeded_functions() -> set:

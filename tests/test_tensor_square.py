@@ -1,8 +1,9 @@
 """Identities in M (x) M outside the axiom suite, as joins over the nonzeros:
 the generalized Kac identities, the counital absorption, the pairing with
-the dual, the convolution unit system, the block ranks of Delta(p) and the
-multiplicativity of the counital representation, each against its dense
-oracle in conftest, and mutations that each of the joined checks fails."""
+the dual, the convolution unit system, the block ranks of Delta(p), the
+multiplicativity of the counital representation and the checks that take
+multiplication operators L_a and R_a, each against its dense oracle in
+conftest, and mutations that each of the joined checks fails."""
 
 from functools import reduce
 
@@ -11,6 +12,8 @@ import pytest
 
 from wka import (
     WeakKac,
+    cartan_subalgebras,
+    catalog,
     check_pairing,
     convolution_unit,
     disjoint_union,
@@ -34,14 +37,20 @@ from conftest import (
     assert_pair_bounds,
     dense_absorption,
     dense_block_ranks,
+    dense_cartan_operators,
     dense_convolution_unit_system,
     dense_haar_trace_identity,
     dense_multiplicative,
     dense_pairing_identities,
+    dense_projection_absorption,
     dense_regular_trace_identity,
+    dense_right_antipode_absorption,
     dense_target_bimodule_map,
     get_example,
+    inner_automorphism,
+    moved_along,
     moved_entry,
+    rmat,
     unit_coordinates,
 )
 
@@ -108,10 +117,10 @@ def test_target_bimodule_map_fails_each_half_alone(name, side):
     alg = w.algebra
     nt = _cartan_spans(w, Tolerance())[1].basis
     v = next(
-        u for u in np.eye(w.dim) if np.abs(alg.lmat(u) @ nt - alg.rmat(u) @ nt).max() > 0.5
+        u for u in np.eye(w.dim) if np.abs(alg.lmat(u) @ nt - rmat(alg, u) @ nt).max() > 0.5
     )
     # the cached eps_t_matrix is read from the instance dict
-    w.__dict__["eps_t_matrix"] = (alg.lmat(v) if side == "left" else alg.rmat(v)) @ w.eps_t_matrix
+    w.__dict__["eps_t_matrix"] = (alg.lmat(v) if side == "left" else rmat(alg, v)) @ w.eps_t_matrix
     rep = counital_maps(w).report
     assert not rep["target_bimodule_map"].passed
     assert_pair_bounds(
@@ -258,3 +267,99 @@ def test_unit_system_keeps_the_rows_with_only_a_right_side():
         solve_affine_space(dense_convolution_unit_system(cut, phi.pairing()))
     with pytest.raises(NoUnit, match="no unit"):
         convolution_unit(cut, phi)
+
+
+# ---------------------------------------------------------------------------
+# multiplication operators: products joined over the product triples
+# ---------------------------------------------------------------------------
+
+
+def _cartan_operators(w, tol):
+    """cartans_commute and e_exchanges_target_factors with their oracles."""
+    ns, nt, _, _ = _cartan_spans(w, tol)
+    rep = cartan_subalgebras(w, tol).report
+    dense = dense_cartan_operators(w, ns.basis, nt.basis)
+    return {name: (rep[name], v) for name, v in zip(("cartans_commute", "e_exchanges_target_factors"), dense)}
+
+
+def _counital_operators(w, tol):
+    """right_antipode_absorption with its oracle."""
+    check = counital_maps(w, tol).report["right_antipode_absorption"]
+    return {check.name: (check, dense_right_antipode_absorption(w, _cartan_spans(w, tol)[1].basis))}
+
+
+def _projection_operators(w, tol):
+    """right_absorption and left_absorption with their oracles."""
+    p, rep = check_haar_projection(w, tol)
+    dense = dense_projection_absorption(w, p.coeffs)
+    return {name: (rep[name], v) for name, v in zip(("right_absorption", "left_absorption"), dense)}
+
+
+def test_operator_checks_match_their_dense_oracles():
+    """On every catalog member, and on those of dimension <= 27 moved along
+    a seeded inner automorphism (every coproduct dense), the joined
+    residuals equal the dense stacks up to rounding."""
+    rng = np.random.default_rng(0x0BE)
+    checked = 0
+    for entry in catalog():
+        w = entry.build()
+        for v in [w, *([moved_along(w, inner_automorphism(w.algebra, rng))] if w.dim <= 27 else [])]:
+            found = {}
+            for checks in (_cartan_operators, _counital_operators, _projection_operators):
+                found.update(checks(v, Tolerance()))
+            for name, (check, dense) in found.items():
+                assert check.passed, (entry.name, name)
+                _agree(check.residual, dense)
+            checked += 1
+    assert checked == 107
+
+
+def _identity_antipode(w):
+    # S = 1 keeps N_s, N_t and e, and breaks R_S(v) e = e R_v^T
+    return WeakKac(w.algebra, w.coproduct, np.eye(w.dim), w.counit), Tolerance()
+
+
+def _source_span_swapped(w):
+    # N_s read as N_t: a noncommutative N_t then fails to commute with N_s;
+    # the relations fail too, so the tolerance is loosened past their raise
+    tol = Tolerance(1e-3)
+    w = WeakKac(w.algebra, w.coproduct, w.antipode, w.counit)
+    _, nt, xs, ys = _cartan_spans(w, tol)
+    w._memo[("cartan_spans", tol)] = (nt, nt, xs, ys)
+    return w, tol
+
+
+def _star_antipode(w):
+    # S composed with the star: eps_t R_n no longer equals eps_t R_S(n)
+    return WeakKac(w.algebra, w.coproduct, w.antipode @ w.algebra.star_matrix, w.counit), Tolerance()
+
+
+def _counital_maps_reversed(w):
+    # the Haar projection of the member against eps_t and eps_s with their
+    # columns reversed: x p = eps_t(x) p and p x = p eps_s(x) break
+    w = WeakKac(w.algebra, w.coproduct, w.antipode, w.counit)
+    haar._haar_projection_space(w, Tolerance())
+    for name in ("eps_t_matrix", "eps_s_matrix"):
+        w.__dict__[name] = getattr(w, name)[:, ::-1]
+    return w, Tolerance()
+
+
+OPERATOR_MUTATIONS = {
+    "identity_antipode": ("cube2", _identity_antipode, _cartan_operators, ["e_exchanges_target_factors"]),
+    "source_span_swapped": ("elem_12", _source_span_swapped, _cartan_operators, ["cartans_commute"]),
+    "star_antipode": ("elem_12", _star_antipode, _counital_operators, ["right_antipode_absorption"]),
+    "counital_maps_reversed": (
+        "cube2", _counital_maps_reversed, _projection_operators, ["right_absorption", "left_absorption"]
+    ),
+}
+
+
+@pytest.mark.parametrize("mutation", OPERATOR_MUTATIONS)
+def test_mutations_fail_the_operator_checks(mutation):
+    """Each mutation fails its checks, whose joined residuals still equal
+    the dense stacks."""
+    name, mutate, checks, fails = OPERATOR_MUTATIONS[mutation]
+    found = checks(*mutate(get_example(name)))
+    assert [c for c in fails if found[c][0].passed] == []
+    for check, dense in found.values():
+        _agree(check.residual, dense)

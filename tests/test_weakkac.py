@@ -441,6 +441,27 @@ def test_cartan_rejects_garbage_coproduct():
         cartan_subalgebras(bad)
 
 
+def test_cartan_raise_follows_the_tolerance():
+    """Delta(e_00) and Delta(e_11) moved by +-1e-4 at one entry keep e and
+    so N_s and N_t, and break their defining relations by 1e-4 / sqrt(2):
+    cartan_subalgebras raises above 1e4 abs_tol, and below it reports the
+    two relations as failed at their limit of 100 abs_tol."""
+    w = get_example("cube2")
+    alg, t = w.algebra, dense_coproduct(w)
+    a, b = np.flatnonzero(alg.basis_row == alg.basis_col)[:2]
+    j, k = np.argwhere(t[a] != 0)[0]
+    t[a, j, k] += 1e-4
+    t[b, j, k] -= 1e-4
+    bad = WeakKac(alg, t, w.antipode, w.counit)
+    relations = 1e-4 / np.sqrt(2)
+    with pytest.raises(CartanMismatch, match="defining relations"):
+        cartan_subalgebras(bad, Tolerance(relations / 2e4))
+    rep = cartan_subalgebras(bad, Tolerance(2 * relations / 1e4)).report
+    for name in ("source_defining_relation", "target_defining_relation"):
+        assert not rep[name].passed
+        assert rep[name].residual == pytest.approx(relations)
+
+
 # ---------------------------------------------------------------------------
 # counital maps
 # ---------------------------------------------------------------------------
@@ -746,5 +767,6 @@ def test_cartan_relations_match_the_dense_stack(name):
             (dense_coproduct(w) - basis_products(w.algebra, w.e_matrix, leg, left)).reshape(w.dim, -1)
             for left in (False, True)
         ]).T
-        span = nullspace(weakkac._cartan_relations(w, leg), tol, shape=(2 * w.dim ** 2, w.dim))
+        rows = weakkac._nonzero_rows(*weakkac._cartan_relations(w, leg), w.dim)
+        span = nullspace(rows, tol, shape=(2 * w.dim ** 2, w.dim))
         assert subspace_distance(span, nullspace(dense, tol)) < 1e-10

@@ -21,7 +21,7 @@ through the cyclic vector of the unit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -72,7 +72,8 @@ class FdAlgebra:
     """Block matrix-unit algebra with basis e^{(i)}_{kl}.
 
     Basis order: blocks in order, rows before columns within a block, so
-    index(i, k, l) = offset_i + k * d_i + l with 0-based k, l.
+    index(i, k, l) = offset_i + k * d_i + l with 0-based k, l.  Its arrays
+    are read-only, so make_algebra can share one instance per block shape.
     """
 
     def __init__(self, block_shape):
@@ -97,7 +98,7 @@ class FdAlgebra:
         self.basis_block = np.array(blocks)
         self.basis_row = np.array(rows)
         self.basis_col = np.array(cols)
-        self.labels = labels
+        self.labels = tuple(labels)
 
         # unit_index[r, c]: basis index of the matrix unit at (r, c), or -1
         n = self.matrix_size
@@ -115,6 +116,9 @@ class FdAlgebra:
         self.star_matrix[self.star_index, np.arange(self.dim)] = 1.0
         self.unit = np.zeros(self.dim, dtype=complex)
         self.unit[self.basis_row == self.basis_col] = 1.0
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                _read_only(value)
 
     # -- canonical structure data -------------------------------------
 
@@ -124,14 +128,14 @@ class FdAlgebra:
         that size and the indices of their matrix units."""
         sizes = np.asarray(self.block_shape)
         return tuple(
-            (n, np.flatnonzero(sizes == n), np.flatnonzero(sizes[self.basis_block] == n))
+            (n, *(_read_only(np.flatnonzero(s == n)) for s in (sizes, sizes[self.basis_block])))
             for n in sorted(set(self.block_shape))
         )
 
     @cached_property
     def block_order(self) -> np.ndarray:
         """The blocks by size, then by index: the order of block_stacks."""
-        return np.concatenate([blocks for _, blocks, _ in self.size_classes])
+        return _read_only(np.concatenate([blocks for _, blocks, _ in self.size_classes]))
 
     @property
     def prod_table(self) -> np.ndarray:
@@ -170,7 +174,15 @@ class FdAlgebra:
         return self.from_matrix(self.to_matrix(x) @ self.to_matrix(y))
 
     def star(self, coeffs) -> np.ndarray:
+        """star_matrix @ conj(coeffs): the star of an element, or of each
+        column of a matrix of elements."""
         return np.conj(np.asarray(coeffs, dtype=complex))[self.star_index]
+
+    def star_columns(self, x) -> np.ndarray:
+        """x @ star_matrix for a covector or a matrix whose columns follow
+        the basis: the star permutes the matrix units, so this permutes
+        the columns of x."""
+        return np.asarray(x)[..., self.star_index]
 
     def lmat(self, x) -> np.ndarray:
         """Matrix of left multiplication by x on coefficient vectors; for a
@@ -256,7 +268,13 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 
 def make_algebra(block_shape) -> FdAlgebra:
-    """Canonical matrix-unit algebra with the given block sizes."""
+    """Canonical matrix-unit algebra with the given block sizes, built once
+    per block shape: the algebras of the last 64 shapes are kept."""
+    return _canonical_algebra(tuple(int(d) for d in block_shape))
+
+
+@lru_cache(maxsize=64)
+def _canonical_algebra(block_shape: tuple) -> FdAlgebra:
     return FdAlgebra(block_shape)
 
 
@@ -714,13 +732,17 @@ def _minimal_projections(pis, tol):
     spanned by the operators pis, summing to 1.  From the identity on, each
     projection q is split into the eigenspaces of q h q for the first
     hermitian part h of some pis[a] that is not scalar there; the parts
-    before h are scalar on every piece, so the pieces go on from the next."""
+    before h are scalar on every piece, so the pieces go on from the next.
+    A rank-one projection is minimal as it stands."""
     dim = pis.shape[1]
     adj = pis.conj().swapaxes(1, 2)
     herm = np.stack([pis + adj, (pis - adj) / 1j], axis=1).reshape(-1, dim, dim) / 2
     found, todo = [], [(np.eye(dim), 0)]
     while todo:
         v, start = todo.pop()
+        if v.shape[1] == 1:
+            found.append(v)
+            continue
         for a in range(start, len(herm)):
             parts = eigenspaces(dagger(v) @ herm[a] @ v, tol)
             if len(parts) > 1:
@@ -800,7 +822,7 @@ def check_conditional_expectation(
     rep.add_flag("range_equals_target", rank == target.dim, f"rank {rank} vs {target.dim}")
     rep.add(
         "star_preserving",
-        max_abs(emat @ alg.star_matrix - alg.star_matrix @ np.conj(emat)),
+        max_abs(alg.star_columns(emat) - alg.star(emat)),
     )
 
     rep.add("bimodular", _commutator_residual(alg, emat, target.basis), scale=100)

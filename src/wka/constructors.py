@@ -471,7 +471,7 @@ def validate_action(w: WeakKac, action: GroupAction, tol=None):
         ag = action[g]
         if max_abs(ag @ alg.unit - alg.unit) > limit:
             raise InvalidAction(f"action of {g} is not unital")
-        if max_abs(ag @ alg.star_matrix - alg.star_matrix @ np.conj(ag)) > limit:
+        if max_abs(alg.star_columns(ag) - alg.star(ag)) > limit:
             raise InvalidAction(f"action of {g} does not preserve *")
         if _multiplicativity_residual(alg, alg, ag) > limit:
             raise InvalidAction(f"action of {g} is not multiplicative")

@@ -60,7 +60,7 @@ from .tensorkit import (
     solve_affine_space,
     subspace_distance,
 )
-from .weakkac import WeakKac, _basis_products, _cartan_spans, _hyper_central_classes
+from .weakkac import WeakKac, _cartan_spans, _hyper_central_classes
 from .weakkac import _pair, _rows_times
 
 __all__ = [
@@ -439,8 +439,7 @@ def haar_conditional_expectations(w: WeakKac, phi: Functional | None = None, tol
     t, e, smat = w.coproduct, w.e_matrix, w.antipode
 
     # the sparse stacks over the basis b_a: (1 (x) b_a) e and e (1 (x) b_a)
-    one_x_e = _basis_products(alg, e, leg=1, left=True)
-    e_one_x = _basis_products(alg, e, leg=1, left=False)
+    one_x_e, e_one_x = w.e_products(1, left=True), w.e_products(1, left=False)
 
     e_t = w.pair_leg(phi.vec, 1).T
     e_s = w.pair_leg(phi.vec, 0).T
@@ -633,7 +632,7 @@ def check_generalized_kac(data, phi: Functional, tol=None) -> VerificationReport
     rep.add("haar_trace_identity", _residual(lhs, (a, m, b, v), alg.dim), scale=10)
 
     theta = regular_trace(alg)
-    e_x_one = _basis_products(alg, w.e_matrix, leg=0, left=False)  # e (b_a (x) 1)
+    e_x_one = w.e_products(0, left=False)  # e (b_a (x) 1)
     worst = max_abs(w.pair_leg(theta.vec, 0) - _pair(e_x_one, theta.vec, 0) @ w.antipode.T)
     rep.add("regular_trace_identity", worst, scale=10)
 

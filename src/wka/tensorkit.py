@@ -15,13 +15,16 @@ singular values or right singular vectors, and the rank is counted at the
 full shape.
 
 A block-diagonal operator, such as left or right multiplication on the
-matrix units of M = (+) M_{n_i}, is decided from its diagonal blocks
-(block_nullspace, block_range, block_positive_definite), given as stacks
-of blocks of one shape (one per block size, as FdAlgebra.block_stacks
-returns them), each factored in one stacked call.  Every block is counted
-at the cutoff of the whole operator, its full shape and sigma_max (or
-largest eigenvalue) over all blocks, so each rank, dimension and verdict
-is the one the whole matrix gives; nullspace, orthonormal_columns and
+matrix units of M = (+) M_{n_i}, or one that is block-diagonal after a
+permutation of its rows and columns, such as the coproduct's d^2 x d
+matrix by its connected components, is decided from its diagonal blocks
+(block_nullspace, block_range, block_singular_values,
+block_positive_definite), given as stacks of blocks of one shape (one per
+block size, as FdAlgebra.block_stacks returns them), each factored in one
+stacked call.  Every block is counted at the cutoff of the whole
+operator, its full shape and sigma_max (or largest eigenvalue) over all
+blocks, so each rank, dimension and verdict is the one the whole matrix
+gives; nullspace, orthonormal_columns, singular_values and
 positive_definite are the case of one block.  A stack of unrelated
 matrices is ranked by numerical_rank in one stacked SVD, each matrix at
 its own cutoff.
@@ -50,6 +53,7 @@ __all__ = [
     "block_nullspace",
     "block_positive_definite",
     "block_range",
+    "block_singular_values",
     "dagger",
     "difference_max_abs",
     "eigenspaces",
@@ -245,13 +249,22 @@ def positive_definite(g: np.ndarray, tol: Tolerance | None = None):
     return block_positive_definite([g], tol)
 
 
+def block_singular_values(stacks, tol: Tolerance | None = None, shape=None):
+    """(s, rank): the singular values of the diagonal blocks of a
+    block-diagonal matrix of `shape`, given as for block_nullspace, all
+    together in descending order, and how many lie above its rank cutoff.
+    One SVD per stack, of its rows that are nonzero in any of its blocks."""
+    stacks = [_stack(a) for a in stacks]
+    s = [np.linalg.svd(_drop_zero_rows(a), compute_uv=False).ravel() for a in stacks]
+    s = np.sort(np.concatenate([np.zeros(0), *s]))[::-1]
+    return s, _rank(s, _full_shape(stacks, shape), as_tol(tol))
+
+
 def singular_values(a: np.ndarray, tol: Tolerance | None = None, shape=None):
     """(s, rank): the singular values of a, descending, and how many lie
     above the rank cutoff.  A matrix given by its nonzero rows is ranked at
     the cutoff of its full `shape` (by default the shape of a)."""
-    a = np.asarray(a)
-    s = np.linalg.svd(_drop_zero_rows(a), compute_uv=False)
-    return s, _rank(s, a.shape if shape is None else shape, as_tol(tol))
+    return block_singular_values([a], tol, shape)
 
 
 def numerical_rank(a: np.ndarray, tol: Tolerance | None = None):

@@ -41,13 +41,13 @@ from .tensorkit import (
     _residual,
     _row_starts,
     as_tol,
+    block_singular_values,
     dagger,
     difference_max_abs,
     intersect_subspaces,
     max_abs,
     nullspace,
     rank_factorization,
-    singular_values,
     subspace_contains,
     subspace_distance,
 )
@@ -155,6 +155,15 @@ class WeakKac:
     def e_matrix(self) -> np.ndarray:
         """Coefficient matrix of e = Delta(1)."""
         return _read_only(self.delta(self.algebra.unit))
+
+    def e_products(self, leg: int, left: bool):
+        """The sparse stack over j of (b_j (x) 1) e, e (b_j (x) 1), (1 (x) b_j) e
+        or e (1 (x) b_j), by _basis_products, computed once per algebra."""
+
+        def compute():
+            return _basis_products(self.algebra, self.e_matrix, leg, left)
+
+        return self.memo(("e_products", leg, left), compute)
 
     @cached_property
     def eps_mult(self) -> np.ndarray:
@@ -445,12 +454,60 @@ def _delta_star_residual(w: WeakKac) -> float:
 
 
 def _delta_injectivity(w: WeakKac, tol: Tolerance):
-    """Rank of the d^2 x d matrix of the coproduct, from the SVD of its
-    nonzero rows at the rank cutoff of the full shape."""
+    """Rank of the d^2 x d matrix of the coproduct, from the SVDs of its
+    connected components at the rank cutoff of the full shape: permuted,
+    the matrix is their direct sum.  A component with more columns than
+    rows, or a zero column, leaves fewer than d singular values, and the
+    smallest is then 0."""
+    d = w.dim
+    s, rank = block_singular_values(_coproduct_components(w), tol, shape=(d * d, d))
+    return rank == d, float(s[-1]) if s.size == d else 0.0
+
+
+def _coproduct_components(w: WeakKac) -> list:
+    """The connected components of the coproduct's d^2 x d matrix, rows
+    (j, k) and columns i, joined by its nonzero entries: each is the
+    submatrix on its rows and columns in index order, stacked with those
+    of its shape, one stack per shape.  Zero columns are in no stack."""
     d = w.dim
     i, j, k, v = w.coproduct
-    s, rank = singular_values(_nonzero_rows(j * d + k, i, v, d), tol, shape=(d * d, d))
-    return rank == d, float(s[-1]) if s.size == d else 0.0
+    rows, row = np.unique(j * d + k, return_inverse=True)
+    # the least column of each column's component: the least over rows and
+    # columns in turn, with pointer jumping
+    least = np.arange(d)
+    while True:
+        row_least = np.full(rows.size, d)
+        np.minimum.at(row_least, row, least[i])
+        step = least.copy()
+        np.minimum.at(step, i, row_least[row])
+        step = step[step]
+        if (step == least).all():
+            break
+        least = step
+    # component shapes m x n as m (d + 1) + n, indexed by least column
+    shape = np.bincount(row_least, minlength=d) * (d + 1) + np.bincount(least, minlength=d)
+    entry_shape = shape[least[i]]
+    row_at, col_at = _position_in_stack(row_least, shape)[row], _position_in_stack(least, shape)[i]
+    stacks = []
+    for key in sorted(set(shape[shape > d].tolist())):
+        m, n = divmod(key, d + 1)
+        stack = np.zeros((np.count_nonzero(shape == key), m, n), dtype=complex)
+        sel = entry_shape == key
+        stack.reshape(-1, n)[row_at[sel], col_at[sel] % n] = v[sel]
+        stacks.append(stack)
+    return stacks
+
+
+def _position_in_stack(label: np.ndarray, shape: np.ndarray) -> np.ndarray:
+    """The position of each row or column, label its component, among those
+    of the components of its shape, ordered by component, then by index:
+    row r of component c of a stack of m x n components is at c m + r."""
+    key = shape[label]
+    order = np.lexsort((label, key))
+    ranked = key[order]
+    out = np.empty_like(order)
+    out[order] = np.arange(order.size) - np.searchsorted(ranked, ranked)
+    return out
 
 
 def _antipode_residuals(w: WeakKac) -> dict:
@@ -458,7 +515,7 @@ def _antipode_residuals(w: WeakKac) -> dict:
     res = {}
     res["antipode_unital"] = max_abs(s @ alg.unit - alg.unit)
     res["antipode_involutive"] = max_abs(s @ s - np.eye(alg.dim))
-    res["antipode_star"] = max_abs(s @ alg.star_matrix - alg.star_matrix @ np.conj(s))
+    res["antipode_star"] = max_abs(alg.star_columns(s) - alg.star(s))
     # S(b_a b_b) = S(b_b) S(b_a) over all basis pairs
     res["antipode_antimultiplicative"] = _multiplicativity_residual(alg, alg, s, anti=True)
     # (S (x) S) Delta = flip Delta S
@@ -479,30 +536,40 @@ def _counit_pair(w: WeakKac, eps) -> tuple:
 def _counit_residuals(w: WeakKac) -> dict:
     """The counit axioms other than the counit pair itself.  Those in
     M (x) M contract one leg of the sparse coproduct with a d x d matrix
-    and compare it with the basis products of e, also sparse."""
+    and compare it with the basis products of e, also sparse.  The products
+    of e and eps_mult are formed once each on U x U, U the indices of the
+    nonzero rows and columns of either: both vanish outside it, and so do
+    their products."""
     alg, t, s, eps, d = w.algebra, w.coproduct, w.antipode, w.counit, w.dim
     em, e, es, et = w.eps_mult, w.e_matrix, w.eps_s_matrix, w.eps_t_matrix
+    nonzero = (e != 0) | (em != 0)
+    u = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
+    e_u, em_u = e[u[:, None], u], em[u[:, None], u]
+    on_u = np.stack([em_u @ e_u, e_u @ em_u, e_u @ em_u.T, em_u.T @ e_u])
+    # the same products written over the whole basis
+    whole = np.zeros((4, d, d), dtype=complex)
+    whole[:, u[:, None], u] = on_u
+    em_e, e_em, e_emt, emt_e = whole
     res = {}
     res["axiom1_s_invariance"] = max_abs(eps @ s - eps)
-    res["axiom1_star"] = max_abs(eps @ alg.star_matrix - np.conj(eps))
-    res["axiom2"] = max_abs(em @ e @ em - em)
+    res["axiom1_star"] = max_abs(alg.star_columns(eps) - np.conj(eps))
+    res["axiom2"] = max_abs(on_u[0] @ em_u - em_u)
 
     # (1 (x) b_j) e and e (1 (x) b_j) over the basis
-    one_x_e = _basis_products(alg, e, leg=1, left=True)
-    e_one_x = _basis_products(alg, e, leg=1, left=False)
+    one_x_e, e_one_x = w.e_products(1, left=True), w.e_products(1, left=False)
     compress_t, res["axiom3"] = _compression_residuals(w)
     # A2 at [a, b, n]: (em e)[a, p] where b_p b_b = b_n, against sum_c em[a, c] t[b, c, n]
-    q, m, a, g = _basis_products(alg, (em @ e).T, leg=0, left=False)
+    q, m, a, g = _basis_products(alg, em_e.T, leg=0, left=False)
     b, c, n, v = _contract(t, em, 1)
     res["axiomA2"] = _residual((a, q, m, g), (c, b, n, v), d)
-    res["axiomA3"] = _residual(_contract(t, e @ em, 1), e_one_x, d)
-    res["axiomA4"] = max_abs(es - e @ em.T)
-    lhs_a2p = _basis_products(alg, em.T @ e, leg=1, left=True)
+    res["axiomA3"] = _residual(_contract(t, e_em, 1), e_one_x, d)
+    res["axiomA4"] = max_abs(es - e_emt)
+    lhs_a2p = _basis_products(alg, emt_e, leg=1, left=True)
     res["axiomA2_prime"] = _residual(lhs_a2p, _contract(t, em.T, 1), d)
-    res["axiomA3_prime"] = _residual(_contract(t, e @ em.T, 1), one_x_e, d)
+    res["axiomA3_prime"] = _residual(_contract(t, e_emt, 1), one_x_e, d)
     res["axiomA3_doubleprime"] = compress_t
-    res["axiomA3_star"] = max_abs(e @ em @ e - e)
-    res["axiomA4_prime"] = max_abs(et - e.T @ em)
+    res["axiomA3_star"] = max_abs(on_u[1] @ e_u - e_u)
+    res["axiomA4_prime"] = max_abs(et - emt_e.T)
     return res
 
 
@@ -510,10 +577,10 @@ def _compression_residuals(w: WeakKac) -> tuple:
     """Residuals of (id (x) eps_t) Delta(x) = e (x (x) 1) and
     (eps_s (x) id) Delta(x) = (1 (x) x) e over the basis, axioms A3'' and
     3; neither reads the counit."""
-    alg, t, e, d = w.algebra, w.coproduct, w.e_matrix, w.dim
+    t, d = w.coproduct, w.dim
     return (
-        _residual(_contract(t, w.eps_t_matrix, 2), _basis_products(alg, e, 0, left=False), d),
-        _residual(_contract(t, w.eps_s_matrix, 1), _basis_products(alg, e, 1, left=True), d),
+        _residual(_contract(t, w.eps_t_matrix, 2), w.e_products(0, left=False), d),
+        _residual(_contract(t, w.eps_s_matrix, 1), w.e_products(1, left=True), d),
     )
 
 
@@ -696,11 +763,11 @@ def _coproduct_of_e_residual(w: WeakKac) -> float:
     """Residual of (Delta (x) id)(e) = (e (x) 1)(1 (x) e) = (id (x) Delta)(e)
     and of (e (x) 1)(1 (x) e) = (1 (x) e)(e (x) 1), each side a join over
     the coproduct's nonzeros or the basis products of e."""
-    alg, t, e, d = w.algebra, w.coproduct, w.e_matrix, w.dim
+    t, e, d = w.coproduct, w.e_matrix, w.dim
     b, m, n, v = _contract(t, e.T, 0)
     # (e (x) 1)(1 (x) e) and (1 (x) e)(e (x) 1): row a of e against (b_a (x) 1) e
-    ee = _contract(_basis_products(alg, e, 0, left=True), e, 0)
-    ee2 = _contract(_basis_products(alg, e, 0, left=False), e, 0)
+    ee = _contract(w.e_products(0, left=True), e, 0)
+    ee2 = _contract(w.e_products(0, left=False), e, 0)
     return max(
         _residual((m, n, b, v), ee, d), _residual(_contract(t, e, 0), ee, d), _residual(ee, ee2, d)
     )
@@ -756,9 +823,7 @@ def counital_maps(w: WeakKac, tol=None) -> CounitalMaps:
     rep.add("antipode_on_source", max_abs(et @ ns.basis - w.antipode @ ns.basis), scale=100)
     rep.add(
         "star_symmetry",
-        max_abs(
-            alg.star_matrix @ np.conj(et) - et @ alg.star_matrix @ np.conj(w.antipode)
-        ),
+        max_abs(alg.star(et) - alg.star_columns(et) @ np.conj(w.antipode)),
         scale=10,
     )
 
@@ -798,7 +863,7 @@ def check_morphism(w1: WeakKac, w2: WeakKac, pi, tol=None) -> VerificationReport
     rep.add("unital", max_abs(pi @ a1.unit - a2.unit))
     rep.add(
         "star_homomorphism",
-        max_abs(pi @ a1.star_matrix - a2.star_matrix @ np.conj(pi)),
+        max_abs(a1.star_columns(pi) - a2.star(pi)),
         scale=10,
     )
 
@@ -883,7 +948,7 @@ def _cartan_relations(w: WeakKac, leg: int):
     i, j, k, v = w.coproduct
     keys, cols, vals = [], [], []
     for r, left in enumerate((False, True)):
-        x, m, n, u = _basis_products(w.algebra, w.e_matrix, leg, left)
+        x, m, n, u = w.e_products(leg, left)
         keys += [(r * d + j) * d + k, (r * d + m) * d + n]
         cols += [i, x]
         vals += [v, -u]

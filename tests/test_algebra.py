@@ -24,6 +24,7 @@ from wka import (
     regular_trace,
     wedderburn_realize,
 )
+from wka import algebra as algebra_module
 from wka.algebra import _groupoid_matrix_units, _mul, monomial_rows, regular_trace_of
 from wka.constructors import cyclic_groupoid, disjoint_union, pair_groupoid
 from wka.errors import NotSemisimple, NotStarClosed, WkaError
@@ -211,6 +212,45 @@ def test_unit_and_star_involution(shape):
         assert max_abs(alg.mul(alg.unit, v) - v) == 0.0
         assert max_abs(alg.mul(v, alg.unit) - v) == 0.0
         assert max_abs(alg.star(alg.star(v)) - v) == 0.0
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_star_columns_and_star_are_the_products_with_the_star_matrix(shape):
+    alg = make_algebra(shape)
+    x = np.random.default_rng(2).standard_normal((3, alg.dim, alg.dim, 2)) @ [1, 1j]
+    assert np.array_equal(alg.star_columns(x), x @ alg.star_matrix)
+    assert np.array_equal(alg.star_columns(x[0, 0]), x[0, 0] @ alg.star_matrix)
+    assert np.array_equal(alg.star(x[0]), alg.star_matrix @ np.conj(x[0]))
+
+
+def test_make_algebra_builds_each_block_shape_once_read_only():
+    alg = make_algebra((2, 1))
+    assert make_algebra([2, 1]) is alg and make_algebra(np.array([2, 1])) is alg
+    assert make_algebra((1, 2)) is not alg
+    for value in [*vars(alg).values(), *(a for _, *arrays in alg.size_classes for a in arrays)]:
+        assert not isinstance(value, np.ndarray) or not value.flags.writeable
+    with pytest.raises(ValueError):
+        alg.unit[0] = 2.0
+
+
+def test_split_realization_leaves_rank_one_pieces_unsplit(monkeypatch):
+    """Realizing N_t of cube-family 4 (four 1 x 1 blocks, split route)
+    compresses no hermitian part to a rank-one piece: a rank-one
+    projection is minimal."""
+    w = cube_family(4)
+    nt = _cartan_spans(w, Tolerance())[1]
+    shapes = []
+    real = algebra_module.eigenspaces
+
+    def counting(h, tol=None):
+        shapes.append(h.shape)
+        return real(h, tol)
+
+    monkeypatch.setattr(algebra_module, "eigenspaces", counting)
+    products, star, unit = nt.structure_constants()
+    data = StarAlgebraData(products, star, unit, regular_trace_of(products, nt.dim))
+    assert wedderburn_realize(data).algebra.block_shape == (1, 1, 1, 1)
+    assert shapes and (1, 1) not in shapes
 
 
 def test_star_antimultiplicative():

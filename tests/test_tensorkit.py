@@ -9,6 +9,7 @@ from wka.tensorkit import (
     block_nullspace,
     block_positive_definite,
     block_range,
+    block_singular_values,
     dagger,
     max_abs,
     nullspace,
@@ -401,6 +402,14 @@ def test_block_decisions_are_those_of_the_block_diagonal_matrix(monkeypatch):
     assert subspace_distance(_block_diag(spans), orthonormal_columns(whole)) < 1e-12
     # at an explicit shape, the cutoff of that shape: 1.5e6 * 1e-9 * 1e3 = 1.5
     assert [k.shape[1] for k in block_nullspace(stacks, shape=(1_500_000, 9))] == [2, 3, 2]
+    # the singular values of all blocks, from one SVD per stack, descending
+    shapes.clear()
+    s, rank = block_singular_values(stacks)
+    assert shapes == [(2, 6, 3), (1, 4, 3)]
+    s_whole, rank_whole = singular_values(whole)
+    assert rank == rank_whole == 5
+    assert np.allclose(s, s_whole, rtol=0, atol=1e-9) and np.all(np.diff(s) <= 0)
+    assert block_singular_values(stacks, shape=(1_500_000, 9))[1] == 2
 
 
 def test_block_positive_definite_is_that_of_the_block_diagonal_matrix():

@@ -33,7 +33,15 @@ from wka.errors import CartanMismatch, InvalidAction
 from wka.report import VerificationReport
 from wka.tensorkit import Tolerance, max_abs, nullspace, singular_values, subspace_distance
 
-from conftest import basis_products, dense_coproduct, get_example, moved_entry, with_noise
+from conftest import (
+    basis_products,
+    dense_coproduct,
+    get_example,
+    inner_automorphism,
+    moved_along,
+    moved_entry,
+    with_noise,
+)
 
 EXAMPLES = [
     "group_z3",
@@ -189,8 +197,10 @@ def _delta_injectivity_dense(w):
 
 
 def _residuals_dense(w):
-    """Every residual of verify_weak_kac evaluated over the nonzeros, other
-    than coassociativity and multiplicativity, by dense contractions."""
+    """Every residual of verify_weak_kac evaluated over the nonzeros, on
+    the support of e and eps_mult or by permuting with the star, other than
+    coassociativity and multiplicativity, by dense contractions and full
+    d x d products."""
     alg, t, s = w.algebra, dense_coproduct(w), w.antipode
     dim = alg.dim
     star, eps = alg.star_matrix, w.counit
@@ -202,6 +212,12 @@ def _residuals_dense(w):
     lhs_a2 = np.zeros((dim, dim, dim), dtype=complex)
     lhs_a2[:, q, m] = (em @ e)[:, p]
     return {
+        "antipode_star": max_abs(s @ star - star @ np.conj(s)),
+        "axiom1_star": max_abs(eps @ star - np.conj(eps)),
+        "axiom2": max_abs(em @ e @ em - em),
+        "axiomA3_star": max_abs(e @ em @ e - e),
+        "axiomA4": max_abs(es - e @ em.T),
+        "axiomA4_prime": max_abs(et - e.T @ em),
         "delta_star_compatible": max_abs(
             np.einsum("mj,mab->jab", star, t)
             - np.einsum("ma,jab,nb->jmn", star, np.conj(t), np.conj(star), optimize=True)
@@ -295,7 +311,8 @@ def test_injectivity_is_ranked_at_the_cutoff_of_the_full_shape():
     """Delta(b_0) scaled to norm 3e-8 on cube_family(2): the coproduct's
     columns have disjoint supports, so that is its smallest singular value.
     It lies below the rank cutoff of the 64 x 8 shape and above that of the
-    16 nonzero rows; the flag follows the full shape, as the dense SVD does."""
+    16 nonzero rows or of its own 2 x 1 component; the flag follows the full
+    shape, as the dense SVD does."""
     w = get_example("cube2")
     t = dense_coproduct(w)
     t[0] *= 3e-8 / np.linalg.norm(t[0])
@@ -304,6 +321,114 @@ def test_injectivity_is_ranked_at_the_cutoff_of_the_full_shape():
     assert len(np.unique(scaled.coproduct.j * 8 + scaled.coproduct.k)) == 16
     assert (full, smin) == (False, pytest.approx(3e-8, rel=1e-9))
     assert _delta_injectivity_dense(scaled)[0] is False
+
+
+def _moved(n):
+    w = cube_family(n)
+    return moved_along(w, inner_automorphism(w.algebra, np.random.default_rng(0)))
+
+
+def _chain():
+    """cube_family(2) with column i of the coproduct's 64 x 8 matrix holding
+    1 in row i and 1/2 in row i + 1 (row r is b_{r mod 8} (x) b_{r div 8}):
+    columns i and i + 1 share a row, so the 9 rows and 8 columns form one
+    path-shaped component."""
+    w = get_example("cube2")
+    i = np.repeat(np.arange(8), 2)
+    j = i + np.tile([0, 1], 8)
+    t = (i, j % 8, j // 8, np.tile([1.0, 0.5], 8))
+    return WeakKac(w.algebra, t, w.antipode, w.counit)
+
+
+@pytest.mark.parametrize(
+    "build, shapes",
+    [
+        (lambda: cube_family(4), {(4, 1): 64}),
+        (lambda: cube_family(5), {(5, 1): 125}),
+        (lambda: _moved(3), {(243, 9): 3}),
+        (lambda: _moved(4), {(1024, 16): 4}),
+        (_chain, {(9, 8): 1}),
+    ],
+    ids=["cube4", "cube5", "moved cube3", "moved cube4", "chain"],
+)
+def test_injectivity_per_component_matches_the_dense_svd(build, shapes):
+    """On cube_family(n) the coproduct's d^2 x d matrix splits into d
+    components of n rows and one column; on a copy moved along a
+    block-unitary inner automorphism (on cube-family 4, 65,536 nonzeros
+    against 256) into one component per block of M; a path of rows and
+    columns is one component.  Each time the flag and the smallest singular
+    value are those of the whole matrix."""
+    w = build()
+    stacks = weakkac._coproduct_components(w)
+    assert {stack.shape[1:]: len(stack) for stack in stacks} == shapes
+    full, smin = weakkac._delta_injectivity(w, Tolerance())
+    full_dense, smin_dense = _delta_injectivity_dense(w)
+    assert full is full_dense is True
+    assert abs(smin - smin_dense) <= 1e-12, (smin, smin_dense)
+
+
+def _repeated_coproduct_row(name):
+    """The example with Delta(b_1) replaced by Delta(b_0)."""
+    w = get_example(name)
+    t = dense_coproduct(w)
+    t[1] = t[0]
+    return WeakKac(w.algebra, t, w.antipode, w.counit)
+
+
+@pytest.mark.parametrize("name, shape", [("cube2", (2, 2)), ("group_z3", (9, 3))])
+def test_repeated_coproduct_row_fails_injectivity_in_a_multi_column_component(name, shape):
+    """Delta(b_1) = Delta(b_0) joins columns 0 and 1 in one component, two
+    columns over cube_family(2)'s two rows, or inside group_z3's single
+    9 x 3 component: that component has rank one less than its columns,
+    and the smallest singular value is the dense SVD's."""
+    w = _repeated_coproduct_row(name)
+    assert shape in [stack.shape[1:] for stack in weakkac._coproduct_components(w)]
+    rep = verify_weak_kac(w)
+    assert not rep["delta_injective"].passed
+    full, smin = weakkac._delta_injectivity(w, rep.tol)
+    full_dense, smin_dense = _delta_injectivity_dense(w)
+    assert full is full_dense is False
+    assert abs(smin - smin_dense) <= 1e-12, (smin, smin_dense)
+
+
+def test_phase_on_a_column_of_the_antipode_fails_antipode_star():
+    """S(b_c) times e^{0.3i} for a non-self-adjoint b_c of cube_family(2):
+    S no longer commutes with the star, and the residual read from the
+    permuted columns is the dense |S P - P conj(S)|, |e^{0.3i} - 1|.  The
+    phase also breaks anti-multiplicativity.  No mutation of S fails
+    antipode_star alone: when the other checks pass, S is the antipode,
+    which is unique and satisfies S(x*) = S^-1(x)* (Boehm-Nill-Szlachanyi,
+    Weak Hopf algebras I), so with S^2 = id it commutes with the star."""
+    w = get_example("cube2")
+    alg = w.algebra
+    c = int(np.flatnonzero(alg.star_index != np.arange(alg.dim))[0])
+    s = np.array(w.antipode)
+    s[:, c] *= np.exp(0.3j)
+    rep = verify_weak_kac(WeakKac(alg, w.coproduct, s, w.counit))
+    star = alg.star_matrix
+    dense = max_abs(s @ star - star @ np.conj(s))
+    assert rep["antipode_star"].residual == dense == pytest.approx(abs(np.exp(0.3j) - 1))
+    assert not rep["antipode_star"].passed
+    assert "antipode_antimultiplicative" in {c.name for c in rep.failures()}
+
+
+def test_counit_identities_on_the_support_match_full_products():
+    """The counit of cube_family(3) perturbed at a basis element off the
+    diagonal units: eps_mult then has entries outside the rows and columns
+    of e, and the identities formed on their joint support still read the
+    full d x d products."""
+    w = get_example("cube3")
+    eps = np.array(w.counit)
+    eps[np.flatnonzero(w.algebra.basis_row != w.algebra.basis_col)[0]] = 1e-3
+    bad = WeakKac(w.algebra, w.coproduct, w.antipode, eps)
+    support = np.flatnonzero(bad.e_matrix.any(axis=0) | bad.e_matrix.any(axis=1))
+    outside = np.setdiff1d(np.arange(bad.dim), support)
+    assert bad.eps_mult[outside].any()
+    rep = verify_weak_kac(bad)
+    dense = _residuals_dense(bad)
+    for check in ("axiom2", "axiomA3_star", "axiomA4", "axiomA4_prime"):
+        assert abs(rep[check].residual - dense[check]) <= 1e-12, check
+    assert {"axiom2", "axiomA4", "axiomA4_prime"} <= {c.name for c in rep.failures()}
 
 
 def test_verify_weak_kac_forms_no_dense_cube(tmp_path):
@@ -733,6 +858,26 @@ def test_kac_bimodule_computes_each_residual_once(monkeypatch):
     assert names.count("counit_left") == names.count("counit_right") == 1
     counit_names = [c.name for c in verify_weak_kac(w).checks[11:]]
     assert assembled == ["assembled." + n for n in counit_names]
+
+
+def test_basis_products_of_e_are_formed_once_per_algebra(monkeypatch):
+    """verify_weak_kac, cartan_subalgebras and counital_maps on one algebra
+    read (1 (x) b_j) e and its three siblings from WeakKac.e_products, each
+    formed once."""
+    calls = []
+    original = weakkac._basis_products
+
+    def counted(alg, c, leg, left):
+        calls.append((c.ctypes.data, leg, left))
+        return original(alg, c, leg, left)
+
+    monkeypatch.setattr(weakkac, "_basis_products", counted)
+    w = cube_family(2)
+    verify_weak_kac(w)
+    cartan_subalgebras(w)
+    counital_maps(w)
+    of_e = [(leg, left) for data, leg, left in calls if data == w.e_matrix.ctypes.data]
+    assert sorted(of_e) == [(0, False), (0, True), (1, False), (1, True)]
 
 
 def test_kac_bimodule_compressions_are_the_assembled_axioms():

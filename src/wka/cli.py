@@ -3,9 +3,10 @@
 Subcommands: build, verify, derive, dual, check-gen-kac, recover-counit,
 report.  Exit code 0 means all checks passed, 1 means a verification
 failure, 2 means bad input (unparsable file, unknown constructor, out of
-range indices).  The default tolerance is 1e-9, overridable per call
-with --tol or globally with the WKA_TOL environment variable.  All
-output is deterministic for a fixed input and tolerance.
+range indices, a tolerance that is not positive and finite).  The
+default tolerance is 1e-9, overridable per call with --tol or globally
+with the WKA_TOL environment variable; every cutoff is a multiple of it.
+All output is deterministic for a fixed input and tolerance.
 """
 
 import argparse
@@ -67,9 +68,15 @@ DERIVATIONS = (
 
 def _tolerance(args) -> Tolerance:
     if getattr(args, "tol", None) is not None:
-        return Tolerance(abs_tol=args.tol)
-    env = os.environ.get("WKA_TOL")
-    return Tolerance(abs_tol=float(env)) if env else Tolerance()
+        source, value = "--tol", args.tol
+    else:
+        source, value = "WKA_TOL", os.environ.get("WKA_TOL")
+        if not value:
+            return Tolerance()
+    try:
+        return Tolerance(abs_tol=float(value))
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
 
 
 def _summary(w) -> str:

@@ -22,7 +22,7 @@ from .algebra import (
     wedderburn_realize,
 )
 from .errors import InvalidAction, InvalidCocycle, InvalidGroupoid
-from .tensorkit import as_tol, max_abs
+from .tensorkit import DEFAULT_ABS_TOL, as_tol, max_abs
 from .weakkac import WeakKac, _intertwining_residual, _multiplicativity_residual
 
 __all__ = [
@@ -358,14 +358,14 @@ def _validate_cocycle(lam: np.ndarray, nblocks: int):
     lam = np.asarray(lam, dtype=complex)
     if lam.shape != (nblocks, nblocks):
         raise InvalidCocycle(f"expected shape {(nblocks, nblocks)}, got {lam.shape}")
-    if max_abs(np.abs(lam) - 1.0) > 1e-9:
+    if max_abs(np.abs(lam) - 1.0) > DEFAULT_ABS_TOL:
         raise InvalidCocycle("entries must be unimodular")
-    if max_abs(lam - np.conj(lam).T) > 1e-9:
+    if max_abs(lam - np.conj(lam).T) > DEFAULT_ABS_TOL:
         raise InvalidCocycle("must satisfy lambda[b,a] = conj(lambda[a,b])")
     for a in range(nblocks):
         for b in range(nblocks):
             for c in range(nblocks):
-                if abs(lam[a, b] * lam[b, c] - lam[a, c]) > 1e-9:
+                if abs(lam[a, b] * lam[b, c] - lam[a, c]) > DEFAULT_ABS_TOL:
                     raise InvalidCocycle(f"cocycle identity fails at {(a, b, c)}")
     return lam
 

@@ -237,8 +237,7 @@ def _convolution_unit_system(w: WeakKac, phi: Functional, tol):
 
     for the value vector v_a = 1^(b_a), with Phi[a,b] = phi(b_a b_b).  Its
     rows (left or right, j, a) are joins of the coproduct's nonzeros with
-    Phi; a row zero on both sides is left out, and the rest are ranked at
-    the cutoff of the full (2 d^2, d) shape.
+    Phi; a row zero on both sides is left out.
     Returns (u, v) where u solves Phi u = v, the element of M representing
     the unit through phi.  Raises NoUnit when the system is inconsistent,
     underdetermined, or the resulting element is not S- and *-fixed.
@@ -257,7 +256,7 @@ def _convolution_unit_system(w: WeakKac, phi: Functional, tol):
         vals += [v, phim.T[j, a]]
     ab = _nonzero_rows(*(np.concatenate(c) for c in (keys, cols, vals)), dim + 1)
     try:
-        space = solve_affine_space([(ab[:, :dim], ab[:, dim])], tol, shape=(2 * dim * dim, dim))
+        space = solve_affine_space([(ab[:, :dim], ab[:, dim])], tol)
     except Inconsistent as exc:
         raise NoUnit(f"convolution algebra has no unit: {exc}") from exc
     if not space.unique:

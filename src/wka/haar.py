@@ -18,8 +18,8 @@ splits as a direct sum.
 The ideals, their comparisons with M p, p M and p M p, and the
 definiteness tests factor block-diagonal operators: on matrix units left
 multiplication is (+) X_i (x) 1 and right multiplication (+) 1 (x) X_i^T.
-They are decided on the n_i x n_i blocks, at the cutoff of the whole
-operator, and so is the injectivity of y -> e(1 (x) y) and e(y (x) 1).
+They are decided on the n_i x n_i blocks, and so is the injectivity of
+y -> e(1 (x) y) and e(y (x) 1).
 No check draws a random input: the flip identity is trilinear and is
 evaluated on every basis triple, as a join over the coproduct's nonzeros
 whose cost follows nnz(Delta) times the square of the block size, not
@@ -91,7 +91,7 @@ def _target_ideal(w: WeakKac, tol: Tolerance) -> list:
 
     def solve():
         blocks = _ideal_blocks(w.algebra, np.eye(w.dim) - w.eps_t_matrix.T, left=True)
-        return block_nullspace(blocks, tol, shape=(w.dim * w.dim, w.dim))
+        return block_nullspace(blocks, tol)
 
     return w.memo(("target_ideal", tol), solve)
 
@@ -214,11 +214,11 @@ def check_haar_projection(w: WeakKac, tol=None):
 
     # p = (+) P_i, so on matrix units L_p = (+) P_i (x) 1, R_p = (+) 1 (x) P_i^T
     # and L_p R_p = (+) P_i (x) P_i^T: their ranges are ranked from these
-    # blocks, in block_order, at the full shape (d, d)
+    # blocks, in block_order
     ps = alg.block_stacks(p.coeffs)
     pts = [s.swapaxes(1, 2) for s in ps]
-    pm = block_range(ps, tol, shape=(dim, dim))
-    mp = block_range(pts, tol, shape=(dim, dim))
+    pm = block_range(ps, tol)
+    mp = block_range(pts, tol)
     krons = [(s[:, :, None, :, None] * t[:, None, :, None, :]) for s, t in zip(ps, pts)]
     pmp = block_range([k.reshape(len(k), k.shape[1] ** 2, -1) for k in krons], tol)
 
@@ -237,7 +237,7 @@ def check_haar_projection(w: WeakKac, tol=None):
     # and their intersection is K^t_i (x) K^s_i; a projector difference
     # A (x) 1 has the max-abs of A.
     sblocks = _ideal_blocks(alg, np.eye(dim) - es.T, left=False)
-    i_s = block_nullspace(sblocks, tol, shape=(dim * dim, dim))
+    i_s = block_nullspace(sblocks, tol)
     i_t = _target_ideal(w, tol)
     rep.add("source_ideal_is_mp", max(map(_projector_distance, i_s, mp)))
     rep.add("target_ideal_is_pm", max(map(_projector_distance, i_t, pm)))
@@ -302,14 +302,12 @@ def _haar_trace_rows(w: WeakKac, phis: np.ndarray) -> np.ndarray:
 def _haar_trace_space(w: WeakKac, tol: Tolerance) -> np.ndarray:
     """Orthonormal basis of the unnormalized Haar traces, solved once per
     algebra and tolerance: the trace conditions on the orthonormal block
-    traces Tr_i / sqrt(n_i), ranked at the cutoff of the (2 d^2 + d) x d
-    system that also imposed traciality on every functional."""
-    d = w.dim
+    traces Tr_i / sqrt(n_i)."""
 
     def solve():
         chi = block_characters(w.algebra)
         traces = chi / np.sqrt(chi.sum(axis=0))
-        return traces @ nullspace(_haar_trace_rows(w, traces), tol, shape=(2 * d * d + d, d))
+        return traces @ nullspace(_haar_trace_rows(w, traces), tol)
 
     return w.memo(("haar_trace_space", tol), solve)
 
@@ -486,11 +484,11 @@ def haar_conditional_expectations(w: WeakKac, phi: Functional | None = None, tol
     rep.add("relative_preserves_cone_traces", worst_cone, scale=10)
 
     # injectivity of y -> e(1 (x) y) and y -> e(y (x) 1), the d^2 x d stacks
-    # over x of L_u for u the rows (or columns) of e: ranked block by block
-    # at the full shape, as sum_i n_i rank(A_i) (see _ideal_blocks)
+    # over x of L_u for u the rows (or columns) of e: ranked block by block,
+    # as sum_i n_i rank(A_i) (see _ideal_blocks)
     sizes = np.asarray(alg.block_shape)[alg.block_order]
     for name, rows in (("right_leg_injective", e), ("left_leg_injective", e.T)):
-        kernels = block_nullspace(_ideal_blocks(alg, rows, left=True), tol, shape=(dim * dim, dim))
+        kernels = block_nullspace(_ideal_blocks(alg, rows, left=True), tol)
         rank = dim - int(sizes @ [k.shape[1] for k in kernels])
         rep.add_flag(name, rank == dim, f"rank {rank} of {dim}")
     return e_t, e_s, eo_t, rep

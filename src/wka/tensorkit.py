@@ -9,10 +9,10 @@ commutants, ideals), ranks (injectivity, conditional expectations),
 spans (Cartan subalgebras, counit support, range checks), affine solves
 (Haar projection and trace, convolution unit), definiteness
 (faithfulness, GNS forms, complete positivity) and eigenspaces (the
-Wedderburn split).  Before an SVD the exactly-zero rows of a matrix are
-dropped and a tall one is reduced to its R factor; neither changes the
-singular values or right singular vectors, and the rank is counted at the
-full shape.
+Wedderburn split).  One rule: a matrix is ranked at the shape it is
+given in.  Before an SVD its exactly-zero rows are dropped and a tall one
+is reduced to its R factor; neither changes the singular values or right
+singular vectors, nor the shape that the rank is counted at.
 
 A block-diagonal operator, such as left or right multiplication on the
 matrix units of M = (+) M_{n_i}, or one that is block-diagonal after a
@@ -21,13 +21,13 @@ matrix by its connected components, is decided from its diagonal blocks
 (block_nullspace, block_range, block_singular_values,
 block_positive_definite), given as stacks of blocks of one shape (one per
 block size, as FdAlgebra.block_stacks returns them), each factored in one
-stacked call.  Every block is counted at the cutoff of the whole
-operator, its full shape and sigma_max (or largest eigenvalue) over all
-blocks, so each rank, dimension and verdict is the one the whole matrix
-gives; nullspace, orthonormal_columns, singular_values and
-positive_definite are the case of one block.  A stack of unrelated
-matrices is ranked by numerical_rank in one stacked SVD, each matrix at
-its own cutoff.
+stacked call.  Every block is counted at the cutoff of the block-diagonal
+matrix with each block once on its diagonal, its shape and sigma_max (or
+largest eigenvalue) over all blocks, so each rank, dimension and verdict
+is the one that matrix gives; nullspace, orthonormal_columns,
+singular_values and positive_definite are the case of one block.  A stack
+of unrelated matrices is ranked by numerical_rank in one stacked SVD, each
+matrix at its own cutoff.
 
 Index conventions used throughout the package:
   * elements of an algebra M are coefficient vectors over a fixed basis,
@@ -75,9 +75,13 @@ DEFAULT_ABS_TOL = 1e-9
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Absolute entrywise tolerance."""
+    """Absolute entrywise tolerance, positive and finite."""
 
     abs_tol: float = DEFAULT_ABS_TOL
+
+    def __post_init__(self):
+        if not (math.isfinite(self.abs_tol) and self.abs_tol > 0):
+            raise ValueError(f"tolerance must be positive and finite, got {self.abs_tol!r}")
 
     def rank_cutoff(self, shape, smax):
         # Singular values at or below dim * abs_tol * sigma_max are noise.
@@ -169,11 +173,9 @@ def _stack(a) -> np.ndarray:
     return a.reshape(math.prod(a.shape[:-2]), *a.shape[-2:])
 
 
-def _full_shape(stacks, shape):
-    """shape, by default that of the block-diagonal matrix with every matrix
-    of the stacks once on its diagonal."""
-    if shape is not None:
-        return shape
+def _full_shape(stacks):
+    """The shape of the block-diagonal matrix with every matrix of the
+    stacks once on its diagonal."""
     return sum(len(a) * a.shape[1] for a in stacks), sum(len(a) * a.shape[2] for a in stacks)
 
 
@@ -190,17 +192,17 @@ def _r_factor(a: np.ndarray) -> np.ndarray:
     return np.linalg.qr(a, mode="r") if a.shape[-2] > a.shape[-1] else a
 
 
-def block_nullspace(stacks, tol: Tolerance | None = None, shape=None) -> list:
+def block_nullspace(stacks, tol: Tolerance | None = None) -> list:
     """Orthonormal bases (as columns) of the right null spaces of the
-    diagonal blocks of a block-diagonal matrix of `shape`, whose null space
-    is their direct sum.  stacks holds the blocks as stacks (..., m, n) of
-    blocks of one shape (a single matrix is a stack of one); one basis per
-    block, in the order of the stacks.  Each stack makes one QR (of its rows
-    that are nonzero in any of its blocks, when tall) and one SVD."""
+    diagonal blocks of a block-diagonal matrix, whose null space is their
+    direct sum.  stacks holds the blocks as stacks (..., m, n) of blocks of
+    one shape (a single matrix is a stack of one); one basis per block, in
+    the order of the stacks.  Each stack makes one QR (of its rows that are
+    nonzero in any of its blocks, when tall) and one SVD."""
     stacks = [_stack(a) for a in stacks]
     svds = [np.linalg.svd(_r_factor(a)) for a in stacks]
     smax = max((s.max(initial=0.0) for _, s, _ in svds), default=0.0)
-    cut = as_tol(tol).rank_cutoff(_full_shape(stacks, shape), smax)
+    cut = as_tol(tol).rank_cutoff(_full_shape(stacks), smax)
     return [
         v[:, rank:]
         for _, s, vh in svds
@@ -208,34 +210,33 @@ def block_nullspace(stacks, tol: Tolerance | None = None, shape=None) -> list:
     ]
 
 
-def block_range(stacks, tol: Tolerance | None = None, shape=None) -> list:
+def block_range(stacks, tol: Tolerance | None = None) -> list:
     """Orthonormal bases (as columns) of the column spans of the diagonal
-    blocks of a block-diagonal matrix of `shape`, given as for
-    block_nullspace; one basis per block, from one SVD per stack."""
+    blocks of a block-diagonal matrix, given as for block_nullspace; one
+    basis per block, from one SVD per stack."""
     stacks = [_stack(a) for a in stacks]
     svds = [np.linalg.svd(a, full_matrices=False)[:2] for a in stacks]
     smax = max((s.max(initial=0.0) for _, s in svds), default=0.0)
-    cut = as_tol(tol).rank_cutoff(_full_shape(stacks, shape), smax)
+    cut = as_tol(tol).rank_cutoff(_full_shape(stacks), smax)
     return [
         u[:, :rank] for us, s in svds for rank, u in zip((s > cut).sum(axis=1).tolist(), us)
     ]
 
 
-def block_positive_definite(stacks, tol: Tolerance | None = None, shape=None):
-    """(ok, min_eig) for the hermitian part of the block-diagonal matrix of
-    `shape` with the square diagonal blocks of stacks, given as for
-    block_nullspace: ok when the smallest eigenvalue over all blocks lies
-    above the rank cutoff of the largest.  One eigvalsh per stack."""
+def block_positive_definite(stacks, tol: Tolerance | None = None):
+    """(ok, min_eig) for the hermitian part of the block-diagonal matrix
+    with the square diagonal blocks of stacks, given as for block_nullspace:
+    ok when the smallest eigenvalue over all blocks lies above the rank
+    cutoff of the largest.  One eigvalsh per stack."""
     stacks = [_stack(g) for g in stacks]
     w = np.concatenate([np.linalg.eigvalsh((g + g.conj().swapaxes(1, 2)) / 2).ravel() for g in stacks])
-    cut = as_tol(tol).rank_cutoff(_full_shape(stacks, shape), w.max())
+    cut = as_tol(tol).rank_cutoff(_full_shape(stacks), w.max())
     return bool(w.min() > cut), float(w.min())
 
 
-def nullspace(a: np.ndarray, tol: Tolerance | None = None, shape=None) -> np.ndarray:
-    """Orthonormal basis (as columns) of the right null space of a, ranked
-    at the cutoff of `shape` (by default the shape of a)."""
-    return block_nullspace([a], tol, shape)[0]
+def nullspace(a: np.ndarray, tol: Tolerance | None = None) -> np.ndarray:
+    """Orthonormal basis (as columns) of the right null space of a."""
+    return block_nullspace([a], tol)[0]
 
 
 def orthonormal_columns(vs: np.ndarray, tol: Tolerance | None = None) -> np.ndarray:
@@ -249,22 +250,21 @@ def positive_definite(g: np.ndarray, tol: Tolerance | None = None):
     return block_positive_definite([g], tol)
 
 
-def block_singular_values(stacks, tol: Tolerance | None = None, shape=None):
+def block_singular_values(stacks, tol: Tolerance | None = None):
     """(s, rank): the singular values of the diagonal blocks of a
-    block-diagonal matrix of `shape`, given as for block_nullspace, all
-    together in descending order, and how many lie above its rank cutoff.
-    One SVD per stack, of its rows that are nonzero in any of its blocks."""
+    block-diagonal matrix, given as for block_nullspace, all together in
+    descending order, and how many lie above its rank cutoff.  One SVD per
+    stack, of its rows that are nonzero in any of its blocks."""
     stacks = [_stack(a) for a in stacks]
     s = [np.linalg.svd(_drop_zero_rows(a), compute_uv=False).ravel() for a in stacks]
     s = np.sort(np.concatenate([np.zeros(0), *s]))[::-1]
-    return s, _rank(s, _full_shape(stacks, shape), as_tol(tol))
+    return s, _rank(s, _full_shape(stacks), as_tol(tol))
 
 
-def singular_values(a: np.ndarray, tol: Tolerance | None = None, shape=None):
+def singular_values(a: np.ndarray, tol: Tolerance | None = None):
     """(s, rank): the singular values of a, descending, and how many lie
-    above the rank cutoff.  A matrix given by its nonzero rows is ranked at
-    the cutoff of its full `shape` (by default the shape of a)."""
-    return block_singular_values([a], tol, shape)
+    above the rank cutoff."""
+    return block_singular_values([a], tol)
 
 
 def numerical_rank(a: np.ndarray, tol: Tolerance | None = None):
@@ -374,7 +374,7 @@ class AffineSpace:
         return self.null.shape[1] == 0
 
 
-def solve_affine_space(constraints, tol: Tolerance | None = None, shape=None) -> AffineSpace:
+def solve_affine_space(constraints, tol: Tolerance | None = None) -> AffineSpace:
     """Solve a stacked affine system A_i x = b_i in the least-squares sense.
 
     constraints: iterable of (A, b) with A of shape (m_i, n), b of shape
@@ -382,8 +382,7 @@ def solve_affine_space(constraints, tol: Tolerance | None = None, shape=None) ->
     once: its zero rows are dropped, a tall system is reduced to the R
     factor of [A | b], whose last column is Q^H b, and the SVD of the rest
     of R (or of A itself) gives the least-norm point and the null space,
-    the rank counted at the cutoff of `shape`: by default the shape of A,
-    for a system given by its nonzero rows the shape of the full system.
+    the rank counted at the cutoff of the shape of the stacked A.
     Raises Inconsistent, carrying the least-squares solution, when the
     residual exceeds 10 * abs_tol.
     """
@@ -401,7 +400,7 @@ def solve_affine_space(constraints, tol: Tolerance | None = None, shape=None) ->
         row += a.shape[0]
     r = _r_factor(ab)
     u, s, vh = np.linalg.svd(r[:, :n])
-    rank = _rank(s, (ab.shape[0], n) if shape is None else shape, tol)
+    rank = _rank(s, (ab.shape[0], n), tol)
     x = dagger(vh[:rank]) @ ((dagger(u[:, :rank]) @ r[:, n]) / s[:rank])
     space = AffineSpace(x, dagger(vh[rank:]), residual=max_abs(ab[:, :n] @ x - ab[:, n]))
     if space.residual > 10.0 * tol.abs_tol:

@@ -455,12 +455,11 @@ def _delta_star_residual(w: WeakKac) -> float:
 
 def _delta_injectivity(w: WeakKac, tol: Tolerance):
     """Rank of the d^2 x d matrix of the coproduct, from the SVDs of its
-    connected components at the rank cutoff of the full shape: permuted,
-    the matrix is their direct sum.  A component with more columns than
-    rows, or a zero column, leaves fewer than d singular values, and the
-    smallest is then 0."""
+    connected components: permuted, the matrix is their direct sum.  A
+    component with more columns than rows, or a zero column, leaves fewer
+    than d singular values, and the smallest is then 0."""
     d = w.dim
-    s, rank = block_singular_values(_coproduct_components(w), tol, shape=(d * d, d))
+    s, rank = block_singular_values(_coproduct_components(w), tol)
     return rank == d, float(s[-1]) if s.size == d else 0.0
 
 
@@ -906,10 +905,7 @@ def check_kac_bimodule(algebra: FdAlgebra, coproduct, antipode, tol=None):
     rep.add("eps_t_unital", max_abs(et @ alg.unit - alg.unit), scale=10)
     rep.add("eps_s_unital", max_abs(es @ alg.unit - alg.unit), scale=10)
 
-    nt, ns = (
-        nullspace(_nonzero_rows(*_cartan_relations(w, g), w.dim), tol, shape=(2 * w.dim ** 2, w.dim))
-        for g in (0, 1)
-    )
+    nt, ns = (nullspace(_nonzero_rows(*_cartan_relations(w, g), w.dim), tol) for g in (0, 1))
     rep.add("eps_t_range_in_cartan", subspace_contains(nt, et, tol), scale=100)
     rep.add("eps_s_range_in_cartan", subspace_contains(ns, es, tol), scale=100)
     rep.add("target_cartan_closed", SubalgebraBasis(alg, nt, tol).closure_residual(), scale=100)

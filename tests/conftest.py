@@ -376,7 +376,7 @@ def assert_block_ideals_match_dense(alg, xt, xs, tol=None):
     kernels = []
     for x, left in ((xt, True), (xs, False)):
         blocks = _ideal_blocks(alg, x, left)
-        kernels.append(block_nullspace(blocks, tol, shape=(alg.dim * alg.dim, alg.dim)))
+        kernels.append(block_nullspace(blocks, tol))
     kt, ks = kernels
     eyes = [np.eye(alg.block_shape[i]) for i in alg.block_order]
     i_t = alg.block_columns([np.kron(k, e) for k, e in zip(kt, eyes)])

@@ -553,6 +553,30 @@ def test_groupoid_shaped_presentations_keep_their_rejections():
         wedderburn_realize(_k2_with(products=(p, q, m, v)))
 
 
+@pytest.mark.parametrize(
+    "gpd", [pair_groupoid(2), cyclic_groupoid(3)], ids=["rescaled", "split"]
+)
+def test_realization_cutoffs_follow_the_tolerance(gpd):
+    """The star scaled by 1 + 1e-8 fails the involution by ~6e-8 and the
+    round trip by 1e-8; scaled by 1 + 3e-6, by ~2e-5 and 3e-6.  The
+    involution passes at 1e3 * abs_tol, the round trip at 100 * abs_tol."""
+    data = _groupoid_data(gpd)
+
+    def scaled(eps):
+        return StarAlgebraData(data.products, (1 + eps) * data.star, data.unit, data.gns)
+
+    assert wedderburn_realize(scaled(1e-8)).residual == pytest.approx(1e-8, rel=1e-3)
+    with pytest.raises(NotStarClosed, match="involution fails"):
+        wedderburn_realize(scaled(1e-8), Tolerance(abs_tol=1e-13))
+    with pytest.raises(NotStarClosed, match="involution fails"):
+        wedderburn_realize(scaled(3e-6))
+    assert wedderburn_realize(scaled(3e-6), Tolerance(abs_tol=1e-7)).residual == pytest.approx(3e-6, rel=1e-3)
+    if gpd.size == 4:
+        # between the two cutoffs: the involution passes, the round trip not
+        with pytest.raises(WkaError, match="round-trip residual"):
+            wedderburn_realize(scaled(1e-8), Tolerance(abs_tol=7e-11))
+
+
 def test_block_trace_weights():
     alg = make_algebra((2, 1))
     tau = block_trace(alg, weights=[0.25, 3.0])

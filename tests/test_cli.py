@@ -247,6 +247,29 @@ def test_tol_env_var(tmp_path, monkeypatch):
     assert run("verify", "--tol", "1e-3", path) == 0
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+@pytest.mark.parametrize("argv", [("verify",), ("derive", "--what", "all")])
+def test_tolerance_not_positive_and_finite_is_input_error(cube2_file, capsys, monkeypatch, value, argv):
+    """A tolerance that is not positive and finite exits 2 with a message
+    that names where it came from, before any check runs."""
+    monkeypatch.delenv("WKA_TOL", raising=False)
+    assert run(*argv, "--tol", value, cube2_file) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: --tol: ") and "positive and finite" in err
+    monkeypatch.setenv("WKA_TOL", value)
+    assert run(*argv, cube2_file) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: WKA_TOL: ")
+
+
+def test_malformed_tol_env_var_is_input_error(cube2_file, capsys, monkeypatch):
+    monkeypatch.setenv("WKA_TOL", "abc")
+    assert run("verify", cube2_file) == 2
+    assert capsys.readouterr().err == "error: WKA_TOL: could not convert string to float: 'abc'\n"
+    # the flag is read first, so a good flag still runs
+    assert run("verify", "--tol", "1e-9", cube2_file) == 0
+
+
 def test_cached_parser_parses_each_call_on_its_own(cube2_file, monkeypatch, capsys):
     # the parser is built once per process; each call still reads its own
     # command and --tol, and a call without --tol falls back to the default

@@ -16,10 +16,18 @@ Multiplication operators: products and the checks with L_a and R_a are
 joins over the product triples (FdAlgebra.product_terms), so every call
 of the dense d x d lmat or rmat in src/wka must be named in
 ALLOWED_OPERATORS with the reason it keeps the dense matrix.
+
+Tolerances: a rank is decided at the shape of the matrix it is given, so
+no function of tensorkit takes a shape and no call passes one; and every
+cutoff is a multiple of the one abs_tol, so every float literal in (0, 1)
+in src/wka must be named in ALLOWED_FLOATS with the reason it is not a
+cutoff of its own.
 """
 
 import ast
 from pathlib import Path
+
+from wka import tensorkit
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "wka"
 
@@ -61,6 +69,13 @@ ALLOWED_OPERATORS = {
         "the action matrices of the crossed product are read as left multiplications",
     ("weakkac.py", "_delta_mult_dense", "lmat"):
         "the dense multiplicativity path, taken where it is cheaper than the join",
+}
+
+
+# float literals in (0, 1), by file and the name they are bound to
+ALLOWED_FLOATS = {
+    ("tensorkit.py", "DEFAULT_ABS_TOL"): "the default abs_tol that every cutoff is a multiple of",
+    ("haar.py", "_FLIP_EXPAND"): "a share of the k^2 block entries that picks a route, not a cutoff",
 }
 
 
@@ -165,3 +180,86 @@ def test_guard_sees_methods_nested_functions_and_module_code():
         ("m.py", "<module>", "lstsq"),
     }
 
+
+def _scopes(source: str):
+    """(name, node) of each top-level statement of a module: functions by
+    name, methods as Class.method, a module-level assignment by the name it
+    binds."""
+    for top in ast.parse(source).body:
+        if isinstance(top, ast.ClassDef):
+            yield from ((f"{top.name}.{getattr(n, 'name', '<body>')}", n) for n in top.body)
+        elif isinstance(top, ast.Assign) and len(top.targets) == 1 and isinstance(top.targets[0], ast.Name):
+            yield top.targets[0].id, top
+        else:
+            yield getattr(top, "name", "<module>"), top
+
+
+def small_floats_in(source: str, filename: str) -> set:
+    """(file, scope) of every float literal strictly between 0 and 1."""
+    return {
+        (filename, name)
+        for name, scope in _scopes(source)
+        for node in ast.walk(scope)
+        if isinstance(node, ast.Constant) and type(node.value) is float and 0 < node.value < 1
+    }
+
+
+def shape_arguments_in(source: str, filename: str) -> set:
+    """(file, scope, callee) of every call of a tensorkit function that
+    passes shape= by keyword."""
+    public = set(tensorkit.__all__)
+    found = set()
+    for name, scope in _scopes(source):
+        for node in ast.walk(scope):
+            if isinstance(node, ast.Call) and any(k.arg == "shape" for k in node.keywords):
+                callee = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if callee in public:
+                    found.add((filename, name, callee))
+    return found
+
+
+def _each_module(finder) -> set:
+    return set().union(*(finder(p.read_text(), p.name) for p in sorted(SRC.glob("*.py"))))
+
+
+def test_no_tensorkit_function_takes_a_shape():
+    takes = {
+        node.name
+        for node in ast.parse((SRC / "tensorkit.py").read_text()).body
+        if isinstance(node, ast.FunctionDef) and node.name in tensorkit.__all__
+        and any(a.arg == "shape" for a in ast.walk(node.args) if isinstance(a, ast.arg))
+    }
+    assert not takes, f"tensorkit functions with a shape parameter: {sorted(takes)}"
+
+
+def test_no_call_passes_a_shape_to_tensorkit():
+    found = _each_module(shape_arguments_in)
+    assert not found, f"calls that pass shape= to tensorkit: {sorted(found)}"
+
+
+def test_every_small_float_literal_is_named():
+    unexpected = _each_module(small_floats_in) - set(ALLOWED_FLOATS)
+    assert not unexpected, f"float literals in (0, 1) in src/wka: {sorted(unexpected)}"
+
+
+def test_float_allow_list_has_no_stale_entries():
+    stale = set(ALLOWED_FLOATS) - _each_module(small_floats_in)
+    assert not stale, f"allow-list entries with no literal left: {sorted(stale)}"
+
+
+def test_tolerance_guards_see_calls_and_literals_in_every_scope():
+    source = (
+        "TOL = 1e-9\n"
+        "LIMIT = 1e3\n"
+        "class Functional:\n"
+        "    def positive_definite(self, tol):\n"
+        "        return block_positive_definite(self.blocks, tol, shape=(4, 4))\n"
+        "def check(x):\n"
+        "    y = x.reshape(shape=(2, 2))\n"
+        "    return tk.nullspace(x, shape=(8, 2)), 2.0j * y, x > 1e-6\n"
+    )
+    assert small_floats_in(source, "m.py") == {("m.py", "TOL"), ("m.py", "check")}
+    assert shape_arguments_in(source, "m.py") == {
+        ("m.py", "Functional.positive_definite", "block_positive_definite"),
+        ("m.py", "check", "nullspace"),
+    }

@@ -6,6 +6,7 @@ import pytest
 from wka import Tolerance, rank_factorization, solve_affine_space
 from wka.errors import Inconsistent
 from wka.tensorkit import (
+    as_tol,
     block_nullspace,
     block_positive_definite,
     block_range,
@@ -107,6 +108,14 @@ def test_solve_affine_space_haar_equations_group_z2():
     assert max_abs(space.particular - np.array([0.5, 0.5])) < 1e-12
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0, 0.0, -0.0])
+def test_tolerance_must_be_positive_and_finite(value):
+    with pytest.raises(ValueError, match="positive and finite"):
+        Tolerance(abs_tol=value)
+    with pytest.raises(ValueError, match="positive and finite"):
+        as_tol(value)
+
+
 def test_solve_affine_space_inconsistent():
     a = np.array([[1.0, 0.0], [1.0, 0.0]])
     b = np.array([0.0, 1.0])
@@ -155,9 +164,10 @@ def test_zero_rows_change_the_cutoff_but_not_the_factorization(monkeypatch):
 
 
 @pytest.mark.parametrize("consistent", [True, False], ids=["consistent", "inconsistent"])
-def test_nonzero_rows_solved_at_the_padded_shape_match_the_padded_system(consistent):
-    # singular values 1, 1e-8 and 0, as above: rank 2 at the 4 x 3 shape,
-    # rank 1 at the 40 x 3 shape of the system padded with zero rows
+def test_affine_systems_are_ranked_at_the_shape_they_are_given_in(consistent):
+    # singular values 1, 1e-8 and 0, as above: rank 2 at the 4 x 3 shape of
+    # the nonzero rows, rank 1 at the 40 x 3 shape of the system padded with
+    # zero rows, whose null space also holds the direction at 1e-8
     u, _ = np.linalg.qr(rand_c(4, 4))
     v, _ = np.linalg.qr(rand_c(3, 3))
     a = (u[:, :3] * [1.0, 1e-8, 0.0]) @ dagger(v)
@@ -167,21 +177,20 @@ def test_nonzero_rows_solved_at_the_padded_shape_match_the_padded_system(consist
     padded_b = np.zeros(40, dtype=complex)
     padded_b[::10] = b
 
-    def solve(system, shape=None):
+    def solve(system):
         try:
-            return True, solve_affine_space([system], shape=shape)
+            return True, solve_affine_space([system])
         except Inconsistent as exc:
             return False, exc.space
 
-    ok, rows = solve((a, b), shape=(40, 3))
+    ok, rows = solve((a, b))
     ok_padded, full = solve((padded, padded_b))
     assert ok == ok_padded == consistent
-    assert rows.null.shape == full.null.shape == (3, 2)
-    assert np.array_equal(rows.particular, full.particular)
-    assert np.array_equal(rows.null, full.null)
-    assert rows.residual == full.residual
-    # at its own shape the same rows keep the direction at 1e-8
-    assert solve((a, b))[1].null.shape == (3, 1)
+    assert rows.null.shape == (3, 1) and full.null.shape == (3, 2)
+    # the null direction at its own shape is told from the one at 1e-8 to
+    # about eps / 1e-8
+    assert subspace_distance(rows.null, v[:, 2:]) < 1e-6
+    assert subspace_distance(full.null, v[:, 1:]) < 1e-12
 
 
 def test_solver_residual_below_threshold_for_solvable_systems():
@@ -400,8 +409,9 @@ def test_block_decisions_are_those_of_the_block_diagonal_matrix(monkeypatch):
     assert [u.shape[1] for u in spans] == [2, 1, 2]
     assert [u.shape[1] for u in block_range(blocks)] == [2, 1, 2]
     assert subspace_distance(_block_diag(spans), orthonormal_columns(whole)) < 1e-12
-    # at an explicit shape, the cutoff of that shape: 1.5e6 * 1e-9 * 1e3 = 1.5
-    assert [k.shape[1] for k in block_nullspace(stacks, shape=(1_500_000, 9))] == [2, 3, 2]
+    # the cutoff follows the tolerance: 16 * 1e-4 * 1e3 = 1.6 at abs_tol 1e-4
+    loose = Tolerance(abs_tol=1e-4)
+    assert [k.shape[1] for k in block_nullspace(stacks, loose)] == [2, 3, 2]
     # the singular values of all blocks, from one SVD per stack, descending
     shapes.clear()
     s, rank = block_singular_values(stacks)
@@ -409,7 +419,7 @@ def test_block_decisions_are_those_of_the_block_diagonal_matrix(monkeypatch):
     s_whole, rank_whole = singular_values(whole)
     assert rank == rank_whole == 5
     assert np.allclose(s, s_whole, rtol=0, atol=1e-9) and np.all(np.diff(s) <= 0)
-    assert block_singular_values(stacks, shape=(1_500_000, 9))[1] == 2
+    assert block_singular_values(stacks, loose)[1] == singular_values(whole, loose)[1] == 2
 
 
 def test_block_positive_definite_is_that_of_the_block_diagonal_matrix():
@@ -423,7 +433,10 @@ def test_block_positive_definite_is_that_of_the_block_diagonal_matrix():
     # a stack is a list of blocks; an antihermitian part does not count
     stacked = [np.stack(blocks[:2]), blocks[2]]
     assert block_positive_definite(stacked) == positive_definite(whole)
-    assert block_positive_definite(blocks, shape=(1, 1)) == (True, pytest.approx(3e-6))
+    # at abs_tol 1e-10 the cutoff of the whole matrix is 5e-7
+    tight = Tolerance(abs_tol=1e-10)
+    assert block_positive_definite(blocks, tight) == positive_definite(whole, tight)
+    assert block_positive_definite(blocks, tight) == (True, pytest.approx(3e-6))
 
 
 def test_numerical_rank_ranks_each_matrix_of_a_stack_at_its_own_cutoff(monkeypatch):

@@ -307,20 +307,22 @@ def test_join_residuals_match_dense_oracles_off_the_axioms(name, density):
         assert 1e-5 < paths[check][1] < 1e-1, check
 
 
-def test_injectivity_is_ranked_at_the_cutoff_of_the_full_shape():
+def test_injectivity_is_ranked_at_the_shape_of_the_coproduct_components():
     """Delta(b_0) scaled to norm 3e-8 on cube_family(2): the coproduct's
     columns have disjoint supports, so that is its smallest singular value.
-    It lies below the rank cutoff of the 64 x 8 shape and above that of the
-    16 nonzero rows or of its own 2 x 1 component; the flag follows the full
-    shape, as the dense SVD does."""
+    The eight 2 x 1 components form a 16 x 8 block-diagonal matrix, whose
+    cutoff (1.6e-8) it lies above; the dense SVD of the 64 x 8 matrix,
+    with its 48 zero rows, ranks it at 6.4e-8 and reads it as zero."""
     w = get_example("cube2")
     t = dense_coproduct(w)
     t[0] *= 3e-8 / np.linalg.norm(t[0])
     scaled = WeakKac(w.algebra, t, w.antipode, w.counit)
     full, smin = weakkac._delta_injectivity(scaled, Tolerance())
     assert len(np.unique(scaled.coproduct.j * 8 + scaled.coproduct.k)) == 16
-    assert (full, smin) == (False, pytest.approx(3e-8, rel=1e-9))
+    assert (full, smin) == (True, pytest.approx(3e-8, rel=1e-9))
     assert _delta_injectivity_dense(scaled)[0] is False
+    # at abs_tol 3e-9 the components' cutoff (4.8e-8) reads it as zero too
+    assert weakkac._delta_injectivity(scaled, Tolerance(abs_tol=3e-9))[0] is False
 
 
 def _moved(n):
@@ -913,5 +915,5 @@ def test_cartan_relations_match_the_dense_stack(name):
             for left in (False, True)
         ]).T
         rows = weakkac._nonzero_rows(*weakkac._cartan_relations(w, leg), w.dim)
-        span = nullspace(rows, tol, shape=(2 * w.dim ** 2, w.dim))
+        span = nullspace(rows, tol)
         assert subspace_distance(span, nullspace(dense, tol)) < 1e-10

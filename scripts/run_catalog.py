@@ -5,7 +5,8 @@ hyper-center dimension and the number of extreme rays of the Haar trace
 cone.
 
 Usage: python scripts/run_catalog.py [--tol 1e-9] [--no-duals] [--no-twists]
-Exits nonzero if any entry fails its axiom suite.
+Exits 1 if any entry fails its axiom suite, and 2 on a tolerance that is
+not positive and finite.
 """
 
 import argparse
@@ -28,7 +29,11 @@ def main(argv=None) -> int:
     ap.add_argument("--no-duals", action="store_true", help="skip dual entries")
     ap.add_argument("--no-twists", action="store_true", help="skip twist entries")
     args = ap.parse_args(argv)
-    tol = Tolerance(abs_tol=args.tol) if args.tol is not None else None
+    try:
+        tol = Tolerance(abs_tol=args.tol) if args.tol is not None else None
+    except ValueError as exc:
+        print(f"error: --tol: {exc}", file=sys.stderr)
+        return 2
 
     entries = catalog(
         include_duals=not args.no_duals, include_twists=not args.no_twists

@@ -5,7 +5,7 @@ the residuals over nonzeros are built from.  All numerics are numpy.
 The only module that decides a numerical rank.  Each decision counts the
 singular values (or eigenvalues) above the one Tolerance.rank_cutoff,
 max(shape) * abs_tol * max(sigma_max, 1): null spaces (Haar traces,
-commutants, ideals), ranks (injectivity, conditional expectations),
+commutants, ideals), ranks (leg injectivity, conditional expectations),
 spans (Cartan subalgebras, counit support, range checks), affine solves
 (Haar projection and trace, convolution unit), definiteness
 (faithfulness, GNS forms, complete positivity) and eigenspaces (the
@@ -15,19 +15,16 @@ is reduced to its R factor; neither changes the singular values or right
 singular vectors, nor the shape that the rank is counted at.
 
 A block-diagonal operator, such as left or right multiplication on the
-matrix units of M = (+) M_{n_i}, or one that is block-diagonal after a
-permutation of its rows and columns, such as the coproduct's d^2 x d
-matrix by its connected components, is decided from its diagonal blocks
-(block_nullspace, block_range, block_singular_values,
-block_positive_definite), given as stacks of blocks of one shape (one per
-block size, as FdAlgebra.block_stacks returns them), each factored in one
-stacked call.  Every block is counted at the cutoff of the block-diagonal
-matrix with each block once on its diagonal, its shape and sigma_max (or
-largest eigenvalue) over all blocks, so each rank, dimension and verdict
-is the one that matrix gives; nullspace, orthonormal_columns,
-singular_values and positive_definite are the case of one block.  A stack
-of unrelated matrices is ranked by numerical_rank in one stacked SVD, each
-matrix at its own cutoff.
+matrix units of M = (+) M_{n_i}, is decided from its diagonal blocks
+(block_nullspace, block_range, block_positive_definite), given as stacks
+of blocks of one shape (one per block size, as FdAlgebra.block_stacks
+returns them), each factored in one stacked call.  Every block is counted
+at the cutoff of the block-diagonal matrix with each block once on its
+diagonal, its shape and sigma_max (or largest eigenvalue) over all
+blocks, so each rank, dimension and verdict is the one that matrix gives;
+nullspace, orthonormal_columns and positive_definite are the case of one
+block.  A stack of unrelated matrices is ranked by numerical_rank in one
+stacked SVD, each matrix at its own cutoff.
 
 Index conventions used throughout the package:
   * elements of an algebra M are coefficient vectors over a fixed basis,
@@ -53,7 +50,6 @@ __all__ = [
     "block_nullspace",
     "block_positive_definite",
     "block_range",
-    "block_singular_values",
     "dagger",
     "difference_max_abs",
     "eigenspaces",
@@ -63,7 +59,6 @@ __all__ = [
     "orthonormal_columns",
     "positive_definite",
     "rank_factorization",
-    "singular_values",
     "solve_affine_space",
     "subspace_contains",
     "subspace_distance",
@@ -250,23 +245,6 @@ def positive_definite(g: np.ndarray, tol: Tolerance | None = None):
     return block_positive_definite([g], tol)
 
 
-def block_singular_values(stacks, tol: Tolerance | None = None):
-    """(s, rank): the singular values of the diagonal blocks of a
-    block-diagonal matrix, given as for block_nullspace, all together in
-    descending order, and how many lie above its rank cutoff.  One SVD per
-    stack, of its rows that are nonzero in any of its blocks."""
-    stacks = [_stack(a) for a in stacks]
-    s = [np.linalg.svd(_drop_zero_rows(a), compute_uv=False).ravel() for a in stacks]
-    s = np.sort(np.concatenate([np.zeros(0), *s]))[::-1]
-    return s, _rank(s, _full_shape(stacks), as_tol(tol))
-
-
-def singular_values(a: np.ndarray, tol: Tolerance | None = None):
-    """(s, rank): the singular values of a, descending, and how many lie
-    above the rank cutoff."""
-    return block_singular_values([a], tol)
-
-
 def numerical_rank(a: np.ndarray, tol: Tolerance | None = None):
     """Number of singular values of a above the rank cutoff.  For a stack
     (..., m, n) the array of the ranks of its matrices, from one stacked
@@ -326,18 +304,15 @@ def _star_close_span(basis: np.ndarray, star) -> np.ndarray:
     return np.linalg.svd(averaged, full_matrices=False)[0][:, : basis.shape[1]]
 
 
-def rank_factorization(
-    mat: np.ndarray,
-    tol: Tolerance | None = None,
-    star_left=None,
-    star_right=None,
-):
+def rank_factorization(mat: np.ndarray, tol: Tolerance | None = None, star=None):
     """Minimal factorization mat[a, b] = sum_i x_i[a] * y_i[b].
 
-    When antilinear involutions (acting on the columns of a matrix) are
-    supplied, the left factor span is averaged to be *-closed and the right
-    factors are the projection of mat onto its orthonormal basis, so the
-    factorization is preserved (likewise for the right span).
+    When an antilinear involution star (acting on the columns of a matrix)
+    is supplied, both factor spans are made *-closed: the left span is
+    averaged with its star, the right factors are the projection of mat
+    onto its orthonormal basis, and so on for the right span, then once
+    more for the left span, which the right-side projection moved.  Each
+    projection preserves the factorization.
     Returns (xs, ys): two lists of coefficient vectors of equal length.
     """
     tol = as_tol(tol)
@@ -348,16 +323,11 @@ def rank_factorization(
         return [], []
     xs = u[:, :rank] * np.sqrt(s[:rank])
     ys = vh[:rank, :].T * np.sqrt(s[:rank])
-    if star_left is not None:
-        xs = _star_close_span(xs, star_left)
+    if star is not None:
+        xs = _star_close_span(xs, star)
+        ys = _star_close_span(mat.T @ np.conj(xs), star)
+        xs = _star_close_span(orthonormal_columns(mat @ np.conj(ys), tol), star)
         ys = mat.T @ np.conj(xs)
-    if star_right is not None:
-        ys = _star_close_span(ys, star_right)
-        xs = mat @ np.conj(ys)
-        if star_left is not None:
-            # keep the left span *-closed after the right-side projection
-            xs = _star_close_span(orthonormal_columns(xs, tol), star_left)
-            ys = mat.T @ np.conj(xs)
     return [xs[:, i] for i in range(xs.shape[1])], [ys[:, i] for i in range(ys.shape[1])]
 
 

@@ -2,15 +2,16 @@
 Cartan subalgebras and morphism checks.
 
 A weak Kac algebra is (M, Delta, S, eps) with M a finite-dimensional
-C*-algebra, Delta a coassociative injective *-homomorphism M -> M (x) M
-(not required to be unital), S a unital anti-*-automorphism with S^2 = id
+C*-algebra, Delta a coassociative *-homomorphism M -> M (x) M (not
+required to be unital), S a unital anti-*-automorphism with S^2 = id
 and (S (x) S) Delta = flip Delta S, and eps a counit satisfying
   1) eps(S(x)) = eps(x),  eps(x*) = conj(eps(x))
   2) (eps (x) eps)((x (x) 1) e (1 (x) y)) = eps(xy)
   3) (eps_s (x) id) Delta(x) = (1 (x) x) e
 where e = Delta(1), eps_t = mu (id (x) S) Delta and eps_s = mu (S (x) id) Delta.
-The verifier also evaluates the equivalent axiom set A2/A3/A4 and its
-primed variants and cross-checks the two derivations against each other.
+Delta is injective, since the counit pair gives it the left inverse
+eps (x) id.  The verifier also evaluates the equivalent axiom set A2/A3/A4
+and its primed variants.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .tensorkit import (
     _residual,
     _row_starts,
     as_tol,
-    block_singular_values,
     dagger,
     difference_max_abs,
     intersect_subspaces,
@@ -453,62 +453,6 @@ def _delta_star_residual(w: WeakKac) -> float:
     return _residual((star[i], j, k, v), (i, star[j], star[k], np.conj(v)), w.dim)
 
 
-def _delta_injectivity(w: WeakKac, tol: Tolerance):
-    """Rank of the d^2 x d matrix of the coproduct, from the SVDs of its
-    connected components: permuted, the matrix is their direct sum.  A
-    component with more columns than rows, or a zero column, leaves fewer
-    than d singular values, and the smallest is then 0."""
-    d = w.dim
-    s, rank = block_singular_values(_coproduct_components(w), tol)
-    return rank == d, float(s[-1]) if s.size == d else 0.0
-
-
-def _coproduct_components(w: WeakKac) -> list:
-    """The connected components of the coproduct's d^2 x d matrix, rows
-    (j, k) and columns i, joined by its nonzero entries: each is the
-    submatrix on its rows and columns in index order, stacked with those
-    of its shape, one stack per shape.  Zero columns are in no stack."""
-    d = w.dim
-    i, j, k, v = w.coproduct
-    rows, row = np.unique(j * d + k, return_inverse=True)
-    # the least column of each column's component: the least over rows and
-    # columns in turn, with pointer jumping
-    least = np.arange(d)
-    while True:
-        row_least = np.full(rows.size, d)
-        np.minimum.at(row_least, row, least[i])
-        step = least.copy()
-        np.minimum.at(step, i, row_least[row])
-        step = step[step]
-        if (step == least).all():
-            break
-        least = step
-    # component shapes m x n as m (d + 1) + n, indexed by least column
-    shape = np.bincount(row_least, minlength=d) * (d + 1) + np.bincount(least, minlength=d)
-    entry_shape = shape[least[i]]
-    row_at, col_at = _position_in_stack(row_least, shape)[row], _position_in_stack(least, shape)[i]
-    stacks = []
-    for key in sorted(set(shape[shape > d].tolist())):
-        m, n = divmod(key, d + 1)
-        stack = np.zeros((np.count_nonzero(shape == key), m, n), dtype=complex)
-        sel = entry_shape == key
-        stack.reshape(-1, n)[row_at[sel], col_at[sel] % n] = v[sel]
-        stacks.append(stack)
-    return stacks
-
-
-def _position_in_stack(label: np.ndarray, shape: np.ndarray) -> np.ndarray:
-    """The position of each row or column, label its component, among those
-    of the components of its shape, ordered by component, then by index:
-    row r of component c of a stack of m x n components is at c m + r."""
-    key = shape[label]
-    order = np.lexsort((label, key))
-    ranked = key[order]
-    out = np.empty_like(order)
-    out[order] = np.arange(order.size) - np.searchsorted(ranked, ranked)
-    return out
-
-
 def _antipode_residuals(w: WeakKac) -> dict:
     alg, s = w.algebra, w.antipode
     res = {}
@@ -587,9 +531,8 @@ def verify_weak_kac(w: WeakKac, tol=None, seed=None) -> VerificationReport:
     """Evaluate every defining axiom of a weak Kac algebra as a residual.
 
     The report contains one named check per axiom (coproduct, antipode,
-    counit, the equivalent A-set) plus a cross-consistency entry comparing
-    the two counit axiom derivations; verdict is pass iff every residual
-    is within tolerance.  Every residual in M (x) M joins the coproduct's
+    counit, the equivalent A-set); verdict is pass iff every residual is
+    within tolerance.  Every residual in M (x) M joins the coproduct's
     nonzeros with those of d x d matrices or of the product table, so no
     d^3 array is formed; only coassociativity and multiplicativity keep a
     dense d^5 path, taken where it is cheaper.  Nothing is drawn at random;
@@ -612,26 +555,14 @@ def _add_counit_free_checks(rep: VerificationReport, w: WeakKac) -> None:
     rep.add("delta_coassociative", _coassociativity_residual(w), scale=10)
     rep.add("delta_multiplicative", _delta_mult_residual(w), scale=10)
     rep.add("delta_star_compatible", _delta_star_residual(w))
-    full, smin = _delta_injectivity(w, rep.tol)
-    rep.add_flag("delta_injective", full, f"smallest singular value {smin:.3e}")
     for name, r in _antipode_residuals(w).items():
         rep.add(name, r, scale=10)
 
 
 def _add_counit_checks(rep: VerificationReport, w: WeakKac, prefix: str = "") -> None:
-    """The counit axioms after the counit pair, and the cross-check of the
-    two axiom sets."""
-    cres = _counit_residuals(w)
-    for name, r in cres.items():
+    """The counit axioms after the counit pair."""
+    for name, r in _counit_residuals(w).items():
         rep.add(prefix + name, r, scale=10)
-    limit = rep.tol.abs_tol * 10
-    set23 = max(cres["axiom2"], cres["axiom3"]) <= limit
-    set_a = max(cres["axiomA2"], cres["axiomA3"], cres["axiomA4"]) <= limit
-    rep.add_flag(
-        prefix + "axiom_sets_consistent",
-        set23 == set_a,
-        "axioms 2)+3) and A2+A3+A4 must accept or reject together",
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -667,9 +598,7 @@ def _cartan_spans(w: WeakKac, tol: Tolerance):
 
     def factor():
         alg = w.algebra
-        xs, ys = rank_factorization(
-            w.e_matrix, tol, star_left=alg.star, star_right=alg.star
-        )
+        xs, ys = rank_factorization(w.e_matrix, tol, star=alg.star)
         ns = SubalgebraBasis(alg, np.stack(xs, axis=1), tol)
         nt = SubalgebraBasis(alg, np.stack(ys, axis=1), tol)
         return ns, nt, xs, ys

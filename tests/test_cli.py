@@ -1,9 +1,11 @@
 """Command line interface: pipelines, exit codes, report formats."""
 
+import importlib.util
 import json
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -260,6 +262,19 @@ def test_tolerance_not_positive_and_finite_is_input_error(cube2_file, capsys, mo
     assert run(*argv, cube2_file) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: WKA_TOL: ")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+def test_run_catalog_rejects_a_tolerance_not_positive_and_finite(capsys, value):
+    """scripts/run_catalog.py exits 2 with the message of wka, before it
+    builds any member."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_catalog.py"
+    spec = importlib.util.spec_from_file_location("run_catalog", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(["--tol", value]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: --tol: ") and "positive and finite" in err
 
 
 def test_malformed_tol_env_var_is_input_error(cube2_file, capsys, monkeypatch):

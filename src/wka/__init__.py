@@ -22,7 +22,6 @@ from .algebra import (
 )
 from .weakkac import (
     CartanPair,
-    CounitalMaps,
     WeakKac,
     cartan_subalgebras,
     check_kac_bimodule,

@@ -396,9 +396,6 @@ class SubalgebraBasis:
     def dim(self) -> int:
         return self.basis.shape[1]
 
-    def projector(self) -> np.ndarray:
-        return self.basis @ dagger(self.basis)
-
     def contains(self, vectors) -> float:
         return subspace_contains(self.basis, vectors, self.tol)
 
@@ -796,8 +793,8 @@ def check_conditional_expectation(
 ) -> VerificationReport:
     """Verify that the linear map emat is a conditional expectation onto target.
 
-    Checks: unital, idempotent with range exactly the target span, identity
-    on the target, *-preserving, bimodular over the target, completely
+    Checks: unital, range in the target span and identity on it (so E is
+    idempotent onto it), *-preserving, bimodular over the target, completely
     positive (Choi criterion), faithful (Gram criterion), and optionally
     trace-preserving.
 
@@ -813,11 +810,8 @@ def check_conditional_expectation(
     emat = np.asarray(emat, dtype=complex)
     rep = VerificationReport("conditional expectation", tol)
     rep.add("unital", max_abs(emat @ alg.unit - alg.unit))
-    rep.add("idempotent", max_abs(emat @ emat - emat), scale=10)
     rep.add("range_in_target", target.contains(emat))
     rep.add("identity_on_target", max_abs(emat @ target.basis - target.basis))
-    rank = numerical_rank(emat, tol)
-    rep.add_flag("range_equals_target", rank == target.dim, f"rank {rank} vs {target.dim}")
     rep.add(
         "star_preserving",
         max_abs(alg.star_columns(emat) - alg.star(emat)),

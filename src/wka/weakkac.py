@@ -55,7 +55,6 @@ from .tensorkit import (
 __all__ = [
     "WeakKac",
     "CartanPair",
-    "CounitalMaps",
     "verify_weak_kac",
     "cartan_subalgebras",
     "counital_maps",
@@ -247,7 +246,7 @@ def _freeze(value):
     elif isinstance(value, (tuple, list)):
         for item in value:
             _freeze(item)
-    else:
+    elif hasattr(value, "__dict__"):
         for item in [*vars(value).values(), *getattr(value, "meta", {}).values()]:
             if isinstance(item, np.ndarray):
                 _read_only(item)
@@ -546,7 +545,8 @@ def verify_weak_kac(w: WeakKac, tol=None, seed=None) -> VerificationReport:
     left, right = _counit_pair(w, w.counit)
     rep.add("counit_left", left, scale=10)
     rep.add("counit_right", right, scale=10)
-    _add_counit_checks(rep, w)
+    for name, r in _counit_residuals(w).items():
+        rep.add(name, r, scale=10)
     return rep
 
 
@@ -557,12 +557,6 @@ def _add_counit_free_checks(rep: VerificationReport, w: WeakKac) -> None:
     rep.add("delta_star_compatible", _delta_star_residual(w))
     for name, r in _antipode_residuals(w).items():
         rep.add(name, r, scale=10)
-
-
-def _add_counit_checks(rep: VerificationReport, w: WeakKac, prefix: str = "") -> None:
-    """The counit axioms after the counit pair."""
-    for name, r in _counit_residuals(w).items():
-        rep.add(prefix + name, r, scale=10)
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +610,9 @@ def _subalgebra_realization(sub: SubalgebraBasis, tol: Tolerance):
 def cartan_subalgebras(w: WeakKac, tol=None) -> CartanPair:
     """Compute N_s, N_t with the paired factorization of e and verify their
     defining relations, mutual commutation, biorthogonality and the
-    block-structure formula reconstructing e from matrix units of N_s."""
+    block-structure formula reconstructing e from matrix units of N_s.
+    Biorthogonality is checked in one order: eps(x y) = eps(y x) for
+    commuting x, y."""
     tol = as_tol(tol)
     alg = w.algebra
     e = w.e_matrix
@@ -652,15 +648,10 @@ def cartan_subalgebras(w: WeakKac, tol=None) -> CartanPair:
         scale=100,
     )
 
-    ps, pt = ns.projector(), nt.projector()
-    rep.add("e_in_ns_tensor_nt", max_abs(e - ps @ e @ pt.T), scale=100)
-
-    # eps(y_r x_s) and eps(x_s y_r), rows r and columns s
+    # eps(y_r x_s), rows r and columns s
     xmat, ymat = np.stack(xs, axis=1), np.stack(ys, axis=1)
     bio = ymat.T @ w.eps_mult @ xmat
     rep.add("biorthogonal", max_abs(bio - np.eye(len(xs))), scale=100)
-    bio2 = ymat.T @ w.eps_mult.T @ xmat
-    rep.add("biorthogonal_reversed", max_abs(bio2 - np.eye(len(xs))), scale=100)
 
     rep.add("coproduct_of_e", _coproduct_of_e_residual(w), scale=10)
 
@@ -713,19 +704,11 @@ def _block_formula_residual(w: WeakKac, source_units, source_alg) -> float:
 # ---------------------------------------------------------------------------
 
 
-class CounitalMaps:
-    """Matrices of eps_t and eps_s with their verification report."""
-
-    def __init__(self, target_map, source_map, report):
-        self.target_map = target_map
-        self.source_map = source_map
-        self.report = report
-
-
-def counital_maps(w: WeakKac, tol=None) -> CounitalMaps:
-    """eps_t = mu (id (x) S) Delta and eps_s = mu (S (x) id) Delta, verified:
-    unital idempotents onto the Cartan subalgebras, S eps_t = eps_s S,
-    module properties and the e-compression identities.
+def counital_maps(w: WeakKac, tol=None) -> VerificationReport:
+    """The report on eps_t = mu (id (x) S) Delta and eps_s = mu (S (x) id)
+    Delta, the matrices w.eps_t_matrix and w.eps_s_matrix: unital
+    idempotents onto the Cartan subalgebras, S eps_t = eps_s S, module
+    properties and the e-compression identities.
 
     The bimodule property eps_t(n S(n') x) = n eps_t(x) n' over N_t is
     checked one side at a time, eps_t L_n = L_n eps_t and eps_t L_S(n) =
@@ -736,7 +719,6 @@ def counital_maps(w: WeakKac, tol=None) -> CounitalMaps:
     tol = as_tol(tol)
     alg = w.algebra
     et, es = w.eps_t_matrix, w.eps_s_matrix
-    e = w.e_matrix
     ns, nt, _, _ = _cartan_spans(w, tol)
     rep = VerificationReport("counital maps", tol)
     rep.add("target_unital", max_abs(et @ alg.unit - alg.unit))
@@ -772,7 +754,7 @@ def counital_maps(w: WeakKac, tol=None) -> CounitalMaps:
     rep.add("target_bimodule_map", worst_mod, scale=100)
     worst_right = _residual(*(_contract(alg.product_terms(eye, x), et, 2) for x in (n, sn)), d)
     rep.add("right_antipode_absorption", worst_right, scale=100)
-    return CounitalMaps(et, es, rep)
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -821,7 +803,8 @@ def check_kac_bimodule(algebra: FdAlgebra, coproduct, antipode, tol=None):
     eps = theta_t eps_t = theta_s eps_s (theta_* = regular trace of the
     Cartan subalgebra) and reports whether (id (x) eps) Delta = id; when
     every check passes, the remaining counit axioms of the assembled weak
-    Kac algebra are added under the prefix "assembled.".
+    Kac algebra are added under the prefix "assembled.", but for axioms 3
+    and A3'': those read no counit and are the compressions.
     Returns (report, Functional or None).
     """
     tol = as_tol(tol)
@@ -842,8 +825,8 @@ def check_kac_bimodule(algebra: FdAlgebra, coproduct, antipode, tol=None):
 
     # the counit-free axioms A3'' and 3, by the joins of _counit_residuals
     target, source = _compression_residuals(w)
-    rep.add("target_compression", target, scale=100)
-    rep.add("source_compression", source, scale=100)
+    rep.add("target_compression", target, scale=10)
+    rep.add("source_compression", source, scale=10)
 
     theta_t = _regular_trace_on_span(alg, nt)
     theta_s = _regular_trace_on_span(alg, ns)
@@ -858,7 +841,9 @@ def check_kac_bimodule(algebra: FdAlgebra, coproduct, antipode, tol=None):
 
     if not rep.passed:
         return rep, None
-    _add_counit_checks(rep, WeakKac(algebra, w.coproduct, antipode, eps), prefix="assembled.")
+    for name, r in _counit_residuals(WeakKac(algebra, w.coproduct, antipode, eps)).items():
+        if name not in ("axiom3", "axiomA3_doubleprime"):  # the compressions, above
+            rep.add("assembled." + name, r, scale=10)
     func = Functional(algebra, eps) if rep.passed else None
     return rep, func
 

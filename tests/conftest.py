@@ -359,6 +359,19 @@ def moved_entry(w):
     return WeakKac(w.algebra, t, w.antipode, w.counit)
 
 
+def e_without_block(leg):
+    """Mutation: e = Delta(1) without its terms whose leg `leg` lies in
+    block 0, so y -> e(1 (x) y) (leg 1) or e(y (x) 1) (leg 0) kills block 0."""
+
+    def mutate(w):
+        t, in_block = dense_coproduct(w), w.algebra.basis_block == 0
+        for u in np.flatnonzero(w.algebra.unit):
+            t[u][(slice(None), in_block) if leg else in_block] = 0
+        return WeakKac(w.algebra, t, w.antipode, w.counit)
+
+    return mutate
+
+
 def with_noise(w, density=0.0, seed=5):
     """w with 1e-3 complex noise on the nonzeros of its coproduct and on a
     random share `density` of its zeros."""

@@ -694,7 +694,7 @@ def test_check_conditional_expectation_bimodular_can_fail_alone():
     emat[e00, [e01, e10]] = 1.0
     emat[e11, [e01, e10]] = -1.0
     rep = check_conditional_expectation(emat, target)
-    for name in ("unital", "idempotent", "identity_on_target", "star_preserving"):
+    for name in ("unital", "range_in_target", "identity_on_target", "star_preserving"):
         assert rep[name].passed, name
     assert not rep["bimodular"].passed
     assert rep["bimodular"].residual == pytest.approx(1.0)
@@ -712,7 +712,7 @@ def test_bimodular_fails_a_one_sided_module_map(side):
     u[e01] = 1.0
     emat = target.basis @ target.basis.T @ (rmat(alg, u) if side == "left" else alg.lmat(u))
     rep = check_conditional_expectation(emat, target)
-    for name in ("unital", "idempotent", "identity_on_target"):
+    for name in ("unital", "range_in_target", "identity_on_target"):
         assert rep[name].passed, name
     assert not rep["bimodular"].passed
     assert rep["bimodular"].residual == pytest.approx(1.0)

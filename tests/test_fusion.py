@@ -119,7 +119,6 @@ def test_fusion_ring_verifies(name):
     w = get_example(name)
     fr, rep = fusion_ring(w)
     assert rep.passed, rep.as_text()
-    assert rep["multiplicities_integral"].passed
     assert rep["unit_left"].passed and rep["unit_right"].passed
     assert rep["associative"].passed
     # entries are nonnegative integers
@@ -187,7 +186,7 @@ def test_multiplicity_raise_follows_the_tolerance():
     # a drift of 1e-8 lies inside the limit 1000 abs_tol of the default
     # tolerance, and outside it at abs_tol = 1e-12
     w = _scaled_coproduct(get_example("group_z3"), 1 + 1e-8)
-    _, rep = fusion_ring(w)
-    assert rep["multiplicities_integral"].passed
+    ring, _ = fusion_ring(w)
+    assert np.array_equal(ring.table, fusion_ring(get_example("group_z3"))[0].table)
     with pytest.raises(NonIntegralMultiplicity, match="drift 1.00e-08"):
         fusion_ring(w, Tolerance(abs_tol=1e-12))

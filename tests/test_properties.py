@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from wka import (
     cartan_subalgebras,
-    counital_maps,
     crossed_product,
     cyclic_shift_action,
     dual,
@@ -34,7 +33,7 @@ NAMES = ["group_z3", "fun_k2", "elem_12", "cube2", "twist_11"]
 @lru_cache(maxsize=None)
 def setup(name):
     w = get_example(name)
-    et = counital_maps(w).target_map
+    et = w.eps_t_matrix
     pair = cartan_subalgebras(w)
     return w, et, pair
 

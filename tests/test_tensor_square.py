@@ -91,7 +91,7 @@ def test_tensor_square_checks_match_their_dense_oracles(name, moved, monkeypatch
         rep = check_generalized_kac(w, trace)
         _agree(rep["haar_trace_identity"].residual, dense_haar_trace_identity(w, trace.pairing()))
         _agree(rep["regular_trace_identity"].residual, dense_regular_trace_identity(w, theta.vec))
-    rep = counital_maps(w).report
+    rep = counital_maps(w)
     _agree(rep["absorbs_right_factor"].residual, dense_absorption(w.algebra, w.eps_t_matrix))
     # the one-sided residual against the pair loop, through the bounds
     # between them
@@ -121,7 +121,7 @@ def test_target_bimodule_map_fails_each_half_alone(name, side):
     )
     # the cached eps_t_matrix is read from the instance dict
     w.__dict__["eps_t_matrix"] = (alg.lmat(v) if side == "left" else rmat(alg, v)) @ w.eps_t_matrix
-    rep = counital_maps(w).report
+    rep = counital_maps(w)
     assert not rep["target_bimodule_map"].passed
     assert_pair_bounds(
         rep["target_bimodule_map"].residual,
@@ -207,7 +207,7 @@ def _moved_generalized(name):
 
 
 def _moved_counital(name):
-    return lambda monkeypatch: counital_maps(moved_entry(get_example(name))).report
+    return lambda monkeypatch: counital_maps(moved_entry(get_example(name)))
 
 
 def _mismatched_dual(primal, other):
@@ -282,7 +282,7 @@ def _cartan_operators(w, tol):
 
 def _counital_operators(w, tol):
     """right_antipode_absorption with its oracle."""
-    check = counital_maps(w, tol).report["right_antipode_absorption"]
+    check = counital_maps(w, tol)["right_antipode_absorption"]
     return {check.name: (check, dense_right_antipode_absorption(w, _cartan_spans(w, tol)[1].basis))}
 
 

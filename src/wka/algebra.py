@@ -817,14 +817,14 @@ def check_conditional_expectation(
         max_abs(alg.star_columns(emat) - alg.star(emat)),
     )
 
-    rep.add("bimodular", _commutator_residual(alg, emat, target.basis), scale=100)
+    rep.add("bimodular", _commutator_residual(alg, emat, target.basis))
 
     # the Choi matrices sum_kl e_kl (x) E(e_kl), one per block, are the rows
     # of blocks of the concrete matrix of sum_a b_a (x) E(b_a), of
     # coefficient matrix emat^T; each is the direct sum of its blocks
     choi = [stack for *_, stack in alg.tensor_blocks(emat.T)]
     _, min_eig = block_positive_definite(choi, tol)
-    rep.add("completely_positive", max(0.0, -min_eig), note=f"min eig {min_eig:.2e}", scale=100)
+    rep.add("completely_positive", max(0.0, -min_eig), note=f"min eig {min_eig:.2e}")
 
     ok, min_eig = Functional(alg, block_trace(alg).vec @ emat).positive_definite(tol)
     rep.add_flag("faithful", ok, f"min eig {min_eig:.2e}")

@@ -5,7 +5,9 @@ report.  Exit code 0 means all checks passed, 1 means a verification
 failure, 2 means bad input (unparsable file, unknown constructor, out of
 range indices, a tolerance that is not positive and finite).  The
 default tolerance is 1e-9, overridable per call with --tol or globally
-with the WKA_TOL environment variable; every cutoff is a multiple of it.
+with the WKA_TOL environment variable.  A residual check passes iff its
+residual is at most the tolerance, and every other cutoff is a multiple of
+it.
 All output is deterministic for a fixed input and tolerance.
 """
 

@@ -158,15 +158,14 @@ def check_pairing(w: WeakKac, dw: WeakKac, tol=None) -> VerificationReport:
     # F carries the dual coproduct onto the transposed product of M, and F^T
     # the coproduct of M onto the transposed product of the dual
     residual = _intertwining_residual(dw.coproduct, _transposed_product(alg), f)
-    rep.add("coproduct_pairs_with_product", residual, scale=10)
+    rep.add("coproduct_pairs_with_product", residual)
     residual = _intertwining_residual(w.coproduct, _transposed_product(dw.algebra), f.T)
-    rep.add("product_pairs_with_coproduct", residual, scale=10)
+    rep.add("product_pairs_with_coproduct", residual)
 
-    rep.add("antipode_transposes", max_abs(f @ dw.antipode - w.antipode.T @ f), scale=10)
+    rep.add("antipode_transposes", max_abs(f @ dw.antipode - w.antipode.T @ f))
     rep.add(
         "star_conjugates",
         max_abs(dw.algebra.star_columns(f) - alg.star_columns(w.antipode.T) @ np.conj(f)),
-        scale=10,
     )
     rep.add("counit_evaluates_at_unit", max_abs(dw.counit - alg.unit @ f))
     rep.add("unit_pairs_as_counit", max_abs(f @ dw.algebra.unit - w.counit))
@@ -184,15 +183,10 @@ def check_pairing(w: WeakKac, dw: WeakKac, tol=None) -> VerificationReport:
     rep.add(
         "dual_haar_trace_evaluates_at_projection",
         max_abs(dw.meta["to_canonical"].T @ phi_hat.vec - p.coeffs),
-        scale=10,
     )
     phi = normalized_haar_trace(w, tol)
     p_hat = haar_projection(dw, tol)
-    rep.add(
-        "haar_trace_is_dual_haar_projection",
-        max_abs(f @ p_hat.coeffs - phi.vec),
-        scale=10,
-    )
+    rep.add("haar_trace_is_dual_haar_projection", max_abs(f @ p_hat.coeffs - phi.vec))
     return rep
 
 

@@ -131,7 +131,7 @@ def counital_representation(w: WeakKac, tol=None):
         images -= b @ coords
         landed = max(landed, max_abs(images))
         pis[lo : lo + step] = coords.reshape(k, -1, k).transpose(1, 0, 2)
-    rep.add("action_lands_in_cartan", landed, scale=10)
+    rep.add("action_lands_in_cartan", landed)
     p, q, m = alg.products
     rep.add("unital", max_abs(np.tensordot(alg.unit, pis, (0, 0)) - np.eye(k)))
     # pi(b_a b_b) = pi(b_a) pi(b_b) on all basis pairs, in row blocks of ~2^18
@@ -144,16 +144,16 @@ def counital_representation(w: WeakKac, tol=None):
         rows = (p >= lo) & (p < lo + step)
         defect[p[rows] - lo, q[rows]] -= pis[m[rows]]
         worst = max(worst, max_abs(defect))
-    rep.add("multiplicative", worst, scale=10)
+    rep.add("multiplicative", worst)
     star_lhs = pis[alg.star_index]
     star_rhs = np.linalg.solve(gram, np.einsum("asr,sm->arm", np.conj(pis), gram))
-    rep.add("star_representation", max_abs(star_lhs - star_rhs), scale=10)
+    rep.add("star_representation", max_abs(star_lhs - star_rhs))
 
     character = counital_character(w)
-    rep.add("character_formula", max_abs(np.einsum("arr->a", pis) - character), scale=10)
+    rep.add("character_formula", max_abs(np.einsum("arr->a", pis) - character))
 
     nu, residual, support = _support_multiplicities(w)
-    rep.add("character_decomposes_over_blocks", residual, scale=10)
+    rep.add("character_decomposes_over_blocks", residual)
     nu_int = np.round(np.real(nu)).astype(int)
     rep.add("multiplicities_integral", max_abs(nu - nu_int))
     rep.add_flag(
@@ -204,8 +204,9 @@ def fusion_ring(w: WeakKac, tol=None):
     characters.  Raises NonIntegralMultiplicity when the decomposition is
     not a nonnegative integer table within 1000 abs_tol.  Returns
     (FusionRing, report) with checks: decomposition residual,
-    associativity, pi_eps two-sided unit, involution anti-automorphism, and
-    chi_eps = sum of support characters.
+    associativity, pi_eps two-sided unit and involution anti-automorphism.
+    The decomposition of chi_eps over the support characters is checked
+    by counital_representation, which derives the support.
     """
     tol = as_tol(tol)
     alg = w.algebra
@@ -216,7 +217,7 @@ def fusion_ring(w: WeakKac, tol=None):
     v = np.einsum("amj,mi->aij", w.pair_leg(chi, 1), chi)
     coeffs = _character_coordinates(chi, v.reshape(alg.dim, -1))
     residual = max_abs(chi @ coeffs - v.reshape(alg.dim, -1))
-    rep.add("character_decomposition", residual, scale=10)
+    rep.add("character_decomposition", residual)
     n_float = coeffs.reshape(nblocks, nblocks, nblocks).transpose(1, 2, 0)
     table = np.round(np.real(n_float)).astype(int)
     drift = max_abs(n_float - table)
@@ -243,8 +244,7 @@ def fusion_ring(w: WeakKac, tol=None):
 
     rep.add_flag("associative", _associative(table))
 
-    _, chi_res, support = _support_multiplicities(w)
-    rep.add("counital_character_decomposition", chi_res, scale=10)
+    *_, support = _support_multiplicities(w)
     unit_rows = table[list(support)].sum(axis=0) if support else np.zeros((nblocks, nblocks), int)
     unit_cols = table[:, list(support)].sum(axis=1) if support else np.zeros((nblocks, nblocks), int)
     eye = np.eye(nblocks, dtype=int)
@@ -269,13 +269,16 @@ def counital_quotient(w: WeakKac, tol=None):
     Compression to P_eps = sum of the support blocks is a surjective
     morphism of weak Kac algebras.  Returns (quotient, pi, report) where
     pi is the compression matrix; the report verifies the morphism and
-    the quotient's axioms.
+    the quotient's axioms.  The residual of the support is reported by
+    counital_representation.  Raises GramDegenerate when the support is
+    empty: pi_eps is then zero, so the GNS form on N_t is degenerate.
     """
     tol = as_tol(tol)
-    _, residual, support = _support_multiplicities(w)
+    *_, support = _support_multiplicities(w)
+    if not support:
+        raise GramDegenerate("counital support is empty: chi_eps has no constituent")
     wq, pi = restrict_to_blocks(w, support)
     rep = VerificationReport("counital quotient", tol)
-    rep.add("support_identification", residual, scale=10)
     rep.extend(check_morphism(w, wq, pi, tol), prefix="morphism.")
     rep.extend(verify_weak_kac(wq, tol), prefix="quotient.")
     return wq, pi, rep
@@ -311,7 +314,6 @@ def dual_fusion_consistency(w: WeakKac, tol=None) -> VerificationReport:
     rep.add(
         "products_decompose_over_characters",
         max_abs(np.einsum("ijk,ak->ija", lam, carried) - prods),
-        scale=10,
     )
-    rep.add("matches_dual_fusion_table", max_abs(lam - ring.table), scale=10)
+    rep.add("matches_dual_fusion_table", max_abs(lam - ring.table))
     return rep

@@ -318,6 +318,8 @@ def _normalized_haar_trace_space(w: WeakKac, tol: Tolerance) -> AffineSpace:
 
     def solve():
         basis = _haar_trace_space(w, tol)
+        if not basis.shape[1]:
+            raise NoSolution("Haar trace equations: the trace conditions have only the zero solution")
         try:
             coords = solve_affine_space([(w.e_matrix @ basis, w.algebra.unit)], tol)
         except Inconsistent as exc:
@@ -409,11 +411,11 @@ def _haar_trace_cone(w: WeakKac, tol: Tolerance):
         f"{len(rays)} hyper-central classes, solution space dimension {solution.shape[1]}",
     )
     stack = np.stack([r.vec for r in rays], axis=1)
-    rep.add("rays_satisfy_trace_conditions", max_abs(_haar_trace_rows(w, stack)), scale=10)
+    rep.add("rays_satisfy_trace_conditions", max_abs(_haar_trace_rows(w, stack)))
     rep.add("rays_span_solution_space", subspace_distance(stack, solution, tol))
     for k, r in enumerate(rays):
         _, min_eig = r.positive_definite(tol)
-        rep.add(f"ray_{k}_positive", max(0.0, -min_eig), scale=10)
+        rep.add(f"ray_{k}_positive", max(0.0, -min_eig))
     return rays, rep
 
 
@@ -457,13 +459,13 @@ def haar_conditional_expectations(w: WeakKac, phi: Functional | None = None, tol
     # (id (x) E_t) Delta = Delta E_t and (E_s (x) id) Delta = Delta E_s, as joins
     for name, leg, mat in (("target", 2, e_t), ("source", 1, e_s)):
         residual = _residual(_contract(t, mat, leg), _contract(t, mat.T, 0), dim)
-        rep.add(f"{name}_intertwines_coproduct", residual, scale=10)
+        rep.add(f"{name}_intertwines_coproduct", residual)
     rep.add("antipode_exchange", max_abs(e_t @ smat - smat @ e_s))
     # in the coordinates of the range of E_t: N_t for a Haar trace, but a
     # trace that is not one moves E_t off N_t, and only its own range
     # keeps E_t = B v exact
     span = orthonormal_columns(e_t, tol)
-    rep.add("flip_identity", _flip_identity_residual(w, dagger(span) @ e_t), scale=100)
+    rep.add("flip_identity", _flip_identity_residual(w, dagger(span) @ e_t))
 
     eo_t = _relative_expectation(alg, one_x_e, smat)
     nt_comm = commutant(nt, tol)
@@ -475,13 +477,13 @@ def haar_conditional_expectations(w: WeakKac, phi: Functional | None = None, tol
     sandwiches = _sandwiches(alg, e)
     for name, stack in (("right", e_one_x), ("left", one_x_e)):
         residual = _residual(sandwiches, _contract(stack, eo_t.T, 0), dim)
-        rep.add(f"relative_{name}_sandwich", residual, scale=10)
+        rep.add(f"relative_{name}_sandwich", residual)
 
     cone, _ = haar_trace_cone(w, tol)
     worst_cone = max(
         (max_abs(r.vec @ eo_t - r.vec) for r in cone), default=0.0
     )
-    rep.add("relative_preserves_cone_traces", worst_cone, scale=10)
+    rep.add("relative_preserves_cone_traces", worst_cone)
 
     # injectivity of y -> e(1 (x) y) and y -> e(y (x) 1), the d^2 x d stacks
     # over x of L_u for u the rows (or columns) of e: ranked block by block,
@@ -627,12 +629,12 @@ def check_generalized_kac(data, phi: Functional, tol=None) -> VerificationReport
     # (id (x) phi(b_b .)) Delta(b_a) = S (id (x) phi(. b_a)) Delta(b_b) at [a, m, b]
     lhs = _contract(w.coproduct, pairing, 2)
     b, m, a, v = _contract(_contract(w.coproduct, pairing.T, 2), w.antipode, 1)
-    rep.add("haar_trace_identity", _residual(lhs, (a, m, b, v), alg.dim), scale=10)
+    rep.add("haar_trace_identity", _residual(lhs, (a, m, b, v), alg.dim))
 
     theta = regular_trace(alg)
     e_x_one = w.e_products(0, left=False)  # e (b_a (x) 1)
     worst = max_abs(w.pair_leg(theta.vec, 0) - _pair(e_x_one, theta.vec, 0) @ w.antipode.T)
-    rep.add("regular_trace_identity", worst, scale=10)
+    rep.add("regular_trace_identity", worst)
 
     p = haar_projection(w, tol)
     c, formula, flip = _haar_projection_coproduct(w, p.coeffs)

@@ -24,18 +24,17 @@ class CheckResult:
 class VerificationReport:
     """Ordered list of named checks; verdict is pass iff every check passed.
 
-    Checks are recorded with add() which compares a residual against the
-    report tolerance, or with add_flag() for boolean conditions.
+    Checks are recorded with add(), which passes a residual iff it is at
+    most the report's abs_tol, or with add_flag() for boolean conditions.
     """
 
     title: str
     tol: Tolerance = field(default_factory=Tolerance)
     checks: list = field(default_factory=list)
 
-    def add(self, name: str, residual: float, note: str = "", scale: float = 1.0):
+    def add(self, name: str, residual: float, note: str = ""):
         residual = float(residual)
-        limit = self.tol.abs_tol * scale
-        self.checks.append(CheckResult(name, residual, residual <= limit, note))
+        self.checks.append(CheckResult(name, residual, residual <= self.tol.abs_tol, note))
         return self
 
     def add_flag(self, name: str, ok: bool, note: str = ""):

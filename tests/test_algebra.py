@@ -749,8 +749,8 @@ def _expectations(w):
 def test_bimodular_verdicts_match_the_pair_loop_on_the_catalog():
     """On the three expectations of every catalog member, and on each moved
     by a fixed map at 1e-13 and at 1e-3, the one-sided check passes exactly
-    when the pair loop stays within the same limit."""
-    limit = 100 * Tolerance().abs_tol
+    when the pair loop stays within the report's limit, abs_tol."""
+    limit = Tolerance().abs_tol
     rng = np.random.default_rng(0)
     verdicts = set()
     for entry in catalog():

@@ -119,6 +119,17 @@ def test_failing_axioms_exit_one(tmp_path, capsys):
     assert "counit_left" in out and "FAIL" in out
 
 
+@pytest.mark.parametrize("argv", [("derive", "--what", "expectations"), ("check-gen-kac",)])
+def test_no_haar_trace_exits_one(tmp_path, capsys, argv):
+    # with S := id the Haar trace conditions of function-algebra[k2] have
+    # only the zero solution: a verification failure, not bad input
+    w = get_example("fun_k2")
+    path = tmp_path / "sid.wka"
+    save_wka(WeakKac(w.algebra, w.coproduct, np.eye(w.dim), w.counit, {}), path)
+    assert run(*argv, str(path)) == 1
+    assert "verification failure: Haar trace equations" in capsys.readouterr().err
+
+
 def test_numerical_failure_is_input_error(tmp_path, monkeypatch, capsys):
     # the group algebra of Z/3 takes the split into minimal projections,
     # which takes eigenspaces of compressed operators

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wka import Tolerance, WeakKac, catalog, direct_sum
-from wka.errors import NonIntegralMultiplicity
+from wka.errors import GramDegenerate, NonIntegralMultiplicity
 from wka.fusion import (
     _associative,
     block_characters,
@@ -16,7 +16,7 @@ from wka.fusion import (
 )
 from wka import check_morphism, verify_weak_kac
 
-from conftest import get_example
+from conftest import e_without_block, get_example
 
 # frozen (support blocks, quotient dimension) per example
 ORACLE = {
@@ -190,3 +190,11 @@ def test_multiplicity_raise_follows_the_tolerance():
     assert np.array_equal(ring.table, fusion_ring(get_example("group_z3"))[0].table)
     with pytest.raises(NonIntegralMultiplicity, match="drift 1.00e-08"):
         fusion_ring(w, Tolerance(abs_tol=1e-12))
+
+
+def test_quotient_of_an_empty_support_raises():
+    """Without block 0 on a leg of e, chi_eps of cube_family(2) has no
+    constituent: the quotient raises rather than build an empty algebra."""
+    bad = e_without_block(1)(get_example("cube2"))
+    with pytest.raises(GramDegenerate, match="support is empty"):
+        counital_quotient(bad)

@@ -84,14 +84,14 @@ def _nonzero_noise(scale):
     return lambda w, a: a + scale * (a != 0) * _noise(a.shape)
 
 
-def _star_symmetric_noise(flip):
-    """3e-9 noise on the nonzeros of the coproduct, averaged with its image
-    under x -> (* (x) *) noise(x*) so that Delta stays a *-map, and with
-    its legs exchanged when flip is set."""
+def _star_symmetric_noise(flip, scale=3e-9):
+    """Noise of the given scale on the nonzeros of the coproduct, averaged
+    with its image under x -> (* (x) *) noise(x*) so that Delta stays a
+    *-map, and with its legs exchanged when flip is set."""
 
     def change(w, t):
         star = w.algebra.star_index
-        noise = 3e-9 * (t != 0) * _noise(t.shape)
+        noise = scale * (t != 0) * _noise(t.shape)
         noise = (noise + np.conj(noise[np.ix_(star, star, star)])) / 2
         return t + (noise.transpose(0, 2, 1) if flip else noise)
 
@@ -137,9 +137,10 @@ def _moved_entry_of_the_flip(w):
 
 
 # name: (whether the row changes the counit, the mutation); a mutation
-# returns None where it does not apply.  The rows at 5e-9 and the
-# star-symmetric noise stay inside the limits of the coproduct and antipode
-# checks and cross those of the counit axioms of the assembled algebra.
+# returns None where it does not apply.  Every check passes iff its residual
+# is at most abs_tol = 1e-9.  The rows at 3e-9 and 5e-9 move residuals to a
+# few times that limit; the near-limit rows at 3e-10 and 5e-10, one tenth of
+# them, move them to about the limit, where the checks of one report part.
 ROWS = {
     "moved coproduct entry": (False, _moved_entry),
     "moved entry of flip Delta": (False, _moved_entry_of_the_flip),
@@ -147,13 +148,18 @@ ROWS = {
     "Delta(b_0) x 1e-3": (False, _coproduct(_scaled_row(factor=1e-3))),
     "Delta(b_0) to norm 3e-8": (False, _coproduct(_scaled_row(norm=3e-8))),
     "Delta(b_0) x (1 + 5e-9)": (False, _coproduct(_scaled_row(factor=1 + 5e-9))),
+    "Delta(b_0) x (1 + 5e-10)": (False, _coproduct(_scaled_row(factor=1 + 5e-10))),
     "noise 1e-6 on the nonzeros of Delta": (False, _coproduct(_nonzero_noise(1e-6))),
     "noise 3e-9 on the nonzeros of Delta": (False, _coproduct(_nonzero_noise(3e-9))),
+    "noise 3e-10 on the nonzeros of Delta": (False, _coproduct(_nonzero_noise(3e-10))),
     "star-symmetric noise 3e-9 on Delta": (False, _coproduct(_star_symmetric_noise(False))),
     "the same noise, legs exchanged": (False, _coproduct(_star_symmetric_noise(True))),
+    "star-symmetric noise 3e-10 on Delta": (False, _coproduct(_star_symmetric_noise(False, 3e-10))),
+    "the same noise 3e-10, legs exchanged": (False, _coproduct(_star_symmetric_noise(True, 3e-10))),
     "Delta x (1 + 1e-6)": (False, _coproduct(lambda w, t: t * (1 + 1e-6))),
     "noise 1e-6 on the nonzeros of S": (False, _antipode(_nonzero_noise(1e-6))),
     "noise 3e-9 on the nonzeros of S": (False, _antipode(_nonzero_noise(3e-9))),
+    "noise 3e-10 on the nonzeros of S": (False, _antipode(_nonzero_noise(3e-10))),
     "S after an inner automorphism": (
         False,
         _antipode(lambda w, s: s @ inner_automorphism(w.algebra, np.random.default_rng(0))),
@@ -161,8 +167,10 @@ ROWS = {
     "S := id": (False, _antipode(lambda w, s: np.eye(w.dim))),
     "phase on one column of S": (False, _antipode(_column_phase)),
     "S x exp(5e-9 i)": (False, _antipode(lambda w, s: s * np.exp(5e-9j))),
+    "S x exp(5e-10 i)": (False, _antipode(lambda w, s: s * np.exp(5e-10j))),
     "noise 1e-6 on the nonzeros of eps": (True, _counit(_nonzero_noise(1e-6))),
     "noise 3e-9 on the nonzeros of eps": (True, _counit(_nonzero_noise(3e-9))),
+    "noise 3e-10 on the nonzeros of eps": (True, _counit(_nonzero_noise(3e-10))),
     "eps x 1.5": (True, _counit(lambda w, eps: 1.5 * eps)),
     "eps + 1e-6i": (True, _counit(lambda w, eps: eps + 1e-6j)),
 }
@@ -417,9 +425,7 @@ def derived_runs(members=DERIVED_MEMBERS) -> tuple:
             for title, derive in DERIVED.items():
                 try:
                     out.append((title, entry.name, row, derive(mutated)))
-                # numpy raises ValueError where a derivation meets an empty
-                # solution space or an e = Delta(1) with no factors
-                except (WkaError, ValueError, np.linalg.LinAlgError):
+                except (WkaError, np.linalg.LinAlgError):
                     continue
     return tuple(out)
 
@@ -480,7 +486,7 @@ _ASSEMBLED = (
     " beside another counit axiom"
 )
 NEVER_ALONE = {
-    **{(r, n): _COPRODUCT for r in (VERIFY, BIMODULE) for n in ("delta_multiplicative", "delta_coassociative")},
+    **{(r, "delta_multiplicative"): _COPRODUCT for r in (VERIFY, BIMODULE)},
     **{(r, n): _ANTIPODE for r in (VERIFY, BIMODULE) for n in ("antipode_unital", "antipode_involutive")},
     **{(r, n): _COUNIT_PAIR for r in (VERIFY, BIMODULE) for n in ("counit_left", "counit_right")},
     **{(VERIFY, n): _AXIOM1 for n in ("axiom1_s_invariance", "axiom1_star")},
@@ -547,7 +553,7 @@ _QUOTIENT_AXIOMS = (
 )
 _QUOTIENT_MORPHISM = (
     "a morphism property of the compression: it intertwines the structure maps only where"
-    " the support is a sub-weak-Kac algebra, which the support and quotient checks read too"
+    " the support is a sub-weak-Kac algebra, which the quotient checks read too"
 )
 _EXPECTATION = (
     "a property of the conditional expectations E_t, E_s or Eo_t stated in the paper: a"
@@ -555,12 +561,12 @@ _EXPECTATION = (
     " together"
 )
 NEVER_ALONE.update({
-    **{(CARTAN, n): _CARTAN_FACTORS for n in ("factorization_reconstructs_e", "block_formula_reconstructs_e")},
+    (CARTAN, "factorization_reconstructs_e"): _CARTAN_FACTORS,
     **{
         (CARTAN, n): _CARTAN_SPANS
         for n in (
-            "source_defining_relation", "target_defining_relation", "source_closed", "target_closed",
-            "cartans_commute", "antipode_swaps_cartans",
+            "source_defining_relation", "source_closed", "target_closed", "cartans_commute",
+            "antipode_swaps_cartans",
         )
     },
     **{
@@ -569,29 +575,28 @@ NEVER_ALONE.update({
             "idempotent", "self_adjoint", "antipode_fixed", "right_absorption", "left_absorption",
             "eps_t_normalized", "support_oracle_agrees", "counit_right_invariant",
             "counit_left_invariant", "source_ideal_is_mp", "target_ideal_is_pm",
-            "ideal_intersection_is_pmp", "coproduct_evaluation_formula", "coproduct_flip_symmetric",
-            "coproduct_block_ranks",
+            "ideal_intersection_is_pmp", "coproduct_flip_symmetric", "coproduct_block_ranks",
         )
     },
     **{(HAAR_PHI, n): _HAAR_PHI for n in ("antipode_invariant", "normalized", "invariance", "faithful_positive")},
-    **{(CONE, n): _CONE for n in ("ray_count_matches_solution_space", "rays_satisfy_trace_conditions")},
+    (CONE, "ray_count_matches_solution_space"): _CONE,
     **{
         (COUNITAL_REP, n): _COUNITAL_REP
         for n in (
-            "action_lands_in_cartan", "star_representation", "character_formula",
-            "character_decomposes_over_blocks", "multiplicity_free",
+            "action_lands_in_cartan", "unital", "character_formula", "multiplicities_integral",
+            "multiplicity_free", "support_blocks_self_conjugate",
         )
     },
     **{
         (FUSION, n): _FUSION
-        for n in ("character_decomposition", "involution_is_involution", "associative", "unit_left", "unit_right")
+        for n in ("involution_is_involution", "associative", "unit_left", "unit_right")
     },
-    (QUOTIENT, "support_identification"): _QUOTIENT_MORPHISM,
     **{(QUOTIENT, "morphism." + n): _QUOTIENT_MORPHISM for n in ("intertwines_coproduct", "intertwines_antipode")},
     **{
         (QUOTIENT, "quotient." + n): _QUOTIENT_AXIOMS
         for n in (
-            "delta_coassociative", "delta_multiplicative", "antipode_unital", "antipode_star",
+            "delta_coassociative", "delta_multiplicative", "delta_star_compatible", "antipode_unital",
+            "antipode_star",
             "antipode_flips_coproduct", "counit_left", "counit_right", "axiom1_s_invariance",
             "axiom1_star", "axiom3", "axiomA2", "axiomA3", "axiomA4", "axiomA2_prime", "axiomA3_prime",
             "axiomA3_doubleprime", "axiomA3_star", "axiomA4_prime",
@@ -601,11 +606,15 @@ NEVER_ALONE.update({
         (EXPECTATIONS, prefix + n): _EXPECTATION
         for prefix in ("target.", "source.", "relative.")
         for n in (
-            "unital", "range_in_target", "identity_on_target", "star_preserving", "bimodular",
-            "completely_positive", "faithful",
+            "unital", "range_in_target", "identity_on_target", "bimodular", "completely_positive",
+            "faithful",
         )
     },
-    **{(EXPECTATIONS, p + "trace_preserving"): _EXPECTATION for p in ("target.", "source.")},
+    **{
+        (EXPECTATIONS, p + n): _EXPECTATION
+        for p in ("target.", "source.")
+        for n in ("star_preserving", "trace_preserving")
+    },
     **{
         (EXPECTATIONS, n): _EXPECTATION
         for n in (
@@ -626,15 +635,17 @@ NEVER_FAILS = {
 }
 
 # The rows on which axioms 2)+3) and A2+A3+A4 disagree while the coproduct
-# and antipode checks pass.  Each moves residuals to a few times the limit,
-# where the different constants of the two forms decide; on the exact
-# mutations and at 1e-6 the two forms accept or reject together.
+# and antipode checks pass.  Each is a near-limit row: it moves residuals to
+# about the limit, where the different constants of the two forms decide; on
+# the exact mutations, at 1e-6 and at a few times the limit the two forms
+# accept or reject together.
 DISAGREE = {
-    "Delta(b_0) x (1 + 5e-9)",
-    "star-symmetric noise 3e-9 on Delta",
-    "the same noise, legs exchanged",
-    "S x exp(5e-9 i)",
-    "noise 3e-9 on the nonzeros of eps",
+    "Delta(b_0) x (1 + 5e-10)",
+    "noise 3e-10 on the nonzeros of Delta",
+    "star-symmetric noise 3e-10 on Delta",
+    "the same noise 3e-10, legs exchanged",
+    "S x exp(5e-10 i)",
+    "noise 3e-10 on the nonzeros of eps",
 }
 
 

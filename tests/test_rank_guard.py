@@ -22,6 +22,10 @@ no function of tensorkit takes a shape and no call passes one; and every
 cutoff is a multiple of the one abs_tol, so every float literal in (0, 1)
 in src/wka must be named in ALLOWED_FLOATS with the reason it is not a
 cutoff of its own.
+
+Limits: a check passes iff its residual is at most abs_tol, so
+VerificationReport.add takes (name, residual, note) and no call of .add
+in src/wka passes a fourth argument or a limit of its own.
 """
 
 import ast
@@ -263,3 +267,45 @@ def test_tolerance_guards_see_calls_and_literals_in_every_scope():
         ("m.py", "Functional.positive_definite", "block_positive_definite"),
         ("m.py", "check", "nullspace"),
     }
+
+
+# keywords that would give a check a limit of its own
+LIMIT_KEYWORDS = {"scale", "limit"}
+
+
+def limited_adds_in(source: str, filename: str) -> set:
+    """(file, scope, line) of every call of .add that passes more than
+    three positional arguments or a keyword in LIMIT_KEYWORDS."""
+    found = set()
+    for name, scope in _scopes(source):
+        for node in ast.walk(scope):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "add"
+                and (len(node.args) > 3 or any(k.arg in LIMIT_KEYWORDS for k in node.keywords))
+            ):
+                found.add((filename, name, node.lineno))
+    return found
+
+
+def test_every_check_is_judged_at_abs_tol():
+    tree = ast.parse((SRC / "report.py").read_text())
+    report = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "VerificationReport")
+    add = next(n for n in report.body if isinstance(n, ast.FunctionDef) and n.name == "add")
+    assert [a.arg for a in add.args.args] == ["self", "name", "residual", "note"]
+    assert not add.args.vararg and not add.args.kwarg and not add.args.kwonlyargs
+    found = _each_module(limited_adds_in)
+    assert not found, f"calls of .add with a limit of their own: {sorted(found)}"
+
+
+def test_limit_guard_sees_positional_and_keyword_limits():
+    source = (
+        "def check(rep, seen):\n"
+        "    rep.add('a', 0.0, '', 10)\n"
+        "    rep.add('b', 0.0, scale=100)\n"
+        "    rep.add('c', 0.0, note='n', limit=1e-6)\n"
+        "    rep.add('d', 0.0, 'note')\n"
+        "    seen.add('e')\n"
+    )
+    assert limited_adds_in(source, "m.py") == {("m.py", "check", 2), ("m.py", "check", 3), ("m.py", "check", 4)}

@@ -17,6 +17,7 @@ from wka import (
     check_pairing,
     counital_maps,
     counital_quotient,
+    counital_representation,
     cyclic_shift_action,
     decompose_if_split,
     direct_sum,
@@ -36,6 +37,7 @@ from wka.tensorkit import Tolerance, max_abs, nullspace, subspace_distance
 from conftest import (
     basis_products,
     dense_coproduct,
+    e_without_block,
     get_example,
     moved_entry,
     with_noise,
@@ -471,11 +473,22 @@ def test_cartan_rejects_garbage_coproduct():
         cartan_subalgebras(bad)
 
 
+def test_cartan_raises_when_e_is_zero():
+    """group-algebra[k2] has one block, so e = Delta(1) without block 0 on
+    a leg is zero: it has no factors to span N_s and N_t."""
+    bad = e_without_block(1)(get_example("group_k2"))
+    assert not bad.e_matrix.any()
+    with pytest.raises(CartanMismatch, match="no factors"):
+        cartan_subalgebras(bad)
+    with pytest.raises(CartanMismatch, match="no factors"):
+        counital_representation(bad)
+
+
 def test_cartan_raise_follows_the_tolerance():
     """Delta(e_00) and Delta(e_11) moved by +-1e-4 at one entry keep e and
     so N_s and N_t, and break their defining relations by 1e-4 / sqrt(2):
     cartan_subalgebras raises above 1e4 abs_tol, and below it reports the
-    two relations as failed at their limit of 100 abs_tol."""
+    two relations as failed at their limit of abs_tol."""
     w = get_example("cube2")
     alg, t = w.algebra, dense_coproduct(w)
     a, b = np.flatnonzero(alg.basis_row == alg.basis_col)[:2]

@@ -26,7 +26,6 @@ from functools import cached_property, lru_cache, partial
 import numpy as np
 
 from .errors import (
-    MismatchedParent,
     NotSemisimple,
     NotStarClosed,
     WkaError,
@@ -37,6 +36,7 @@ from .tensorkit import (
     _bincount,
     _contract,
     _residual,
+    _table,
     as_tol,
     block_nullspace,
     block_positive_definite,
@@ -200,7 +200,7 @@ class FdAlgebra:
         a sparse stack (i, j, m, values) with repeated triples: each product
         triple b_p b_q = b_m meets the nonzeros x[p, i] and y[q, j]."""
         p, q, m = self.products
-        return _contract(_contract((p, q, m, np.ones(p.size)), x.T, 0), y.T, 1)
+        return _contract(_contract((p, q, m, np.ones(p.size)), _table(x.T), 0), _table(y.T), 1)
 
     def product_stack(self, x, y) -> np.ndarray:
         """out[m, i, j]: the coefficient of b_m in x_i y_j, product_terms
@@ -290,32 +290,6 @@ class AlgElement:
         if self.coeffs.shape != (self.parent.dim,):
             raise ValueError("coefficient vector has wrong length")
 
-    def _check(self, other):
-        if self.parent != other.parent:
-            raise MismatchedParent(
-                f"{self.parent!r} vs {other.parent!r}"
-            )
-
-    def __add__(self, other):
-        self._check(other)
-        return AlgElement(self.parent, self.coeffs + other.coeffs)
-
-    def __sub__(self, other):
-        self._check(other)
-        return AlgElement(self.parent, self.coeffs - other.coeffs)
-
-    def __neg__(self):
-        return AlgElement(self.parent, -self.coeffs)
-
-    def __mul__(self, other):
-        if isinstance(other, AlgElement):
-            self._check(other)
-            return AlgElement(self.parent, self.parent.mul(self.coeffs, other.coeffs))
-        return AlgElement(self.parent, self.coeffs * complex(other))
-
-    def __rmul__(self, scalar):
-        return AlgElement(self.parent, complex(scalar) * self.coeffs)
-
     def star(self) -> "AlgElement":
         return AlgElement(self.parent, self.parent.star(self.coeffs))
 
@@ -369,9 +343,7 @@ def regular_trace_of(products, dim: int) -> np.ndarray:
     """theta[a] = Tr L_{b_a} for product triples (p, q, m, v), that is
     b_p b_q = sum of v b_m: the sum of v over the triples with p = a, q = m."""
     p, q, m, v = products
-    theta = np.zeros(dim, dtype=complex)
-    np.add.at(theta, p[q == m], v[q == m])
-    return theta
+    return _bincount(p[q == m], v[q == m], dim)
 
 
 def block_trace(alg: FdAlgebra, weights=None) -> Functional:
@@ -519,7 +491,10 @@ def _validate_star_algebra(data: StarAlgebraData, tol: Tolerance):
     generator."""
     dim, eye = data.dim, np.eye(data.dim)
     mul = partial(_mul, data.products)
-    res_unit = max(max_abs(mul(data.unit, eye) - eye), max_abs(mul(eye, data.unit) - eye))
+    a, b, c, v = data.products
+    # 1 b_b and b_a 1 over the basis: each b_a b_b = v b_c adds v 1[a] at (c, b) and v 1[b] at (c, a)
+    sides = [_bincount(c * dim + y, v * data.unit[x], dim * dim) for x, y in ((a, b), (b, a))]
+    res_unit = max(max_abs(side - eye.ravel()) for side in sides)
     if res_unit > 100 * tol.abs_tol:
         raise WkaError(f"unit fails by {res_unit:.2e}")
     res_star = max_abs(data.star @ np.conj(data.star) - eye)
@@ -624,8 +599,7 @@ def _groupoid_matrix_units(data: StarAlgebraData):
     dim = data.dim
     p, q, m, v = data.products
     key, inv = np.unique((p * dim + q) * dim + m, return_inverse=True)
-    val = np.zeros(key.size, dtype=complex)
-    np.add.at(val, inv, v)
+    val = _bincount(inv, v, key.size)
     key, val = key[val != 0], val[val != 0]
     pq, m = np.divmod(key, dim)
     if np.any(pq[1:] == pq[:-1]):
@@ -837,8 +811,8 @@ def _commutator_residual(alg: FdAlgebra, op: np.ndarray, basis: np.ndarray) -> f
     """Max over the columns a of basis of |[op, L_a]| and |[op, R_a]|:
     [op, L_a] b_c = op(a b_c) - a op(b_c) and [op, R_a] b_c = op(b_c a) -
     op(b_c) a, from the products of the basis with the b_c and the op(b_c)."""
-    eye = np.eye(alg.dim)
+    eye, table = np.eye(alg.dim), _table(op)
     return max(
-        _residual(_contract(alg.product_terms(basis, eye), op, 2), alg.product_terms(basis, op), alg.dim),
-        _residual(_contract(alg.product_terms(eye, basis), op, 2), alg.product_terms(op, basis), alg.dim),
+        _residual(_contract(alg.product_terms(basis, eye), table, 2), alg.product_terms(basis, op), alg.dim),
+        _residual(_contract(alg.product_terms(eye, basis), table, 2), alg.product_terms(op, basis), alg.dim),
     )

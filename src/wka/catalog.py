@@ -66,9 +66,6 @@ class CatalogEntry:
     name: str
     build: object  # () -> WeakKac
 
-    def __call__(self) -> WeakKac:
-        return self.build()
-
 
 def _shape_tag(shape) -> str:
     return ",".join(str(d) for d in shape)

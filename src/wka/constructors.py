@@ -22,7 +22,7 @@ from .algebra import (
     wedderburn_realize,
 )
 from .errors import InvalidAction, InvalidCocycle, InvalidGroupoid
-from .tensorkit import DEFAULT_ABS_TOL, as_tol, max_abs
+from .tensorkit import DEFAULT_ABS_TOL, _table, as_tol, max_abs
 from .weakkac import WeakKac, _intertwining_residual, _multiplicativity_residual
 
 __all__ = [
@@ -473,9 +473,9 @@ def validate_action(w: WeakKac, action: GroupAction, tol=None):
             raise InvalidAction(f"action of {g} is not unital")
         if max_abs(alg.star_columns(ag) - alg.star(ag)) > limit:
             raise InvalidAction(f"action of {g} does not preserve *")
-        if _multiplicativity_residual(alg, alg, ag) > limit:
+        if _multiplicativity_residual(alg, alg, _table(ag)) > limit:
             raise InvalidAction(f"action of {g} is not multiplicative")
-        if _intertwining_residual(w.coproduct, w.coproduct, ag) > limit:
+        if _intertwining_residual(w.coproduct, w.coproduct, _table(ag)) > limit:
             raise InvalidAction(f"action of {g} does not commute with the coproduct")
         if max_abs(ag @ w.antipode - w.antipode @ ag) > limit:
             raise InvalidAction(f"action of {g} does not commute with the antipode")

@@ -36,9 +36,8 @@ from .constructors import (
 from .errors import NotCounital, NoUnit
 from .haar import _as_weak_kac, haar_projection, normalized_haar_trace
 from .report import VerificationReport
-from .tensorkit import Inconsistent, as_tol, max_abs, numerical_rank, solve_affine_space
-from .weakkac import WeakKac, check_morphism, _cartan_spans, _contract, _intertwining_residual
-from .weakkac import _nonzero_rows
+from .tensorkit import Inconsistent, _contract, _table, as_tol, max_abs, numerical_rank, solve_affine_space
+from .weakkac import WeakKac, check_morphism, _cartan_spans, _intertwining_residual, _nonzero_rows
 
 __all__ = [
     "dual",
@@ -157,9 +156,9 @@ def check_pairing(w: WeakKac, dw: WeakKac, tol=None) -> VerificationReport:
 
     # F carries the dual coproduct onto the transposed product of M, and F^T
     # the coproduct of M onto the transposed product of the dual
-    residual = _intertwining_residual(dw.coproduct, _transposed_product(alg), f)
+    residual = _intertwining_residual(dw.coproduct, _transposed_product(alg), _table(f))
     rep.add("coproduct_pairs_with_product", residual)
-    residual = _intertwining_residual(w.coproduct, _transposed_product(dw.algebra), f.T)
+    residual = _intertwining_residual(w.coproduct, _transposed_product(dw.algebra), _table(f.T))
     rep.add("product_pairs_with_coproduct", residual)
 
     rep.add("antipode_transposes", max_abs(f @ dw.antipode - w.antipode.T @ f))
@@ -243,7 +242,7 @@ def _convolution_unit_system(w: WeakKac, phi: Functional, tol):
     j, a = np.nonzero(phim.T)
     keys, cols, vals = [], [], []
     for half, leg in enumerate((2, 1)):
-        i, *pair, v = _contract(w.coproduct, phim.T, leg)
+        i, *pair, v = _contract(w.coproduct, _table(phim.T), leg)
         col, row = pair if leg == 2 else pair[::-1]
         keys += [(half * dim + row) * dim + i, (half * dim + j) * dim + a]
         cols += [col, np.full(j.size, dim)]

@@ -14,10 +14,6 @@ class Inconsistent(WkaError):
         self.space = space
 
 
-class MismatchedParent(WkaError):
-    """Operands belong to different algebras."""
-
-
 class NotSemisimple(WkaError):
     """Presented algebra has a degenerate GNS form."""
 

@@ -23,7 +23,7 @@ import numpy as np
 from .algebra import FdAlgebra
 from .errors import GramDegenerate, NonIntegralMultiplicity
 from .report import VerificationReport
-from .tensorkit import as_tol, dagger, max_abs, positive_definite
+from .tensorkit import _bincount, as_tol, dagger, max_abs, positive_definite
 from .weakkac import WeakKac, check_morphism, restrict_to_blocks, verify_weak_kac, _cartan_spans
 
 __all__ = [
@@ -56,9 +56,7 @@ def _character_coordinates(chi: np.ndarray, v: np.ndarray) -> np.ndarray:
 def counital_character(w: WeakKac) -> np.ndarray:
     """Character of the counital representation, chi_eps = eps o mu o Delta."""
     i, j, k, v = w.coproduct
-    out = np.zeros(w.dim, dtype=complex)
-    np.add.at(out, i, v * w.eps_mult[j, k])  # eps(b_j b_k) over the terms of Delta(b_i)
-    return out
+    return _bincount(i, v * w.eps_mult[j, k], w.dim)  # eps(b_j b_k) over the terms of Delta(b_i)
 
 
 def _support_multiplicities(w: WeakKac):

@@ -44,10 +44,12 @@ from .tensorkit import (
     AffineSpace,
     Inconsistent,
     Tolerance,
+    _bincount,
     _contract,
     _join,
     _residual,
     _row_starts,
+    _table,
     as_tol,
     block_nullspace,
     block_range,
@@ -294,7 +296,7 @@ def _haar_trace_rows(w: WeakKac, phis: np.ndarray) -> np.ndarray:
     join over the coproduct's nonzeros that leaves out the zero rows, each
     term meeting the row of phis at its second leg."""
     dim = w.dim
-    a, x, k, v = _contract(w.coproduct, np.eye(dim) - w.eps_t_matrix, 1)
+    a, x, k, v = _contract(w.coproduct, _table(np.eye(dim) - w.eps_t_matrix), 1)
     invariance = _rows_times(a * dim + x, k, v, phis)
     return np.vstack([invariance, (w.antipode.T - np.eye(dim)) @ phis])
 
@@ -458,7 +460,7 @@ def haar_conditional_expectations(w: WeakKac, phi: Functional | None = None, tol
 
     # (id (x) E_t) Delta = Delta E_t and (E_s (x) id) Delta = Delta E_s, as joins
     for name, leg, mat in (("target", 2, e_t), ("source", 1, e_s)):
-        residual = _residual(_contract(t, mat, leg), _contract(t, mat.T, 0), dim)
+        residual = _residual(_contract(t, _table(mat), leg), _contract(t, _table(mat.T), 0), dim)
         rep.add(f"{name}_intertwines_coproduct", residual)
     rep.add("antipode_exchange", max_abs(e_t @ smat - smat @ e_s))
     # in the coordinates of the range of E_t: N_t for a Haar trace, but a
@@ -476,7 +478,7 @@ def haar_conditional_expectations(w: WeakKac, phi: Functional | None = None, tol
     # e (1 (x) b_a) e = e (1 (x) z_a) = (1 (x) z_a) e with z_a = Eo_t(b_a)
     sandwiches = _sandwiches(alg, e)
     for name, stack in (("right", e_one_x), ("left", one_x_e)):
-        residual = _residual(sandwiches, _contract(stack, eo_t.T, 0), dim)
+        residual = _residual(sandwiches, _contract(stack, _table(eo_t.T), 0), dim)
         rep.add(f"relative_{name}_sandwich", residual)
 
     cone, _ = haar_trace_cone(w, tol)
@@ -574,11 +576,9 @@ def _relative_expectation(alg, one_x_e, smat: np.ndarray) -> np.ndarray:
     one_x_e over a of (1 (x) b_a) e: each term v b_x (x) b_y of it meets the
     nonzeros S[c, x], and b_c b_y, when nonzero, adds v S[c, x] at row
     b_c b_y, column a."""
-    a, x, y, v = _contract(one_x_e, smat, 1)
-    m = alg.prod_table[x, y]
-    out = np.zeros((alg.dim, alg.dim), dtype=complex)
-    np.add.at(out, (m[m >= 0], a[m >= 0]), v[m >= 0])
-    return out
+    a, x, y, v = _contract(one_x_e, _table(smat), 1)
+    m, d = alg.prod_table[x, y], alg.dim
+    return _bincount(m[m >= 0] * d + a[m >= 0], v[m >= 0], d * d).reshape(d, d)
 
 
 def _sandwiches(alg, c):
@@ -627,8 +627,8 @@ def check_generalized_kac(data, phi: Functional, tol=None) -> VerificationReport
     rep.add("antipode_invariant", max_abs(w.antipode.T @ phi.vec - phi.vec))
 
     # (id (x) phi(b_b .)) Delta(b_a) = S (id (x) phi(. b_a)) Delta(b_b) at [a, m, b]
-    lhs = _contract(w.coproduct, pairing, 2)
-    b, m, a, v = _contract(_contract(w.coproduct, pairing.T, 2), w.antipode, 1)
+    lhs = _contract(w.coproduct, _table(pairing), 2)
+    b, m, a, v = _contract(_contract(w.coproduct, _table(pairing.T), 2), w.antipode_table, 1)
     rep.add("haar_trace_identity", _residual(lhs, (a, m, b, v), alg.dim))
 
     theta = regular_trace(alg)

@@ -1,6 +1,7 @@
 """Dense complex tensor utilities: tolerances, subspaces, rank factorization,
-affine solves, and the joins of sparse 3-tensors (i, j, k, values) that
-the residuals over nonzeros are built from.  All numerics are numpy.
+affine solves, and the joins of sparse 3-tensors (i, j, k, values) with the
+nonzeros of matrices (Table) that the residuals over nonzeros are built
+from.  All numerics are numpy.
 
 The only module that decides a numerical rank.  Each decision counts the
 singular values (or eigenvalues) above the one Tolerance.rank_cutoff,
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -101,7 +103,7 @@ def dagger(a: np.ndarray) -> np.ndarray:
 
 def max_abs(a) -> float:
     a = np.asarray(a)
-    return 0.0 if a.size == 0 else float(np.max(np.abs(a)))
+    return 0.0 if a.size == 0 else float(np.abs(a).max())
 
 
 def difference_max_abs(left, right) -> float:
@@ -112,41 +114,69 @@ def difference_max_abs(left, right) -> float:
     if keys.size == 0:
         return 0.0
     values = np.concatenate([left[1], -right[1]])
-    order = np.argsort(keys)
-    keys = keys[order]
-    first = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
-    return max_abs(np.add.reduceat(values[order], first))
+    order = keys.argsort()
+    keys, first = keys[order], np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return max_abs(np.add.reduceat(values[order], first.nonzero()[0]))
 
 
 def _bincount(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
     """out[i]: the sum from 0 of the complex values at index i, in input
     order."""
-    return np.bincount(index, values.real, size) + 1j * np.bincount(index, np.imag(values), size)
+    return np.bincount(index, values.real, size) + 1j * np.bincount(index, values.imag, size)
 
 
 def _row_starts(sorted_keys: np.ndarray, size: int) -> np.ndarray:
     """starts[r] : starts[r + 1] is the run of key r in sorted_keys."""
-    return np.concatenate([[0], np.cumsum(np.bincount(sorted_keys, minlength=size))])
+    return np.concatenate(([0], np.bincount(sorted_keys, minlength=size).cumsum()))
 
 
 def _join(keys: np.ndarray, starts: np.ndarray):
     """All pairs (n, m) with m in the run starts[keys[n]] : starts[keys[n] + 1]."""
     lo = starts[keys]
     counts = starts[keys + 1] - lo
-    n = np.repeat(np.arange(keys.size), counts)
-    m = np.arange(n.size) - np.repeat(np.cumsum(counts) - counts, counts) + lo[n]
-    return n, m
+    n = np.arange(keys.size).repeat(counts)
+    return n, np.arange(n.size) + (lo + counts - counts.cumsum())[n]
 
 
-def _contract(coo, mat: np.ndarray, axis: int):
-    """mat applied to one axis of a sparse 3-tensor (i, j, k, values),
-    out[.., x, ..] = sum_a mat[x, a] in[.., a, ..]: one product per pair of
-    a nonzero of the tensor and a nonzero in column a of mat."""
-    a, x = np.nonzero(mat.T.astype(bool))
-    n, r = _join(coo[axis], _row_starts(a, mat.shape[1]))
+class Table(NamedTuple):
+    """The nonzeros of a matrix of the given shape, column by column: entry
+    n is mat[row[n], col[n]] = v[n], ordered by column, then row.  No value
+    is exactly 0."""
+
+    col: np.ndarray
+    row: np.ndarray
+    v: np.ndarray
+    shape: tuple
+
+    @property
+    def T(self) -> "Table":
+        """The Table of the transpose."""
+        order = self.row.argsort(kind="stable")
+        return Table(self.row[order], self.col[order], self.v[order], self.shape[::-1])
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=complex)
+        out[self.row, self.col] = self.v
+        return out
+
+
+def _table(mat: np.ndarray) -> Table:
+    """The Table of a dense matrix, by one scan of its entries."""
+    col, row = mat.astype(bool).T.nonzero()
+    return Table(col, row, mat[row, col], mat.shape)
+
+
+def _contract(coo, table: Table, axis: int):
+    """The matrix of a Table applied to one axis of a sparse 3-tensor
+    (i, j, k, values), out[.., x, ..] = sum_a mat[x, a] in[.., a, ..]: one
+    product per pair of a nonzero of the tensor and a nonzero in column a
+    of the matrix."""
+    col, row, v, shape = table
+    n, r = _join(coo[axis], _row_starts(col, shape[1]))
     out = [index[n] for index in coo[:3]]
-    out[axis] = x[r]
-    return (*out, coo[3][n] * mat[x, a][r])
+    out[axis] = row[r]
+    return (*out, coo[3][n] * v[r])
 
 
 def _residual(left, right, base: int) -> float:

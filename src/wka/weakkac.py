@@ -35,12 +35,14 @@ from .algebra import (
 from .errors import CartanMismatch
 from .report import VerificationReport
 from .tensorkit import (
+    Table,
     Tolerance,
     _bincount,
     _contract,
     _join,
     _residual,
     _row_starts,
+    _table,
     as_tol,
     dagger,
     difference_max_abs,
@@ -92,9 +94,16 @@ class WeakKac:
     3-tensor (a, x, y, values) of the joins of this module; only the dense
     coassociativity and multiplicativity paths form a d^3 array.
 
+    The d x d structure maps that the axiom suite reads, e = Delta(1),
+    eps(b_a b_b), eps_t, eps_s and S, are held as Tables of their nonzeros,
+    the first four coalesced from the joins that form them, S from one scan
+    of the antipode: in verify_weak_kac only the stored antipode is a d x d
+    array.  e_matrix, eps_mult, eps_t_matrix and eps_s_matrix are their
+    dense views for the derived structures, scattered on first read.
+
     The structure arrays are read-only copies of the inputs, so every
-    derived structure is computed once per algebra: the counital matrices
-    as cached properties, the tolerance-dependent ones through `memo`.
+    derived structure is computed once per algebra: the structure maps as
+    cached properties, the tolerance-dependent ones through `memo`.
     """
 
     def __init__(self, algebra: FdAlgebra, coproduct, antipode, counit, meta=None):
@@ -131,9 +140,8 @@ class WeakKac:
     def delta(self, x) -> np.ndarray:
         """Coefficient matrix of Delta(x)."""
         i, j, k, v = self.coproduct
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        np.add.at(out, (j, k), np.asarray(x, dtype=complex)[i] * v)
-        return out
+        d = self.dim
+        return _bincount(j * d + k, np.asarray(x, dtype=complex)[i] * v, d * d).reshape(d, d)
 
     def pair_leg(self, phi, leg: int) -> np.ndarray:
         """(id (x) phi) Delta (leg 1) or (phi (x) id) Delta (leg 0) on the
@@ -141,45 +149,39 @@ class WeakKac:
         pairing of Delta(b_a)."""
         return _pair(self.coproduct, phi, leg)
 
-    def mu(self, coeff_matrix) -> np.ndarray:
-        """Multiply out mu(sum C[a,b] b_a (x) b_b) = sum C[a,b] b_a b_b; axes
-        of C after the first two are carried along."""
-        c = np.asarray(coeff_matrix, dtype=complex)
-        p, q, m = self.algebra.products
-        out = np.zeros((self.dim, *c.shape[2:]), dtype=complex)
-        np.add.at(out, m, c[p, q])
-        return out
+    @cached_property
+    def e_table(self) -> Table:
+        """e = Delta(1): the terms of Delta(b_i) at the diagonal units b_i."""
+        i, j, k, v = self.coproduct
+        return _square_table(k, j, self.algebra.unit[i] * v, self.dim)
 
     @cached_property
-    def e_matrix(self) -> np.ndarray:
-        """Coefficient matrix of e = Delta(1)."""
-        return _read_only(self.delta(self.algebra.unit))
+    def eps_mult_table(self) -> Table:
+        """eps(b_a b_b) at row a, column b: eps(b_m) at each product b_a b_b = b_m."""
+        a, b, m = self.algebra.products
+        return _square_table(b, a, self.counit[m], self.dim)
+
+    # eps_t = mu (id (x) S) Delta and eps_s = mu (S (x) id) Delta on
+    # coefficient vectors
+    eps_t_table, eps_s_table = (cached_property(lambda w, leg=leg: w._counital_table(leg)) for leg in (1, 0))
+
+    @cached_property
+    def antipode_table(self) -> Table:
+        return Table(*(_read_only(a) for a in _table(self.antipode)[:3]), self.antipode.shape)
+
+    # the dense views: e_matrix[a, b] is the coefficient of b_a (x) b_b in e,
+    # eps_mult[a, b] = eps(b_a b_b), the others the matrices of eps_t, eps_s
+    e_matrix, eps_mult, eps_t_matrix, eps_s_matrix = (
+        cached_property(lambda w, name=name: _read_only(getattr(w, name).dense()))
+        for name in ("e_table", "eps_mult_table", "eps_t_table", "eps_s_table")
+    )
 
     def e_products(self, leg: int, left: bool):
         """The sparse stack over j of (b_j (x) 1) e, e (b_j (x) 1), (1 (x) b_j) e
         or e (1 (x) b_j), by _basis_products, computed once per algebra."""
+        return self.memo(("e_products", leg, left), lambda: _basis_products(self.algebra, self.e_table, leg, left))
 
-        def compute():
-            return _basis_products(self.algebra, self.e_matrix, leg, left)
-
-        return self.memo(("e_products", leg, left), compute)
-
-    @cached_property
-    def eps_mult(self) -> np.ndarray:
-        """eps_mult[a, b] = eps(b_a b_b)."""
-        return _read_only(Functional(self.algebra, self.counit).pairing())
-
-    @cached_property
-    def eps_t_matrix(self) -> np.ndarray:
-        """Matrix of eps_t = mu (id (x) S) Delta on coefficient vectors."""
-        return _read_only(self._counital_matrix(antipode_leg=1))
-
-    @cached_property
-    def eps_s_matrix(self) -> np.ndarray:
-        """Matrix of eps_s = mu (S (x) id) Delta on coefficient vectors."""
-        return _read_only(self._counital_matrix(antipode_leg=0))
-
-    def _counital_matrix(self, antipode_leg: int) -> np.ndarray:
+    def _counital_table(self, antipode_leg: int) -> Table:
         """mu (id (x) S) Delta (antipode_leg 1) or mu (S (x) id) Delta (0)
         by one join: each term t[i,m,n] b_m (x) b_n meets the products
         b_p b_q = b_o whose factor on the other leg is its own, and adds
@@ -190,9 +192,7 @@ class WeakKac:
         order = np.argsort(key, kind="stable")
         f, s = _join(kept, _row_starts(key[order], self.dim))
         s = order[s]
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        np.add.at(out, (o[s], i[f]), v[f] * self.antipode[factor[s], moved[f]])
-        return out
+        return _square_table(i[f], o[s], v[f] * self.antipode[factor[s], moved[f]], self.dim)
 
     def __repr__(self):
         tag = self.meta.get("name", "")
@@ -233,9 +233,19 @@ def _check_entries(name: str, values: np.ndarray) -> None:
 def _coalesce(keys: np.ndarray, values: np.ndarray):
     """Sorted distinct keys, the values of each key summed from 0 in input
     order, and the keys whose sum is exactly 0 left out."""
-    keys, inverse = np.unique(keys, return_inverse=True)
-    values = _bincount(inverse, values, keys.size)
-    return keys[values != 0], values[values != 0]
+    order = keys.argsort(kind="stable")
+    keys, first = keys[order], np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    values = _bincount(first.cumsum() - 1, values[order], int(first.sum()))
+    return keys[first][values != 0], values[values != 0]
+
+
+def _square_table(col, row, values, d: int) -> Table:
+    """The read-only d x d Table of the entries (row, col, value), repeated
+    entries summed from 0 in input order; zero values add nothing."""
+    kept = values != 0
+    keys, v = _coalesce(col[kept] * d + row[kept], values[kept])
+    return Table(*(_read_only(a) for a in (keys // d, keys % d, v)), (d, d))
 
 
 def _freeze(value):
@@ -384,9 +394,7 @@ def _nonzero_rows(keys, cols, values, width: int) -> np.ndarray:
     """The matrix of entries (row key, column, value), one row per distinct
     key in key order, the values of repeated entries summed."""
     rows, row = np.unique(keys, return_inverse=True)
-    out = np.zeros((rows.size, width), dtype=complex)
-    np.add.at(out, (row, cols), values)
-    return out
+    return _bincount(row * width + cols, values, rows.size * width).reshape(rows.size, width)
 
 
 def _rows_times(keys, cols, values, mat: np.ndarray) -> np.ndarray:
@@ -409,10 +417,10 @@ def _pair(coo, phi, leg: int) -> np.ndarray:
     return out
 
 
-def _basis_products(alg: FdAlgebra, c: np.ndarray, leg: int, left: bool):
+def _basis_products(alg: FdAlgebra, c: Table, leg: int, left: bool):
     """The sparse stack over j of (b_j (x) 1) C, C (b_j (x) 1), (1 (x) b_j) C
     or C (1 (x) b_j) for (leg, left) = (0, True), (0, False), (1, True) or
-    (1, False), C given by its coefficient matrix c: each product
+    (1, False), C given by the Table c of its coefficient matrix: each product
     b_j b_k = b_m meets row k (leg 0) or column k (leg 1) of c."""
     p, q, m = alg.products
     j, k = (p, q) if left else (q, p)
@@ -420,21 +428,22 @@ def _basis_products(alg: FdAlgebra, c: np.ndarray, leg: int, left: bool):
     return (i, x, y, v) if leg else (i, y, x, v)
 
 
-def _multiplicativity_residual(src: FdAlgebra, dst: FdAlgebra, f, anti: bool = False) -> float:
+def _multiplicativity_residual(src: FdAlgebra, dst: FdAlgebra, f: Table, anti: bool = False) -> float:
     """Max over basis pairs of |f(b_a b_b) - f(b_a) f(b_b)| for the linear map
-    f : src -> dst given by its matrix, or of |f(b_a b_b) - f(b_b) f(b_a)|
-    when anti is set: f applied to the products of src, against each
-    product b_x b_y = b_z of dst with the nonzeros f[x, i] and f[y, j]."""
+    f : src -> dst given by the Table of its matrix, or of |f(b_a b_b) -
+    f(b_b) f(b_a)| when anti is set: f applied to the products of src, against
+    each product b_x b_y = b_z of dst with the nonzeros f[x, i] and f[y, j]."""
     left = _contract((*src.products, np.ones(src.products[0].size)), f, 2)
-    i, j, z, v = dst.product_terms(f, f)
+    x, y, z, ft = *dst.products, f.T
+    i, j, z, v = _contract(_contract((x, y, z, np.ones(z.size)), ft, 0), ft, 1)
     return _residual(left, (j, i, z, v) if anti else (i, j, z, v), max(src.dim, dst.dim))
 
 
 def _intertwining_residual(t1, t2, f, flip: bool = False) -> float:
     """Residual of (f (x) f) Delta_1 = Delta_2 f (or = flip Delta_2 f) on the
-    basis of the domain, for f given by its matrix and the coproducts
-    Delta_1, Delta_2 as sparse 3-tensors (i, j, k, values).  The legs of
-    Delta_1 meet f one at a time, with repeated triples summed in between."""
+    basis of the domain, for f given by the Table of its matrix and the
+    coproducts Delta_1, Delta_2 as sparse 3-tensors (i, j, k, values).  The
+    legs of Delta_1 meet f one at a time, repeated triples summed between."""
     shape = (max(f.shape),) * 3
     i, j, k, v = _contract(t1, f, 1)
     keys, summed = _coalesce(np.ravel_multi_index((i, j, k), shape), v)
@@ -453,11 +462,16 @@ def _delta_star_residual(w: WeakKac) -> float:
 
 
 def _antipode_residuals(w: WeakKac) -> dict:
-    alg, s = w.algebra, w.antipode
+    """The antipode axioms on the Table of S: S S = 1 joins it with itself,
+    and S(x*) = S(x)* compares S[a, *b] with conj(S[*a, b]) by permuting
+    its entries with the star, as _delta_star_residual does."""
+    alg, s, d, star = w.algebra, w.antipode_table, w.dim, w.algebra.star_index
+    col, row, v, _ = s
     res = {}
-    res["antipode_unital"] = max_abs(s @ alg.unit - alg.unit)
-    res["antipode_involutive"] = max_abs(s @ s - np.eye(alg.dim))
-    res["antipode_star"] = max_abs(alg.star_columns(s) - alg.star(s))
+    res["antipode_unital"] = max_abs(w.antipode @ alg.unit - alg.unit)
+    _, a, c, x = _contract((col, row, col, v), s, 1)  # S[a, b] S[b, c] at (a, c)
+    res["antipode_involutive"] = difference_max_abs((a * d + c, x), (np.arange(d) * (d + 1), np.ones(d)))
+    res["antipode_star"] = difference_max_abs((row * d + star[col], v), (star[row] * d + col, np.conj(v)))
     # S(b_a b_b) = S(b_b) S(b_a) over all basis pairs
     res["antipode_antimultiplicative"] = _multiplicativity_residual(alg, alg, s, anti=True)
     # (S (x) S) Delta = flip Delta S
@@ -477,23 +491,20 @@ def _counit_pair(w: WeakKac, eps) -> tuple:
 
 def _counit_residuals(w: WeakKac) -> dict:
     """The counit axioms other than the counit pair itself.  Those in
-    M (x) M contract one leg of the sparse coproduct with a d x d matrix
-    and compare it with the basis products of e, also sparse.  The products
-    of e and eps_mult are formed once each on U x U, U the indices of the
-    nonzero rows and columns of either: both vanish outside it, and so do
-    their products."""
-    alg, t, s, eps, d = w.algebra, w.coproduct, w.antipode, w.counit, w.dim
-    em, e, es, et = w.eps_mult, w.e_matrix, w.eps_s_matrix, w.eps_t_matrix
-    nonzero = (e != 0) | (em != 0)
-    u = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
-    e_u, em_u = e[u[:, None], u], em[u[:, None], u]
-    on_u = np.stack([em_u @ e_u, e_u @ em_u, e_u @ em_u.T, em_u.T @ e_u])
-    # the same products written over the whole basis
-    whole = np.zeros((4, d, d), dtype=complex)
-    whole[:, u[:, None], u] = on_u
-    em_e, e_em, e_emt, emt_e = whole
+    M (x) M contract one leg of the sparse coproduct with a Table and
+    compare it with the basis products of e, also sparse.  The products of
+    e and eps_mult are formed once each, densely on U x U, U the indices of
+    the nonzero rows and columns of either: both vanish outside it, and so
+    do their products.  A4 and A4' compare the Tables of those products
+    with those of eps_s and eps_t."""
+    alg, t, eps, d, e, em = w.algebra, w.coproduct, w.counit, w.dim, w.e_table, w.eps_mult_table
+    u = np.flatnonzero(np.bincount(np.concatenate([e.col, e.row, em.col, em.row]), minlength=d))
+    e_u, em_u = (Table(*np.searchsorted(u, x[:2]), x.v, (u.size, u.size)).dense() for x in (e, em))
+    on_u = [em_u @ e_u, e_u @ em_u, e_u @ em_u.T, em_u.T @ e_u]
+    # the same products as Tables over the whole basis
+    em_e, e_em, e_emt, emt_e = (Table(u[x.col], u[x.row], x.v, (d, d)) for x in map(_table, on_u))
     res = {}
-    res["axiom1_s_invariance"] = max_abs(eps @ s - eps)
+    res["axiom1_s_invariance"] = max_abs(eps @ w.antipode - eps)
     res["axiom1_star"] = max_abs(alg.star_columns(eps) - np.conj(eps))
     res["axiom2"] = max_abs(on_u[0] @ em_u - em_u)
 
@@ -501,17 +512,17 @@ def _counit_residuals(w: WeakKac) -> dict:
     one_x_e, e_one_x = w.e_products(1, left=True), w.e_products(1, left=False)
     compress_t, res["axiom3"] = _compression_residuals(w)
     # A2 at [a, b, n]: (em e)[a, p] where b_p b_b = b_n, against sum_c em[a, c] t[b, c, n]
-    q, m, a, g = _basis_products(alg, em_e.T, leg=0, left=False)
+    q, a, m, g = _basis_products(alg, em_e, leg=1, left=False)
     b, c, n, v = _contract(t, em, 1)
     res["axiomA2"] = _residual((a, q, m, g), (c, b, n, v), d)
     res["axiomA3"] = _residual(_contract(t, e_em, 1), e_one_x, d)
-    res["axiomA4"] = max_abs(es - e_emt)
+    res["axiomA4"] = difference_max_abs(*((x.col * d + x.row, x.v) for x in (w.eps_s_table, e_emt)))
     lhs_a2p = _basis_products(alg, emt_e, leg=1, left=True)
     res["axiomA2_prime"] = _residual(lhs_a2p, _contract(t, em.T, 1), d)
     res["axiomA3_prime"] = _residual(_contract(t, e_emt, 1), one_x_e, d)
     res["axiomA3_doubleprime"] = compress_t
     res["axiomA3_star"] = max_abs(on_u[1] @ e_u - e_u)
-    res["axiomA4_prime"] = max_abs(et - emt_e.T)
+    res["axiomA4_prime"] = difference_max_abs(*((x.col * d + x.row, x.v) for x in (w.eps_t_table, emt_e.T)))
     return res
 
 
@@ -521,8 +532,8 @@ def _compression_residuals(w: WeakKac) -> tuple:
     3; neither reads the counit."""
     t, d = w.coproduct, w.dim
     return (
-        _residual(_contract(t, w.eps_t_matrix, 2), w.e_products(0, left=False), d),
-        _residual(_contract(t, w.eps_s_matrix, 1), w.e_products(1, left=True), d),
+        _residual(_contract(t, w.eps_t_table, 2), w.e_products(0, left=False), d),
+        _residual(_contract(t, w.eps_s_table, 1), w.e_products(1, left=True), d),
     )
 
 
@@ -532,9 +543,10 @@ def verify_weak_kac(w: WeakKac, tol=None, seed=None) -> VerificationReport:
     The report contains one named check per axiom (coproduct, antipode,
     counit, the equivalent A-set); verdict is pass iff every residual is
     within tolerance.  Every residual in M (x) M joins the coproduct's
-    nonzeros with those of d x d matrices or of the product table, so no
-    d^3 array is formed; only coassociativity and multiplicativity keep a
-    dense d^5 path, taken where it is cheaper.  Nothing is drawn at random;
+    nonzeros with the Tables of the structure maps (WeakKac) or with the
+    product table, so no d^3 array is formed; only coassociativity and
+    multiplicativity keep a dense d^5 path, taken where it is cheaper.  The
+    only d x d array read is the stored antipode.  Nothing is drawn at random;
     `seed` is accepted for callers that pass one and is ignored.
     """
     tol = as_tol(tol)
@@ -580,10 +592,6 @@ class CartanPair:
         self.source_shape = source_shape
         self.target_shape = target_shape
         self.report: VerificationReport = report
-
-    @property
-    def dim(self) -> int:
-        return self.source.dim
 
 
 def _cartan_spans(w: WeakKac, tol: Tolerance):
@@ -676,7 +684,7 @@ def _coproduct_of_e_residual(w: WeakKac) -> float:
     """Residual of (Delta (x) id)(e) = (e (x) 1)(1 (x) e) = (id (x) Delta)(e)
     and of (e (x) 1)(1 (x) e) = (1 (x) e)(e (x) 1), each side a join over
     the coproduct's nonzeros or the basis products of e."""
-    t, e, d = w.coproduct, w.e_matrix, w.dim
+    t, e, d = w.coproduct, w.e_table, w.dim
     b, m, n, v = _contract(t, e.T, 0)
     # (e (x) 1)(1 (x) e) and (1 (x) e)(e (x) 1): row a of e against (b_a (x) 1) e
     ee = _contract(w.e_products(0, left=True), e, 0)
@@ -730,19 +738,20 @@ def counital_maps(w: WeakKac, tol=None) -> VerificationReport:
     # eps_t(x y) = eps_t(x eps_t(y)) over all basis pairs: the sparse stacks
     # over a of eps_t L_a and eps_t L_a eps_t
     p, q, m = alg.products
-    lhs = _contract((p, m, q, np.ones(m.size)), et, 1)
-    rhs = _contract(_basis_products(alg, et, leg=0, left=True), et, 1)
+    table = _table(et)
+    lhs = _contract((p, m, q, np.ones(m.size)), table, 1)
+    rhs = _contract(_basis_products(alg, table, leg=0, left=True), table, 1)
     rep.add("absorbs_right_factor", _residual(lhs, rhs, alg.dim))
 
     # the two halves of the bimodule property, and eps_t R_n = eps_t R_S(n),
     # on the basis b_c: eps_t(n b_c) = n eps_t(b_c), eps_t(S(n) b_c) =
     # eps_t(b_c) n and eps_t(b_c n) = eps_t(b_c S(n))
     n, sn, eye, d = nt.basis, w.antipode @ nt.basis, np.eye(alg.dim), alg.dim
-    l_n, l_sn = (_contract(alg.product_terms(x, eye), et, 2) for x in (n, sn))
+    l_n, l_sn = (_contract(alg.product_terms(x, eye), table, 2) for x in (n, sn))
     c, i, m, v = alg.product_terms(et, n)
     worst_mod = max(_residual(l_n, alg.product_terms(n, et), d), _residual(l_sn, (i, c, m, v), d))
     rep.add("target_bimodule_map", worst_mod)
-    worst_right = _residual(*(_contract(alg.product_terms(eye, x), et, 2) for x in (n, sn)), d)
+    worst_right = _residual(*(_contract(alg.product_terms(eye, x), table, 2) for x in (n, sn)), d)
     rep.add("right_antipode_absorption", worst_right)
     return rep
 
@@ -763,10 +772,10 @@ def check_morphism(w1: WeakKac, w2: WeakKac, pi, tol=None) -> VerificationReport
     rep.add("unital", max_abs(pi @ a1.unit - a2.unit))
     rep.add("star_homomorphism", max_abs(a1.star_columns(pi) - a2.star(pi)))
 
-    rep.add("multiplicative", _multiplicativity_residual(a1, a2, pi))
+    table = _table(pi)
+    rep.add("multiplicative", _multiplicativity_residual(a1, a2, table))
 
-    residual = _intertwining_residual(w1.coproduct, w2.coproduct, pi)
-    rep.add("intertwines_coproduct", residual)
+    rep.add("intertwines_coproduct", _intertwining_residual(w1.coproduct, w2.coproduct, table))
     rep.add("intertwines_antipode", max_abs(pi @ w1.antipode - w2.antipode @ pi))
     rep.add("preserves_counit", max_abs(w2.counit @ pi - w1.counit))
 
@@ -910,15 +919,11 @@ def restrict_to_blocks(w: WeakKac, blocks) -> tuple:
     alg = w.algebra
     blocks = sorted(blocks)
     sub_alg = make_algebra([alg.block_shape[i] for i in blocks])
-    keep = np.concatenate(
-        [
-            np.arange(alg.basis_offsets[i], alg.basis_offsets[i] + alg.block_shape[i] ** 2)
-            for i in blocks
-        ]
-    ).astype(int)
+    keep = np.flatnonzero(np.isin(alg.basis_block, blocks))  # the units of the blocks, in order
     pi = np.zeros((sub_alg.dim, alg.dim), dtype=complex)
     pi[np.arange(sub_alg.dim), keep] = 1.0
-    t = _contract(_contract(_contract(w.coproduct, pi, 0), pi, 1), pi, 2)
+    units = Table(keep, np.arange(keep.size), np.ones(keep.size), pi.shape)  # the nonzeros of pi
+    t = _contract(_contract(_contract(w.coproduct, units, 0), units, 1), units, 2)
     s = w.antipode[np.ix_(keep, keep)]
     eps = None if w.counit is None else w.counit[keep]
     meta = dict(w.meta)

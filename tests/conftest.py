@@ -73,6 +73,16 @@ def dense_coproduct(w):
     return w.pair_leg(np.eye(w.dim), 1)
 
 
+def mu(w, coeff_matrix):
+    """Multiply out mu(sum C[a,b] b_a (x) b_b) = sum C[a,b] b_a b_b; axes
+    of C after the first two are carried along."""
+    c = np.asarray(coeff_matrix, dtype=complex)
+    p, q, m = w.algebra.products
+    out = np.zeros((w.dim, *c.shape[2:]), dtype=complex)
+    np.add.at(out, m, c[p, q])
+    return out
+
+
 def rmat(alg, x):
     """Dense matrix of right multiplication by x on coefficient vectors; for
     a stack of elements x[..., :] the stack of their matrices."""

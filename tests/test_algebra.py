@@ -29,7 +29,7 @@ from wka.algebra import _groupoid_matrix_units, _mul, monomial_rows, regular_tra
 from wka.constructors import cyclic_groupoid, disjoint_union, pair_groupoid
 from wka.errors import NotSemisimple, NotStarClosed, WkaError
 from wka.haar import _ideal_blocks, _sandwiches, haar_conditional_expectations
-from wka.tensorkit import Tolerance, dagger, max_abs, subspace_distance
+from wka.tensorkit import Tolerance, _table, dagger, max_abs, subspace_distance
 from wka.weakkac import _basis_products, _cartan_spans
 
 from conftest import (
@@ -80,7 +80,7 @@ def test_product_scatters_match_dense_structure_constants(shape):
         (1, False): np.einsum("kjm,ak->jam", mult, c),
     }
     for (leg, left), dense in stacks.items():
-        assert np.array_equal(densify(_basis_products(alg, c, leg, left), alg.dim), dense), (leg, left)
+        assert np.array_equal(densify(_basis_products(alg, _table(c), leg, left), alg.dim), dense), (leg, left)
         assert np.array_equal(basis_products(alg, c, leg, left), dense), (leg, left)
     # the products of two stacks of elements and the join C (1 (x) b_a) C
     # against the product of concrete N^2 x N^2 matrices; integer

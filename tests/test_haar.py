@@ -48,6 +48,7 @@ from conftest import (
     inner_automorphism,
     moved_along,
     moved_entry,
+    mu,
     mult_tensor,
     rmat,
     with_noise,
@@ -369,8 +370,8 @@ def test_expectation_joins_match_the_dense_stacks(name):
     w = get_example(name)
     alg, d, e, s = w.algebra, w.dim, w.e_matrix, w.antipode
     # Eo_t = mu (S (x) id) ((1 (x) y) e), the same terms summed in another order
-    dense = w.mu((s @ basis_products(alg, e, 1, True)).transpose(1, 2, 0))
-    joined = haar._relative_expectation(alg, weakkac._basis_products(alg, e, 1, True), s)
+    dense = mu(w, (s @ basis_products(alg, e, 1, True)).transpose(1, 2, 0))
+    joined = haar._relative_expectation(alg, weakkac._basis_products(alg, w.e_table, 1, True), s)
     assert max_abs(joined - dense) <= 1e-12
     *_, rep = haar_conditional_expectations(w)
     assert rep.passed, rep.as_text()

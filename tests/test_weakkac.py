@@ -32,14 +32,18 @@ from wka.constructors import validate_action
 from wka.storage import load_wka, save_wka
 from wka.errors import CartanMismatch, InvalidAction
 from wka.report import VerificationReport
-from wka.tensorkit import Tolerance, max_abs, nullspace, subspace_distance
+from wka.algebra import Functional
+from wka.tensorkit import Tolerance, _join, _row_starts, max_abs, nullspace, subspace_distance
 
 from conftest import (
     basis_products,
     dense_coproduct,
     e_without_block,
     get_example,
+    inner_automorphism,
+    moved_along,
     moved_entry,
+    mu,
     with_noise,
 )
 
@@ -354,6 +358,80 @@ def test_verify_weak_kac_forms_no_dense_cube(tmp_path):
     assert peak < w.dim ** 3 * 16, peak
 
 
+def test_verify_weak_kac_holds_no_dense_structure_map():
+    """On a built cube_family(8) (d = 512) verify_weak_kac keeps its traced
+    peak below three dense d x d complex arrays (12.6 MB): e, eps(b_a b_b),
+    eps_t, eps_s and S S are read as Tables of their d nonzeros."""
+    w = cube_family(8)
+    tracemalloc.start()
+    try:
+        assert verify_weak_kac(w).passed
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * w.dim ** 2 * 16, peak
+
+
+def _dense_structure_maps(w):
+    """Oracles of the Tables of WeakKac: e = Delta(1), eps(b_a b_b), eps_t
+    and eps_s scattered into dense d x d arrays, as np.add.at sums them."""
+    alg, d = w.algebra, w.dim
+    i, m, n, v = w.coproduct
+    p, q, o = alg.products
+    e = np.zeros((d, d), dtype=complex)
+    np.add.at(e, (m, n), alg.unit[i] * v)
+    maps = {"e_table": e, "eps_mult_table": Functional(alg, w.counit).pairing()}
+    for name, leg in (("eps_t_table", 1), ("eps_s_table", 0)):
+        # each term t[i,m,n] meets the products b_p b_q = b_o with p = m
+        # (or q = n) and adds t[i,m,n] S[q,n] (or S[p,m]) at (o, i)
+        kept, key, moved, factor = (m, p, n, q) if leg else (n, q, m, p)
+        order = np.argsort(key, kind="stable")
+        f, s = _join(kept, _row_starts(key[order], d))
+        s = order[s]
+        maps[name] = np.zeros((d, d), dtype=complex)
+        np.add.at(maps[name], (o[s], i[f]), v[f] * w.antipode[factor[s], moved[f]])
+    return maps
+
+
+def _table_residuals_dense(w, maps):
+    """The residuals that verify_weak_kac reads from Tables, as dense d x d
+    products."""
+    alg, s = w.algebra, w.antipode
+    e, em, et, es = (maps[k] for k in ("e_table", "eps_mult_table", "eps_t_table", "eps_s_table"))
+    return {
+        "antipode_involutive": max_abs(s @ s - np.eye(w.dim)),
+        "antipode_star": max_abs(alg.star_columns(s) - alg.star(s)),
+        "axiom2": max_abs(em @ e @ em - em),
+        "axiomA3_star": max_abs(e @ em @ e - e),
+        "axiomA4": max_abs(es - e @ em.T),
+        "axiomA4_prime": max_abs(et - e.T @ em),
+    }
+
+
+def test_structure_tables_match_their_dense_oracles():
+    """The Tables of e, eps(b_a b_b), eps_t and eps_s hold the nonzeros of
+    the dense maps in column-major order, and the residuals read from them
+    equal the dense products, on every catalog member, its copy moved along
+    an inner automorphism (verified for d <= 27, where the moved coproduct
+    stays small) and cube_family(2..6)."""
+    rng = np.random.default_rng(0x7AB)
+    cases = []
+    for entry in catalog():
+        w = entry.build()
+        cases += [(w, True), (moved_along(w, inner_automorphism(w.algebra, rng)), w.dim <= 27)]
+    cases += [(cube_family(n), True) for n in range(2, 7)]
+    for w, verify in cases:
+        maps = _dense_structure_maps(w)
+        for name, dense in maps.items():
+            table = getattr(w, name)
+            assert np.all(np.diff(table.col * w.dim + table.row) > 0) and np.all(table.v != 0), name
+            assert max_abs(table.dense() - dense) <= 1e-12, (w, name)
+        if verify:
+            rep = verify_weak_kac(w)
+            for name, dense in _table_residuals_dense(w, maps).items():
+                assert abs(rep[name].residual - dense) <= 1e-12, (w, name, rep[name].residual, dense)
+
+
 @pytest.mark.parametrize("check", ["check_generalized_kac", "counital_maps", "check_pairing"])
 def test_tensor_square_checks_form_no_dense_cube(check):
     """The checks in M (x) M outside the axiom suite keep the traced peak of
@@ -542,8 +620,8 @@ def test_counital_range_checks_follow_the_tolerance():
 def _counital_matrices_by_columns(w):
     """Oracle: eps_t and eps_s one basis column at a time, as d products."""
     t, s = dense_coproduct(w), w.antipode
-    eps_t = np.stack([w.mu(t[j] @ s.T) for j in range(w.dim)], axis=1)
-    eps_s = np.stack([w.mu(s @ t[j]) for j in range(w.dim)], axis=1)
+    eps_t = np.stack([mu(w, t[j] @ s.T) for j in range(w.dim)], axis=1)
+    eps_s = np.stack([mu(w, s @ t[j]) for j in range(w.dim)], axis=1)
     return eps_t, eps_s
 
 
@@ -788,7 +866,7 @@ def test_basis_products_of_e_are_formed_once_per_algebra(monkeypatch):
     original = weakkac._basis_products
 
     def counted(alg, c, leg, left):
-        calls.append((c.ctypes.data, leg, left))
+        calls.append((c, leg, left))
         return original(alg, c, leg, left)
 
     monkeypatch.setattr(weakkac, "_basis_products", counted)
@@ -796,7 +874,7 @@ def test_basis_products_of_e_are_formed_once_per_algebra(monkeypatch):
     verify_weak_kac(w)
     cartan_subalgebras(w)
     counital_maps(w)
-    of_e = [(leg, left) for data, leg, left in calls if data == w.e_matrix.ctypes.data]
+    of_e = [(leg, left) for c, leg, left in calls if c is w.e_table]
     assert sorted(of_e) == [(0, False), (0, True), (1, False), (1, True)]
 
 

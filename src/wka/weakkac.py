@@ -182,17 +182,18 @@ class WeakKac:
         return self.memo(("e_products", leg, left), lambda: _basis_products(self.algebra, self.e_table, leg, left))
 
     def _counital_table(self, antipode_leg: int) -> Table:
-        """mu (id (x) S) Delta (antipode_leg 1) or mu (S (x) id) Delta (0)
-        by one join: each term t[i,m,n] b_m (x) b_n meets the products
-        b_p b_q = b_o whose factor on the other leg is its own, and adds
-        t[i,m,n] S[q,n] (or S[p,m]) at row o, column i."""
-        i, m, n, v = self.coproduct
-        p, q, o = self.algebra.products
-        kept, key, moved, factor = (m, p, n, q) if antipode_leg else (n, q, m, p)
-        order = np.argsort(key, kind="stable")
-        f, s = _join(kept, _row_starts(key[order], self.dim))
-        s = order[s]
-        return _square_table(i[f], o[s], v[f] * self.antipode[factor[s], moved[f]], self.dim)
+        """mu (id (x) S) Delta (antipode_leg 1) or mu (S (x) id) Delta (0) by
+        one join: term t[i,m,n] b_m (x) b_n meets each S[c,n] with b_m b_c =
+        b_o (or S[c,m] with b_c b_n = b_o), keyed by the column of S and the
+        row (or column) of b_c, and adds t[i,m,n] S[c,.] at row o, column i."""
+        alg, (i, m, n, v), (col, c, s, _) = self.algebra, self.coproduct, self.antipode_table
+        rows, cols, size = alg.basis_row, alg.basis_col, alg.matrix_size
+        kept, moved, meets, at_c = (m, n, cols, rows) if antipode_leg else (n, m, rows, cols)
+        key = col * size + at_c[c]
+        order = key.argsort(kind="stable")
+        f, r = _join(moved * size + meets[kept], _row_starts(key[order], self.dim * size))
+        o = alg.prod_table[(kept[f], c[order[r]]) if antipode_leg else (c[order[r]], kept[f])]
+        return _square_table(i[f], o, v[f] * s[order[r]], self.dim)
 
     def __repr__(self):
         tag = self.meta.get("name", "")

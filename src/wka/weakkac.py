@@ -97,8 +97,8 @@ class WeakKac:
     The d x d structure maps that the axiom suite reads, e = Delta(1),
     eps(b_a b_b), eps_t, eps_s and S, are held as Tables of their nonzeros,
     the first four coalesced from the joins that form them, S from one scan
-    of the antipode: in verify_weak_kac only the stored antipode is a d x d
-    array.  e_matrix, eps_mult, eps_t_matrix and eps_s_matrix are their
+    of the antipode: verify_weak_kac reads no d x d array but the stored
+    antipode.  e_matrix, eps_mult, eps_t_matrix and eps_s_matrix are their
     dense views for the derived structures, scattered on first read.
 
     The structure arrays are read-only copies of the inputs, so every

@@ -21,7 +21,7 @@ through the cyclic vector of the unit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -34,7 +34,10 @@ from .report import VerificationReport
 from .tensorkit import (
     Tolerance,
     _bincount,
+    _coassociativity_dense,
+    _coassociativity_join,
     _contract,
+    _prefer_join,
     _residual,
     _table,
     as_tol,
@@ -458,9 +461,6 @@ class StarAlgebraData:
     def dim(self) -> int:
         return self.unit.shape[0]
 
-    def star_of(self, x) -> np.ndarray:
-        return self.star @ np.conj(x)
-
 
 @dataclass
 class WedderburnRealization:
@@ -476,21 +476,18 @@ class WedderburnRealization:
     residual: float
 
 
-def _mul(products, x, y) -> np.ndarray:
-    """Product x y in a presentation with product triples (a, b, c, v); a
-    matrix x or y is multiplied column by column."""
-    a, b, c, v = products
-    out = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)), dtype=complex)
-    np.add.at(out, c, (v * x[a].T * y[b].T).T)
-    return out
+def _left_multiplications(data: StarAlgebraData) -> np.ndarray:
+    """lt[a]: the matrix of left multiplication by b_a, lt[a, c, b] the
+    coefficient of b_c in b_a b_b, repeated triples summed."""
+    (a, b, c, v), dim = data.products, data.dim
+    return _bincount(np.ravel_multi_index((a, c, b), (dim,) * 3), v, dim**3).reshape(dim, dim, dim)
 
 
 def _validate_star_algebra(data: StarAlgebraData, tol: Tolerance):
-    """Unit, involution and associativity of a presentation, over its
-    product triples; the last two on three probes drawn from a fixed
-    generator."""
+    """Unit, involution and associativity of a presentation on every basis
+    pair and triple: by the joins of _presentation_join, or on the table of
+    left multiplications (_presentation_dense) where they cost more."""
     dim, eye = data.dim, np.eye(data.dim)
-    mul = partial(_mul, data.products)
     a, b, c, v = data.products
     # 1 b_b and b_a 1 over the basis: each b_a b_b = v b_c adds v 1[a] at (c, b) and v 1[b] at (c, a)
     sides = [_bincount(c * dim + y, v * data.unit[x], dim * dim) for x, y in ((a, b), (b, a))]
@@ -498,17 +495,12 @@ def _validate_star_algebra(data: StarAlgebraData, tol: Tolerance):
     if res_unit > 100 * tol.abs_tol:
         raise WkaError(f"unit fails by {res_unit:.2e}")
     res_star = max_abs(data.star @ np.conj(data.star) - eye)
-    rng = np.random.default_rng((0x5EED, 0))
-    probes = rng.standard_normal((3, 2, dim)) + 1j * rng.standard_normal((3, 2, dim))
-    res_anti = 0.0
-    res_assoc = 0.0
-    for x, y in probes:
-        res_anti = max(
-            res_anti,
-            max_abs(data.star_of(mul(x, y)) - mul(data.star_of(y), data.star_of(x))),
-        )
-        z = probes[0][0]
-        res_assoc = max(res_assoc, max_abs(mul(mul(x, y), z) - mul(x, mul(y, z))))
+    # the sizes of the joins of _presentation_join
+    counts, nonzero = np.bincount(c, minlength=dim), data.star != 0
+    rows, cols = nonzero.sum(axis=1), nonzero.sum(axis=0)
+    join_size = int((counts[a] + counts[b] + cols[c] + rows[a] * rows[b]).sum())
+    residuals = _presentation_join if _prefer_join(join_size, dim) else _presentation_dense
+    res_anti, res_assoc = residuals(data)
     scale = max(1.0, max_abs(data.products[3]))
     if max(res_star, res_anti) > 1e3 * tol.abs_tol * scale * max(1.0, scale):
         raise NotStarClosed(f"involution fails by {max(res_star, res_anti):.2e}")
@@ -516,12 +508,34 @@ def _validate_star_algebra(data: StarAlgebraData, tol: Tolerance):
         raise WkaError(f"associativity fails by {res_assoc:.2e}")
 
 
+def _presentation_join(data: StarAlgebraData):
+    """(anti-multiplicativity, associativity) residuals over the product
+    triples: associativity as the coassociativity of the transposed triples
+    (c, a, b), and (b_x b_y)* against b_y* b_x* as the joins of the triples
+    with column c of the star and with its rows a and b."""
+    a, b, c, v = data.products
+    star = _table(data.star)
+    y, x, m, w = _contract(_contract(data.products, star.T, 0), star.T, 1)
+    anti = _residual(_contract((a, b, c, np.conj(v)), star, 2), (x, y, m, w), data.dim)
+    order = c.argsort(kind="stable")
+    return anti, _coassociativity_join(tuple(t[order] for t in (c, a, b, v)), data.dim)
+
+
+def _presentation_dense(data: StarAlgebraData):
+    """_presentation_join on the table lt of left multiplications, with
+    t[c, a, b] = lt[a, c, b] and (b_x b_y)* over [m, y] one b_x at a time."""
+    star, lt = data.star, _left_multiplications(data)
+    anti = max(max_abs(star @ np.conj(lt[x]) - (lt @ star[:, x]).T @ star) for x in range(data.dim))
+    return anti, _coassociativity_dense(lt.transpose(1, 0, 2))
+
+
 def wedderburn_realize(data: StarAlgebraData, tol=None) -> WedderburnRealization:
     """Find block sizes and explicit matrix units for an abstract *-algebra.
 
-    Both routes first check the unit, the involution and associativity over
-    the product triples, and require the GNS form phi(b_a* b_b) of the
-    supplied positive functional to be hermitian and positive definite.
+    Both routes first check the unit, the involution and associativity
+    exactly, on every basis pair and triple (_validate_star_algebra), and
+    require the GNS form phi(b_a* b_b) of the supplied positive functional
+    to be hermitian and positive definite.
 
     A principal groupoid basis (see _groupoid_matrix_units), such as the
     morphisms of a principal groupoid, the duals of the cube family and of
@@ -569,8 +583,7 @@ def wedderburn_realize(data: StarAlgebraData, tol=None) -> WedderburnRealization
     # table lt[a] of the left multiplications by b_a
     found, lt = _groupoid_matrix_units(data), None
     if found is None:
-        lt = np.zeros((dim, dim, dim), dtype=complex)
-        np.add.at(lt, (a, c, b), val)
+        lt = _left_multiplications(data)
     target, wmat, winv = found or _split_matrix_units(data, lt, gram, tol)
     residual = _realization_residual(data, lt, target, wmat, winv)
     if residual > 100 * tol.abs_tol:

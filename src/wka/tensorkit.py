@@ -179,6 +179,42 @@ def _contract(coo, table: Table, axis: int):
     return (*out, coo[3][n] * v[r])
 
 
+# One product of a join over nonzeros takes about as long as this many of
+# the d^5 operations of the dense contraction it replaces (fitted over the
+# catalog, see CHANGES.md).  A residual runs as a join when that is cheaper.
+_JOIN_PRODUCT_COST = 40
+
+
+def _prefer_join(join_size: int, dim: int) -> bool:
+    return _JOIN_PRODUCT_COST * join_size < dim ** 5
+
+
+def _coassociativity_join(coo, dim: int) -> float:
+    """Max abs of (T (x) id) T - (id (x) T) T for a sparse 3-tensor T sorted
+    by i: each term t[i,j,k] b_j (x) b_k of T(b_i) is joined with row j of
+    T for the left side and row k for the right, keyed by the quadruple."""
+    i, j, k, v = coo
+    starts = _row_starts(i, dim)
+    n, m = _join(j, starts)
+    left = (((i[n] * dim + j[m]) * dim + k[m]) * dim + k[n], v[n] * v[m])
+    n, m = _join(k, starts)
+    right = (((i[n] * dim + j[n]) * dim + j[m]) * dim + k[m], v[n] * v[m])
+    return difference_max_abs(left, right)
+
+
+def _coassociativity_dense(t: np.ndarray) -> float:
+    """_coassociativity_join on the dense d x d x d tensor t, one leading
+    index at a time as two products of d x d and d^2 x d matrices."""
+    dim = t.shape[0]
+    tflat = t.reshape(dim, dim * dim)
+    worst = 0.0
+    for i in range(dim):
+        g1 = (tflat.T @ t[i]).reshape(dim, dim, dim)  # [x, y, k]
+        g2 = (t[i] @ tflat).reshape(dim, dim, dim)  # [j, y, z]
+        worst = max(worst, max_abs(g1 - g2))
+    return worst
+
+
 def _residual(left, right, base: int) -> float:
     """Max abs difference of two sparse 3-tensors (i, j, k, values) whose
     indices lie below base, repeated index triples summed."""

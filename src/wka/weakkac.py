@@ -38,8 +38,11 @@ from .tensorkit import (
     Table,
     Tolerance,
     _bincount,
+    _coassociativity_dense,
+    _coassociativity_join,
     _contract,
     _join,
+    _prefer_join,
     _residual,
     _row_starts,
     _table,
@@ -269,49 +272,13 @@ def _freeze(value):
 # ---------------------------------------------------------------------------
 
 
-# One product of a join over the coproduct's nonzeros takes about as long as
-# this many of the d^5 operations of a dense contraction (fitted over the
-# catalog, see CHANGES.md).  A residual runs as a join when that is cheaper.
-_JOIN_PRODUCT_COST = 40
-
-
-def _prefer_join(w: WeakKac, join_size: int) -> bool:
-    return _JOIN_PRODUCT_COST * join_size < w.dim ** 5
-
-
 def _coassociativity_residual(w: WeakKac) -> float:
     """Residual of (Delta (x) id) Delta = (id (x) Delta) Delta."""
     i, j, k, _ = w.coproduct
     counts = np.diff(_row_starts(i, w.dim))
-    if _prefer_join(w, int(counts[j].sum() + counts[k].sum())):
-        return _coassociativity_join(w)
-    return _coassociativity_dense(w)
-
-
-def _coassociativity_dense(w: WeakKac) -> float:
-    t = w.pair_leg(np.eye(w.dim), 1)  # the dense coproduct
-    dim = w.dim
-    tflat = t.reshape(dim, dim * dim)
-    worst = 0.0
-    for i in range(dim):
-        g1 = (tflat.T @ t[i]).reshape(dim, dim, dim)  # [x, y, k]
-        g2 = (t[i] @ tflat).reshape(dim, dim, dim)  # [j, y, z]
-        worst = max(worst, max_abs(g1 - g2))
-    return worst
-
-
-def _coassociativity_join(w: WeakKac) -> float:
-    """Coassociativity over the nonzeros: each term t[i,j,k] b_j (x) b_k of
-    Delta(b_i) is joined with row j of the coproduct for (Delta (x) id) and
-    with row k for (id (x) Delta), keyed by the basis quadruple."""
-    d = w.dim
-    i, j, k, v = w.coproduct
-    starts = _row_starts(i, d)
-    n, m = _join(j, starts)
-    left = (((i[n] * d + j[m]) * d + k[m]) * d + k[n], v[n] * v[m])
-    n, m = _join(k, starts)
-    right = (((i[n] * d + j[n]) * d + j[m]) * d + k[m], v[n] * v[m])
-    return difference_max_abs(left, right)
+    if _prefer_join(int(counts[j].sum() + counts[k].sum()), w.dim):
+        return _coassociativity_join(w.coproduct, w.dim)
+    return _coassociativity_dense(w.pair_leg(np.eye(w.dim), 1))  # the dense coproduct
 
 
 def _generators(alg: FdAlgebra) -> list:
@@ -341,7 +308,7 @@ def _delta_mult_residual(w: WeakKac) -> float:
     second = np.bincount(alg.basis_row[j] * n + alg.basis_row[k], minlength=n * n)
     counts = np.diff(_row_starts(i, w.dim))
     join_size = int(first @ second + counts[alg.products[2]].sum())
-    if _prefer_join(w, join_size):
+    if _prefer_join(join_size, w.dim):
         return _delta_mult_join(w)
     return _delta_mult_dense(w, _generators(alg))
 

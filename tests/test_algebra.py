@@ -1,6 +1,7 @@
 """Multimatrix algebras: structure constants, involution, Wedderburn."""
 
 import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -19,13 +20,14 @@ from wka import (
     check_conditional_expectation,
     commutant,
     cube_family,
+    dual,
     make_algebra,
     minimal_central_projections,
     regular_trace,
     wedderburn_realize,
 )
 from wka import algebra as algebra_module
-from wka.algebra import _groupoid_matrix_units, _mul, monomial_rows, regular_trace_of
+from wka.algebra import _groupoid_matrix_units, _left_multiplications, monomial_rows, regular_trace_of
 from wka.constructors import cyclic_groupoid, disjoint_union, pair_groupoid
 from wka.errors import NotSemisimple, NotStarClosed, WkaError
 from wka.haar import _ideal_blocks, _sandwiches, haar_conditional_expectations
@@ -384,17 +386,10 @@ def _scrambled_data(shape, seed):
 def test_product_of_the_triples_is_the_dense_left_multiplication(shape):
     data, mult = _scrambled_data(shape, 4)
     lt = mult.transpose(0, 2, 1)  # lt[a] is the left multiplication by b_a
-    rng = np.random.default_rng(4)
-    x, y = rng.standard_normal((2, data.dim)) + 1j * rng.standard_normal((2, data.dim))
-    eye = np.eye(data.dim)
-    # the same terms summed in another order; a matrix operand column by
-    # column, as the unit check reads L_1 and R_1
-    for got, dense in (
-        (_mul(data.products, x, y), np.tensordot(x, lt, 1) @ y),
-        (_mul(data.products, data.unit, eye), np.tensordot(data.unit, lt, 1)),
-        (_mul(data.products, eye, data.unit), (lt @ data.unit).T),
-    ):
-        assert max_abs(got - dense) <= 1e-12 * max(1.0, max_abs(dense))
+    # every triple given twice at half its value: repeated triples are summed
+    p, q, m, v = (np.concatenate([x, x]) for x in data.products)
+    halves = StarAlgebraData((p, q, m, v / 2), data.star, data.unit, data.gns)
+    assert max_abs(_left_multiplications(halves) - lt) <= 1e-12 * max(1.0, max_abs(lt))
 
 
 @pytest.mark.parametrize("shape", [(2,), (1, 2), (2, 1, 1)])
@@ -441,17 +436,32 @@ def test_wedderburn_realizes_two_points():
     assert real.residual < 1e-12
 
 
+ROUTES = ("_presentation_join", "_presentation_dense")
+
+
+@contextmanager
+def _through(route):
+    """Every presentation check of wedderburn_realize on one of ROUTES."""
+    helper = getattr(algebra_module, route)
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ROUTES:
+            patch.setattr(algebra_module, name, helper)
+        yield
+
+
 def test_wedderburn_rejects_wrong_unit():
     mult, star, _, trace = _two_points()
-    with pytest.raises(WkaError, match="unit fails"):
-        wedderburn_realize(_presentation(mult, star, np.array([1.0, 0.0]), trace))
+    for route in ROUTES:
+        with _through(route), pytest.raises(WkaError, match="unit fails"):
+            wedderburn_realize(_presentation(mult, star, np.array([1.0, 0.0]), trace))
 
 
 def test_wedderburn_rejects_non_involutive_star():
     # (x*)* = 4x for the star x -> 2 conj(x)
     mult, star, unit, trace = _two_points()
-    with pytest.raises(NotStarClosed, match="involution fails"):
-        wedderburn_realize(_presentation(mult, 2 * star, unit, trace))
+    for route in ROUTES:
+        with _through(route), pytest.raises(NotStarClosed, match="involution fails"):
+            wedderburn_realize(_presentation(mult, 2 * star, unit, trace))
 
 
 def test_wedderburn_rejects_non_antimultiplicative_star():
@@ -461,8 +471,9 @@ def test_wedderburn_rejects_non_antimultiplicative_star():
     mult[0, :, :] = mult[:, 0, :] = np.eye(3)
     mult[1, 2, 1] = mult[2, 2, 2] = 1.0
     star = np.eye(3, dtype=complex)[[0, 2, 1]]
-    with pytest.raises(NotStarClosed, match="involution fails"):
-        wedderburn_realize(_presentation(mult, star, np.eye(3)[0], np.eye(3)[0]))
+    for route in ROUTES:
+        with _through(route), pytest.raises(NotStarClosed, match="involution fails"):
+            wedderburn_realize(_presentation(mult, star, np.eye(3)[0], np.eye(3)[0]))
 
 
 def test_wedderburn_rejects_non_associative_product():
@@ -472,8 +483,9 @@ def test_wedderburn_rejects_non_associative_product():
     mult[0, :, :] = mult[:, 0, :] = np.eye(3)
     mult[1, 1, 2] = mult[1, 2, 0] = mult[2, 1, 0] = 1.0
     star = np.eye(3, dtype=complex)
-    with pytest.raises(WkaError, match="associativity fails"):
-        wedderburn_realize(_presentation(mult, star, np.eye(3)[0], np.eye(3)[0]))
+    for route in ROUTES:
+        with _through(route), pytest.raises(WkaError, match="associativity fails"):
+            wedderburn_realize(_presentation(mult, star, np.eye(3)[0], np.eye(3)[0]))
 
 
 def _groupoid_data(gpd):
@@ -543,23 +555,60 @@ def test_groupoid_shaped_presentations_keep_their_rejections():
     # phi(b_x* b_x) = phi(b_source(x)) vanishes for the x with source (1, 1)
     with pytest.raises(NotSemisimple, match="GNS form degenerate"):
         wedderburn_realize(_k2_with(gns=np.eye(4)[0]))
-    with pytest.raises(NotStarClosed, match="involution fails"):
-        wedderburn_realize(_k2_with(star=2 * data.star))
     # (0,1)(1,0) = 2 (0,0) breaks associativity: ((0,1)(1,0))(0,1) = 2 (0,1)
     # while (0,1)((1,0)(0,1)) = (0,1)
     p, q, m, v = data.products
     v = np.where((p == 1) & (q == 2), 2.0, v)
-    with pytest.raises(WkaError, match="associativity fails"):
-        wedderburn_realize(_k2_with(products=(p, q, m, v)))
+    for route in ROUTES:
+        with _through(route), pytest.raises(NotStarClosed, match="involution fails"):
+            wedderburn_realize(_k2_with(star=2 * data.star))
+        with _through(route), pytest.raises(WkaError, match="associativity fails"):
+            wedderburn_realize(_k2_with(products=(p, q, m, v)))
+
+
+def _received_presentations():
+    """Every presentation that wedderburn_realize receives while the catalog
+    members are built and their Cartan pairs found, then the dual
+    presentation of cube_family(3) moved along an inner automorphism."""
+    received, validate = [], algebra_module._validate_star_algebra
+
+    def record(data, tol):
+        received.append(data)
+        return validate(data, tol)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(algebra_module, "_validate_star_algebra", record)
+        for entry in catalog():
+            cartan_subalgebras(entry.build())
+        w = cube_family(3)
+        dual(moved_along(w, inner_automorphism(w.algebra, np.random.default_rng(0))))
+    return received
+
+
+def test_presentation_routes_agree():
+    """The join over the product triples and the table of left
+    multiplications give the same residuals on every realized presentation:
+    the groupoid and split bases of the catalog, the small Cartan pairs and
+    a dense dual; and on that dual with noise 1e-6 on its product, which
+    both find neither associative nor anti-multiplicative."""
+    received = _received_presentations()
+    p, q, m, v = received[-1].products
+    noisy = v * (1 + 1e-6 * np.random.default_rng(1).standard_normal(v.size))
+    broken = StarAlgebraData((p, q, m, noisy), *(getattr(received[-1], f) for f in ("star", "unit", "gns")))
+    for data in [*received, broken]:
+        join, dense = algebra_module._presentation_join(data), algebra_module._presentation_dense(data)
+        assert max(abs(j - d) for j, d in zip(join, dense)) <= 1e-12, (data.dim, join, dense)
+    assert min(join) > 1e-8
 
 
 @pytest.mark.parametrize(
     "gpd", [pair_groupoid(2), cyclic_groupoid(3)], ids=["rescaled", "split"]
 )
 def test_realization_cutoffs_follow_the_tolerance(gpd):
-    """The star scaled by 1 + 1e-8 fails the involution by ~6e-8 and the
-    round trip by 1e-8; scaled by 1 + 3e-6, by ~2e-5 and 3e-6.  The
-    involution passes at 1e3 * abs_tol, the round trip at 100 * abs_tol."""
+    """The star scaled by 1 + eps fails the involution by 2 eps (its square
+    is (1 + eps)^2) and the round trip by eps: by 2e-8 and 1e-8 at
+    eps = 1e-8, by 6e-6 and 3e-6 at eps = 3e-6.  The involution passes at
+    1e3 * abs_tol, the round trip at 100 * abs_tol."""
     data = _groupoid_data(gpd)
 
     def scaled(eps):

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -378,6 +379,50 @@ def test_entry_point_subprocess(tmp_path):
     )
     assert r.returncode == 0, r.stderr
     assert "pass" in r.stdout.lower()
+
+
+_RANDOM_MODULE = """
+import contextlib, io, json, sys
+from wka.cli import main
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+print("numpy.random" in sys.modules)
+"""
+
+
+def _imports_numpy_random(*commands) -> bool:
+    """Whether a fresh process that runs the commands through wka.cli.main
+    has imported numpy.random afterwards."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    r = subprocess.run(
+        [sys.executable, "-c", _RANDOM_MODULE, json.dumps(commands)],
+        capture_output=True,
+        text=True,
+        timeout=600,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert r.returncode == 0, r.stderr
+    return r.stdout.split()[-1] == "True"
+
+
+def test_only_build_twist_imports_numpy_random(tmp_path):
+    """Every check is exact, so derive, dual, verify and report import no
+    random number generator, on the monomial cube family and on the split
+    group algebra of Z/3; the random cocycle of a twist is the one draw."""
+    commands = []
+    for constructor, param in (("cube-family", "4"), ("group-algebra", "z3")):
+        path = tmp_path / f"{constructor}.wka"
+        assert run("build", constructor, param, "-o", str(path)) == 0
+        path = str(path)
+        commands += [
+            ["derive", "--what", "all", path],
+            ["dual", path, "-o", path + ".dual"],
+            ["verify", path],
+            ["report", "--format", "json", path],
+        ]
+    assert not _imports_numpy_random(*commands)
+    assert _imports_numpy_random(["build", "twist", "1,1", "-o", str(tmp_path / "twist.wka")])
 
 
 def test_dual_files_are_byte_identical_across_processes(tmp_path):

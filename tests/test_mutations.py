@@ -51,7 +51,7 @@ from wka import (
 from wka.errors import WkaError
 from wka.fusion import _support_multiplicities
 from wka.haar import _haar_projection_space, _normalized_haar_trace_space
-from wka.tensorkit import AffineSpace
+from wka.tensorkit import AffineSpace, _table
 from wka.weakkac import _cartan_spans, _hyper_central_classes
 
 from conftest import dense_coproduct, e_without_block, inner_automorphism, moved_entry
@@ -270,12 +270,14 @@ def _object(derivation, key, change):
 
 
 def _eps_t(change):
-    """The object row that replaces eps_t by change(w, eps_t); the cached
-    eps_t_matrix is read from the instance dict."""
+    """The object row that replaces eps_t by change(w, eps_t): the cached
+    eps_t_matrix and eps_t_table are read from the instance dict, so every
+    reader of eps_t meets the changed map."""
 
     def row(w):
         fresh = _fresh(w)
-        fresh.__dict__["eps_t_matrix"] = change(w, np.array(w.eps_t_matrix))
+        changed = change(w, np.array(w.eps_t_matrix))
+        fresh.__dict__["eps_t_matrix"], fresh.__dict__["eps_t_table"] = changed, _table(changed)
         return fresh
 
     return row

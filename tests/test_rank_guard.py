@@ -43,14 +43,8 @@ ALLOWED = {}
 # attribute names whose calls draw random numbers
 DRAWS = {"default_rng", "standard_normal", "random"}
 
-_PROBES = (
-    "probes of associativity and the involution of a presentation, from a"
-    " fixed generator; the exact test costs d^5 on a dense d = 64 presentation"
-)
 _COCYCLE = "a random cocycle is the input this constructor exists to build"
 ALLOWED_DRAWS = {
-    ("algebra.py", "_validate_star_algebra", "default_rng"): _PROBES,
-    ("algebra.py", "_validate_star_algebra", "standard_normal"): _PROBES,
     ("constructors.py", "random_cocycle", "default_rng"): _COCYCLE,
     ("constructors.py", "random_cocycle", "random"): _COCYCLE,
 }

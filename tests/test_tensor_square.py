@@ -53,6 +53,7 @@ from conftest import (
     rmat,
     unit_coordinates,
 )
+from test_mutations import DERIVED_ROWS
 
 MEMBERS = ["cube2", "group_z3", "fun_k2", "elem_12", "dualelem_12", "twist_12"]
 INPUTS = [f"shape{''.join(map(str, s))}" for s in SHAPES] + MEMBERS
@@ -159,6 +160,18 @@ def test_pairing_unit_and_representation_match_their_dense_oracles(name, monkeyp
     assert np.abs(np.linalg.solve(phi.pairing(), space.particular) - u).max() <= 1e-12
     data, rep = counital_representation(w)
     _agree(rep["multiplicative"].residual, dense_multiplicative(w.algebra, data.matrices))
+
+
+@pytest.mark.parametrize("name", INPUTS)
+def test_multiplicative_fails_with_its_oracle(name):
+    """Under the mutation row that adds noise 1e-6 to eps_t, pi_eps is no
+    longer multiplicative: the residual on the generators and the dense
+    oracle over all basis pairs both exceed abs_tol."""
+    w = DERIVED_ROWS["noise 1e-6 on eps_t"](_build(name))
+    data, rep = counital_representation(w)
+    abs_tol = Tolerance().abs_tol
+    assert rep["multiplicative"].residual > abs_tol
+    assert dense_multiplicative(w.algebra, data.matrices) > abs_tol
 
 
 @pytest.mark.parametrize("name", INPUTS)

@@ -252,7 +252,7 @@ def _both_paths(w):
     rep = verify_weak_kac(w)
     paths = {name: (rep[name].residual, dense) for name, dense in _residuals_dense(w).items()}
     paths["delta_coassociative"] = (
-        weakkac._coassociativity_join(w), weakkac._coassociativity_dense(w)
+        weakkac._coassociativity_join(w.coproduct, w.dim), weakkac._coassociativity_dense(dense_coproduct(w))
     )
     paths["delta_multiplicative"] = (
         weakkac._delta_mult_join(w), weakkac._delta_mult_dense(w, np.eye(w.dim))

@@ -293,9 +293,6 @@ class AlgElement:
         if self.coeffs.shape != (self.parent.dim,):
             raise ValueError("coefficient vector has wrong length")
 
-    def star(self) -> "AlgElement":
-        return AlgElement(self.parent, self.parent.star(self.coeffs))
-
 
 @dataclass
 class Functional:
@@ -337,9 +334,7 @@ class Functional:
 
 def regular_trace(alg: FdAlgebra) -> Functional:
     """theta(x) = Tr L_x on the algebra itself; theta(e^{(i)}_{kk}) = d_i."""
-    p, q, m = alg.products
-    counts = np.bincount(p[q == m], minlength=alg.dim)
-    return Functional(alg, counts.astype(complex))
+    return Functional(alg, regular_trace_of((*alg.products, np.ones(alg.products[0].size)), alg.dim))
 
 
 def regular_trace_of(products, dim: int) -> np.ndarray:

@@ -16,8 +16,9 @@ M (x) M as joins over the nonzeros.
 The reverse direction starts from a generalized Kac algebra (M, Delta, S)
 with a normalized Haar trace phi and no counit: the convolution algebra
 carried by M^ then has a unit, and evaluating it recovers the counit.
-`convolution_unit`, `counit_from_haar` and `generalized_to_weak` implement
-that recovery from a linear system joined from the nonzeros, and
+For phi faithful its unit conditions are the counit equations, which fix
+eps from Delta alone: `convolution_unit`, `counit_from_haar` and
+`generalized_to_weak` solve them per connected component of their columns.
 `biduality_isomorphism` exhibits the canonical isomorphism of a weak Kac
 algebra with its double dual.
 """
@@ -27,17 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgElement, FdAlgebra, Functional, StarAlgebraData, wedderburn_realize
-from .constructors import (
-    Groupoid,
-    groupoid_algebra,
-    groupoid_function_algebra,
-    transported_weak_kac,
-)
+from .constructors import Groupoid, groupoid_algebra, groupoid_function_algebra, transported_weak_kac
 from .errors import NotCounital, NoUnit
 from .haar import _as_weak_kac, haar_projection, normalized_haar_trace
 from .report import VerificationReport
-from .tensorkit import Inconsistent, _contract, _table, as_tol, max_abs, numerical_rank, solve_affine_space
-from .weakkac import WeakKac, check_morphism, _cartan_spans, _intertwining_residual, _nonzero_rows
+from .tensorkit import Table, _table, as_tol, block_nullspace, max_abs, numerical_rank, solve_by_components
+from .weakkac import WeakKac, check_morphism, _cartan_spans, _intertwining_residual
 
 __all__ = [
     "dual",
@@ -113,23 +109,13 @@ def _transposed_product(alg: FdAlgebra) -> tuple:
     return m, p, q, np.ones(m.size)
 
 
-def _pairing_matrix(dw: WeakKac) -> np.ndarray:
-    """F with F[p, i] = <e_i, b_p> for concrete dual basis e_i and primal b_p."""
-    return dw.meta["from_canonical"]
-
-
-def _primal_algebra(dw: WeakKac) -> FdAlgebra:
-    alg = dw.meta.get("primal_algebra")
-    if alg is None:
-        raise KeyError("not a dual-constructed algebra: meta lacks 'primal_algebra'")
-    return alg
-
-
 def dual_functional(dw: WeakKac, element) -> Functional:
     """The linear functional on the primal algebra represented by a concrete
     element of the dual."""
+    if "primal_algebra" not in dw.meta:
+        raise KeyError("not a dual-constructed algebra: meta lacks 'primal_algebra'")
     coeffs = element.coeffs if isinstance(element, AlgElement) else np.asarray(element)
-    return Functional(_primal_algebra(dw), _pairing_matrix(dw) @ coeffs)
+    return Functional(dw.meta["primal_algebra"], dw.meta["from_canonical"] @ coeffs)
 
 
 def dual_element(dw: WeakKac, functional) -> AlgElement:
@@ -152,7 +138,7 @@ def check_pairing(w: WeakKac, dw: WeakKac, tol=None) -> VerificationReport:
     tol = as_tol(tol)
     alg = w.algebra
     rep = VerificationReport("pairing with the dual", tol)
-    f = _pairing_matrix(dw)
+    f = dw.meta["from_canonical"]  # F[p, i] = <e_i, b_p> for the concrete dual basis e_i
 
     # F carries the dual coproduct onto the transposed product of M, and F^T
     # the coproduct of M onto the transposed product of the dual
@@ -219,81 +205,60 @@ def biduality_isomorphism(w: WeakKac, tol=None):
 # ---------------------------------------------------------------------------
 
 
-def _convolution_unit_system(w: WeakKac, phi: Functional, tol):
-    """Solve for the convolution unit of the dual in trace coordinates.
+def _convolution_unit(data, phi: Functional, tol):
+    """(w, u, v): the algebra of data, the values v_a = 1^(b_a) of the unit
+    of its dual convolution algebra, and u = Phi^-1 v (Phi[a, b] =
+    phi(b_a b_b)), the element of M that represents it through phi.
 
-    Functionals phi(b_j . ) span the dual when phi is faithful, so the unit
-    conditions 1^ * alpha = alpha * 1^ = alpha reduce to the linear system
-
-        sum_{c,d} T[a,c,d] v_c Phi[d,j] = Phi[a,j]   (left)
-        sum_{c,d} T[a,c,d] Phi[c,j] v_d = Phi[a,j]   (right)
-
-    for the value vector v_a = 1^(b_a), with Phi[a,b] = phi(b_a b_b).  Its
-    rows (left or right, j, a) are joins of the coproduct's nonzeros with
-    Phi; a row zero on both sides is left out.
-    Returns (u, v) where u solves Phi u = v, the element of M representing
-    the unit through phi.  Raises NoUnit when the system is inconsistent,
-    underdetermined, or the resulting element is not S- and *-fixed.
-    """
-    alg = w.algebra
-    dim = alg.dim
-    phim = phi.pairing()
-    # [A | b]: left rows pair leg 2, right rows leg 1, column dim holds Phi[a, j]
-    j, a = np.nonzero(phim.T)
-    keys, cols, vals = [], [], []
-    for half, leg in enumerate((2, 1)):
-        i, *pair, v = _contract(w.coproduct, _table(phim.T), leg)
-        col, row = pair if leg == 2 else pair[::-1]
-        keys += [(half * dim + row) * dim + i, (half * dim + j) * dim + a]
-        cols += [col, np.full(j.size, dim)]
-        vals += [v, phim.T[j, a]]
-    ab = _nonzero_rows(*(np.concatenate(c) for c in (keys, cols, vals)), dim + 1)
-    try:
-        space = solve_affine_space([(ab[:, :dim], ab[:, dim])], tol)
-    except Inconsistent as exc:
-        raise NoUnit(f"convolution algebra has no unit: {exc}") from exc
+    For phi faithful the unit conditions sum_{c,d} T[a,c,d] v_c Phi[d,j] =
+    Phi[a,j] and their mirror are the counit equations (v (x) id) Delta =
+    id = (id (x) v) Delta (Boehm-Nill-Szlachanyi), rows (a, k) and (a, j)
+    with one entry per nonzero of the coproduct in each half.  Raises NoUnit
+    when phi is not faithful, when the equations are inconsistent or
+    underdetermined, or when u is not S- and *-fixed."""
+    tol, w = as_tol(tol), _as_weak_kac(data)
+    if any(null.shape[1] for null in block_nullspace(phi.gram_blocks(), tol)):
+        raise NoUnit("the trace is not faithful: its Gram matrix is singular")
+    d, (i, j, k, t) = w.dim, w.coproduct
+    # rows (half, a, b), every diagonal one among them, with right side [a = b]
+    diagonal = np.arange(d) * (d + 1)
+    keys = np.concatenate([i * d + k, d * d + i * d + j, diagonal, d * d + diagonal])
+    rows, row = np.unique(keys, return_inverse=True)
+    row, col = row[: 2 * t.size], np.concatenate([j, k])
+    order = np.lexsort((row, col))
+    table = Table(col[order], row[order], np.tile(t, 2)[order], (rows.size, d))
+    space = solve_by_components(table, (rows % (d * d) % (d + 1) == 0).astype(float), tol)
+    if space.residual > 10.0 * tol.abs_tol:
+        raise NoUnit(f"convolution algebra has no unit: counit equations residual {space.residual:.3e}")
     if not space.unique:
-        raise NoUnit(
-            f"convolution unit underdetermined ({space.null.shape[1]} free directions);"
-            " the trace is not faithful"
-        )
-    v = space.particular
-    u = np.linalg.solve(phim, v)
-    res = max(
-        max_abs(w.antipode @ u - u),
-        max_abs(AlgElement(alg, u).star().coeffs - u),
-    )
+        raise NoUnit(f"counit equations underdetermined ({space.null.shape[1]} free directions)")
+    u = np.linalg.solve(phi.pairing(), space.particular)
+    res = max(max_abs(w.antipode @ u - u), max_abs(w.algebra.star(u) - u))
     if res > 100 * tol.abs_tol:
         raise NoUnit(f"convolution unit is not S- and *-fixed (residual {res:.2e})")
-    return u, v
+    return w, u, space.particular
 
 
 def convolution_unit(data, phi: Functional, tol=None) -> AlgElement:
     """Element of M representing the unit of the dual convolution algebra
     through the trace phi, i.e. phi(u b_a) = 1^(b_a) for all a.  The input
     may be a WeakKac or an (algebra, coproduct, antipode) triple."""
-    tol = as_tol(tol)
-    w = _as_weak_kac(data)
-    u, _ = _convolution_unit_system(w, phi, tol)
+    w, u, _ = _convolution_unit(data, phi, tol)
     return AlgElement(w.algebra, u)
 
 
 def counit_from_haar(data, phi: Functional, tol=None) -> Functional:
     """Counit of a generalized Kac algebra, recovered as the unit of the
     dual convolution algebra.  phi must be the normalized Haar trace."""
-    tol = as_tol(tol)
-    w = _as_weak_kac(data)
-    _, v = _convolution_unit_system(w, phi, tol)
+    w, _, v = _convolution_unit(data, phi, tol)
     return Functional(w.algebra, v)
 
 
 def generalized_to_weak(data, phi: Functional, tol=None) -> WeakKac:
     """Promote a generalized Kac algebra (M, Delta, S) with normalized Haar
     trace phi to a weak Kac algebra by recovering its counit."""
-    w = _as_weak_kac(data)
-    eps = counit_from_haar(w, phi, tol)
-    meta = {**w.meta, "recovered_counit": True}
-    return WeakKac(w.algebra, w.coproduct, w.antipode, eps.vec, meta)
+    w, _, eps = _convolution_unit(data, phi, tol)
+    return WeakKac(w.algebra, w.coproduct, w.antipode, eps, {**w.meta, "recovered_counit": True})
 
 
 # ---------------------------------------------------------------------------

@@ -62,8 +62,7 @@ from .tensorkit import (
     solve_affine_space,
     subspace_distance,
 )
-from .weakkac import WeakKac, _cartan_spans, _hyper_central_classes
-from .weakkac import _pair, _rows_times
+from .weakkac import WeakKac, _add_counit_free_checks, _cartan_spans, _hyper_central_classes, _pair, _rows_times
 
 __all__ = [
     "haar_projection",
@@ -603,13 +602,14 @@ def _sandwiches(alg, c):
 
 
 def check_generalized_kac(data, phi: Functional, tol=None) -> VerificationReport:
-    """Verify that a faithful trace phi is a Haar trace for (M, Delta, S).
+    """Verify that (M, Delta, S) is a generalized Kac algebra with the
+    faithful trace phi as its Haar trace.
 
     Accepts a WeakKac or an (algebra, coproduct, antipode) triple.  Raises
     NotTracial / NotFaithful when phi fails the preconditions; all other
-    conditions are reported as residuals, including the regular-trace
-    identities and the coproduct evaluation formula for the Haar
-    projection.
+    conditions are reported as residuals: the axioms of (M, Delta, S), as
+    check_kac_bimodule reports them, the regular-trace identities and the
+    coproduct evaluation formula for the Haar projection.
     """
     tol = as_tol(tol)
     w = _as_weak_kac(data)
@@ -623,6 +623,7 @@ def check_generalized_kac(data, phi: Functional, tol=None) -> VerificationReport
         raise NotFaithful(f"Gram matrix spectrum starts at {phi.positive_definite(tol)[1]:.3e}")
 
     rep = VerificationReport("generalized Kac algebra", tol)
+    _add_counit_free_checks(rep, w)
     rep.add("tracial", asym)
     rep.add("antipode_invariant", max_abs(w.antipode.T @ phi.vec - phi.vec))
 

@@ -8,12 +8,13 @@ singular values (or eigenvalues) above the one Tolerance.rank_cutoff,
 max(shape) * abs_tol * max(sigma_max, 1): null spaces (Haar traces,
 commutants, ideals), ranks (leg injectivity, conditional expectations),
 spans (Cartan subalgebras, counit support, range checks), affine solves
-(Haar projection and trace, convolution unit), definiteness
-(faithfulness, GNS forms, complete positivity) and eigenspaces (the
-Wedderburn split).  One rule: a matrix is ranked at the shape it is
-given in.  Before an SVD its exactly-zero rows are dropped and a tall one
-is reduced to its R factor; neither changes the singular values or right
-singular vectors, nor the shape that the rank is counted at.
+(Haar projection and trace; the counit equations, per connected component
+of a Table by solve_by_components), definiteness (faithfulness, GNS forms,
+complete positivity) and eigenspaces (the Wedderburn split).  One rule: a
+matrix is ranked at the shape it is given in.  Before an SVD its
+exactly-zero rows are dropped and a tall one is reduced to its R factor;
+neither changes the singular values or right singular vectors, nor the
+shape that the rank is counted at.
 
 A block-diagonal operator, such as left or right multiplication on the
 matrix units of M = (+) M_{n_i}, is decided from its diagonal blocks
@@ -52,6 +53,7 @@ __all__ = [
     "block_nullspace",
     "block_positive_definite",
     "block_range",
+    "components",
     "dagger",
     "difference_max_abs",
     "eigenspaces",
@@ -62,6 +64,7 @@ __all__ = [
     "positive_definite",
     "rank_factorization",
     "solve_affine_space",
+    "solve_by_components",
     "subspace_contains",
     "subspace_distance",
     "intersect_subspaces",
@@ -234,10 +237,12 @@ def _stack(a) -> np.ndarray:
     return a.reshape(math.prod(a.shape[:-2]), *a.shape[-2:])
 
 
-def _full_shape(stacks):
-    """The shape of the block-diagonal matrix with every matrix of the
-    stacks once on its diagonal."""
-    return sum(len(a) * a.shape[1] for a in stacks), sum(len(a) * a.shape[2] for a in stacks)
+def _block_cutoff(stacks, values, tol) -> float:
+    """The rank cutoff of the block-diagonal matrix with every matrix of the
+    stacks once on its diagonal: its shape, and the largest of the singular
+    values (or eigenvalues) of its blocks, given as one array per stack."""
+    shape = sum(len(a) * a.shape[1] for a in stacks), sum(len(a) * a.shape[2] for a in stacks)
+    return as_tol(tol).rank_cutoff(shape, max((v.max(initial=0.0) for v in values), default=0.0))
 
 
 def _drop_zero_rows(a: np.ndarray) -> np.ndarray:
@@ -262,8 +267,7 @@ def block_nullspace(stacks, tol: Tolerance | None = None) -> list:
     nonzero in any of its blocks, when tall) and one SVD."""
     stacks = [_stack(a) for a in stacks]
     svds = [np.linalg.svd(_r_factor(a)) for a in stacks]
-    smax = max((s.max(initial=0.0) for _, s, _ in svds), default=0.0)
-    cut = as_tol(tol).rank_cutoff(_full_shape(stacks), smax)
+    cut = _block_cutoff(stacks, [s for _, s, _ in svds], tol)
     return [
         v[:, rank:]
         for _, s, vh in svds
@@ -277,8 +281,7 @@ def block_range(stacks, tol: Tolerance | None = None) -> list:
     basis per block, from one SVD per stack."""
     stacks = [_stack(a) for a in stacks]
     svds = [np.linalg.svd(a, full_matrices=False)[:2] for a in stacks]
-    smax = max((s.max(initial=0.0) for _, s in svds), default=0.0)
-    cut = as_tol(tol).rank_cutoff(_full_shape(stacks), smax)
+    cut = _block_cutoff(stacks, [s for _, s in svds], tol)
     return [
         u[:, :rank] for us, s in svds for rank, u in zip((s > cut).sum(axis=1).tolist(), us)
     ]
@@ -291,7 +294,7 @@ def block_positive_definite(stacks, tol: Tolerance | None = None):
     cutoff of the largest.  One eigvalsh per stack."""
     stacks = [_stack(g) for g in stacks]
     w = np.concatenate([np.linalg.eigvalsh((g + g.conj().swapaxes(1, 2)) / 2).ravel() for g in stacks])
-    cut = as_tol(tol).rank_cutoff(_full_shape(stacks), w.max())
+    cut = _block_cutoff(stacks, [w], tol)
     return bool(w.min() > cut), float(w.min())
 
 
@@ -442,3 +445,58 @@ def solve_affine_space(constraints, tol: Tolerance | None = None) -> AffineSpace
     if space.residual > 10.0 * tol.abs_tol:
         raise Inconsistent(f"affine system residual {space.residual:.3e}", space)
     return space
+
+
+def components(table: Table):
+    """The connected components of the rows and columns of a matrix, joined
+    by the nonzeros of its Table: the label of each row and of each column,
+    the least column of its component, from the least labels over rows and
+    columns in turn, with pointer jumping.  A row with no nonzero is
+    labelled shape[1]."""
+    m, n = table.shape
+    least = np.arange(n)
+    while True:
+        row_least = np.full(m, n)
+        np.minimum.at(row_least, table.row, least[table.col])
+        step = least.copy()
+        np.minimum.at(step, table.col, row_least[table.row])
+        step = step[step]
+        if (step == least).all():
+            return row_least, least
+        least = step
+
+
+def solve_by_components(table: Table, rhs, tol: Tolerance | None = None) -> AffineSpace:
+    """Solve mat x = rhs in the least-squares sense, mat given by its Table,
+    one connected component (components) at a time: the components of one
+    shape, each with its part of rhs as a last column, are stacked and
+    factored as solve_affine_space factors one system, every rank counted
+    at the cutoff of the block-diagonal matrix of all of them (_block_cutoff).
+    A column with no nonzero is a free direction.  Unlike
+    solve_affine_space it does not raise: the caller reads the residual."""
+    m, n = table.shape
+    key = table.col * m + table.row  # ascending: a Table runs by column, then row
+    # the rows and the columns of each component in index order, its shape as rows * (n + 1) + columns
+    at, starts = zip(*((x.argsort(kind="stable"), _row_starts(np.sort(x), n + 1)) for x in components(table)))
+    sizes = np.diff(starts[0])[:n] * (n + 1) + np.diff(starts[1])[:n]
+    stacks = []
+    for size in sorted(set(sizes[sizes > n].tolist())):
+        of = np.flatnonzero(sizes == size)
+        rows, cols = (a[s[of][:, None] + np.arange(k)] for a, s, k in zip(at, starts, divmod(size, n + 1)))
+        query = cols[:, None, :] * m + rows[:, :, None]
+        found = np.minimum(np.searchsorted(key, query), key.size - 1)
+        a = np.where(key[found] == query, table.v[found], 0)
+        r = _r_factor(np.concatenate([a, rhs[rows][..., None]], axis=2))
+        stacks.append((a, cols, *np.linalg.svd(r[..., :-1]), r[..., -1]))
+    cut = _block_cutoff([a for a, *_ in stacks], [s for _, _, _, s, *_ in stacks], tol)
+    x, null = np.zeros(n, dtype=complex), [np.eye(n, dtype=complex)[:, sizes == 1]]
+    for _, cols, u, s, vh, rb in stacks:
+        # the least-norm point of each component, and its free directions
+        keep = s > cut
+        coef = np.where(keep, np.einsum("kji,kj->ki", u.conj(), rb)[:, : s.shape[1]] / np.where(keep, s, 1), 0)
+        x[cols] = np.einsum("kij,ki->kj", vh[:, : s.shape[1]].conj(), coef)
+        c, f = np.nonzero(np.arange(cols.shape[1]) >= keep.sum(axis=1)[:, None])
+        null.append(np.zeros((n, c.size), dtype=complex))
+        null[-1][cols[c], np.arange(c.size)[:, None]] = vh[c, f].conj()
+    residual = max_abs(_bincount(table.row, table.v * x[table.col], m) - rhs)
+    return AffineSpace(x, np.hstack(null), residual)

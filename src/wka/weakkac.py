@@ -51,9 +51,7 @@ from .tensorkit import (
     difference_max_abs,
     intersect_subspaces,
     max_abs,
-    nullspace,
     rank_factorization,
-    subspace_contains,
     subspace_distance,
 )
 
@@ -358,16 +356,10 @@ def _delta_mult_join(w: WeakKac) -> float:
     return difference_max_abs(left, right)
 
 
-def _nonzero_rows(keys, cols, values, width: int) -> np.ndarray:
-    """The matrix of entries (row key, column, value), one row per distinct
-    key in key order, the values of repeated entries summed."""
-    rows, row = np.unique(keys, return_inverse=True)
-    return _bincount(row * width + cols, values, rows.size * width).reshape(rows.size, width)
-
-
 def _rows_times(keys, cols, values, mat: np.ndarray) -> np.ndarray:
-    """The rows of _nonzero_rows times mat, without the d-wide rows: each
-    entry adds its value times row `column` of mat."""
+    """The matrix of entries (row key, column, value), one row per distinct
+    key in key order, repeated entries summed, times mat, without forming
+    it: each entry adds its value times row `column` of mat."""
     rows, row = np.unique(keys, return_inverse=True)
     k = mat.shape[1]
     index = (row[:, None] * k + np.arange(k)).ravel()
@@ -586,6 +578,22 @@ def _subalgebra_realization(sub: SubalgebraBasis, tol: Tolerance):
     return wedderburn_realize(data, tol)
 
 
+def _defining_relation_residuals(w: WeakKac, ns: SubalgebraBasis, nt: SubalgebraBasis) -> tuple:
+    """Residuals (source, target) of the defining relations of N_s and N_t on
+    their bases: Delta(x) = e (x (x) 1) = (x (x) 1) e for N_t, the same on
+    the second leg for N_s, one row per relation and basis pair b_m (x) b_n
+    and one column per basis element x, applied to the basis by _rows_times."""
+    d, (i, j, k, v) = w.dim, w.coproduct
+
+    def residual(leg, span):
+        terms = [((r * d + j) * d + k, i, v) for r in (0, 1)]
+        products = (w.e_products(leg, left) for left in (False, True))
+        terms += [((r * d + m) * d + n, x, -u) for r, (x, m, n, u) in enumerate(products)]
+        return max_abs(_rows_times(*map(np.concatenate, zip(*terms)), span.basis))
+
+    return residual(1, ns), residual(0, nt)
+
+
 def cartan_subalgebras(w: WeakKac, tol=None) -> CartanPair:
     """Compute N_s, N_t with the paired factorization of e and verify their
     defining relations, mutual commutation, biorthogonality and the
@@ -600,16 +608,11 @@ def cartan_subalgebras(w: WeakKac, tol=None) -> CartanPair:
 
     if ns.dim != nt.dim:
         raise CartanMismatch(f"factor ranks differ: {ns.dim} vs {nt.dim}")
-    rep.add(
-        "factorization_reconstructs_e",
-        max_abs(sum(np.outer(x, y) for x, y in zip(xs, ys)) - e),
-    )
+    rep.add("factorization_reconstructs_e", max_abs(sum(np.outer(x, y) for x, y in zip(xs, ys)) - e))
 
-    worst_s, worst_t = (max_abs(_rows_times(*_cartan_relations(w, g), b.basis)) for g, b in ((1, ns), (0, nt)))
+    worst_s, worst_t = _defining_relation_residuals(w, ns, nt)
     if max(worst_s, worst_t) > 1e4 * tol.abs_tol:
-        raise CartanMismatch(
-            f"defining relations fail: N_s {worst_s:.2e}, N_t {worst_t:.2e}"
-        )
+        raise CartanMismatch(f"defining relations fail: N_s {worst_s:.2e}, N_t {worst_t:.2e}")
     rep.add("source_defining_relation", worst_s)
     rep.add("target_defining_relation", worst_t)
 
@@ -643,9 +646,7 @@ def cartan_subalgebras(w: WeakKac, tol=None) -> CartanPair:
     tgt = _subalgebra_realization(nt, tol)
     fs = ns.basis @ src.from_canonical
     rep.add("block_formula_reconstructs_e", _block_formula_residual(w, fs, src.algebra))
-    return CartanPair(
-        ns, nt, xs, ys, src.algebra.block_shape, tgt.algebra.block_shape, rep
-    )
+    return CartanPair(ns, nt, xs, ys, src.algebra.block_shape, tgt.algebra.block_shape, rep)
 
 
 def _coproduct_of_e_residual(w: WeakKac) -> float:
@@ -764,11 +765,13 @@ def check_kac_bimodule(algebra: FdAlgebra, coproduct, antipode, tol=None):
 
     Given (M, Delta, S) only, builds eps_t, eps_s, the candidate counit
     eps = theta_t eps_t = theta_s eps_s (theta_* = regular trace of the
-    Cartan subalgebra) and reports whether (id (x) eps) Delta = id; when
+    Cartan subalgebra) and reports whether (id (x) eps) Delta = id.  N_s
+    and N_t are the factor spans of e = Delta(1) (_cartan_spans), with
+    their defining relations as cartan_subalgebras reports them.  When
     every check passes, the remaining counit axioms of the assembled weak
     Kac algebra are added under the prefix "assembled.", but for axioms 3
     and A3'': those read no counit and are the compressions.
-    Returns (report, Functional or None).
+    Returns (report, Functional or None); raises CartanMismatch when e = 0.
     """
     tol = as_tol(tol)
     w = WeakKac(algebra, coproduct, antipode, None)
@@ -780,21 +783,23 @@ def check_kac_bimodule(algebra: FdAlgebra, coproduct, antipode, tol=None):
     rep.add("eps_t_unital", max_abs(et @ alg.unit - alg.unit))
     rep.add("eps_s_unital", max_abs(es @ alg.unit - alg.unit))
 
-    nt, ns = (nullspace(_nonzero_rows(*_cartan_relations(w, g), w.dim), tol) for g in (0, 1))
-    rep.add("eps_t_range_in_cartan", subspace_contains(nt, et, tol))
-    rep.add("eps_s_range_in_cartan", subspace_contains(ns, es, tol))
-    rep.add("target_cartan_closed", SubalgebraBasis(alg, nt, tol).closure_residual())
-    rep.add("source_cartan_closed", SubalgebraBasis(alg, ns, tol).closure_residual())
+    ns, nt, _, _ = _cartan_spans(w, tol)
+    worst_s, worst_t = _defining_relation_residuals(w, ns, nt)
+    rep.add("source_defining_relation", worst_s)
+    rep.add("target_defining_relation", worst_t)
+    rep.add("eps_t_range_in_cartan", nt.contains(et))
+    rep.add("eps_s_range_in_cartan", ns.contains(es))
+    rep.add("target_cartan_closed", nt.closure_residual())
+    rep.add("source_cartan_closed", ns.closure_residual())
 
     # the counit-free axioms A3'' and 3, by the joins of _counit_residuals
     target, source = _compression_residuals(w)
     rep.add("target_compression", target)
     rep.add("source_compression", source)
 
-    theta_t = _regular_trace_on_span(alg, nt)
-    theta_s = _regular_trace_on_span(alg, ns)
-    eps_t_route = theta_t @ et
-    eps_s_route = theta_s @ es
+    # x -> theta_*(P x), theta_* the regular trace of N_* and P the orthogonal projection onto it
+    theta_t, theta_s = (regular_trace_of(n.structure_constants()[0], n.dim) @ dagger(n.basis) for n in (nt, ns))
+    eps_t_route, eps_s_route = theta_t @ et, theta_s @ es
     rep.add("routes_agree", max_abs(eps_t_route - eps_s_route))
     eps = (eps_t_route + eps_s_route) / 2
 
@@ -807,32 +812,7 @@ def check_kac_bimodule(algebra: FdAlgebra, coproduct, antipode, tol=None):
     for name, r in _counit_residuals(WeakKac(algebra, w.coproduct, antipode, eps)).items():
         if name not in ("axiom3", "axiomA3_doubleprime"):  # the compressions, above
             rep.add("assembled." + name, r)
-    func = Functional(algebra, eps) if rep.passed else None
-    return rep, func
-
-
-def _cartan_relations(w: WeakKac, leg: int):
-    """The defining relations Delta(x) = e (x (x) 1) = (x (x) 1) e of N_t
-    (leg 0), or the same on the second leg for N_s (leg 1), whose null
-    space is the subalgebra, as entries (row, column, value) with repeated
-    entries: one row per relation and basis pair b_m (x) b_n (of 2 d^2 in
-    all), one column per basis element x."""
-    d = w.dim
-    i, j, k, v = w.coproduct
-    keys, cols, vals = [], [], []
-    for r, left in enumerate((False, True)):
-        x, m, n, u = w.e_products(leg, left)
-        keys += [(r * d + j) * d + k, (r * d + m) * d + n]
-        cols += [i, x]
-        vals += [v, -u]
-    return tuple(np.concatenate(a) for a in (keys, cols, vals))
-
-
-def _regular_trace_on_span(alg: FdAlgebra, span: np.ndarray) -> np.ndarray:
-    """Covector x -> theta(P x) on M, for theta the regular trace of the
-    subalgebra with orthonormal basis `span` and P the projection onto it."""
-    products, _, _ = SubalgebraBasis(alg, span, orthonormalize=False).structure_constants()
-    return regular_trace_of(products, span.shape[1]) @ dagger(span)
+    return rep, Functional(algebra, eps) if rep.passed else None
 
 
 # ---------------------------------------------------------------------------

@@ -213,15 +213,15 @@ def test_counit_free_file_requires_recovery(tmp_path):
 
 def test_recover_counit_solves_the_unit_system_once(cube2_file, monkeypatch, capsys):
     """The printed counit is the counit of the written algebra, from one
-    solve of the convolution unit system."""
+    solve of the counit equations."""
     solves = []
-    real = duality._convolution_unit_system
+    real = duality.solve_by_components
 
     def counting(*args):
         solves.append(args)
         return real(*args)
 
-    monkeypatch.setattr(duality, "_convolution_unit_system", counting)
+    monkeypatch.setattr(duality, "solve_by_components", counting)
     out_path = cube2_file + ".rec"
     assert run("recover-counit", cube2_file, "-o", out_path) == 0
     assert len(solves) == 1

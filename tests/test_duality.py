@@ -1,6 +1,7 @@
 """Duality: dual construction, pairing, biduality, counit recovery."""
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -272,6 +273,25 @@ def test_counit_recovery_round_trip(name):
     rebuilt = generalized_to_weak(data, phi)
     assert verify_weak_kac(rebuilt).passed
     assert np.abs(rebuilt.counit - w.counit).max() < 1e-7
+
+
+def test_counit_recovery_holds_few_dense_arrays():
+    """On a built cube_family(8) (d = 512), with its normalized Haar trace
+    given, generalized_to_weak keeps its traced peak below three dense
+    d x d complex arrays (12.6 MB): Phi[a, b] = phi(b_a b_b) and the copy
+    that np.linalg.solve factors for u = Phi^-1 v.  The counit equations
+    hold one entry per coproduct nonzero in each half; the Phi-weighted
+    unit system they replace held about 66 such arrays."""
+    w = cube_family(8)
+    phi = normalized_haar_trace(w)
+    tracemalloc.start()
+    try:
+        rebuilt = generalized_to_weak(w, phi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.abs(rebuilt.counit - w.counit).max() <= 1e-12
+    assert peak < 3 * w.dim ** 2 * 16, peak
 
 
 def test_cube_recovered_counit_vector():

@@ -1,10 +1,12 @@
 """The mutation tables of the axiom suite and of the derived reports.
 
 Each row mutates the catalog members and runs reports on the result.  The
-axiom table runs verify_weak_kac on every member with 2 <= d <= 27, and
-check_kac_bimodule too when the row leaves the counit alone (the bimodule
-check takes no counit).  The derived table runs the eight reports of
-`wka derive --what all` on DERIVED_MEMBERS under the same rows, a row whose
+axiom table runs verify_weak_kac on every member with 2 <= d <= 27, and,
+when the row leaves the counit alone, the paper's other two axiom systems,
+which take no counit: check_kac_bimodule, and check_generalized_kac under
+the normalized Haar trace of the mutated structure.  The derived table
+runs the eight reports of `wka derive --what all` on DERIVED_MEMBERS under
+the same rows, a row whose
 antipode cycles three blocks, and object rows.  An object row replaces one
 derived object of the member (the Haar projection p, the normalized Haar
 trace phi, the Cartan factors, eps_t, the counital support or the
@@ -27,6 +29,7 @@ one block per report.
 
 import re
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
@@ -37,6 +40,7 @@ from wka import (
     block_trace,
     cartan_subalgebras,
     catalog,
+    check_generalized_kac,
     check_haar_projection,
     check_kac_bimodule,
     check_normalized_haar_trace,
@@ -44,19 +48,21 @@ from wka import (
     counital_representation,
     cube_family,
     fusion_ring,
+    generalized_to_weak,
     haar_conditional_expectations,
     haar_trace_cone,
+    normalized_haar_trace,
     verify_weak_kac,
 )
 from wka.errors import WkaError
 from wka.fusion import _support_multiplicities
 from wka.haar import _haar_projection_space, _normalized_haar_trace_space
-from wka.tensorkit import AffineSpace, _table
+from wka.tensorkit import AffineSpace, _table, max_abs
 from wka.weakkac import _cartan_spans, _hyper_central_classes
 
 from conftest import dense_coproduct, e_without_block, inner_automorphism, moved_entry
 
-VERIFY, BIMODULE = "verify_weak_kac", "check_kac_bimodule"
+VERIFY, BIMODULE, GENERALIZED = "verify_weak_kac", "check_kac_bimodule", "check_generalized_kac"
 
 
 def _noise(shape):
@@ -176,9 +182,24 @@ ROWS = {
 }
 
 
+def _generalized(mutated):
+    """check_generalized_kac under the normalized Haar trace of the mutated
+    structure and, when it passes, the counit that generalized_to_weak
+    recovers; no report where the trace or the check raises."""
+    try:
+        phi = normalized_haar_trace(mutated)
+        rep = check_generalized_kac(mutated, phi)
+        return rep, generalized_to_weak(mutated, phi).counit if rep.passed else None
+    except (WkaError, np.linalg.LinAlgError):
+        return None, None
+
+
 @lru_cache(maxsize=None)
 def runs() -> tuple:
-    """(report name, member, row, report) of every run of the table."""
+    """(report name, member, row, report, recovered counit) of every run of
+    the table.  The counit is the one check_kac_bimodule returns, or the
+    one generalized_to_weak recovers where check_generalized_kac passes,
+    else None; the report is None where the generalized check raises."""
     out = []
     for entry in catalog():
         w = entry.build()
@@ -188,10 +209,11 @@ def runs() -> tuple:
             mutated = mutate(w)
             if mutated is None:
                 continue
-            out.append((VERIFY, entry.name, row, verify_weak_kac(mutated)))
+            out.append((VERIFY, entry.name, row, verify_weak_kac(mutated), None))
             if not counit:
-                rep, _ = check_kac_bimodule(w.algebra, mutated.coproduct, mutated.antipode)
-                out.append((BIMODULE, entry.name, row, rep))
+                rep, eps = check_kac_bimodule(w.algebra, mutated.coproduct, mutated.antipode)
+                out.append((BIMODULE, entry.name, row, rep, None if eps is None else eps.vec))
+                out.append((GENERALIZED, entry.name, row, *_generalized(mutated)))
     return tuple(out)
 
 
@@ -441,7 +463,9 @@ def _check(name: str) -> str:
 def count(runs) -> dict:
     """{(report name, check): (fails, fails alone)} over the runs."""
     counts = {}
-    for report, _, _, rep in runs:
+    for report, _, _, rep, *_ in runs:
+        if rep is None:
+            continue
         failed = [c.name for c in rep.failures()]
         for c in rep.checks:
             key = report, _check(c.name)
@@ -482,6 +506,21 @@ _BIMODULE = (
     "a condition of the Kac bimodule characterization of the counit: eps_t and eps_s are"
     " formed from Delta and S, so a mutation that breaks it also moves another of them"
 )
+_RELATION = (
+    "a defining relation Delta(x) = e (x (x) 1) = (x (x) 1) e of N_s or N_t on the factor"
+    " spans of e, as cartan_subalgebras reports it: a mutation that breaks it also breaks a"
+    " compression (axiom 3 or A3''), which compares the same Delta with e"
+)
+_GENERALIZED_ANTIPODE = (
+    "an axiom of (M, Delta, S), which a generalized Kac algebra assumes as a weak Kac"
+    " algebra does: the mutations of S that break it also break another antipode axiom or"
+    " the regular trace identity, which reads S"
+)
+_HAAR_TRACE = (
+    "a Haar trace condition of the generalized Kac algebra: phi is the normalized Haar trace"
+    " of the mutated structure and p its Haar projection, both solved from the same Delta"
+    " and S, so a mutation that breaks one condition breaks another with it"
+)
 _ASSEMBLED = (
     "a counit axiom of the assembled algebra, reported only when every bimodule check"
     " passes: by the paper's equivalence those imply it, so it fails only near its limit,"
@@ -504,6 +543,18 @@ NEVER_ALONE = {
         for n in (
             "eps_t_unital", "eps_s_unital", "eps_t_range_in_cartan", "eps_s_range_in_cartan",
             "target_cartan_closed", "source_cartan_closed", "routes_agree",
+        )
+    },
+    **{(BIMODULE, n): _RELATION for n in ("source_defining_relation", "target_defining_relation")},
+    **{
+        (GENERALIZED, n): _GENERALIZED_ANTIPODE
+        for n in ("antipode_unital", "antipode_involutive", "antipode_star", "antipode_antimultiplicative")
+    },
+    **{
+        (GENERALIZED, n): _HAAR_TRACE
+        for n in (
+            "antipode_invariant", "haar_trace_identity", "regular_trace_left_unit",
+            "regular_trace_right_unit", "haar_projection_flip",
         )
     },
     **{
@@ -633,7 +684,11 @@ _COMPRESSION = (
     " quotient whatever the support is"
 )
 NEVER_FAILS = {
-    (QUOTIENT, "morphism." + n): _COMPRESSION for n in ("unital", "star_homomorphism", "multiplicative")
+    **{(QUOTIENT, "morphism." + n): _COMPRESSION for n in ("unital", "star_homomorphism", "multiplicative")},
+    (GENERALIZED, "tracial"): (
+        "the table's phi is the normalized Haar trace, a combination of block traces and so"
+        " tracial; a phi further from tracial than 100 abs_tol raises NotTracial instead"
+    ),
 }
 
 # The rows on which axioms 2)+3) and A2+A3+A4 disagree while the coproduct
@@ -651,11 +706,36 @@ DISAGREE = {
 }
 
 
+# The (row, pair of reports) on which the paper's three axiom systems judge
+# a run differently.  Each is a near-limit row: it moves residuals to about
+# the limit, where the residuals of each report, formed from different
+# objects (eps in verify, the eps recovered from e in the bimodule report,
+# the Haar trace and projection in the generalized one), decide apart.
+_NEAR_LIMIT = "a near-limit row: its residuals sit at about the limit, where rounding decides"
+THREE_WAY = {
+    (row, pair): _NEAR_LIMIT
+    for row, pairs in (
+        ("Delta(b_0) x (1 + 5e-10)", "all"),
+        ("S x exp(5e-10 i)", "all"),
+        ("noise 3e-10 on the nonzeros of Delta", "generalized"),
+        ("star-symmetric noise 3e-10 on Delta", "all"),
+        ("the same noise 3e-10, legs exchanged", "all"),
+    )
+    for pair in combinations((VERIFY, BIMODULE, GENERALIZED), 2)
+    if pairs == "all" or GENERALIZED in pair
+}
+
+
 def _names_on_cube2() -> set:
     """(report, check) of every check the reports emit on cube_family(2)."""
     w = cube_family(2)
     rep, _ = check_kac_bimodule(w.algebra, w.coproduct, w.antipode)
-    reports = {VERIFY: verify_weak_kac(w), BIMODULE: rep, **{t: derive(w) for t, derive in DERIVED.items()}}
+    reports = {
+        VERIFY: verify_weak_kac(w),
+        BIMODULE: rep,
+        GENERALIZED: _generalized(w)[0],
+        **{t: derive(w) for t, derive in DERIVED.items()},
+    }
     return {(title, _check(c.name)) for title, rep in reports.items() for c in rep.checks}
 
 
@@ -684,7 +764,9 @@ def test_the_two_axiom_sets_accept_or_reject_together():
     among the counit axioms of the algebra check_kac_bimodule assembles,
     whose axiom 3) is source_compression."""
     disagree = set()
-    for report, _, row, rep in runs():
+    for report, _, row, rep, _ in runs():
+        if report == GENERALIZED:
+            continue
         prefix = "" if report == VERIFY else "assembled."
         axiom3 = "axiom3" if report == VERIFY else "source_compression"
         names = {c.name for c in rep.checks}
@@ -699,9 +781,34 @@ def test_the_two_axiom_sets_accept_or_reject_together():
     assert disagree == DISAGREE
 
 
+def test_the_three_axiom_systems_judge_every_run_alike():
+    """The paper's theorem: on every run that leaves the counit alone,
+    verify_weak_kac, check_kac_bimodule and check_generalized_kac accept
+    or reject together, but for the near-limit rows pinned in THREE_WAY (a
+    raise of the normalized Haar trace or of the check rejects).  Where
+    all three accept, the counits that check_kac_bimodule and
+    generalized_to_weak recover from (M, Delta, S) are the stored one
+    within abs_tol."""
+    stored = {entry.name: entry.build().counit for entry in catalog()}
+    verdicts, counits = {}, {}
+    for report, member, row, rep, counit in runs():
+        if not ROWS[row][0]:
+            verdicts.setdefault((member, row), {})[report] = rep is not None and rep.passed
+            counits[member, row, report] = counit
+    disagree = set()
+    for (member, row), verdict in verdicts.items():
+        disagree |= {(row, pair) for pair in combinations(verdict, 2) if verdict[pair[0]] != verdict[pair[1]]}
+        if all(verdict.values()):
+            for report in (BIMODULE, GENERALIZED):
+                assert max_abs(counits[member, row, report] - stored[member]) <= TOL.abs_tol, (member, row)
+    assert disagree == set(THREE_WAY)
+    for row, _ in THREE_WAY:
+        assert float(re.search(r"\d+e-\d+", row)[0]) <= 5e-9, row
+
+
 if __name__ == "__main__":
     counts = table()
-    for report in (VERIFY, BIMODULE, *DERIVED):
+    for report in (VERIFY, BIMODULE, GENERALIZED, *DERIVED):
         print(f"== {report}")
         for (title, name), (fails, alone) in counts.items():
             if title == report:

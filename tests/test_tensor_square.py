@@ -16,6 +16,7 @@ from wka import (
     catalog,
     check_pairing,
     convolution_unit,
+    counit_from_haar,
     disjoint_union,
     dual,
     groupoid_algebra,
@@ -24,7 +25,7 @@ from wka import (
     pair_groupoid,
     regular_trace,
 )
-from wka import duality, haar
+from wka import haar
 from wka.algebra import block_trace
 from wka.errors import NoUnit
 from wka.fusion import counital_representation
@@ -134,7 +135,7 @@ def test_target_bimodule_map_fails_each_half_alone(name, side):
 
 
 @pytest.mark.parametrize("name", INPUTS)
-def test_pairing_unit_and_representation_match_their_dense_oracles(name, monkeypatch):
+def test_pairing_unit_and_representation_match_their_dense_oracles(name):
     w = _build(name)
     rep = check_pairing(w, dual(w))
     for check, dense in zip(
@@ -142,22 +143,15 @@ def test_pairing_unit_and_representation_match_their_dense_oracles(name, monkeyp
         dense_pairing_identities(w, dual(w)),
     ):
         _agree(rep[check].residual, dense)
-    # the joined rows are the nonzero rows of the dense system, in order
+    # the counit solved from the counit equations is the unit of the dual
+    # convolution algebra: it solves the paper's unit conditions, stacked
+    # densely in the coordinates of phi, and u = Phi^-1 v represents it
     phi = normalized_haar_trace(w)
-    system = dense_convolution_unit_system(w, phi.pairing())
-    ab = np.vstack([np.column_stack([a, b]) for a, b in system])
-    systems = []
-
-    def solve(constraints, tol):
-        systems.append(constraints)
-        return solve_affine_space(constraints, tol)
-
-    monkeypatch.setattr(duality, "solve_affine_space", solve)
+    v = counit_from_haar(w, phi).vec
+    for a, b in dense_convolution_unit_system(w, phi.pairing()):
+        assert np.abs(a @ v - b).max() <= Tolerance().abs_tol
     u = convolution_unit(w, phi).coeffs
-    [[(a, b)]] = systems
-    assert np.array_equal(np.column_stack([a, b]), ab[np.any(ab != 0, axis=1)])
-    space = solve_affine_space(system)
-    assert np.abs(np.linalg.solve(phi.pairing(), space.particular) - u).max() <= 1e-12
+    assert np.abs(phi.pairing() @ u - v).max() <= 1e-12
     data, rep = counital_representation(w)
     _agree(rep["multiplicative"].residual, dense_multiplicative(w.algebra, data.matrices))
 
@@ -278,6 +272,35 @@ def test_unit_system_keeps_the_rows_with_only_a_right_side():
         solve_affine_space(dense_convolution_unit_system(cut, phi.pairing()))
     with pytest.raises(NoUnit, match="no unit"):
         convolution_unit(cut, phi)
+
+
+def test_a_trace_that_is_not_faithful_has_no_unit():
+    """A block trace with weight 0 on a block leaves Phi singular, so no
+    element of M represents the unit through it."""
+    w = get_example("cube2")
+    with pytest.raises(NoUnit, match="not faithful"):
+        convolution_unit(w, block_trace(w.algebra, [0.0, 1.0]))
+
+
+def test_counit_equations_ranked_below_the_cutoff_are_underdetermined():
+    """A solution v of both halves of the counit equations is unique: for x
+    in the null space of the left half, x = (x (x) v) Delta = 0.  So the
+    underdetermined cause is a numerical one, reached here by a tolerance
+    so coarse that every singular value of the equations lies below the
+    cutoff of their shape, while the regular trace of the commutative
+    fun_k2, with its Gram blocks 1, stays faithful at it."""
+    w = get_example("fun_k2")
+    with pytest.raises(NoUnit, match=f"underdetermined \\({w.dim} free directions\\)"):
+        convolution_unit(w, regular_trace(w.algebra), Tolerance(0.2))
+
+
+def test_a_unit_that_is_not_self_adjoint_is_refused():
+    """Under a faithful trace with the weight i on one block, u = Phi^-1 eps
+    carries the factor 1/i there: the counit equations are solved, but u
+    is not *-fixed."""
+    w = get_example("cube2")
+    with pytest.raises(NoUnit, match="not S- and \\*-fixed"):
+        convolution_unit(w, block_trace(w.algebra, [1j, 1.0]))
 
 
 # ---------------------------------------------------------------------------

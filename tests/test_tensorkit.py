@@ -6,16 +6,19 @@ import pytest
 from wka import Tolerance, rank_factorization, solve_affine_space
 from wka.errors import Inconsistent
 from wka.tensorkit import (
+    _table,
     as_tol,
     block_nullspace,
     block_positive_definite,
     block_range,
+    components,
     dagger,
     max_abs,
     nullspace,
     numerical_rank,
     orthonormal_columns,
     positive_definite,
+    solve_by_components,
     subspace_contains,
     subspace_distance,
 )
@@ -450,3 +453,58 @@ def test_numerical_rank_ranks_each_matrix_of_a_stack_at_its_own_cutoff(monkeypat
     assert calls == [(3, 1, 5, 4)]
     assert ranks.tolist() == [[2], [2], [0]]
     assert ranks.reshape(-1).tolist() == [numerical_rank(m) for m in stack]
+
+
+def _permuted_block_system(rng):
+    """A 9 x 8 matrix that is block diagonal after a permutation of its
+    rows and columns: a 3 x 2 block, two 2 x 2 blocks (one of rank 1), a
+    2 x 1 block, and a column with no nonzero."""
+    blocks = [rand_c(3, 2), rand_c(2, 2), rand_c(2, 1) @ rand_c(1, 2), rand_c(2, 1)]
+    a = np.zeros((9, 8), dtype=complex)
+    r = c = 0
+    for b in blocks:
+        a[r : r + b.shape[0], c : c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    return a[rng.permutation(9)][:, rng.permutation(8)]
+
+
+def test_components_label_each_row_and_column_by_its_least_column():
+    # a path b_0 - r_0 - b_2 - r_1 - b_1 is one component; row 2 meets no column
+    a = np.zeros((3, 4))
+    a[0, [0, 2]] = a[1, [2, 1]] = 1.0
+    rows, cols = components(_table(a))
+    assert rows.tolist() == [0, 0, 4]
+    assert cols.tolist() == [0, 0, 0, 3]
+
+
+@pytest.mark.parametrize("consistent", [True, False])
+def test_solve_by_components_is_the_affine_solve_of_the_whole_matrix(consistent):
+    """Solved one component at a time, the components of one shape stacked,
+    a system gives the least-norm point, the null space and the residual
+    of the dense solve of the whole matrix, whose shape the components
+    fill; a column with no nonzero is free."""
+    rng = np.random.default_rng(3)
+    a = _permuted_block_system(rng)
+    b = a @ rand_c(8) if consistent else rand_c(9)
+    space = solve_by_components(_table(a), b)
+    try:
+        want = solve_affine_space([(a, b)])
+    except Inconsistent as exc:
+        want = exc.space
+    assert space.null.shape[1] == want.null.shape[1] == 2
+    assert subspace_distance(space.null, want.null) < 1e-12
+    assert max_abs(space.particular - want.particular) < 1e-12
+    assert abs(space.residual - want.residual) < 1e-12
+    assert (space.residual <= 1e-12) == consistent
+
+
+def test_solve_by_components_ranks_at_the_cutoff_of_all_components():
+    """A component whose singular value lies below the cutoff of the
+    block-diagonal matrix of all components is rank deficient even where
+    its own cutoff would keep it."""
+    a, tol = np.diag([1.0, 1.5e-8]), Tolerance(abs_tol=1e-8)
+    # alone, the 1 x 1 component 1.5e-8 lies above its cutoff 1e-8; beside
+    # the component 1 the cutoff of the 2 x 2 block-diagonal matrix is 2e-8
+    assert solve_by_components(_table(a[1:, 1:]), np.ones(1), tol).unique
+    space = solve_by_components(_table(a), np.array([1.0, 0.0]), tol)
+    assert space.null.shape[1] == 1 and max_abs(space.null[:, 0] - [0, 1]) == 0

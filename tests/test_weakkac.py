@@ -27,7 +27,7 @@ from wka import (
     restrict_to_blocks,
     verify_weak_kac,
 )
-from wka import weakkac
+from wka import tensorkit, weakkac
 from wka.constructors import validate_action
 from wka.storage import load_wka, save_wka
 from wka.errors import CartanMismatch, InvalidAction
@@ -372,6 +372,41 @@ def test_verify_weak_kac_holds_no_dense_structure_map():
     assert peak < 3 * w.dim ** 2 * 16, peak
 
 
+def test_kac_bimodule_check_solves_no_null_space(monkeypatch):
+    """N_s and N_t of the bimodule check are the factor spans of e: no null
+    space of their defining relations is solved."""
+    calls = []
+    real = tensorkit.block_nullspace
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tensorkit, "block_nullspace", counting)
+    w = cube_family(2)
+    rep, eps = check_kac_bimodule(w.algebra, w.coproduct, w.antipode)
+    assert rep.passed and eps is not None
+    assert calls == []
+
+
+def test_kac_bimodule_check_holds_few_dense_arrays():
+    """On a built cube_family(8) (d = 512) check_kac_bimodule keeps its
+    traced peak below eight dense d x d complex arrays (33.6 MB): the
+    dense views of eps_t and eps_s that its range checks read, and e with
+    the two unitary factors of its SVD in the factorization that gives
+    N_s and N_t.  The null space of the stacked defining relations, the
+    second route to N_s and N_t, held about 95 of them."""
+    w = cube_family(8)
+    tracemalloc.start()
+    try:
+        rep, _ = check_kac_bimodule(w.algebra, w.coproduct, w.antipode)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    assert peak < 8 * w.dim ** 2 * 16, peak
+
+
 def _dense_structure_maps(w):
     """Oracles of the Tables of WeakKac: e = Delta(1), eps(b_a b_b), eps_t
     and eps_s scattered into dense d x d arrays, as np.add.at sums them."""
@@ -553,13 +588,16 @@ def test_cartan_rejects_garbage_coproduct():
 
 def test_cartan_raises_when_e_is_zero():
     """group-algebra[k2] has one block, so e = Delta(1) without block 0 on
-    a leg is zero: it has no factors to span N_s and N_t."""
+    a leg is zero: it has no factors to span N_s and N_t, for any report
+    that reads them, the Kac bimodule check too."""
     bad = e_without_block(1)(get_example("group_k2"))
     assert not bad.e_matrix.any()
     with pytest.raises(CartanMismatch, match="no factors"):
         cartan_subalgebras(bad)
     with pytest.raises(CartanMismatch, match="no factors"):
         counital_representation(bad)
+    with pytest.raises(CartanMismatch, match="no factors"):
+        check_kac_bimodule(bad.algebra, bad.coproduct, bad.antipode)
 
 
 def test_cartan_raise_follows_the_tolerance():
@@ -658,22 +696,18 @@ def test_hyper_center_trivial_for_elementary_and_cube():
 
 def test_hyper_center_reads_the_cartan_spans(monkeypatch):
     # N_s and N_t come from the factorization of e, not from a second solve
-    # of their defining relations
+    # of their defining relations: weakkac solves no null space at all
     w = cube_family(2)
-    real_spans, real_null, spans, solves = weakkac._cartan_spans, weakkac.nullspace, [], []
+    real_spans, spans = weakkac._cartan_spans, []
 
     def counting_spans(*args, **kwargs):
         spans.append(1)
         return real_spans(*args, **kwargs)
 
-    def counting_null(*args, **kwargs):
-        solves.append(1)
-        return real_null(*args, **kwargs)
-
     monkeypatch.setattr(weakkac, "_cartan_spans", counting_spans)
-    monkeypatch.setattr(weakkac, "nullspace", counting_null)
     assert hyper_center(w).dim == 1
-    assert (len(spans), len(solves)) == (1, 0)
+    assert len(spans) == 1
+    assert not hasattr(weakkac, "nullspace")
 
 
 def test_direct_sum_splits_back():
@@ -902,17 +936,26 @@ def test_kac_bimodule_rejects_scaled_coproduct():
 
 @pytest.mark.parametrize("name", ["group_z3", "elem_12", "cube2", "cube2-moved"])
 def test_cartan_relations_match_the_dense_stack(name):
-    """N_t and N_s of the bimodule check, from the nonzero rows of their
-    relations, against the null space of the dense d^3 stacks."""
+    """N_t and N_s of the bimodule check are the factor spans of e, and its
+    two defining-relation checks are the residuals of the dense d^3 stacks
+    of their relations on them.  On a member the spans are the null spaces
+    of the stacks; on the member with one coproduct entry moved the
+    relations fail on the spans, and so do both checks."""
+    moved = name.endswith("moved")
     w = get_example(name.split("-")[0])
-    if name.endswith("moved"):
+    if moved:
         w = moved_entry(w)
     tol = Tolerance()
-    for leg in (0, 1):
+    rep, _ = check_kac_bimodule(w.algebra, w.coproduct, w.antipode, tol)
+    spans = weakkac._cartan_spans(WeakKac(w.algebra, w.coproduct, w.antipode, None), tol)
+    for leg, span, side in zip((0, 1), spans[1::-1], ("target", "source")):
         dense = np.hstack([
             (dense_coproduct(w) - basis_products(w.algebra, w.e_matrix, leg, left)).reshape(w.dim, -1)
             for left in (False, True)
         ]).T
-        rows = weakkac._nonzero_rows(*weakkac._cartan_relations(w, leg), w.dim)
-        span = nullspace(rows, tol)
-        assert subspace_distance(span, nullspace(dense, tol)) < 1e-10
+        check = rep[side + "_defining_relation"]
+        assert abs(check.residual - max_abs(dense @ span.basis)) <= 1e-12
+        if moved:
+            assert not check.passed
+        else:
+            assert subspace_distance(span.basis, nullspace(dense, tol)) < 1e-10
